@@ -14,10 +14,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from comptest import (InteriorLightConfig, StandModel, compile, emit_xml,
-                      execute, load_script, parse_connection_sheet,
-                      parse_resource_sheet, parse_signal_sheet,
-                      parse_status_sheet, parse_test_sheet, reference_dut)
+from comptest import (InteriorLightConfig, InteriorLightDut, StandModel,
+                      compile, emit_xml, execute, load_script,
+                      parse_connection_sheet, parse_resource_sheet,
+                      parse_signal_sheet, parse_status_sheet, parse_test_sheet)
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "interior_light"
 
@@ -43,7 +43,7 @@ def main() -> int:
 
     print(f"{'timeout_s':>10}  verdict  failing steps")
     for timeout in range(args.start, args.stop + 1, args.step):
-        dut = reference_dut(InteriorLightConfig(
+        dut = InteriorLightDut(InteriorLightConfig(
             ubatt=Decimal("12.0"), timeout_s=Decimal(timeout)))
         report = execute(plan, stand, env, dut)
         failing = [s.index for s in report.steps if not s.passed]

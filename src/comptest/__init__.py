@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .compiler import (MethodInvocation, TestScript, compile, emit_xml,
                        lower_status)
 from .dut import (DUT_REGISTRY, DutModel, InteriorLightConfig,
-                  InteriorLightDut, build_dut, reference_dut)
+                  InteriorLightDut, build_dut)
 from .errors import (AllocationError, ComptestError, DutError, EvalError,
                      ExprError, LowerError, ScriptError, SheetError,
                      StandError, ValidationFailed)
@@ -23,9 +23,8 @@ from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      serialize_test_sheet)
 from .runner import RunReport, execute, report_to_dict, report_to_json, report_to_text
 from .script import TestPlan, load_script
-from .sheets import (INF, DenseSequence, SignalDef, SignalTable, StatusDef,
-                     StatusTable, TestSequence, TestStep, ValidationReport,
-                     expand_holds, validate_sheets)
+from .sheets import (INF, SignalDef, SignalTable, StatusDef, StatusTable,
+                     TestSequence, TestStep, ValidationReport, validate_sheets)
 from .stand import (Allocation, Binding, ConnectionMatrix, Connector,
                     Requirement, ResourceDef, ResourceTable, StandModel,
                     allocate, parse_connector)
@@ -33,8 +32,7 @@ from .stand import (Allocation, Binding, ConnectionMatrix, Connector,
 __all__ = [
     "__version__", "INF",
     "SignalDef", "SignalTable", "StatusDef", "StatusTable", "TestStep",
-    "TestSequence", "DenseSequence", "ValidationReport", "validate_sheets",
-    "expand_holds",
+    "TestSequence", "ValidationReport", "validate_sheets",
     "CsvDialect", "parse_signal_sheet", "parse_status_sheet",
     "parse_test_sheet", "parse_resource_sheet", "parse_connection_sheet",
     "serialize_signal_sheet", "serialize_status_sheet", "serialize_test_sheet",
@@ -45,7 +43,7 @@ __all__ = [
     "Connector", "parse_connector", "ResourceDef", "ResourceTable",
     "ConnectionMatrix", "StandModel", "Requirement", "Binding", "Allocation",
     "allocate",
-    "DutModel", "InteriorLightConfig", "InteriorLightDut", "reference_dut",
+    "DutModel", "InteriorLightConfig", "InteriorLightDut",
     "build_dut", "DUT_REGISTRY",
     "RunReport", "execute", "report_to_dict", "report_to_json",
     "report_to_text",

@@ -12,7 +12,6 @@ stdout only.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -27,12 +26,11 @@ from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      parse_signal_sheet, parse_status_sheet, parse_test_sheet)
 from .runner import execute, report_to_json, report_to_text
 from .script import load_script
-from .sheets import validate_sheets
+from .sheets import NUMBER, is_name, validate_sheets
 from .stand import StandModel
 
 _SEP_NAMES = {"comma": ",", "dot": ".", "semicolon": ";", "tab": "\t",
               "pipe": "|"}
-_ENV_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=(.+)\Z")
 
 
 def _err(message: str):
@@ -64,20 +62,30 @@ def _read(path: str) -> str:
 
 
 def _parse_env_file(text: str) -> dict[str, Decimal]:
+    """Parse ``key=value`` lines into the stand environment.
+
+    Keys obey the name rule and are folded to lowercase, as the compiler
+    folds ``var (x)``; two keys that fold to one name are refused. Values
+    are plain decimal numbers (``sheets.NUMBER``).
+    """
     env: dict[str, Decimal] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        m = _ENV_LINE.match(line)
-        if not m:
+        key, _, value = line.partition("=")
+        value = value.strip()
+        if not is_name(key) or not value:
             raise ValueError(f"env line {lineno}: expected key=value, "
                              f"got {line!r}")
-        try:
-            env[m.group(1)] = Decimal(m.group(2).strip())
-        except ArithmeticError:
+        if not NUMBER.match(value):
             raise ValueError(f"env line {lineno}: malformed number "
-                             f"{m.group(2).strip()!r}") from None
+                             f"{value!r}")
+        name = key.lower()
+        if name in env:
+            raise ValueError(f"env line {lineno}: {key!r} names the "
+                             f"variable {name!r} again (keys ignore case)")
+        env[name] = Decimal(value)
     return env
 
 

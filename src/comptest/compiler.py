@@ -15,8 +15,9 @@ from xml.sax.saxutils import escape
 
 from .errors import LowerError, ValidationFailed
 from .expr import BinOp, Expr, Num, Paren, Var, render_expr
-from .sheets import (INF, SignalTable, StatusDef, StatusTable, TestSequence,
-                     _OpenCircuit, method_class, validate_sheets)
+from .sheets import (CLASS_ROLE, DIRECTION_ROLE, INF, SignalTable, StatusDef,
+                     StatusTable, TestSequence, _OpenCircuit, method_class,
+                     validate_sheets)
 
 #: A method parameter: a number, a text literal (bit pattern), a symbolic
 #: expression, or the open-circuit marker.
@@ -109,17 +110,18 @@ def lower_status(status: StatusDef, role: str) -> MethodInvocation:
     """Turn one status row into a method invocation.
 
     ``role`` is ``"stimulus"`` (input signals) or ``"check"`` (output
-    signals) and must agree with the method's class. Get-class statuses
-    become bounded measurements, symbolic when ``var_x`` is set; put-class
-    statuses carry their nominal value plus any d1..d3 pass-through.
+    signals) and must be the role of the method's class (``CLASS_ROLE``).
+    Get-class statuses become bounded measurements, symbolic when ``var_x``
+    is set; put-class statuses carry their nominal value plus any d1..d3
+    pass-through.
     """
-    if role not in ("stimulus", "check"):
+    if role not in CLASS_ROLE.values():
         raise ValueError(f"bad role {role!r}")
     cls = method_class(status.method)
     if cls is None:
         raise LowerError(f"method '{status.method}' has unknown class",
                          status=status.status, row=status.row, column="method")
-    if (role == "stimulus") != (cls == "put"):
+    if CLASS_ROLE[cls] != role:
         raise LowerError(
             f"direction/method mismatch: {cls}-class method "
             f"'{status.method}' cannot be lowered as a {role}",
@@ -185,8 +187,7 @@ def compile(signals: SignalTable, statuses: StatusTable, test: TestSequence,
     for step in test.steps:
         statements = []
         for sig_name, status_name in step.assignments.items():
-            role = ("stimulus" if signals[sig_name].direction == "input"
-                    else "check")
+            role = DIRECTION_ROLE[signals[sig_name].direction]
             statements.append(Statement(sig_name.lower(),
                                         lower_status(statuses[status_name], role)))
         steps.append(ScriptStep(step.index, step.dt, statements))

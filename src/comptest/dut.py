@@ -112,15 +112,11 @@ class InteriorLightDut:
         return self.config.ubatt if self.lamp_on else Decimal("0")
 
 
-def reference_dut(config: InteriorLightConfig) -> InteriorLightDut:
-    return InteriorLightDut(config)
-
-
 def _interior_from_env(env: Mapping[str, Decimal]) -> InteriorLightDut:
     if "ubatt" not in env:
         raise DutError("dut 'interior_illumination' requires the environment "
                        "variable 'ubatt'")
-    return reference_dut(InteriorLightConfig(ubatt=Decimal(env["ubatt"])))
+    return InteriorLightDut(InteriorLightConfig(ubatt=Decimal(env["ubatt"])))
 
 
 #: name -> factory(env). The CLI selects DUT models from here.

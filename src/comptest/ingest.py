@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import SheetError
-from .sheets import (INF, NAME_RULE, Scalar, SignalDef, SignalTable,
-                     StatusDef, StatusTable, TestSequence, TestStep, is_name)
+from .sheets import (BIT_LITERAL, INF, NAME_RULE, NUMBER, Scalar, SignalDef,
+                     SignalTable, StatusDef, StatusTable, TestSequence,
+                     TestStep, is_name)
 from .stand import (ConnectionMatrix, Connector, ResourceDef, ResourceTable,
                     parse_connector)
 
 PIN_SEPARATOR = "|"
-
-_NUMBER = re.compile(r"[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?\Z")
-_BIT_LITERAL = re.compile(r"[01]+B\Z")
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ def _parse_number(cell: str, dialect: CsvDialect, sheet: str, row: int,
             raise SheetError(f"malformed number {cell!r}", sheet=sheet,
                              row=row, column=column)
     text = text.replace(dialect.decimal_separator, ".")
-    if not _NUMBER.match(text):
+    if not NUMBER.match(text):
         raise SheetError(f"malformed number {cell!r}", sheet=sheet,
                          row=row, column=column)
     return Decimal(text)
@@ -70,7 +67,7 @@ def _parse_scalar(cell: str, dialect: CsvDialect, sheet: str, row: int,
     text = cell.strip()
     if inf and text.casefold() == "inf":
         return INF
-    if bits and _BIT_LITERAL.match(text):
+    if bits and BIT_LITERAL.match(text):
         return text
     return _parse_number(cell, dialect, sheet, row, column)
 

@@ -207,10 +207,10 @@ def execute(plan: TestPlan, stand: StandModel, env: Mapping[str, Decimal],
     try:
         for signal, inv in init_eval.items():
             apply(signal, inv)
+        dut.advance(script.init.dt)
     except DutError as exc:
         return aborted(None, "environment", str(exc))
     clock += script.init.dt
-    dut.advance(script.init.dt)
     if pace:
         time.sleep(float(script.init.dt))
     settle_record = StepRecord(-1, script.init.dt, clock,
@@ -246,11 +246,11 @@ def execute(plan: TestPlan, stand: StandModel, env: Mapping[str, Decimal],
                 if prev_applied.get(st.signal) != inv:
                     apply(st.signal, inv)
                     changed.add(st.signal)
+            dut.advance(step.dt)
         except DutError as exc:
             return aborted(k, "environment", str(exc))
 
         clock += step.dt
-        dut.advance(step.dt)
         if pace:
             time.sleep(float(step.dt))
 

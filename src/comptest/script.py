@@ -10,7 +10,6 @@ is known.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from xml.parsers import expat
@@ -19,10 +18,8 @@ from .compiler import (FORMAT_VERSION, InitBlock, MethodInvocation, ParamValue,
                        ScriptSignal, ScriptStep, Statement, TestScript)
 from .errors import ExprError, ScriptError
 from .expr import Num, parse_expr
-from .sheets import INF, method_class
-
-_NUMBER = re.compile(r"[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?\Z")
-_BIT_LITERAL = re.compile(r"[01]+B\Z")
+from .sheets import (BIT_LITERAL, CLASS_ROLE, DIRECTION_ROLE, INF, NUMBER,
+                     method_class)
 
 
 @dataclass
@@ -88,9 +85,9 @@ def classify_value(text: str, line: int | None = None) -> ParamValue:
     """
     if text.casefold() == "inf":
         return INF
-    if _BIT_LITERAL.match(text):
+    if BIT_LITERAL.match(text):
         return text
-    if _NUMBER.match(text):
+    if NUMBER.match(text):
         return Decimal(text)
     try:
         node = parse_expr(text)
@@ -106,7 +103,7 @@ def _parse_dt(node: _Node) -> Decimal:
     raw = node.attrs.get("dt")
     if raw is None:
         raise ScriptError(f"<{node.tag}> is missing dt", line=node.line)
-    if not _NUMBER.match(raw):
+    if not NUMBER.match(raw):
         raise ScriptError(f"malformed dt {raw!r}", line=node.line)
     dt = Decimal(raw)
     if dt <= 0:
@@ -145,13 +142,11 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
             inv = MethodInvocation(method_node.tag, params)
             cls = method_class(inv.method)
             direction = manifest[name].direction
-            if cls == "put" and direction != "input":
-                raise ScriptError(f"stimulus method '{inv.method}' on "
-                                  f"{direction} signal '{name}'",
-                                  line=method_node.line)
-            if cls == "get" and direction != "output":
-                raise ScriptError(f"check method '{inv.method}' on "
-                                  f"{direction} signal '{name}'",
+            # Unknown classes load as one-shots; the stand decides them.
+            if (cls is not None
+                    and CLASS_ROLE[cls] != DIRECTION_ROLE[direction]):
+                raise ScriptError(f"{CLASS_ROLE[cls]} method '{inv.method}' "
+                                  f"on {direction} signal '{name}'",
                                   line=method_node.line)
             statements.append(Statement(name, inv))
     return statements

@@ -3,9 +3,8 @@
 A component test is authored as three tables: a signal table naming the
 DUT's inputs and outputs, a status table defining named stimulus/check
 templates, and a test table assigning statuses to signals step by step.
-This module holds the parsed value types, the name rule they enforce, the
-cross-reference validator, and the hold-expansion that turns a sparse test
-table into a dense one.
+This module holds the parsed value types, the name, number and direction
+rules they share with the script loader, and the cross-reference validator.
 """
 
 from __future__ import annotations
@@ -48,6 +47,13 @@ Scalar = Union[Decimal, str, _OpenCircuit]
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+#: A plain decimal number, as sheets (after decimal-comma folding), scripts
+#: and environment files spell it. No NaN, no infinity, no underscores.
+NUMBER = re.compile(r"[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?\Z")
+
+#: A bit literal such as ``0001B``, kept as text wherever it appears.
+BIT_LITERAL = re.compile(r"[01]+B\Z")
+
 #: The name rule in words, for error messages.
 NAME_RULE = "letters, digits, underscore; no leading digit"
 
@@ -84,6 +90,13 @@ def method_class(method: str) -> str | None:
     if method.startswith("get"):
         return "get"
     return None
+
+
+#: The direction rule, stated once: a put-class method is a stimulus and
+#: drives an input signal; a get-class method is a check and samples an
+#: output signal. A method fits a signal when both map to the same role.
+CLASS_ROLE = {"put": "stimulus", "get": "check"}
+DIRECTION_ROLE = {"input": "stimulus", "output": "check"}
 
 
 @dataclass
@@ -134,9 +147,6 @@ class SignalTable:
 
     def inputs(self) -> list[SignalDef]:
         return [s for s in self.signals if s.direction == "input"]
-
-    def outputs(self) -> list[SignalDef]:
-        return [s for s in self.signals if s.direction == "output"]
 
 
 @dataclass
@@ -264,8 +274,7 @@ def _class_violation(sheet: str, row: int | None, column: str | None,
         return Violation(sheet, row, column,
                          f"status '{status.status}' uses method "
                          f"'{status.method}' of unknown class")
-    wanted = "put" if signal.direction == "input" else "get"
-    if cls != wanted:
+    if CLASS_ROLE[cls] != DIRECTION_ROLE[signal.direction]:
         return Violation(sheet, row, column,
                          f"direction/method mismatch: {cls}-class status "
                          f"'{status.status}' ({status.method}) assigned to "
@@ -307,54 +316,3 @@ def validate_sheets(signals: SignalTable, statuses: StatusTable,
             if v:
                 out.append(v)
     return ValidationReport(out)
-
-
-@dataclass
-class DenseStep:
-    """A fully expanded step: every input signal's effective status plus
-    the checks explicitly requested this step."""
-
-    index: int
-    dt: Decimal
-    inputs: dict[str, str]
-    checks: dict[str, str]
-
-
-@dataclass
-class DenseSequence:
-    name: str
-    steps: list[DenseStep]
-
-    def to_test_sequence(self) -> TestSequence:
-        """Rewrite as a sparse sequence with every cell explicit."""
-        steps = []
-        for d in self.steps:
-            assignments = dict(d.inputs)
-            assignments.update(d.checks)
-            steps.append(TestStep(d.index, d.dt, assignments))
-        return TestSequence(self.name, steps)
-
-
-def expand_holds(test: TestSequence, signals: SignalTable) -> DenseSequence:
-    """Expand hold semantics into a dense table.
-
-    For every step and every input signal the effective status is the most
-    recent explicit assignment at or before that step, seeded by the
-    signal's initial status. Output signals keep only explicit per-step
-    checks; a blank cell means no check in that step.
-    """
-    current: dict[str, str] = {s.name: s.initial_status for s in signals.inputs()}
-    dense: list[DenseStep] = []
-    for step in test.steps:
-        checks: dict[str, str] = {}
-        for sig_name, status_name in step.assignments.items():
-            if sig_name not in signals:
-                raise ValueError(f"step {step.index}: unknown signal '{sig_name}' "
-                                 f"(validate sheets first)")
-            if signals[sig_name].direction == "input":
-                current[sig_name] = status_name
-            else:
-                checks[sig_name] = status_name
-        inputs = {s.name: current[s.name] for s in signals.inputs()}
-        dense.append(DenseStep(step.index, step.dt, inputs, checks))
-    return DenseSequence(test.name, dense)

@@ -10,11 +10,11 @@ from decimal import Decimal
 from pathlib import Path
 
 from comptest import (AllocationError, INF, InteriorLightConfig,
-                      MethodInvocation, Requirement, SignalDef, SignalTable,
-                      StatusDef, StatusTable, TestSequence, TestStep,
-                      allocate, compile, emit_xml, execute, load_script,
-                      parse_expr, parse_signal_sheet, parse_status_sheet,
-                      parse_test_sheet, reference_dut, render_expr,
+                      InteriorLightDut, MethodInvocation, Requirement,
+                      SignalDef, SignalTable, StatusDef, StatusTable,
+                      TestSequence, TestStep, allocate, compile, emit_xml,
+                      execute, load_script, parse_expr, parse_signal_sheet,
+                      parse_status_sheet, parse_test_sheet, render_expr,
                       serialize_signal_sheet, serialize_status_sheet,
                       serialize_test_sheet, CsvDialect)
 from comptest.expr import BinOp, Num, Paren, Var
@@ -54,7 +54,7 @@ def test_c1_golden_xml_fragment(demo_signals, demo_statuses, demo_test):
 
 def test_c2_end_to_end_example(demo_plan, demo_stand, demo_env):
     start = time.perf_counter()
-    dut = reference_dut(InteriorLightConfig(ubatt=Decimal("12.0")))
+    dut = InteriorLightDut(InteriorLightConfig(ubatt=Decimal("12.0")))
     report = execute(demo_plan, demo_stand, demo_env, dut)
     elapsed = time.perf_counter() - start
     through_step8 = sum((s.dt for s in report.steps[:9]), Decimal("0"))
@@ -70,7 +70,7 @@ def test_c2_end_to_end_example(demo_plan, demo_stand, demo_env):
 def test_c3_timeout_sensitivity(demo_plan, demo_stand, demo_env):
     failures = {}
     for timeout in ("250", "310"):
-        dut = reference_dut(InteriorLightConfig(ubatt=Decimal("12.0"),
+        dut = InteriorLightDut(InteriorLightConfig(ubatt=Decimal("12.0"),
                                                 timeout_s=Decimal(timeout)))
         report = execute(demo_plan, demo_stand, demo_env, dut)
         failures[timeout] = [s.index for s in report.steps if not s.passed]
@@ -228,7 +228,7 @@ def test_c7_supply_voltage_invariance(demo_signals, demo_statuses, demo_test,
                                dut="interior_light_ecu"))
         ok &= xml == baseline  # no environment value reaches the compiler
         plan = load_script(xml)
-        dut = reference_dut(InteriorLightConfig(ubatt=Decimal(u)))
+        dut = InteriorLightDut(InteriorLightConfig(ubatt=Decimal(u)))
         report = execute(plan, demo_stand, {"ubatt": Decimal(u)}, dut)
         ok &= report.overall and report.steps_passed == 10
     record("C7 ubatt-invariance", ok,

@@ -148,6 +148,38 @@ def test_run_passes(script_path, capsys):
     assert "RESULT: PASS" in out
 
 
+def run_with_env(script_path, tmp_path, env_text):
+    env = tmp_path / "stand.env"
+    env.write_text(env_text, encoding="utf-8")
+    return main(["run", "--script", str(script_path), *STAND[:4],
+                 "--env", str(env)])
+
+
+def test_run_env_keys_ignore_case(script_path, tmp_path, capsys):
+    # The status sheet spells var (x) as UBATT; the script uses ubatt.
+    assert run_with_env(script_path, tmp_path, "UBATT=12.0\n") == 0
+    assert "RESULT: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("env_text,message", [
+    ("ubatt=12.0\nUBATT=13.0\n", "env line 2: 'UBATT' names the variable "
+                                  "'ubatt' again"),
+    ("ubatt=12.0\nubatt=12.0\n", "env line 2: 'ubatt' names the variable"),
+    ("# supply\nubatt=nan\n", "env line 2: malformed number 'nan'"),
+    ("ubatt=Infinity\n", "env line 1: malformed number 'Infinity'"),
+    ("ubatt=sNaN\n", "env line 1: malformed number 'sNaN'"),
+    ("ubatt=1_2\n", "env line 1: malformed number '1_2'"),
+    ("u-batt=12.0\n", "env line 1: expected key=value"),
+    ("ubatt=\n", "env line 1: expected key=value"),
+])
+def test_run_refuses_bad_env_lines(script_path, tmp_path, capsys, env_text,
+                                   message):
+    assert run_with_env(script_path, tmp_path, env_text) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_run_json_report_validates(script_path, capsys):
     code = main(["run", "--script", str(script_path), *STAND,
                  "--report", "json"])

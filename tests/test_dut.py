@@ -2,13 +2,14 @@ from decimal import Decimal
 
 import pytest
 
-from comptest import DutError, INF, InteriorLightConfig, build_dut, reference_dut
+from comptest import (DutError, INF, InteriorLightConfig, InteriorLightDut,
+                      build_dut)
 
 UB = Decimal("12.0")
 
 
 def make_dut(**overrides):
-    return reference_dut(InteriorLightConfig(ubatt=UB, **overrides))
+    return InteriorLightDut(InteriorLightConfig(ubatt=UB, **overrides))
 
 
 def test_lamp_on_at_night_with_open_door():
@@ -130,7 +131,7 @@ def test_determinism():
     assert run() == run()
 
 
-def test_registry_builds_reference_dut():
+def test_registry_builds_interior_light_dut():
     dut = build_dut("interior_illumination", {"ubatt": Decimal("9")})
     dut.set_input("night", "1B")
     dut.set_input("ds_fr", Decimal("0"))

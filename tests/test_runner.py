@@ -2,14 +2,14 @@ from decimal import Decimal
 
 import pytest
 
-from comptest import (ConnectionMatrix, InteriorLightConfig, ResourceTable,
-                      StandModel, execute, load_script, reference_dut,
-                      report_to_json, report_to_text)
+from comptest import (ConnectionMatrix, DutError, InteriorLightConfig,
+                      InteriorLightDut, ResourceTable, StandModel, execute,
+                      load_script, report_to_json, report_to_text)
 from comptest.runner import report_to_dict
 
 
 def fresh_dut(timeout="300"):
-    return reference_dut(InteriorLightConfig(ubatt=Decimal("12.0"),
+    return InteriorLightDut(InteriorLightConfig(ubatt=Decimal("12.0"),
                                              timeout_s=Decimal(timeout)))
 
 
@@ -82,6 +82,27 @@ def test_allocation_error_aborts(demo_plan, demo_stand, demo_env):
     assert report.abort_step == 0
     assert "get_u" in report.abort_message
     assert not report.overall
+
+
+@pytest.mark.parametrize("failing_call,abort_step", [(1, None), (3, 1)])
+def test_dut_error_in_advance_aborts(demo_plan, demo_stand, demo_env,
+                                     failing_call, abort_step):
+    class StallingDut(InteriorLightDut):
+        calls = 0
+
+        def advance(self, dt):
+            self.calls += 1
+            if self.calls == failing_call:
+                raise DutError("clock stalled")
+            super().advance(dt)
+
+    dut = StallingDut(InteriorLightConfig(ubatt=Decimal("12.0")))
+    report = execute(demo_plan, demo_stand, demo_env, dut)
+    assert report.aborted and not report.overall
+    assert report.abort_kind == "environment"
+    assert report.abort_step == abort_step
+    assert report.abort_message == "clock stalled"
+    assert len(report.steps) == (abort_step or 0)
 
 
 def test_report_records_resolved_resources(demo_plan, demo_stand, demo_env):

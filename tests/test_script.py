@@ -3,7 +3,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings
 
-from comptest import ScriptError, emit_xml, expand_holds, load_script, lower_status
+from comptest import ScriptError, emit_xml, load_script, lower_status
 from comptest.sheets import method_class
 
 import strategies
@@ -136,18 +136,43 @@ def test_closure_matches_bruteforce(demo_plan):
             assert demo_plan.active_stimuli[k][signal] == expected
 
 
-def test_closure_agrees_with_expand_holds(demo_signals, demo_statuses,
-                                          demo_test, demo_plan):
-    dense = expand_holds(demo_test, demo_signals)
-    for k, dstep in enumerate(dense.steps):
-        expected = {name.lower(): lower_status(demo_statuses[status], "stimulus")
-                    for name, status in dstep.inputs.items()}
+def test_closure_agrees_with_sheet_holds(demo_signals, demo_statuses,
+                                        demo_test, demo_plan):
+    # Sheet meaning: a blank input cell holds the last status, seeded by the
+    # initial status; an output cell is a check of its own step only.
+    held = {s.name: s.initial_status for s in demo_signals.inputs()}
+    for k, step in enumerate(demo_test.steps):
+        step_checks = {}
+        for name, status in step.assignments.items():
+            if demo_signals[name].direction == "input":
+                held[name] = status
+            else:
+                step_checks[name] = status
+        expected = {name.lower(): lower_status(demo_statuses[status],
+                                               "stimulus")
+                    for name, status in held.items()}
         assert demo_plan.active_stimuli[k] == expected
         checks = {st.signal: st.invocation for st in demo_plan.checks[k]}
         expected_checks = {name.lower(): lower_status(demo_statuses[status],
                                                       "check")
-                           for name, status in dstep.checks.items()}
+                           for name, status in step_checks.items()}
         assert checks == expected_checks
+
+
+@settings(max_examples=60)
+@given(script=strategies.test_scripts())
+def test_closure_matches_bruteforce_generated(script):
+    plan = load_script(emit_xml(script))
+    direction = {s.name: s.direction for s in script.signals}
+    for k, step in enumerate(script.steps):
+        expected = {st.signal: st.invocation for st in script.init.statements}
+        for prior in script.steps[:k + 1]:
+            for st in prior.statements:
+                if direction[st.signal] == "input":
+                    expected[st.signal] = st.invocation
+        assert plan.active_stimuli[k] == expected
+        assert plan.checks[k] == [st for st in step.statements
+                                  if direction[st.signal] == "output"]
 
 
 @settings(max_examples=60)

@@ -1,13 +1,11 @@
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
 
-from comptest import (SignalDef, SignalTable, StatusDef, StatusTable,
-                      TestSequence, TestStep, expand_holds, validate_sheets)
+from comptest import (LowerError, ScriptError, SignalDef, SignalTable,
+                      StatusDef, StatusTable, TestSequence, TestStep,
+                      load_script, lower_status, validate_sheets)
 from comptest.sheets import method_class
-
-import strategies
 
 
 def make_test(steps):
@@ -62,71 +60,6 @@ def test_validation_covers_initial_status_direction(demo_statuses):
     assert report.violations[0].sheet == "signals"
 
 
-def test_expand_holds_demo_step3(demo_signals, demo_test):
-    dense = expand_holds(demo_test, demo_signals)
-    step3 = dense.steps[3]
-    assert step3.inputs == {"IGN_ST": "Off", "DS_FL": "Closed",
-                            "DS_FR": "Closed", "NIGHT": "0"}
-    assert step3.checks == {"INT_ILL": "Lo"}
-
-
-def test_expand_holds_step0_equals_sparse_row(demo_signals, demo_test):
-    dense = expand_holds(demo_test, demo_signals)
-    explicit = {k: v for k, v in demo_test.steps[0].assignments.items()
-                if demo_signals[k].direction == "input"}
-    assert dense.steps[0].inputs == explicit
-
-
-def test_expand_holds_carries_single_assignment():
-    signals = SignalTable([SignalDef("A", "input", ("A",), "x")])
-    steps = [TestStep(0, Decimal("1"), {"A": "y"}),
-             TestStep(1, Decimal("1"), {}),
-             TestStep(2, Decimal("1"), {})]
-    dense = expand_holds(make_test(steps), signals)
-    assert [s.inputs["A"] for s in dense.steps] == ["y", "y", "y"]
-
-
-def test_expand_holds_seeds_initial_status():
-    signals = SignalTable([SignalDef("A", "input", ("A",), "start")])
-    dense = expand_holds(make_test([TestStep(0, Decimal("1"), {})]), signals)
-    assert dense.steps[0].inputs == {"A": "start"}
-
-
-def test_expand_holds_idempotent(demo_signals, demo_test):
-    dense = expand_holds(demo_test, demo_signals)
-    again = expand_holds(dense.to_test_sequence(), demo_signals)
-    assert again == dense
-
-
-@given(data=st.data())
-def test_expand_holds_matches_bruteforce(data):
-    signals = data.draw(strategies.signal_tables())
-    test = data.draw(strategies.test_sequences(
-        signal_names=[s.name for s in signals]))
-    dense = expand_holds(test, signals)
-    for k, step in enumerate(test.steps):
-        for sig in signals.inputs():
-            expected = sig.initial_status
-            for prior in test.steps[:k + 1]:
-                if sig.name in prior.assignments:
-                    expected = prior.assignments[sig.name]
-            assert dense.steps[k].inputs[sig.name] == expected
-        for sig in signals.outputs():
-            if sig.name in step.assignments:
-                assert dense.steps[k].checks[sig.name] == step.assignments[sig.name]
-            else:
-                assert sig.name not in dense.steps[k].checks
-
-
-def test_clean_validation_means_expand_never_fails(demo_signals, demo_statuses,
-                                                   demo_test):
-    assert validate_sheets(demo_signals, demo_statuses, demo_test).ok
-    dense = expand_holds(demo_test, demo_signals)
-    for step in dense.steps:
-        for status in [*step.inputs.values(), *step.checks.values()]:
-            assert status in demo_statuses
-
-
 def test_signal_table_rejects_duplicate_names():
     with pytest.raises(ValueError, match="duplicate signal"):
         SignalTable([SignalDef("A", "input", ("P1",), "x"),
@@ -172,3 +105,49 @@ def test_method_class_prefixes():
     assert method_class("put_r") == "put"
     assert method_class("get_u") == "get"
     assert method_class("frobnicate") is None
+
+
+ONE_STATEMENT_SCRIPT = """<?xml version="1.0" encoding="UTF-8"?>
+<test name="t" dut="d" format="1">
+  <signals>
+    <signal name="a" direction="{direction}" pins="a" />
+  </signals>
+  <init dt="0.1" />
+  <step n="0" dt="1">
+    <signal name="a">
+      <{method} x="1" />
+    </signal>
+  </step>
+</test>
+"""
+
+
+@pytest.mark.parametrize("method,direction,fits", [
+    ("put_r", "input", True), ("put_r", "output", False),
+    ("get_u", "output", True), ("get_u", "input", False),
+])
+def test_direction_rule_agrees_across_layers(method, direction, fits):
+    # Sheet validation, status lowering and the script loader accept and
+    # refuse the same (method, direction) pairs.
+    status = StatusDef("S", method, "x", nom=Decimal("1"), max=Decimal("1"))
+    signals = SignalTable([SignalDef("A", direction, ("A",), "S")])
+    test = make_test([TestStep(0, Decimal("1"), {"A": "S"})])
+    validated = validate_sheets(signals, StatusTable([status]), test).ok
+
+    role = {"input": "stimulus", "output": "check"}[direction]
+    try:
+        lower_status(status, role)
+        lowered = True
+    except LowerError as exc:
+        assert "direction/method mismatch" in str(exc)
+        lowered = False
+
+    try:
+        load_script(ONE_STATEMENT_SCRIPT.format(method=method,
+                                                direction=direction))
+        loaded = True
+    except ScriptError as exc:
+        assert f"{direction} signal 'a'" in str(exc)
+        loaded = False
+
+    assert validated == lowered == loaded == fits
