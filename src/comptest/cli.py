@@ -57,6 +57,14 @@ def _parse_dialect(spec: str | None) -> CsvDialect:
     return CsvDialect(**kwargs)
 
 
+def _settle(text: str) -> Decimal:
+    """``--settle``: a plain positive decimal number (``sheets.NUMBER``)."""
+    if not NUMBER.match(text) or Decimal(text) <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive decimal number, got {text!r}")
+    return Decimal(text)
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -128,7 +136,7 @@ def cmd_compile(args) -> int:
     try:
         signals, statuses, test = _load_sheets(args, dialect)
         script = compile_sheets(signals, statuses, test, dut=args.dut,
-                                settle=Decimal(args.settle))
+                                settle=args.settle)
     except OSError as exc:
         _err(str(exc))
         return 2
@@ -206,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="test name (default: test sheet file stem)")
     p_compile.add_argument("--dut", default="dut",
                            help="DUT name recorded in the script header")
-    p_compile.add_argument("--settle", default="0.1",
+    p_compile.add_argument("--settle", default=Decimal("0.1"), type=_settle,
                            help="settling dwell after init, seconds")
     p_compile.set_defaults(func=cmd_compile)
 

@@ -3,10 +3,10 @@
 Each step allocates resources for the stimuli in force plus the step's
 checks, applies whatever stimuli changed, advances the DUT by the dwell
 and samples every check pin at the end of it. Check failures are recorded
-and execution continues; allocation failures and unbound environment
-variables abort the run. The clock is virtual and exact (decimal
-arithmetic), so a 300 s test finishes in milliseconds unless wall-clock
-pacing is requested.
+and execution continues; allocation failures, unbound environment
+variables and any exception raised by the DUT model abort the run. The
+clock is virtual and exact (decimal arithmetic), so a 300 s test finishes
+in milliseconds unless wall-clock pacing is requested.
 """
 
 from __future__ import annotations
@@ -123,6 +123,16 @@ def _aux(inv: MethodInvocation) -> dict:
     return {k: v for k, v in inv.params.items() if k != first}
 
 
+def _dut_fault(exc: Exception) -> str:
+    """Abort message for an exception raised while driving or reading the
+    DUT. A plugin is outside code: whatever it raises aborts the run as
+    ``environment`` instead of escaping ``execute``, and anything but a
+    DutError is named by its type."""
+    if isinstance(exc, DutError):
+        return str(exc)
+    return f"dut model raised {type(exc).__name__}: {exc}"
+
+
 def _stimulus_records(bindings: list[Binding], changed: set[str],
                       check_pins: set[tuple[str, str]]) -> list[StimulusRecord]:
     records = []
@@ -149,8 +159,9 @@ def execute(plan: TestPlan, stand: StandModel, env: Mapping[str, Decimal],
     """Run ``plan`` against ``dut`` on ``stand`` under ``env``.
 
     The report is complete and deterministic: byte-identical for identical
-    inputs. The run aborts on allocation errors and unbound environment
-    variables; failed checks only mark their step as failed.
+    inputs. The run aborts on allocation errors, unbound environment
+    variables and exceptions raised by ``dut``; failed checks only mark
+    their step as failed.
     """
     env = {k: Decimal(v) for k, v in env.items()}
     script = plan.script
@@ -208,8 +219,8 @@ def execute(plan: TestPlan, stand: StandModel, env: Mapping[str, Decimal],
         for signal, inv in init_eval.items():
             apply(signal, inv)
         dut.advance(script.init.dt)
-    except DutError as exc:
-        return aborted(None, "environment", str(exc))
+    except Exception as exc:  # a faulty DUT plugin, see _dut_fault
+        return aborted(None, "environment", _dut_fault(exc))
     clock += script.init.dt
     if pace:
         time.sleep(float(script.init.dt))
@@ -247,8 +258,8 @@ def execute(plan: TestPlan, stand: StandModel, env: Mapping[str, Decimal],
                     apply(st.signal, inv)
                     changed.add(st.signal)
             dut.advance(step.dt)
-        except DutError as exc:
-            return aborted(k, "environment", str(exc))
+        except Exception as exc:  # a faulty DUT plugin, see _dut_fault
+            return aborted(k, "environment", _dut_fault(exc))
 
         clock += step.dt
         if pace:
@@ -264,8 +275,8 @@ def execute(plan: TestPlan, stand: StandModel, env: Mapping[str, Decimal],
                           and (high is None or measured <= high))
                     checks.append(CheckRecord(signal, pin, inv.method, low,
                                               high, measured, ok))
-        except DutError as exc:
-            return aborted(k, "environment", str(exc))
+        except Exception as exc:  # a faulty DUT plugin, see _dut_fault
+            return aborted(k, "environment", _dut_fault(exc))
 
         steps.append(StepRecord(step.index, step.dt, clock,
                                 _stimulus_records(alloc.bindings, changed,

@@ -61,6 +61,12 @@ def _parse_tree(text: str) -> _Node:
     except expat.ExpatError as exc:
         raise ScriptError(expat.errors.messages[exc.code],
                           line=exc.lineno) from None
+    finally:
+        # The handlers close over the parser: break that cycle so that the
+        # tree is freed by reference counting, not by a later collection.
+        parser.StartElementHandler = None
+        parser.EndElementHandler = None
+        parser.CharacterDataHandler = None
     if not root:
         raise ScriptError("empty document")
     return root[0]

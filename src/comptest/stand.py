@@ -125,11 +125,23 @@ class StandModel:
     resources: ResourceTable
     matrix: ConnectionMatrix
 
+    #: pin -> the resources wired to it, with their connectors, in
+    #: resource table row order (the search's candidate order).
+    wired: dict[str, list[tuple[ResourceDef, Connector]]] = field(
+        init=False, repr=False, compare=False)
+
     def __post_init__(self):
         for rid in self.matrix.rows:
             if rid not in self.resources:
                 raise StandError(f"connection matrix row '{rid}' is not in "
                                  f"the resource table")
+        by_resource: dict[str, list[tuple[str, Connector]]] = {}
+        for (rid, pin), conn in self.matrix.cells.items():
+            by_resource.setdefault(rid, []).append((pin, conn))
+        self.wired = {}
+        for res in self.resources:
+            for pin, conn in by_resource.get(res.id, ()):
+                self.wired.setdefault(pin, []).append((res, conn))
 
 
 @dataclass
@@ -228,6 +240,120 @@ class _Engagements:
             del self.put_grp[grp]
 
 
+def _augment(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
+             seen: set[str]) -> bool:
+    """Kuhn's augmenting path: give requirement ``j`` a resource from
+    ``edges[j]``, moving the owners of taken ones along if that frees one.
+    ``owner`` maps resource id -> requirement index."""
+    for rid in edges[j]:
+        if rid not in seen:
+            seen.add(rid)
+            if rid not in owner or _augment(owner[rid], edges, owner, seen):
+                owner[rid] = j
+                return True
+    return False
+
+
+class _Search:
+    """Depth-first search over the free requirements, in the given order.
+
+    Before a node expands, every remaining exclusive (non-get) requirement
+    must get a resource of its own in a maximum matching whose edges join
+    it to the statically usable resources that the engagements still allow.
+    A completion would be such a matching, so a node that fails the check
+    has none and is cut; as only subtrees without a solution are cut, the
+    first solution in candidate order is the one found.
+    """
+
+    def __init__(self, reqs: list[Requirement], free: list[int],
+                 stand: StandModel, held: Mapping[str, Binding],
+                 engaged: _Engagements, out: list[Binding | None]):
+        self.reqs, self.free, self.stand, self.held = reqs, free, stand, held
+        self.engaged, self.out = engaged, out
+        self.roles = {i: reqs[i].role for i in free}
+        self.usable = {i: self._usable(reqs[i]) for i in free}
+        # depth, requirement, rejections of the deepest failed node
+        self.deepest: tuple = (-1, None, None)
+
+    def _prev(self, req: Requirement) -> str | None:
+        prev = self.held.get(req.pin)
+        if prev is not None and prev.resource_id in self.stand.resources:
+            return prev.resource_id
+        return None
+
+    def _usable(self, req: Requirement) -> list[tuple[ResourceDef, Connector]]:
+        """Statically usable resources: previous resource first, then row
+        order."""
+        usable = [(res, conn) for res, conn in self.stand.wired.get(req.pin, ())
+                  if _static_reject(res, req, self.stand.matrix) is None]
+        prev = self._prev(req)
+        first = [pair for pair in usable if pair[0].id == prev]
+        return first + [pair for pair in usable if pair[0].id != prev]
+
+    def _unmatched(self, k: int) -> tuple[int | None, dict[str, int]]:
+        """The first exclusive requirement from node ``k`` on that the
+        matching leaves without a resource (None if there is none), and the
+        matching."""
+        edges: dict[int, list[str]] = {}
+        owner: dict[str, int] = {}
+        for i in self.free[k:]:
+            role = self.roles[i]
+            if role == "get":
+                continue
+            edges[i] = [res.id for res, conn in self.usable[i]
+                        if self.engaged.conflict(res.id, conn, role) is None]
+            if not _augment(i, edges, owner, set()):
+                return i, owner
+        return None, owner
+
+    def _record(self, k: int, req: Requirement, owner: dict[str, int] | None):
+        """Record node ``k`` as the failure, naming ``req`` and every
+        resource: the tried ones led to a dead end, or, when the matching
+        cut the node, are held for the pin the matching gave them."""
+        stand = self.stand
+        prev = self._prev(req)
+        ordered = list(stand.resources)
+        if prev is not None:
+            ordered = ([stand.resources[prev]]
+                       + [res for res in ordered if res.id != prev])
+        rejections: list[tuple[str, str]] = []
+        for res in ordered:
+            reason = _static_reject(res, req, stand.matrix)
+            if reason is None:
+                conn = stand.matrix.connector_for(res.id, req.pin)
+                reason = self.engaged.conflict(res.id, conn, req.role)
+            if reason is None:
+                reason = ("conflict: leads to a dead end" if owner is None
+                          else f"conflict: resource holds a stimulus for pin "
+                               f"{self.reqs[owner[res.id]].pin}")
+            rejections.append((res.id, reason))
+        self.deepest = (k, req, rejections)
+
+    def solve(self, k: int) -> bool:
+        if k == len(self.free):
+            return True
+        unmatched, owner = self._unmatched(k)
+        if unmatched is not None:
+            if k >= self.deepest[0]:
+                self._record(k, self.reqs[unmatched], owner)
+            return False
+        i = self.free[k]
+        req, role = self.reqs[i], self.roles[i]
+        engaged = self.engaged
+        for res, conn in self.usable[i]:
+            if engaged.conflict(res.id, conn, role) is not None:
+                continue
+            engaged.engage(res.id, conn, role, req.pin)
+            self.out[i] = Binding(req, "resource", res.id, conn)
+            if self.solve(k + 1):
+                return True
+            engaged.release(res.id, conn, role)
+            self.out[i] = None
+        if k >= self.deepest[0]:
+            self._record(k, req, None)
+        return False
+
+
 def allocate(requirements: Sequence[Requirement], stand: StandModel,
              held: Mapping[str, Binding] | None = None) -> Allocation:
     """Find a conflict-free binding for every requirement.
@@ -236,10 +362,16 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     stimulus whose value is unchanged keeps its binding (moving it would
     glitch a live signal); a changed stimulus prefers its old resource but
     may move. The search is deterministic: resources are tried in table
-    row order, requirements in the given order.
+    row order, requirements in the given order, and the result is the first
+    assignment in that order. A bipartite matching at every search node
+    (``_Search``) cuts subtrees that hold no assignment, so an infeasible
+    step fails in polynomial time wherever the resources alone are
+    overcommitted.
 
-    Raises AllocationError naming the deepest unsatisfiable requirement and
-    every candidate resource with its rejection reason.
+    Raises AllocationError naming the requirement at the deepest failed
+    search node (for a node the matching cut, the requirement it left
+    without a resource) and every candidate resource with its rejection
+    reason.
     """
     held = dict(held or {})
     reqs = list(requirements)
@@ -258,56 +390,21 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
         if (prev is not None and prev.resource_id in stand.resources
                 and prev.requirement.invocation == req.invocation):
             # Unchanged held stimulus: the binding is pinned.
-            clash = engaged.conflict(prev.resource_id, prev.connector, req.role)
+            role = req.role
+            clash = engaged.conflict(prev.resource_id, prev.connector, role)
             if clash is not None:
                 raise AllocationError(pin=req.pin, method=req.invocation.method,
                                       parameter=None,
                                       candidates=[(prev.resource_id, clash)])
-            engaged.engage(prev.resource_id, prev.connector, req.role, req.pin)
+            engaged.engage(prev.resource_id, prev.connector, role, req.pin)
             out[i] = Binding(req, "resource", prev.resource_id, prev.connector,
                              held=True)
             continue
         free.append(i)
 
-    def candidates(req: Requirement) -> list[ResourceDef]:
-        ordered = list(stand.resources)
-        prev = held.get(req.pin)
-        if prev is not None and prev.resource_id in stand.resources:
-            first = stand.resources[prev.resource_id]
-            ordered = [first] + [r for r in ordered if r.id != first.id]
-        return ordered
-
-    deepest: list = [-1, None, None]  # depth, requirement, rejections
-
-    def solve(k: int) -> bool:
-        if k == len(free):
-            return True
-        i = free[k]
-        req = reqs[i]
-        rejections: list[tuple[str, str]] = []
-        for res in candidates(req):
-            reason = _static_reject(res, req, stand.matrix)
-            if reason is not None:
-                rejections.append((res.id, reason))
-                continue
-            conn = stand.matrix.connector_for(res.id, req.pin)
-            clash = engaged.conflict(res.id, conn, req.role)
-            if clash is not None:
-                rejections.append((res.id, clash))
-                continue
-            engaged.engage(res.id, conn, req.role, req.pin)
-            out[i] = Binding(req, "resource", res.id, conn)
-            if solve(k + 1):
-                return True
-            engaged.release(res.id, conn, req.role)
-            out[i] = None
-            rejections.append((res.id, "conflict: leads to a dead end"))
-        if k >= deepest[0]:
-            deepest[0], deepest[1], deepest[2] = k, req, rejections
-        return False
-
-    if not solve(0):
-        _, req, rejections = deepest
+    search = _Search(reqs, free, stand, held, engaged, out)
+    if not search.solve(0):
+        _, req, rejections = search.deepest
         parameter = None
         for _, reason in rejections:
             if reason.startswith("range:"):

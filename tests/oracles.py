@@ -2,8 +2,9 @@
 
 Everything here is written from the documented constraint rules alone and
 shares no code with the search: ``assert_allocation_sound`` re-checks a
-returned allocation constraint by constraint, ``enumeration_feasible``
-decides satisfiability by brute force over all candidate assignments, and
+returned allocation constraint by constraint, ``first_feasible`` finds
+by brute force the first candidate assignment in row order (and
+``enumeration_feasible`` whether there is one), and
 ``random_stand_case`` builds small randomized stands for the equivalence
 test.
 """
@@ -74,16 +75,24 @@ def _combination_ok(reqs, choice, stand, held) -> bool:
     return True
 
 
-def enumeration_feasible(requirements, stand: StandModel, held=None) -> bool:
-    """Brute force: does any assignment of resources satisfy everything?"""
+def first_feasible(requirements, stand: StandModel, held=None):
+    """Brute force: the first assignment, in resource table row order with
+    the first requirement varying slowest, that satisfies everything.
+
+    Returns the resource ids of the requirements that expect a resource, in
+    requirement order, or None when no assignment exists.
+    """
     needing = [r for r in requirements if _expects_resource(r)]
     ids = [res.id for res in stand.resources]
-    if not needing:
-        return True
     for choice in itertools.product(ids, repeat=len(needing)):
         if _combination_ok(needing, choice, stand, held or {}):
-            return True
-    return False
+            return list(choice)
+    return None
+
+
+def enumeration_feasible(requirements, stand: StandModel, held=None) -> bool:
+    """Brute force: does any assignment of resources satisfy everything?"""
+    return first_feasible(requirements, stand, held) is not None
 
 
 def assert_allocation_sound(requirements, stand: StandModel,

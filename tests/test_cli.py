@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from comptest import DUT_REGISTRY, InteriorLightConfig, InteriorLightDut
 from comptest.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "interior_light"
@@ -133,6 +134,18 @@ def test_compile_dot_dialect_gives_identical_bytes(tmp_path, capsys):
         (DATA / "expected_script.xml").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("settle", ["Infinity", "nan", "-1", "abc"])
+def test_compile_refuses_bad_settle(tmp_path, capsys, settle):
+    out = tmp_path / "script.xml"
+    code = main(["compile", *SHEETS, f"--settle={settle}", "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "argument --settle" in captured.err
+    assert repr(settle) in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.fixture()
 def script_path(tmp_path):
     out = tmp_path / "script.xml"
@@ -178,6 +191,14 @@ def test_run_refuses_bad_env_lines(script_path, tmp_path, capsys, env_text,
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_run_reproduces_golden_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["run", "--script", str(DATA / "expected_script.xml"), *STAND,
+                 "--report", "json", "-o", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (DATA / "expected_report.json").read_bytes()
 
 
 def test_run_json_report_validates(script_path, capsys):
@@ -242,6 +263,23 @@ def test_unknown_dut_exits_2(script_path, capsys):
                  "--dut", "flux_capacitor"])
     assert code == 2
     assert "unknown dut" in capsys.readouterr().err
+
+
+def test_crashing_dut_plugin_exits_2(script_path, capsys, monkeypatch):
+    class CrashingDut(InteriorLightDut):
+        def read_pin(self, pin):
+            raise KeyError(pin)
+
+    monkeypatch.setitem(DUT_REGISTRY, "crashing",
+                        lambda env: CrashingDut(InteriorLightConfig(
+                            ubatt=env["ubatt"])))
+    code = main(["run", "--script", str(script_path), *STAND,
+                 "--dut", "crashing"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ("run aborted [environment]: dut model raised KeyError: "
+            "'int_ill_f'") in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_module_entry_point_smoke():

@@ -105,6 +105,23 @@ def test_dut_error_in_advance_aborts(demo_plan, demo_stand, demo_env,
     assert len(report.steps) == (abort_step or 0)
 
 
+@pytest.mark.parametrize("method,abort_step", [
+    ("set_input", None), ("advance", None), ("read_pin", 0)])
+def test_any_dut_exception_aborts_as_environment(demo_plan, demo_stand,
+                                                 demo_env, method, abort_step):
+    def crash(self, *args):
+        raise KeyError("int_ill_f")
+
+    CrashingDut = type("CrashingDut", (InteriorLightDut,), {method: crash})
+    dut = CrashingDut(InteriorLightConfig(ubatt=Decimal("12.0")))
+    report = execute(demo_plan, demo_stand, demo_env, dut)
+    assert report.aborted and not report.overall
+    assert report.abort_kind == "environment"
+    assert report.abort_step == abort_step
+    assert report.abort_message == "dut model raised KeyError: 'int_ill_f'"
+    assert len(report.steps) == 0
+
+
 def test_report_records_resolved_resources(demo_plan, demo_stand, demo_env):
     report = execute(demo_plan, demo_stand, demo_env, fresh_dut())
     step1 = report.steps[1]

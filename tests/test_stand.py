@@ -1,3 +1,4 @@
+import gc
 import random
 from decimal import Decimal
 
@@ -6,9 +7,10 @@ import pytest
 from comptest import (AllocationError, ConnectionMatrix, Connector,
                       MethodInvocation, Requirement, ResourceDef,
                       ResourceTable, StandModel, StandError, allocate,
-                      parse_connector, INF)
+                      load_script, parse_connector, INF)
 
-from oracles import assert_allocation_sound, enumeration_feasible, random_stand_case
+from oracles import (assert_allocation_sound, enumeration_feasible,
+                     first_feasible, random_stand_case)
 
 
 def put_r(value, **extra):
@@ -248,3 +250,69 @@ def test_search_matches_enumeration_on_random_stands():
             agree_feasible += 1
     # Make sure the generator exercises both outcomes.
     assert agree_feasible > 5 and agree_infeasible > 5
+
+
+def test_search_picks_the_first_feasible_assignment():
+    # Pruning may only cut subtrees without a solution: the choice is the
+    # brute-force first assignment in row order, stand by stand.
+    rng = random.Random(20261017)
+    feasible = 0
+    for _ in range(400):
+        stand, reqs = random_stand_case(rng)
+        expected = first_feasible(reqs, stand)
+        try:
+            alloc = allocate(reqs, stand)
+        except AllocationError:
+            assert expected is None
+            continue
+        assert [b.resource_id for b in alloc.bindings
+                if b.delivery == "resource"] == expected
+        feasible += 1
+    assert feasible > 100
+
+
+def _pigeonhole_stand(n):
+    """n interchangeable resources, each wired to all n+1 pins."""
+    resources = ResourceTable([
+        ResourceDef(f"P{i}", "put_r", "r", Decimal(0), Decimal(1000))
+        for i in range(1, n + 1)])
+    pins = [f"p{j}" for j in range(n + 1)]
+    matrix = ConnectionMatrix(
+        pins, [res.id for res in resources],
+        {(res.id, pin): Connector("mux", i, j + 1)
+         for i, res in enumerate(resources, start=1)
+         for j, pin in enumerate(pins)})
+    reqs = [Requirement(pin, put_r(Decimal("5"))) for pin in pins]
+    return StandModel(resources, matrix), reqs
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_pigeonhole_fails_on_the_last_pin(n):
+    stand, reqs = _pigeonhole_stand(n)
+    with pytest.raises(AllocationError) as err:
+        allocate(reqs, stand)
+    assert err.value.pin == f"p{n}"
+    assert [rid for rid, _ in err.value.candidates] == \
+        [f"P{i}" for i in range(1, n + 1)]
+    assert all(reason.startswith("conflict: resource holds a stimulus")
+               for _, reason in err.value.candidates)
+
+
+def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand):
+    # Garbage left to the cyclic collector stays alive until a collection
+    # runs, which inflates peak memory; each call must free by refcount.
+    one = [Requirement("ds_fl", put_r(Decimal("1")))]
+    three = [Requirement(pin, put_r(Decimal("1")))
+             for pin in ("ds_fl", "ds_fr", "ds_rl")]
+    gc.disable()
+    try:
+        gc.collect()
+        load_script(demo_xml)
+        assert gc.collect() == 0
+        allocate(one, demo_stand)
+        assert gc.collect() == 0
+        with pytest.raises(AllocationError):
+            allocate(three, demo_stand)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
