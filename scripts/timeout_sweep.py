@@ -34,8 +34,8 @@ def main() -> int:
     test = parse_test_sheet(
         (DATA / "test_interior_light.csv").read_text("utf-8"),
         name="interior_light")
-    plan = load_script(emit_xml(compile(signals, statuses, test,
-                                        dut="interior_light_ecu")))
+    script = load_script(emit_xml(compile(signals, statuses, test,
+                                          dut="interior_light_ecu")))
     stand = StandModel(
         parse_resource_sheet((DATA / "resources.csv").read_text("utf-8")),
         parse_connection_sheet((DATA / "connections.csv").read_text("utf-8")))
@@ -45,7 +45,7 @@ def main() -> int:
     for timeout in range(args.start, args.stop + 1, args.step):
         dut = InteriorLightDut(InteriorLightConfig(
             ubatt=Decimal("12.0"), timeout_s=Decimal(timeout)))
-        report = execute(plan, stand, env, dut)
+        report = execute(script, stand, env, dut)
         failing = [s.index for s in report.steps if not s.passed]
         verdict = "PASS" if report.overall else "FAIL"
         print(f"{timeout:>10}  {verdict:7}  {failing if failing else '-'}")

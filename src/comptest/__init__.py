@@ -2,8 +2,8 @@
 
 Authoring happens in three CSV sheets (signals, statuses, test steps);
 ``compile`` lowers them into a portable XML test script; ``load_script``
-plus ``execute`` interpret such a script on a virtual test stand with
-resource allocation against a simulated device under test.
+reads such a script back and ``execute`` interprets it on a virtual test
+stand with resource allocation against a simulated device under test.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +22,7 @@ from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      serialize_signal_sheet, serialize_status_sheet,
                      serialize_test_sheet)
 from .runner import RunReport, execute, report_to_dict, report_to_json, report_to_text
-from .script import TestPlan, load_script
+from .script import load_script
 from .sheets import (INF, SignalDef, SignalTable, StatusDef, StatusTable,
                      TestSequence, TestStep, ValidationReport, validate_sheets)
 from .stand import (Allocation, Binding, ConnectionMatrix, Connector,
@@ -39,7 +39,7 @@ __all__ = [
     "serialize_resource_sheet", "serialize_connection_sheet",
     "parse_expr", "eval_expr", "render_expr",
     "MethodInvocation", "TestScript", "lower_status", "compile", "emit_xml",
-    "TestPlan", "load_script",
+    "load_script",
     "Connector", "parse_connector", "ResourceDef", "ResourceTable",
     "ConnectionMatrix", "StandModel", "Requirement", "Binding", "Allocation",
     "allocate",

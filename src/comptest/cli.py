@@ -26,7 +26,7 @@ from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      parse_signal_sheet, parse_status_sheet, parse_test_sheet)
 from .runner import execute, report_to_json, report_to_text
 from .script import load_script
-from .sheets import NUMBER, is_name, validate_sheets
+from .sheets import is_name, parse_number, validate_sheets
 from .stand import StandModel
 
 _SEP_NAMES = {"comma": ",", "dot": ".", "semicolon": ";", "tab": "\t",
@@ -58,11 +58,15 @@ def _parse_dialect(spec: str | None) -> CsvDialect:
 
 
 def _settle(text: str) -> Decimal:
-    """``--settle``: a plain positive decimal number (``sheets.NUMBER``)."""
-    if not NUMBER.match(text) or Decimal(text) <= 0:
+    """``--settle``: a positive number (``sheets.parse_number``)."""
+    try:
+        value = parse_number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value <= 0:
         raise argparse.ArgumentTypeError(
             f"expected a positive decimal number, got {text!r}")
-    return Decimal(text)
+    return value
 
 
 def _read(path: str) -> str:
@@ -74,7 +78,7 @@ def _parse_env_file(text: str) -> dict[str, Decimal]:
 
     Keys obey the name rule and are folded to lowercase, as the compiler
     folds ``var (x)``; two keys that fold to one name are refused. Values
-    are plain decimal numbers (``sheets.NUMBER``).
+    obey the number rule (``sheets.parse_number``).
     """
     env: dict[str, Decimal] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -86,14 +90,15 @@ def _parse_env_file(text: str) -> dict[str, Decimal]:
         if not is_name(key) or not value:
             raise ValueError(f"env line {lineno}: expected key=value, "
                              f"got {line!r}")
-        if not NUMBER.match(value):
-            raise ValueError(f"env line {lineno}: malformed number "
-                             f"{value!r}")
+        try:
+            number = parse_number(value)
+        except ValueError as exc:
+            raise ValueError(f"env line {lineno}: {exc}") from None
         name = key.lower()
         if name in env:
             raise ValueError(f"env line {lineno}: {key!r} names the "
                              f"variable {name!r} again (keys ignore case)")
-        env[name] = Decimal(value)
+        env[name] = number
     return env
 
 
@@ -159,7 +164,7 @@ def cmd_compile(args) -> int:
 def cmd_run(args) -> int:
     dialect = _parse_dialect(args.dialect)
     try:
-        plan = load_script(_read(args.script))
+        script = load_script(_read(args.script))
         stand = StandModel(parse_resource_sheet(_read(args.resources), dialect),
                            parse_connection_sheet(_read(args.connections),
                                                   dialect))
@@ -171,7 +176,7 @@ def cmd_run(args) -> int:
     except (ComptestError, ValueError) as exc:
         _err(str(exc))
         return 2
-    report = execute(plan, stand, env, dut)
+    report = execute(script, stand, env, dut)
     rendered = (report_to_json(report) if args.report == "json"
                 else report_to_text(report))
     if args.out:

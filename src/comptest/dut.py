@@ -34,17 +34,10 @@ def _bit_value(value) -> bool:
 
 @dataclass
 class InteriorLightConfig:
-    """Tuning knobs of the reference interior-illumination controller.
-
-    ``retrigger_on_reopen`` restarts the lamp timer on every closed-to-open
-    door transition; with False the first transition wins until all doors
-    close again.
-    """
+    """Tuning knobs of the reference interior-illumination controller."""
 
     ubatt: Decimal
     timeout_s: Decimal = Decimal("300")
-    r_door_threshold_ohm: Decimal = Decimal("100")
-    retrigger_on_reopen: bool = True
 
 
 class InteriorLightDut:
@@ -54,12 +47,14 @@ class InteriorLightDut:
     closed and the door counts as open; at or above the threshold, or with
     an open circuit, the door is closed. While NIGHT is set and at least
     one door is open, both lamp pins read the supply voltage until the
-    timeout since the most recent door-opening has elapsed. The ignition
-    input is recorded but plays no part in the lamp logic.
+    timeout since the most recent door-opening has elapsed: every
+    closed-to-open transition restarts the timer. The ignition input is
+    recorded but plays no part in the lamp logic.
     """
 
     DOOR_PINS = ("ds_fl", "ds_fr", "ds_rl", "ds_rr")
     LAMP_PINS = ("int_ill_f", "int_ill_r")
+    DOOR_THRESHOLD_OHM = Decimal("100")
 
     def __init__(self, config: InteriorLightConfig):
         self.config = config
@@ -75,15 +70,14 @@ class InteriorLightDut:
             if value is INF:
                 is_open = False
             elif isinstance(value, Decimal):
-                is_open = value < self.config.r_door_threshold_ohm
+                is_open = value < self.DOOR_THRESHOLD_OHM
             else:
                 raise DutError(f"door input {name} expects a resistance, "
                                f"got {value!r}")
             was_open = self.doors[name]
             self.doors[name] = is_open
             if is_open and not was_open:
-                if self.config.retrigger_on_reopen or self._open_since is None:
-                    self._open_since = self.now
+                self._open_since = self.now
             if not any(self.doors.values()):
                 self._open_since = None
         elif name == "night":

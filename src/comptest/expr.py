@@ -21,6 +21,7 @@ from decimal import Decimal, DivisionByZero, InvalidOperation
 from typing import Mapping, Union
 
 from .errors import EvalError, ExprError
+from .sheets import parse_number
 
 __all__ = ["Num", "Var", "BinOp", "Paren", "Expr",
            "parse_expr", "eval_expr", "render_expr"]
@@ -91,8 +92,12 @@ class _Parser:
         if ch.isdigit():
             m = _NUM.match(self.text, self.pos)
             assert m is not None
+            try:
+                value = parse_number(m.group(0))
+            except ValueError as exc:
+                raise ExprError(str(exc), self.pos) from None
             self.pos = m.end()
-            return Num(Decimal(m.group(0)))
+            return Num(value)
         m = _IDENT.match(self.text, self.pos)
         if m:
             self.pos = m.end()
@@ -138,6 +143,9 @@ def eval_expr(expr: Expr, env: Mapping[str, Decimal]) -> Decimal:
                 return left / right
         except (DivisionByZero, InvalidOperation):
             raise EvalError("division by zero") from None
+        except ArithmeticError as exc:  # Overflow: exponent beyond Emax
+            raise EvalError(f"{type(exc).__name__.lower()} in "
+                            f"{render_expr(expr)}") from None
         raise EvalError(f"unknown operator {expr.op!r}")
     raise TypeError(f"not an expression node: {expr!r}")
 

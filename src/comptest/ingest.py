@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import SheetError
-from .sheets import (BIT_LITERAL, INF, NAME_RULE, NUMBER, Scalar, SignalDef,
+from .sheets import (BIT_LITERAL, INF, NAME_RULE, Scalar, SignalDef,
                      SignalTable, StatusDef, StatusTable, TestSequence,
-                     TestStep, is_name)
+                     TestStep, is_name, parse_number)
 from .stand import (ConnectionMatrix, Connector, ResourceDef, ResourceTable,
                     parse_connector)
 
@@ -54,11 +54,11 @@ def _parse_number(cell: str, dialect: CsvDialect, sheet: str, row: int,
         if ch != dialect.decimal_separator and ch in text:
             raise SheetError(f"malformed number {cell!r}", sheet=sheet,
                              row=row, column=column)
-    text = text.replace(dialect.decimal_separator, ".")
-    if not NUMBER.match(text):
-        raise SheetError(f"malformed number {cell!r}", sheet=sheet,
-                         row=row, column=column)
-    return Decimal(text)
+    try:
+        return parse_number(text.replace(dialect.decimal_separator, "."))
+    except ValueError as exc:
+        raise SheetError(str(exc), sheet=sheet, row=row,
+                         column=column) from None
 
 
 def _parse_scalar(cell: str, dialect: CsvDialect, sheet: str, row: int,
@@ -246,16 +246,19 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
         raise SheetError("second column must be the step duration Δt",
                          sheet="test", row=1, column=header[1].strip())
     dt_label = header[1].strip()
+    # The remarks column, when there is one, is the last column. A column
+    # before it may then be headed "remark(s)" too: that is a signal of
+    # that name. Without a trailing remarks column such a header is a
+    # misplaced remarks column.
+    last = len(header) - 1
+    remark_col = (last if last >= 2 and _norm(header[last]) in _REMARK_HEADERS
+                  else None)
     signal_cols: list[tuple[int, str]] = []
-    remark_col: int | None = None
-    for col in range(2, len(header)):
+    for col in range(2, remark_col if remark_col is not None else len(header)):
         label = header[col].strip()
-        if _norm(label) in _REMARK_HEADERS:
-            if col != len(header) - 1:
-                raise SheetError("remarks must be the last column", sheet="test",
-                                 row=1, column=label)
-            remark_col = col
-            continue
+        if _norm(label) in _REMARK_HEADERS and remark_col is None:
+            raise SheetError("remarks must be the last column", sheet="test",
+                             row=1, column=label)
         label = _ident(label, "test", 1, f"column {col + 1}")
         if label in (s for _, s in signal_cols):
             raise SheetError(f"duplicate signal column {label!r}", sheet="test",
@@ -292,11 +295,6 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
         raise SheetError("test sheet has no steps", sheet="test", row=None,
                          column=None)
     return TestSequence(name, steps)
-
-
-_RESOURCE_REQUIRED = {"res": "id", "ress": "id", "resource": "id",
-                      "method": "method", "attribut": "attribut",
-                      "min": "min", "max": "max", "unit": "unit"}
 
 
 def parse_resource_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> ResourceTable:

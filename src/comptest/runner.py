@@ -1,27 +1,26 @@
-"""Discrete-time execution of a test plan on a virtual stand.
+"""Discrete-time execution of a test script on a virtual stand.
 
-Each step allocates resources for the stimuli in force plus the step's
-checks, applies whatever stimuli changed, advances the DUT by the dwell
-and samples every check pin at the end of it. Check failures are recorded
-and execution continues; allocation failures, unbound environment
-variables and any exception raised by the DUT model abort the run. The
-clock is virtual and exact (decimal arithmetic), so a 300 s test finishes
-in milliseconds unless wall-clock pacing is requested.
+The script is as sparse as the sheets; this module owns hold semantics.
+Each block (``<init>``, then every step) allocates resources for the
+stimuli in force plus the block's one-shots and checks, applies whatever
+stimuli changed, advances the DUT by the dwell and samples every check pin
+at the end of it. Check failures are recorded and execution continues;
+allocation failures, unbound environment variables and any exception
+raised by the DUT model abort the run. The clock is virtual and exact
+(decimal arithmetic), so a 300 s test finishes in milliseconds.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Mapping
 
-from .compiler import MethodInvocation, render_value
+from .compiler import MethodInvocation, TestScript, render_value
 from .dut import DutModel
 from .errors import AllocationError, DutError, EvalError
 from .expr import Num, Var, BinOp, Paren, eval_expr
-from .script import TestPlan
 from .sheets import method_class
 from .stand import BUS_METHODS, Binding, Requirement, StandModel, allocate
 
@@ -154,9 +153,15 @@ def _stimulus_records(bindings: list[Binding], changed: set[str],
     return records
 
 
-def execute(plan: TestPlan, stand: StandModel, env: Mapping[str, Decimal],
-            dut: DutModel, *, pace: bool = False) -> RunReport:
-    """Run ``plan`` against ``dut`` on ``stand`` under ``env``.
+def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
+            dut: DutModel) -> RunReport:
+    """Run ``script`` against ``dut`` on ``stand`` under ``env``.
+
+    This is where hold semantics live. ``<init>`` and every step go through
+    one block body: a put replaces the stimulus in force for its signal and
+    is evaluated once, when it appears; a get is sampled at the end of its
+    own block's dwell; any other method is a one-shot, allocated for its
+    block only and never evaluated, applied, held or sampled.
 
     The report is complete and deterministic: byte-identical for identical
     inputs. The run aborts on allocation errors, unbound environment
@@ -164,130 +169,84 @@ def execute(plan: TestPlan, stand: StandModel, env: Mapping[str, Decimal],
     their step as failed.
     """
     env = {k: Decimal(v) for k, v in env.items()}
-    script = plan.script
-    steps: list[StepRecord] = []
-    settle_record: StepRecord | None = None
+    pins = {sig.name: sig.pins for sig in script.signals}
+    records: list[StepRecord] = []  # the init block's, then one per step
     clock = Decimal("0")
+    stimuli: dict[str, MethodInvocation] = {}  # in force, as applied
     held: dict[str, Binding] = {}
-    prev_applied: dict[str, MethodInvocation] = {}
 
-    def aborted(step_index, kind, message):
-        return RunReport(script.name, script.dut, overall=False, aborted=True,
-                         abort_step=step_index, abort_kind=kind,
-                         abort_message=message, settle=settle_record,
+    def targets(signal: str, inv: MethodInvocation) -> tuple[str, ...]:
+        # A bus method reaches the DUT by signal name, all else by pin.
+        return (signal,) if inv.method in BUS_METHODS else pins[signal]
+
+    def report(step: int | None = None, kind: str | None = None,
+               message: str | None = None) -> RunReport:
+        steps = records[1:]
+        aborted = kind is not None
+        return RunReport(script.name, script.dut,
+                         overall=not aborted and all(s.passed for s in steps),
+                         aborted=aborted, abort_step=step, abort_kind=kind,
+                         abort_message=message,
+                         settle=records[0] if records else None,
                          steps=steps, steps_total=len(script.steps))
 
-    def requirements_for(stimuli: dict[str, MethodInvocation],
-                         one_shots: list, checks: list) -> list[Requirement]:
-        reqs: list[Requirement] = []
-        for signal, inv in stimuli.items():
-            if inv.method in BUS_METHODS:
-                reqs.append(Requirement(signal, inv, signal))
+    blocks = [(-1, script.init.dt, script.init.statements)]
+    blocks += [(step.index, step.dt, step.statements) for step in script.steps]
+    for index, dt, statements in blocks:
+        where = None if index < 0 else index
+        puts: dict[str, MethodInvocation] = {}  # the last put per signal
+        one_shots: list[tuple[str, MethodInvocation]] = []
+        checks: list[tuple[str, MethodInvocation]] = []
+        for st in statements:
+            cls = method_class(st.invocation.method)
+            if cls == "put":
+                puts[st.signal] = st.invocation
+            elif cls == "get":
+                checks.append((st.signal, st.invocation))
             else:
-                for pin in plan.signals[signal].pins:
-                    reqs.append(Requirement(pin, inv, signal))
-        for st in one_shots:
-            for pin in plan.signals[st.signal].pins:
-                reqs.append(Requirement(pin, st.invocation, st.signal))
-        for signal, inv in checks:
-            for pin in plan.signals[signal].pins:
-                reqs.append(Requirement(pin, inv, signal))
-        return reqs
-
-    def apply(signal: str, inv: MethodInvocation):
-        value = inv.principal_value()
-        aux = _aux(inv)
-        if inv.method in BUS_METHODS:
-            dut.set_input(signal, value, aux)
-        else:
-            for pin in plan.signals[signal].pins:
-                dut.set_input(pin, value, aux)
-        prev_applied[signal] = inv
-
-    # Init: apply every initial stimulus, then let the DUT settle.
-    try:
-        init_eval = {sig: _evaluate(inv, env)
-                     for sig, inv in plan.init_stimuli.items()}
-    except EvalError as exc:
-        return aborted(None, "environment", str(exc))
-    try:
-        alloc = allocate(requirements_for(init_eval, [], []), stand, held)
-    except AllocationError as exc:
-        return aborted(None, "allocation", str(exc))
-    held = alloc.holds()
-    try:
-        for signal, inv in init_eval.items():
-            apply(signal, inv)
-        dut.advance(script.init.dt)
-    except Exception as exc:  # a faulty DUT plugin, see _dut_fault
-        return aborted(None, "environment", _dut_fault(exc))
-    clock += script.init.dt
-    if pace:
-        time.sleep(float(script.init.dt))
-    settle_record = StepRecord(-1, script.init.dt, clock,
-                               _stimulus_records(alloc.bindings,
-                                                 set(init_eval), set()))
-
-    for k, step in enumerate(script.steps):
+                one_shots.append((st.signal, st.invocation))
         try:
-            active_eval = {sig: _evaluate(inv, env)
-                           for sig, inv in plan.active_stimuli[k].items()}
-            checks_eval = [(st.signal, _evaluate(st.invocation, env))
-                           for st in plan.checks[k]]
+            puts = {sig: _evaluate(inv, env) for sig, inv in puts.items()}
+            checks = [(sig, _evaluate(inv, env)) for sig, inv in checks]
         except EvalError as exc:
-            return aborted(k, "environment", str(exc))
-        one_shots = [st for st in step.statements
-                     if method_class(st.invocation.method) is None]
-        check_pins = {(signal, pin) for signal, inv in checks_eval
-                      for pin in plan.signals[signal].pins}
+            return report(where, "environment", str(exc))
+        changed = [sig for sig, inv in puts.items() if stimuli.get(sig) != inv]
+        stimuli.update(puts)
+
+        reqs = [Requirement(target, inv, signal)
+                for signal, inv in [*stimuli.items(), *one_shots, *checks]
+                for target in targets(signal, inv)]
         try:
-            alloc = allocate(
-                requirements_for(active_eval, one_shots, checks_eval),
-                stand, held)
+            alloc = allocate(reqs, stand, held)
         except AllocationError as exc:
-            return aborted(k, "allocation", str(exc))
+            return report(where, "allocation", str(exc))
         held = alloc.holds()
 
-        changed: set[str] = set()
+        check_records: list[CheckRecord] = []
         try:
-            for st in step.statements:
-                if method_class(st.invocation.method) != "put":
-                    continue
-                inv = active_eval[st.signal]
-                if prev_applied.get(st.signal) != inv:
-                    apply(st.signal, inv)
-                    changed.add(st.signal)
-            dut.advance(step.dt)
-        except Exception as exc:  # a faulty DUT plugin, see _dut_fault
-            return aborted(k, "environment", _dut_fault(exc))
-
-        clock += step.dt
-        if pace:
-            time.sleep(float(step.dt))
-
-        checks: list[CheckRecord] = []
-        try:
-            for signal, inv in checks_eval:
+            for signal in changed:
+                inv = puts[signal]
+                for target in targets(signal, inv):
+                    dut.set_input(target, inv.principal_value(), _aux(inv))
+            dut.advance(dt)
+            for signal, inv in checks:
                 low, high = _bounds(inv)
-                for pin in plan.signals[signal].pins:
+                for pin in pins[signal]:
                     measured = dut.read_pin(pin)
                     ok = ((low is None or low <= measured)
                           and (high is None or measured <= high))
-                    checks.append(CheckRecord(signal, pin, inv.method, low,
-                                              high, measured, ok))
+                    check_records.append(CheckRecord(signal, pin, inv.method,
+                                                     low, high, measured, ok))
         except Exception as exc:  # a faulty DUT plugin, see _dut_fault
-            return aborted(k, "environment", _dut_fault(exc))
-
-        steps.append(StepRecord(step.index, step.dt, clock,
-                                _stimulus_records(alloc.bindings, changed,
-                                                  check_pins),
-                                checks))
-
-    overall = all(s.passed for s in steps)
-    return RunReport(script.name, script.dut, overall=overall, aborted=False,
-                     abort_step=None, abort_kind=None, abort_message=None,
-                     settle=settle_record, steps=steps,
-                     steps_total=len(script.steps))
+            return report(where, "environment", _dut_fault(exc))
+        clock += dt
+        check_pins = {(signal, pin) for signal, _ in checks
+                      for pin in pins[signal]}
+        records.append(StepRecord(index, dt, clock,
+                                  _stimulus_records(alloc.bindings,
+                                                    set(changed), check_pins),
+                                  check_records))
+    return report()
 
 
 # --- report rendering ------------------------------------------------------

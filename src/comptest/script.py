@@ -1,4 +1,4 @@
-"""Interpreter-side loader: parse a test-script XML into an executable plan.
+"""Interpreter-side loader: parse a test-script XML into a ``TestScript``.
 
 Loading is strict about the script schema (it is the portability contract)
 but deliberately tolerant about method names: an unknown method loads fine
@@ -19,7 +19,7 @@ from .compiler import (FORMAT_VERSION, InitBlock, MethodInvocation, ParamValue,
 from .errors import ExprError, ScriptError
 from .expr import Num, parse_expr
 from .sheets import (BIT_LITERAL, CLASS_ROLE, DIRECTION_ROLE, INF, NUMBER,
-                     method_class)
+                     method_class, parse_number)
 
 
 @dataclass
@@ -93,11 +93,11 @@ def classify_value(text: str, line: int | None = None) -> ParamValue:
         return INF
     if BIT_LITERAL.match(text):
         return text
-    if NUMBER.match(text):
-        return Decimal(text)
     try:
+        if NUMBER.match(text):  # signed too, unlike the expression grammar
+            return parse_number(text)
         node = parse_expr(text)
-    except ExprError as exc:
+    except (ValueError, ExprError) as exc:
         raise ScriptError(f"bad parameter value {text!r}: {exc}",
                           line=line) from None
     if isinstance(node, Num):
@@ -109,9 +109,10 @@ def _parse_dt(node: _Node) -> Decimal:
     raw = node.attrs.get("dt")
     if raw is None:
         raise ScriptError(f"<{node.tag}> is missing dt", line=node.line)
-    if not NUMBER.match(raw):
-        raise ScriptError(f"malformed dt {raw!r}", line=node.line)
-    dt = Decimal(raw)
+    try:
+        dt = parse_number(raw)
+    except ValueError as exc:
+        raise ScriptError(f"bad dt: {exc}", line=node.line) from None
     if dt <= 0:
         raise ScriptError(f"dt must be > 0, got {raw}", line=node.line)
     return dt
@@ -158,47 +159,10 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
     return statements
 
 
-@dataclass
-class TestPlan:
-    """A loaded script plus the carry-forward closure the interpreter needs.
-
-    ``active_stimuli[k]`` maps signal name to the stimulus in force during
-    step k (after applying step k's own statements); ``checks[k]`` lists the
-    checks sampled at the end of step k's dwell.
-    """
-
-    script: TestScript
-    signals: dict[str, ScriptSignal]
-    init_stimuli: dict[str, MethodInvocation]
-    active_stimuli: list[dict[str, MethodInvocation]]
-    checks: list[list[Statement]]
-
-
-def _closure(script: TestScript) -> tuple[dict[str, MethodInvocation],
-                                          list[dict[str, MethodInvocation]],
-                                          list[list[Statement]]]:
-    init = {st.signal: st.invocation for st in script.init.statements}
-    current = dict(init)
-    active: list[dict[str, MethodInvocation]] = []
-    checks: list[list[Statement]] = []
-    for step in script.steps:
-        step_checks: list[Statement] = []
-        for st in step.statements:
-            cls = method_class(st.invocation.method)
-            if cls == "put":
-                current[st.signal] = st.invocation
-            elif cls == "get":
-                step_checks.append(st)
-            # Unknown classes are one-shot statements: they take part in
-            # allocation for their step but are neither held nor sampled.
-        active.append(dict(current))
-        checks.append(step_checks)
-    return init, active, checks
-
-
-def load_script(text: str) -> TestPlan:
+def load_script(text: str) -> TestScript:
     """Parse and validate a test script; raises ScriptError with a line
-    number on any schema violation."""
+    number on any schema violation. What the statements do at run time is
+    the runner's business (``runner.execute``)."""
     root = _parse_tree(text)
     if root.tag != "test":
         raise ScriptError(f"root element must be <test>, got <{root.tag}>",
@@ -268,9 +232,7 @@ def load_script(text: str) -> TestPlan:
                                                   f"step {index}")))
 
     try:
-        script = TestScript(root.attrs["name"], root.attrs["dut"], order, init,
-                            steps)
+        return TestScript(root.attrs["name"], root.attrs["dut"], order, init,
+                          steps)
     except ValueError as exc:
         raise ScriptError(str(exc)) from None
-    init_stimuli, active, checks = _closure(script)
-    return TestPlan(script, manifest, init_stimuli, active, checks)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import DefaultContext, Decimal, InvalidOperation
 from typing import Iterator, Union
 
 
@@ -50,6 +50,27 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 #: A plain decimal number, as sheets (after decimal-comma folding), scripts
 #: and environment files spell it. No NaN, no infinity, no underscores.
 NUMBER = re.compile(r"[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?\Z")
+
+
+def parse_number(text: str) -> Decimal:
+    """The number rule: ``text`` must match ``NUMBER``, and its adjusted
+    exponent must lie in the default decimal context's [Emin, Emax], so
+    that every number read is a normal value of the context that does the
+    arithmetic. Returns the Decimal; raises ValueError otherwise.
+    """
+    if NUMBER.match(text) is None:
+        raise ValueError(f"malformed number {text!r}")
+    try:
+        value = Decimal(text)
+    except InvalidOperation:  # an exponent beyond what Decimal can hold
+        value = None
+    if value is None or not (DefaultContext.Emin <= value.adjusted()
+                             <= DefaultContext.Emax):
+        raise ValueError(f"number {text!r} is out of range (exponent "
+                         f"outside [{DefaultContext.Emin}, "
+                         f"{DefaultContext.Emax}])")
+    return value
+
 
 #: A bit literal such as ``0001B``, kept as text wherever it appears.
 BIT_LITERAL = re.compile(r"[01]+B\Z")

@@ -7,10 +7,9 @@ from comptest import (StandModel, TestScript, TestSequence, TestStep,
                       compile, emit_xml, load_script, parse_connection_sheet,
                       parse_resource_sheet, parse_signal_sheet,
                       parse_status_sheet, parse_test_sheet)
-from comptest.script import TestPlan
 
 # Library classes whose names look like test containers to pytest.
-for _cls in (TestScript, TestSequence, TestStep, TestPlan):
+for _cls in (TestScript, TestSequence, TestStep):
     _cls.__test__ = False
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "interior_light"
@@ -59,5 +58,5 @@ def demo_xml(demo_script):
 
 
 @pytest.fixture(scope="session")
-def demo_plan(demo_xml):
+def demo_loaded(demo_xml):
     return load_script(demo_xml)

@@ -52,10 +52,10 @@ def test_c1_golden_xml_fragment(demo_signals, demo_statuses, demo_test):
            f"step-7 statement char-identical, {elapsed:.3f}s")
 
 
-def test_c2_end_to_end_example(demo_plan, demo_stand, demo_env):
+def test_c2_end_to_end_example(demo_loaded, demo_stand, demo_env):
     start = time.perf_counter()
     dut = InteriorLightDut(InteriorLightConfig(ubatt=Decimal("12.0")))
-    report = execute(demo_plan, demo_stand, demo_env, dut)
+    report = execute(demo_loaded, demo_stand, demo_env, dut)
     elapsed = time.perf_counter() - start
     through_step8 = sum((s.dt for s in report.steps[:9]), Decimal("0"))
     ok = (report.overall and not report.aborted
@@ -67,12 +67,12 @@ def test_c2_end_to_end_example(demo_plan, demo_stand, demo_env):
            f"10/10 steps, 308.5s through step 8, {elapsed:.3f}s wall")
 
 
-def test_c3_timeout_sensitivity(demo_plan, demo_stand, demo_env):
+def test_c3_timeout_sensitivity(demo_loaded, demo_stand, demo_env):
     failures = {}
     for timeout in ("250", "310"):
         dut = InteriorLightDut(InteriorLightConfig(ubatt=Decimal("12.0"),
                                                 timeout_s=Decimal(timeout)))
-        report = execute(demo_plan, demo_stand, demo_env, dut)
+        report = execute(demo_loaded, demo_stand, demo_env, dut)
         failures[timeout] = [s.index for s in report.steps if not s.passed]
     ok = failures["250"] == [7] and failures["310"] == [8]
     record("C3 timeout-sensitivity", ok,
@@ -209,7 +209,7 @@ def test_c6_round_trips():
                 serialize_test_sheet(test, dialect), dialect, name=test.name
             ) == test
         script = compile(signals, statuses, test)
-        scripts_ok &= load_script(emit_xml(script)).script == script
+        scripts_ok &= load_script(emit_xml(script)) == script
     exprs_ok = all(parse_expr(render_expr(tree)) == tree
                    for tree in (_rand_expr(rng) for _ in range(1000)))
     ok = sheets_ok and scripts_ok and exprs_ok
@@ -227,9 +227,9 @@ def test_c7_supply_voltage_invariance(demo_signals, demo_statuses, demo_test,
         xml = emit_xml(compile(demo_signals, demo_statuses, demo_test,
                                dut="interior_light_ecu"))
         ok &= xml == baseline  # no environment value reaches the compiler
-        plan = load_script(xml)
+        loaded = load_script(xml)
         dut = InteriorLightDut(InteriorLightConfig(ubatt=Decimal(u)))
-        report = execute(plan, demo_stand, {"ubatt": Decimal(u)}, dut)
+        report = execute(loaded, demo_stand, {"ubatt": Decimal(u)}, dut)
         ok &= report.overall and report.steps_passed == 10
     record("C7 ubatt-invariance", ok,
            "identical bytes and full pass for ubatt in {9, 12, 16}")

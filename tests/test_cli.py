@@ -134,7 +134,8 @@ def test_compile_dot_dialect_gives_identical_bytes(tmp_path, capsys):
         (DATA / "expected_script.xml").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("settle", ["Infinity", "nan", "-1", "abc"])
+@pytest.mark.parametrize("settle", ["Infinity", "nan", "-1", "abc",
+                                    "1e9999999999999999999999"])
 def test_compile_refuses_bad_settle(tmp_path, capsys, settle):
     out = tmp_path / "script.xml"
     code = main(["compile", *SHEETS, f"--settle={settle}", "-o", str(out)])
@@ -182,6 +183,7 @@ def test_run_env_keys_ignore_case(script_path, tmp_path, capsys):
     ("ubatt=Infinity\n", "env line 1: malformed number 'Infinity'"),
     ("ubatt=sNaN\n", "env line 1: malformed number 'sNaN'"),
     ("ubatt=1_2\n", "env line 1: malformed number '1_2'"),
+    ("ubatt=1e9999999999999999999999\n", "env line 1: number '1e9999999999999999999999' is out of range"),
     ("u-batt=12.0\n", "env line 1: expected key=value"),
     ("ubatt=\n", "env line 1: expected key=value"),
 ])
@@ -191,6 +193,37 @@ def test_run_refuses_bad_env_lines(script_path, tmp_path, capsys, env_text,
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ('d2="5000"', 'd2="1e9999999999999999999999"', "out of range"),
+    ('u_max="(1.1*ubatt)"', 'u_max="(1.1*1e9999999999999999999999)"', "out of range"),
+    ('<step n="0" dt="0.5">', '<step n="0" dt="1e9999999999999999999999">', "out of range"),
+    ('u_max="(1.1*ubatt)"', 'u_max="(1e999999*ubatt)"',
+     "[environment]: overflow in 1E+999999*ubatt"),
+])
+def test_run_refuses_numbers_out_of_range(tmp_path, capsys, old, new,
+                                          message):
+    golden = (DATA / "expected_script.xml").read_text(encoding="utf-8")
+    assert old in golden
+    script = tmp_path / "script.xml"
+    script.write_text(golden.replace(old, new, 1), encoding="utf-8")
+    code = main(["run", "--script", str(script), *STAND])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_check_refuses_number_out_of_range(tmp_path, capsys):
+    statuses = (DATA / "statuses.csv").read_text(encoding="utf-8")
+    bad = tmp_path / "statuses.csv"
+    bad.write_text(statuses.replace("Closed;put r;r;;INF;;;INF;5000;5000",
+                                    "Closed;put r;r;;INF;;;INF;1e9999999999999999999999;5000"),
+                   encoding="utf-8")
+    code = main(["check", "--signals", str(DATA / "signals.csv"),
+                 "--statuses", str(bad),
+                 "--test", str(DATA / "test_interior_light.csv")])
+    assert code == 1
+    assert "statuses, row 4, column d2: number" in capsys.readouterr().err
 
 
 def test_run_reproduces_golden_report(tmp_path, capsys):

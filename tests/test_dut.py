@@ -72,16 +72,6 @@ def test_second_door_retriggers_the_timer_by_default():
     assert dut.read_pin("int_ill_f") == Decimal("0")
 
 
-def test_second_door_does_not_retrigger_when_disabled():
-    dut = make_dut(retrigger_on_reopen=False)
-    dut.set_input("night", "1B")
-    dut.set_input("ds_fl", Decimal("0"))
-    dut.advance(Decimal("200"))
-    dut.set_input("ds_fr", Decimal("0"))
-    dut.advance(Decimal("200"))  # 400 s after the first opening
-    assert dut.read_pin("int_ill_f") == Decimal("0")
-
-
 def test_door_threshold():
     dut = make_dut()
     dut.set_input("night", "1B")

@@ -50,6 +50,22 @@ def test_eval_errors():
         eval_expr(parse_expr("vref"), {"ubatt": Decimal("1")})
 
 
+def test_literal_out_of_range_carries_offset():
+    with pytest.raises(ExprError, match="out of range") as err:
+        parse_expr("(1.1*1e9999999999999999999999)")
+    assert err.value.offset == 5
+
+
+def test_overflow_is_an_eval_error():
+    env = {"ubatt": Decimal("12")}
+    with pytest.raises(EvalError, match="overflow in 1E[+]999999[*]ubatt"):
+        eval_expr(parse_expr("1e999999*ubatt"), env)
+    with pytest.raises(EvalError, match="overflow"):
+        eval_expr(parse_expr("(9e999999+9e999999)"), {})
+    with pytest.raises(EvalError, match="division by zero"):
+        eval_expr(parse_expr("0/0"), {})
+
+
 def test_precedence_and_associativity():
     assert eval_expr(parse_expr("1+2*3"), {}) == 7
     assert eval_expr(parse_expr("1-2-3"), {}) == -4

@@ -8,7 +8,7 @@ from comptest import (CsvDialect, INF, SheetError, parse_connection_sheet,
                       parse_status_sheet, parse_test_sheet,
                       serialize_connection_sheet, serialize_resource_sheet,
                       serialize_signal_sheet, serialize_status_sheet,
-                      serialize_test_sheet)
+                      serialize_test_sheet, TestSequence, TestStep)
 from comptest.stand import Connector
 
 import strategies
@@ -52,6 +52,12 @@ def test_status_malformed_number_has_coordinates():
         parse_status_sheet(STATUS_HEADER + "Bad;get u;u;;1;x7;;;;\n")
     assert err.value.row == 2
     assert err.value.column == "min"
+
+
+def test_status_number_out_of_range_has_coordinates():
+    with pytest.raises(SheetError, match="out of range") as err:
+        parse_status_sheet(STATUS_HEADER + "Big;put r;r;;1e9999999999999999999999;;;;;\n")
+    assert (err.value.row, err.value.column) == (2, "nom")
 
 
 @pytest.mark.parametrize("row,column", [
@@ -115,6 +121,21 @@ def test_test_sheet_bad_dt():
         parse_test_sheet(TEST_HEADER + "0;0;;;;;;\n")
     with pytest.raises(SheetError, match="malformed number"):
         parse_test_sheet(TEST_HEADER + "0;abc;;;;;;\n")
+
+
+def test_test_sheet_misplaced_remarks_column():
+    with pytest.raises(SheetError, match="remarks must be the last") as err:
+        parse_test_sheet("test step;Δt;remarks;IGN_ST\n0;1;;Off\n")
+    assert (err.value.row, err.value.column) == (1, "remarks")
+
+
+def test_test_sheet_signal_named_remark():
+    # Before a trailing remarks column, a "remark" header is a signal.
+    seq = TestSequence("t", [TestStep(0, Decimal("1"), {"REMARK": "On"},
+                                      "note")])
+    text = serialize_test_sheet(seq)
+    assert text.splitlines()[0] == "test step;Δt;REMARK;remarks"
+    assert parse_test_sheet(text, name="t") == seq
 
 
 SIGNAL_HEADER = "name;direction;pins;initial_status\n"

@@ -1,11 +1,19 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
 
-from comptest import (ConnectionMatrix, DutError, InteriorLightConfig,
-                      InteriorLightDut, ResourceTable, StandModel, execute,
-                      load_script, report_to_json, report_to_text)
+from comptest import (ConnectionMatrix, Connector, DutError, EvalError,
+                      InteriorLightConfig, InteriorLightDut, MethodInvocation,
+                      ResourceDef, ResourceTable, StandModel, emit_xml,
+                      eval_expr, execute, load_script, lower_status,
+                      report_to_json, report_to_text)
+from comptest.compiler import render_value
+from comptest.expr import BinOp, Num, Paren, Var
 from comptest.runner import report_to_dict
+from comptest.stand import BUS_METHODS
+
+import strategies
 
 
 def fresh_dut(timeout="300"):
@@ -13,8 +21,8 @@ def fresh_dut(timeout="300"):
                                              timeout_s=Decimal(timeout)))
 
 
-def test_end_to_end_demo_passes(demo_plan, demo_stand, demo_env):
-    report = execute(demo_plan, demo_stand, demo_env, fresh_dut())
+def test_end_to_end_demo_passes(demo_loaded, demo_stand, demo_env):
+    report = execute(demo_loaded, demo_stand, demo_env, fresh_dut())
     assert report.overall and not report.aborted
     assert report.steps_passed == 10
     assert report.checks_failed == 0
@@ -26,34 +34,34 @@ def test_end_to_end_demo_passes(demo_plan, demo_stand, demo_env):
     assert report.total_time == Decimal("309.1")
 
 
-def test_clock_accumulates_exactly(demo_plan, demo_stand, demo_env):
-    report = execute(demo_plan, demo_stand, demo_env, fresh_dut())
+def test_clock_accumulates_exactly(demo_loaded, demo_stand, demo_env):
+    report = execute(demo_loaded, demo_stand, demo_env, fresh_dut())
     running = report.settle.dt
     for record in report.steps:
         running += record.dt
         assert record.t_end == running
 
 
-def test_short_timeout_fails_exactly_step7(demo_plan, demo_stand, demo_env):
-    report = execute(demo_plan, demo_stand, demo_env, fresh_dut("250"))
+def test_short_timeout_fails_exactly_step7(demo_loaded, demo_stand, demo_env):
+    report = execute(demo_loaded, demo_stand, demo_env, fresh_dut("250"))
     assert not report.overall and not report.aborted
     assert [s.index for s in report.steps if not s.passed] == [7]
 
 
-def test_long_timeout_fails_exactly_step8(demo_plan, demo_stand, demo_env):
-    report = execute(demo_plan, demo_stand, demo_env, fresh_dut("310"))
+def test_long_timeout_fails_exactly_step8(demo_loaded, demo_stand, demo_env):
+    report = execute(demo_loaded, demo_stand, demo_env, fresh_dut("310"))
     assert not report.overall and not report.aborted
     assert [s.index for s in report.steps if not s.passed] == [8]
 
 
-def test_execution_continues_after_check_failures(demo_plan, demo_stand,
+def test_execution_continues_after_check_failures(demo_loaded, demo_stand,
                                                   demo_env):
-    report = execute(demo_plan, demo_stand, demo_env, fresh_dut("250"))
+    report = execute(demo_loaded, demo_stand, demo_env, fresh_dut("250"))
     assert len(report.steps) == 10  # failure at step 7 does not stop the run
 
 
-def test_unbound_variable_aborts(demo_plan, demo_stand):
-    report = execute(demo_plan, demo_stand, {}, fresh_dut())
+def test_unbound_variable_aborts(demo_loaded, demo_stand):
+    report = execute(demo_loaded, demo_stand, {}, fresh_dut())
     assert report.aborted
     assert report.abort_kind == "environment"
     assert "unbound variable ubatt" in report.abort_message
@@ -62,13 +70,14 @@ def test_unbound_variable_aborts(demo_plan, demo_stand):
 def test_unbound_variable_names_the_variable(demo_script, demo_stand):
     from comptest import emit_xml
     xml = emit_xml(demo_script).replace("ubatt", "vref")
-    plan = load_script(xml)
-    report = execute(plan, demo_stand, {"ubatt": Decimal("12.0")}, fresh_dut())
+    loaded = load_script(xml)
+    report = execute(loaded, demo_stand, {"ubatt": Decimal("12.0")},
+                     fresh_dut())
     assert report.aborted
     assert "unbound variable vref" in report.abort_message
 
 
-def test_allocation_error_aborts(demo_plan, demo_stand, demo_env):
+def test_allocation_error_aborts(demo_loaded, demo_stand, demo_env):
     # Without the DVM the first check cannot be allocated.
     reduced = StandModel(
         ResourceTable([r for r in demo_stand.resources if r.id != "Ress1"]),
@@ -76,7 +85,7 @@ def test_allocation_error_aborts(demo_plan, demo_stand, demo_env):
                          [r for r in demo_stand.matrix.rows if r != "Ress1"],
                          {k: v for k, v in demo_stand.matrix.cells.items()
                           if k[0] != "Ress1"}))
-    report = execute(demo_plan, reduced, demo_env, fresh_dut())
+    report = execute(demo_loaded, reduced, demo_env, fresh_dut())
     assert report.aborted
     assert report.abort_kind == "allocation"
     assert report.abort_step == 0
@@ -85,7 +94,7 @@ def test_allocation_error_aborts(demo_plan, demo_stand, demo_env):
 
 
 @pytest.mark.parametrize("failing_call,abort_step", [(1, None), (3, 1)])
-def test_dut_error_in_advance_aborts(demo_plan, demo_stand, demo_env,
+def test_dut_error_in_advance_aborts(demo_loaded, demo_stand, demo_env,
                                      failing_call, abort_step):
     class StallingDut(InteriorLightDut):
         calls = 0
@@ -97,7 +106,7 @@ def test_dut_error_in_advance_aborts(demo_plan, demo_stand, demo_env,
             super().advance(dt)
 
     dut = StallingDut(InteriorLightConfig(ubatt=Decimal("12.0")))
-    report = execute(demo_plan, demo_stand, demo_env, dut)
+    report = execute(demo_loaded, demo_stand, demo_env, dut)
     assert report.aborted and not report.overall
     assert report.abort_kind == "environment"
     assert report.abort_step == abort_step
@@ -107,14 +116,14 @@ def test_dut_error_in_advance_aborts(demo_plan, demo_stand, demo_env,
 
 @pytest.mark.parametrize("method,abort_step", [
     ("set_input", None), ("advance", None), ("read_pin", 0)])
-def test_any_dut_exception_aborts_as_environment(demo_plan, demo_stand,
+def test_any_dut_exception_aborts_as_environment(demo_loaded, demo_stand,
                                                  demo_env, method, abort_step):
     def crash(self, *args):
         raise KeyError("int_ill_f")
 
     CrashingDut = type("CrashingDut", (InteriorLightDut,), {method: crash})
     dut = CrashingDut(InteriorLightConfig(ubatt=Decimal("12.0")))
-    report = execute(demo_plan, demo_stand, demo_env, dut)
+    report = execute(demo_loaded, demo_stand, demo_env, dut)
     assert report.aborted and not report.overall
     assert report.abort_kind == "environment"
     assert report.abort_step == abort_step
@@ -122,8 +131,8 @@ def test_any_dut_exception_aborts_as_environment(demo_plan, demo_stand,
     assert len(report.steps) == 0
 
 
-def test_report_records_resolved_resources(demo_plan, demo_stand, demo_env):
-    report = execute(demo_plan, demo_stand, demo_env, fresh_dut())
+def test_report_records_resolved_resources(demo_loaded, demo_stand, demo_env):
+    report = execute(demo_loaded, demo_stand, demo_env, fresh_dut())
     step1 = report.steps[1]
     dsfl = next(r for r in step1.stimuli if r.signal == "ds_fl")
     assert dsfl.changed
@@ -137,8 +146,8 @@ def test_report_records_resolved_resources(demo_plan, demo_stand, demo_env):
     assert dsfr.delivery == "open_circuit"
 
 
-def test_report_bounds_are_evaluated(demo_plan, demo_stand, demo_env):
-    report = execute(demo_plan, demo_stand, demo_env, fresh_dut())
+def test_report_bounds_are_evaluated(demo_loaded, demo_stand, demo_env):
+    report = execute(demo_loaded, demo_stand, demo_env, fresh_dut())
     check = report.steps[7].checks[0]
     assert check.low == Decimal("8.4")
     assert check.high == Decimal("13.2")
@@ -146,23 +155,23 @@ def test_report_bounds_are_evaluated(demo_plan, demo_stand, demo_env):
     assert check.passed
 
 
-def test_checks_cover_every_pin(demo_plan, demo_stand, demo_env):
-    report = execute(demo_plan, demo_stand, demo_env, fresh_dut())
+def test_checks_cover_every_pin(demo_loaded, demo_stand, demo_env):
+    report = execute(demo_loaded, demo_stand, demo_env, fresh_dut())
     for step in report.steps:
         assert [c.pin for c in step.checks] == ["int_ill_f", "int_ill_r"]
 
 
-def test_reports_are_byte_identical(demo_plan, demo_stand, demo_env):
-    a = report_to_json(execute(demo_plan, demo_stand, demo_env, fresh_dut()))
-    b = report_to_json(execute(demo_plan, demo_stand, demo_env, fresh_dut()))
+def test_reports_are_byte_identical(demo_loaded, demo_stand, demo_env):
+    a = report_to_json(execute(demo_loaded, demo_stand, demo_env, fresh_dut()))
+    b = report_to_json(execute(demo_loaded, demo_stand, demo_env, fresh_dut()))
     assert a == b
-    ta = report_to_text(execute(demo_plan, demo_stand, demo_env, fresh_dut()))
-    tb = report_to_text(execute(demo_plan, demo_stand, demo_env, fresh_dut()))
+    ta = report_to_text(execute(demo_loaded, demo_stand, demo_env, fresh_dut()))
+    tb = report_to_text(execute(demo_loaded, demo_stand, demo_env, fresh_dut()))
     assert ta == tb
 
 
-def test_json_report_shape(demo_plan, demo_stand, demo_env):
-    doc = report_to_dict(execute(demo_plan, demo_stand, demo_env, fresh_dut()))
+def test_json_report_shape(demo_loaded, demo_stand, demo_env):
+    doc = report_to_dict(execute(demo_loaded, demo_stand, demo_env, fresh_dut()))
     assert doc["overall"] == "pass"
     assert doc["totals"]["steps_total"] == 10
     assert doc["totals"]["step_time"] == "309.0"
@@ -172,24 +181,251 @@ def test_json_report_shape(demo_plan, demo_stand, demo_env):
     assert doc["steps"][7]["checks"][0]["min"] == "8.40"
 
 
-def test_text_report_mentions_failures(demo_plan, demo_stand, demo_env):
-    text = report_to_text(execute(demo_plan, demo_stand, demo_env,
+def test_text_report_mentions_failures(demo_loaded, demo_stand, demo_env):
+    text = report_to_text(execute(demo_loaded, demo_stand, demo_env,
                                   fresh_dut("250")))
     assert "RESULT: FAIL" in text
     assert "step 7" in text and "FAIL" in text
 
 
-def test_pacing_sleeps_per_dwell(demo_plan, demo_stand, demo_env, monkeypatch):
-    naps = []
-    monkeypatch.setattr("comptest.runner.time.sleep", naps.append)
-    execute(demo_plan, demo_stand, demo_env, fresh_dut(), pace=True)
-    assert naps[0] == pytest.approx(0.1)
-    assert len(naps) == 11  # settle plus ten steps
-    assert naps[8] == pytest.approx(280.0)
-
-
-def test_unpaced_run_is_fast(demo_plan, demo_stand, demo_env):
+def test_unpaced_run_is_fast(demo_loaded, demo_stand, demo_env):
     import time
     start = time.perf_counter()
-    execute(demo_plan, demo_stand, demo_env, fresh_dut())
+    execute(demo_loaded, demo_stand, demo_env, fresh_dut())
     assert time.perf_counter() - start < 1.0
+
+
+# --- hold semantics, checked against a brute-force reading -----------------
+
+class RecordingDut:
+    """Accepts every input, reads 0 on every pin and logs each call."""
+
+    def __init__(self):
+        self.log = []
+
+    def set_input(self, name, value, aux=None):
+        self.log.append(("set", name, value, aux))
+
+    def advance(self, dt):
+        self.log.append(("advance", dt))
+
+    def read_pin(self, pin):
+        self.log.append(("read", pin))
+        return Decimal("0")
+
+
+def manifest_stand(script):
+    """One resource per (pin, method) of the script, each on its own switch
+    group, with an unbounded range: every step can be allocated."""
+    pins = {sig.name: sig.pins for sig in script.signals}
+    wanted = {}
+    for statements in ([script.init.statements]
+                       + [step.statements for step in script.steps]):
+        for st in statements:
+            for pin in pins[st.signal]:
+                wanted.setdefault((pin, st.invocation.method), None)
+    resources, cells = [], {}
+    for group, (pin, method) in enumerate(wanted, start=1):
+        rid = f"r{group}"
+        resources.append(ResourceDef(rid, method, "x", Decimal("-Infinity"),
+                                     Decimal("Infinity")))
+        cells[(rid, pin)] = Connector("switch", group, 1)
+    return StandModel(ResourceTable(resources),
+                      ConnectionMatrix(sorted({pin for pin, _ in wanted}),
+                                       [r.id for r in resources], cells))
+
+
+def _evaluated(inv, env):
+    return MethodInvocation(inv.method, {
+        name: (eval_expr(value, env)
+               if isinstance(value, (Num, Var, BinOp, Paren)) else value)
+        for name, value in inv.params.items()})
+
+
+def _first(inv, suffix):
+    return next((v for k, v in inv.params.items()
+                 if k.endswith(suffix) and isinstance(v, Decimal)), None)
+
+
+def assert_blocks_hold(report, dut, blocks, pins, env):
+    """Compare a run with a brute-force reading of its blocks.
+
+    ``blocks`` lists (dt, puts, checks) for init and then each step: puts
+    map signal -> invocation and checks list (signal, invocation), in
+    statement order. A put stays in force until its signal's next put and
+    is applied only when its value changes; a check is sampled at the end
+    of its own block. Every block that ran must show exactly that, in the
+    report and in the DUT's calls.
+    """
+    records = ([report.settle] if report.settle else []) + report.steps
+    in_force, log = {}, []
+    for k, (dt, puts, checks) in enumerate(blocks):
+        try:
+            puts = {sig: _evaluated(inv, env) for sig, inv in puts.items()}
+            checks = [(sig, _evaluated(inv, env)) for sig, inv in checks]
+        except EvalError:
+            assert report.aborted and report.abort_kind == "environment"
+            assert report.abort_step == (None if k == 0 else k - 1)
+            break
+        changed = [sig for sig, inv in puts.items()
+                   if in_force.get(sig) != inv]
+        in_force.update(puts)
+        record = records[k]
+        assert [(r.signal, r.pin, r.method, r.params, r.changed)
+                for r in record.stimuli] == [
+            (sig, pin, inv.method,
+             {name: render_value(v) for name, v in inv.params.items()},
+             sig in changed)
+            for sig, inv in in_force.items()
+            for pin in ((sig,) if inv.method in BUS_METHODS else pins[sig])]
+        for r in record.stimuli:
+            assert r.held == (r.delivery == "resource" and not r.changed)
+        assert [(c.signal, c.pin, c.method, c.low, c.high)
+                for c in record.checks] == [
+            (sig, pin, inv.method, _first(inv, "_min"), _first(inv, "_max"))
+            for sig, inv in checks for pin in pins[sig]]
+        for sig in changed:
+            inv = in_force[sig]
+            aux = dict(list(inv.params.items())[1:])
+            for pin in ((sig,) if inv.method in BUS_METHODS else pins[sig]):
+                log.append(("set", pin, inv.principal_value(), aux))
+        log.append(("advance", dt))
+        log += [("read", pin) for sig, _ in checks for pin in pins[sig]]
+    else:
+        assert not report.aborted
+    assert dut.log == log
+
+
+def test_report_agrees_with_sheet_holds(demo_signals, demo_statuses,
+                                        demo_test, demo_loaded, demo_stand,
+                                        demo_env):
+    # Sheet meaning: a blank input cell holds the last status, seeded by the
+    # initial status; an output cell is a check of its own step only.
+    blocks = [(demo_loaded.init.dt,
+               {s.name.lower(): lower_status(demo_statuses[s.initial_status],
+                                             "stimulus")
+                for s in demo_signals.inputs()}, [])]
+    for step in demo_test.steps:
+        puts, checks = {}, []
+        for name, status in step.assignments.items():
+            if demo_signals[name].direction == "input":
+                puts[name.lower()] = lower_status(demo_statuses[status],
+                                                  "stimulus")
+            else:
+                checks.append((name.lower(),
+                               lower_status(demo_statuses[status], "check")))
+        blocks.append((step.dt, puts, checks))
+    pins = {s.name.lower(): tuple(p.lower() for p in s.pins)
+            for s in demo_signals}
+    dut = RecordingDut()
+    report = execute(demo_loaded, demo_stand, demo_env, dut)
+    assert len(report.steps) == 10
+    assert_blocks_hold(report, dut, blocks, pins, demo_env)
+
+
+ENV = {name: Decimal(value) for name, value in (
+    ("ubatt", "12.0"), ("vref", "5"), ("a", "1"), ("b", "2"), ("c", "3"),
+    ("x0", "0.5"), ("temp_c", "-40"))}
+
+
+def script_blocks(script):
+    """The (dt, puts, checks) blocks of ``script`` as its statements read:
+    every init statement and every statement on an input is a put, every
+    statement on an output is a check."""
+    direction = {s.name: s.direction for s in script.signals}
+    blocks = [(script.init.dt,
+               {st.signal: st.invocation for st in script.init.statements},
+               [])]
+    for step in script.steps:
+        blocks.append((step.dt,
+                       {st.signal: st.invocation for st in step.statements
+                        if direction[st.signal] == "input"},
+                       [(st.signal, st.invocation) for st in step.statements
+                        if direction[st.signal] == "output"]))
+    return blocks
+
+
+def test_report_matches_bruteforce(demo_loaded, demo_stand, demo_env):
+    dut = RecordingDut()
+    report = execute(demo_loaded, demo_stand, demo_env, dut)
+    assert len(report.steps) == len(demo_loaded.steps)
+    assert_blocks_hold(report, dut, script_blocks(demo_loaded),
+                       {s.name: s.pins for s in demo_loaded.signals}, demo_env)
+
+
+@settings(max_examples=60)
+@given(script=strategies.test_scripts())
+def test_report_matches_bruteforce_generated(script):
+    loaded = load_script(emit_xml(script))
+    dut = RecordingDut()
+    report = execute(loaded, manifest_stand(script), ENV, dut)
+    assert report.abort_kind != "allocation"
+    assert_blocks_hold(report, dut, script_blocks(script),
+                       {s.name: s.pins for s in script.signals}, ENV)
+
+
+def test_report_carries_stimuli_forward(demo_loaded, demo_stand, demo_env):
+    report = execute(demo_loaded, demo_stand, demo_env, fresh_dut())
+    # ds_fl is set at steps 1, 2, 4, 5 and held everywhere else.
+    dsfl = [next(r for r in step.stimuli if r.signal == "ds_fl")
+            for step in report.steps]
+    assert dsfl[0].params["r"] == "INF"             # Closed at step 0
+    assert dsfl[1].params["r"] == "0"               # Open at step 1
+    assert dsfl[3].params == dsfl[2].params         # held across step 3
+    assert not dsfl[3].changed
+    assert dsfl[4].params["r"] == "0"
+    assert all(r.params["r"] == "INF" for r in dsfl[5:])
+
+
+ONE_SHOTS = """<?xml version="1.0" encoding="UTF-8"?>
+<test name="t" dut="d" format="1">
+  <signals>
+    <signal name="a" direction="input" pins="a" />
+    <signal name="b" direction="output" pins="b" />
+    <signal name="c" direction="input" pins="c" />
+  </signals>
+  <init dt="0.1">
+    <signal name="a">
+      <put_r r="5" />
+    </signal>
+    <signal name="c">
+      <frob_x v="1" />
+    </signal>
+  </init>
+  <step n="0" dt="1">
+    <signal name="b">
+      <frob_y v="2" />
+    </signal>
+  </step>
+  <step n="1" dt="1">
+    <signal name="b">
+      <get_u u_max="1" />
+    </signal>
+  </step>
+</test>
+"""
+
+
+def test_unknown_methods_are_one_shots_in_every_block():
+    script = load_script(ONE_SHOTS)
+    dut = RecordingDut()
+    report = execute(script, manifest_stand(script), {}, dut)
+    assert not report.aborted
+
+    def stimuli(record):
+        return [(r.signal, r.method, r.changed, r.held)
+                for r in record.stimuli]
+
+    # Allocated for their own block only; never held.
+    assert stimuli(report.settle) == [("a", "put_r", True, False),
+                                      ("c", "frob_x", False, False)]
+    assert stimuli(report.steps[0]) == [("a", "put_r", False, True),
+                                        ("b", "frob_y", False, False)]
+    assert stimuli(report.steps[1]) == [("a", "put_r", False, True)]
+    # Never applied and never sampled: the DUT sees the put and the check.
+    assert dut.log == [("set", "a", Decimal("5"), {}),
+                       ("advance", Decimal("0.1")),
+                       ("advance", Decimal("1")),
+                       ("advance", Decimal("1")), ("read", "b")]
+    assert [c.method for c in report.steps[1].checks] == ["get_u"]
+    assert report.settle.checks == [] and report.steps[0].checks == []

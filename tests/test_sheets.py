@@ -5,7 +5,7 @@ import pytest
 from comptest import (LowerError, ScriptError, SignalDef, SignalTable,
                       StatusDef, StatusTable, TestSequence, TestStep,
                       load_script, lower_status, validate_sheets)
-from comptest.sheets import method_class
+from comptest.sheets import method_class, parse_number
 
 
 def make_test(steps):
@@ -151,3 +151,21 @@ def test_direction_rule_agrees_across_layers(method, direction, fits):
         loaded = False
 
     assert validated == lowered == loaded == fits
+
+
+@pytest.mark.parametrize("text,value", [
+    ("12.5", "12.5"), ("-.5", "-0.5"), ("1e999999", "1E+999999"),
+    ("-1e-999999", "-1E-999999"), ("0", "0")])
+def test_number_rule_accepts(text, value):
+    assert parse_number(text) == Decimal(value)
+    assert str(parse_number(text)) == value
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1e9999999999999999999999", "out of range"), ("10e999999", "out of range"),
+    ("1e-1000000", "out of range"), ("nan", "malformed number"),
+    ("1_2", "malformed number"), ("1,5", "malformed number")])
+def test_number_rule_refuses(text, message):
+    # Decimal() itself raises InvalidOperation on the first one.
+    with pytest.raises(ValueError, match=message):
+        parse_number(text)
