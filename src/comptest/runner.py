@@ -5,16 +5,17 @@ Each block (``<init>``, then every step) allocates resources for the
 stimuli in force plus the block's one-shots and checks, applies whatever
 stimuli changed, advances the DUT by the dwell and samples every check pin
 at the end of it. Check failures are recorded and execution continues;
-allocation failures, unbound environment variables and any exception
-raised by the DUT model abort the run. The clock is virtual and exact
-(decimal arithmetic), so a 300 s test finishes in milliseconds.
+allocation failures, unbound environment variables, a dwell sum beyond the
+decimal range and any exception raised by the DUT model abort the run. The
+clock is virtual and exact (decimal arithmetic), so a 300 s test finishes
+in milliseconds.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, Overflow
+from json.encoder import encode_basestring_ascii as _str
 from typing import Mapping
 
 from .compiler import MethodInvocation, TestScript, render_value
@@ -132,10 +133,17 @@ def _dut_fault(exc: Exception) -> str:
     return f"dut model raised {type(exc).__name__}: {exc}"
 
 
-def _stimulus_records(bindings: list[Binding], changed: set[str],
-                      check_pins: set[tuple[str, str]]) -> list[StimulusRecord]:
+def _rendered(inv: MethodInvocation) -> dict[str, str]:
+    return {k: render_value(v) for k, v in inv.params.items()}
+
+
+def _stimulus_records(bindings: list[Binding], params: list[dict[str, str]],
+                      changed: set[str], check_pins: set[tuple[str, str]]
+                      ) -> list[StimulusRecord]:
+    """Records of the block's stimulus bindings; ``params`` holds the
+    rendered parameters of each binding's requirement, in binding order."""
     records = []
-    for b in bindings:
+    for b, rendered in zip(bindings, params):
         req = b.requirement
         if (req.signal, req.pin) in check_pins:
             continue
@@ -143,7 +151,7 @@ def _stimulus_records(bindings: list[Binding], changed: set[str],
             signal=req.signal or req.pin,
             pin=req.pin,
             method=req.invocation.method,
-            params={k: render_value(v) for k, v in req.invocation.params.items()},
+            params=rendered,
             delivery=b.delivery,
             resource=b.resource_id,
             connector=str(b.connector) if b.connector else None,
@@ -165,14 +173,16 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
 
     The report is complete and deterministic: byte-identical for identical
     inputs. The run aborts on allocation errors, unbound environment
-    variables and exceptions raised by ``dut``; failed checks only mark
-    their step as failed.
+    variables, a clock overflow (checked before the block drives ``dut``)
+    and exceptions raised by ``dut``; failed checks only mark their step as
+    failed.
     """
     env = {k: Decimal(v) for k, v in env.items()}
     pins = {sig.name: sig.pins for sig in script.signals}
     records: list[StepRecord] = []  # the init block's, then one per step
     clock = Decimal("0")
     stimuli: dict[str, MethodInvocation] = {}  # in force, as applied
+    shown: dict[str, dict[str, str]] = {}  # their rendered params
     held: dict[str, Binding] = {}
 
     def targets(signal: str, inv: MethodInvocation) -> tuple[str, ...]:
@@ -212,15 +222,28 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
             return report(where, "environment", str(exc))
         changed = [sig for sig, inv in puts.items() if stimuli.get(sig) != inv]
         stimuli.update(puts)
+        # Rendered once per put: every block that holds it shares the dict.
+        shown.update((sig, _rendered(inv)) for sig, inv in puts.items())
 
-        reqs = [Requirement(target, inv, signal)
-                for signal, inv in [*stimuli.items(), *one_shots, *checks]
-                for target in targets(signal, inv)]
+        entries = [(sig, inv, shown[sig]) for sig, inv in stimuli.items()]
+        entries += [(sig, inv, _rendered(inv)) for sig, inv in one_shots]
+        entries += [(sig, inv, {}) for sig, inv in checks]  # not recorded
+        reqs, params = [], []
+        for signal, inv, rendered in entries:
+            for target in targets(signal, inv):
+                reqs.append(Requirement(target, inv, signal))
+                params.append(rendered)
         try:
             alloc = allocate(reqs, stand, held)
         except AllocationError as exc:
             return report(where, "allocation", str(exc))
         held = alloc.holds()
+        try:
+            t_end = clock + dt
+        except Overflow:
+            return report(where, "environment",
+                          f"clock overflow: dwell sum {clock} + {dt} s is "
+                          f"out of range")
 
         check_records: list[CheckRecord] = []
         try:
@@ -239,80 +262,91 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
                                                      low, high, measured, ok))
         except Exception as exc:  # a faulty DUT plugin, see _dut_fault
             return report(where, "environment", _dut_fault(exc))
-        clock += dt
+        clock = t_end
         check_pins = {(signal, pin) for signal, _ in checks
                       for pin in pins[signal]}
         records.append(StepRecord(index, dt, clock,
-                                  _stimulus_records(alloc.bindings,
+                                  _stimulus_records(alloc.bindings, params,
                                                     set(changed), check_pins),
                                   check_records))
     return report()
 
 
 # --- report rendering ------------------------------------------------------
+#
+# The JSON layout is a contract: what ``json.dumps(doc, indent=2)`` writes,
+# with ASCII-escaped strings and a trailing newline. It is written straight
+# from the records, one template per record; ``pad`` is the newline and
+# indent of the line on which a value starts.
 
-def _dec(value: Decimal | None) -> str | None:
-    return None if value is None else str(value)
+def _null_or_str(value) -> str:
+    return "null" if value is None else _str(str(value))
 
 
-def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready dict; numeric values are decimal strings so the report
-    round-trips exactly."""
+def _array(items: list[str], pad: str, brackets: str = "[]") -> str:
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
-    def step_dict(s: StepRecord) -> dict:
-        return {
-            "n": s.index,
-            "dt": str(s.dt),
-            "t_end": str(s.t_end),
-            "passed": s.passed,
-            "stimuli": [{
-                "signal": r.signal,
-                "pin": r.pin,
-                "method": r.method,
-                "params": r.params,
-                "delivery": r.delivery,
-                "resource": r.resource,
-                "connector": r.connector,
-                "held": r.held,
-                "changed": r.changed,
-            } for r in s.stimuli],
-            "checks": [{
-                "signal": c.signal,
-                "pin": c.pin,
-                "method": c.method,
-                "min": _dec(c.low),
-                "max": _dec(c.high),
-                "measured": str(c.measured),
-                "passed": c.passed,
-            } for c in s.checks],
-        }
 
-    return {
-        "test": report.name,
-        "dut": report.dut,
-        "overall": "pass" if report.overall else "fail",
-        "aborted": report.aborted,
-        "abort": (None if not report.aborted else {
-            "step": report.abort_step,
-            "kind": report.abort_kind,
-            "message": report.abort_message,
-        }),
-        "init": step_dict(report.settle) if report.settle else None,
-        "steps": [step_dict(s) for s in report.steps],
-        "totals": {
-            "steps_total": report.steps_total,
-            "steps_run": len(report.steps),
-            "steps_passed": report.steps_passed,
-            "checks_total": report.checks_total,
-            "checks_failed": report.checks_failed,
-            "step_time": str(report.step_time),
-            "total_time": str(report.total_time),
-        },
-    }
+def _stimulus_json(r: StimulusRecord, pad: str) -> str:
+    q = pad + "  "
+    params = [f"{_str(k)}: {_str(v)}" for k, v in r.params.items()]
+    return (f'{{{q}"signal": {_str(r.signal)},{q}"pin": {_str(r.pin)},'
+            f'{q}"method": {_str(r.method)},'
+            f'{q}"params": {_array(params, q, "{}")},'
+            f'{q}"delivery": {_str(r.delivery)},'
+            f'{q}"resource": {_null_or_str(r.resource)},'
+            f'{q}"connector": {_null_or_str(r.connector)},'
+            f'{q}"held": {"true" if r.held else "false"},'
+            f'{q}"changed": {"true" if r.changed else "false"}{pad}}}')
+
+
+def _check_json(c: CheckRecord, pad: str) -> str:
+    q = pad + "  "
+    return (f'{{{q}"signal": {_str(c.signal)},{q}"pin": {_str(c.pin)},'
+            f'{q}"method": {_str(c.method)},'
+            f'{q}"min": {_null_or_str(c.low)},{q}"max": {_null_or_str(c.high)},'
+            f'{q}"measured": {_str(str(c.measured))},'
+            f'{q}"passed": {"true" if c.passed else "false"}{pad}}}')
+
+
+def _step_json(s: StepRecord, pad: str) -> str:
+    q = pad + "  "
+    item = q + "  "
+    stimuli = _array([_stimulus_json(r, item) for r in s.stimuli], q)
+    checks = _array([_check_json(c, item) for c in s.checks], q)
+    return (f'{{{q}"n": {s.index},{q}"dt": {_str(str(s.dt))},'
+            f'{q}"t_end": {_str(str(s.t_end))},'
+            f'{q}"passed": {"true" if s.passed else "false"},'
+            f'{q}"stimuli": {stimuli},{q}"checks": {checks}{pad}}}')
 
 
 def report_to_json(report: RunReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """The report as JSON; numeric values are decimal strings so that it
+    round-trips exactly."""
+    q, item = "\n  ", "\n    "
+    abort = "null"
+    if report.aborted:
+        step = "null" if report.abort_step is None else report.abort_step
+        abort = (f'{{{item}"step": {step},'
+                 f'{item}"kind": {_null_or_str(report.abort_kind)},'
+                 f'{item}"message": {_null_or_str(report.abort_message)}{q}}}')
+    init = "null" if report.settle is None else _step_json(report.settle, q)
+    steps = _array([_step_json(s, item) for s in report.steps], q)
+    return (f'{{{q}"test": {_str(report.name)},{q}"dut": {_str(report.dut)},'
+            f'{q}"overall": {_str("pass" if report.overall else "fail")},'
+            f'{q}"aborted": {"true" if report.aborted else "false"},'
+            f'{q}"abort": {abort},{q}"init": {init},{q}"steps": {steps},'
+            f'{q}"totals": {{'
+            f'{item}"steps_total": {report.steps_total},'
+            f'{item}"steps_run": {len(report.steps)},'
+            f'{item}"steps_passed": {report.steps_passed},'
+            f'{item}"checks_total": {report.checks_total},'
+            f'{item}"checks_failed": {report.checks_failed},'
+            f'{item}"step_time": {_str(str(report.step_time))},'
+            f'{item}"total_time": {_str(str(report.total_time))}{q}}}\n}}\n')
 
 
 def report_to_text(report: RunReport) -> str:

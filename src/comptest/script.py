@@ -126,7 +126,11 @@ def _lowercase(name: str, what: str, line: int) -> str:
 
 
 def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
-                      where: str) -> list[Statement]:
+                      where: str, values: dict[str, ParamValue]
+                      ) -> list[Statement]:
+    """``values`` caches ``classify_value`` per attribute text for one
+    script; a value that fails is not cached, so the error names the first
+    line that uses it."""
     statements: list[Statement] = []
     for node in parent.children:
         if node.tag != "signal":
@@ -144,8 +148,13 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
             if method_node.children:
                 raise ScriptError(f"method <{method_node.tag}> must be empty",
                                   line=method_node.line)
-            params = {key: classify_value(value, method_node.line)
-                      for key, value in method_node.attrs.items()}
+            params = {}
+            for key, text in method_node.attrs.items():
+                value = values.get(text)
+                if value is None:
+                    value = values[text] = classify_value(text,
+                                                          method_node.line)
+                params[key] = value
             inv = MethodInvocation(method_node.tag, params)
             cls = method_class(inv.method)
             direction = manifest[name].direction
@@ -208,8 +217,9 @@ def load_script(text: str) -> TestScript:
         raise ScriptError("expected <init> after the manifest", line=root.line)
     init_node = children[1]
     _require_attrs(init_node, ("dt",))
+    values: dict[str, ParamValue] = {}  # equal texts share one value
     init = InitBlock(_parse_dt(init_node),
-                     _parse_statements(init_node, manifest, "<init>"))
+                     _parse_statements(init_node, manifest, "<init>", values))
     for st in init.statements:
         if method_class(st.invocation.method) == "get":
             raise ScriptError(f"check method '{st.invocation.method}' is not "
@@ -229,7 +239,7 @@ def load_script(text: str) -> TestScript:
                               line=node.line)
         steps.append(ScriptStep(index, _parse_dt(node),
                                 _parse_statements(node, manifest,
-                                                  f"step {index}")))
+                                                  f"step {index}", values)))
 
     try:
         return TestScript(root.attrs["name"], root.attrs["dut"], order, init,

@@ -366,7 +366,8 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     assignment in that order. A bipartite matching at every search node
     (``_Search``) cuts subtrees that hold no assignment, so an infeasible
     step fails in polynomial time wherever the resources alone are
-    overcommitted.
+    overcommitted. The allocation holds one binding per requirement, in
+    the given order.
 
     Raises AllocationError naming the requirement at the deepest failed
     search node (for a node the matching cut, the requirement it left

@@ -1,17 +1,18 @@
-"""Independent oracles for the allocation search.
+"""Independent oracles for the allocation search and the JSON run report.
 
-Everything here is written from the documented constraint rules alone and
-shares no code with the search: ``assert_allocation_sound`` re-checks a
-returned allocation constraint by constraint, ``first_feasible`` finds
-by brute force the first candidate assignment in row order (and
-``enumeration_feasible`` whether there is one), and
-``random_stand_case`` builds small randomized stands for the equivalence
-test.
+Everything here is written from the documented rules alone and shares no
+code with the program: ``assert_allocation_sound`` re-checks a returned
+allocation constraint by constraint, ``first_feasible`` finds by brute
+force the first candidate assignment in row order (and
+``enumeration_feasible`` whether there is one), ``random_stand_case``
+builds small randomized stands for the equivalence test, and
+``reference_report_json`` writes a run report through ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from decimal import Decimal
 
@@ -189,3 +190,66 @@ def random_stand_case(rng: random.Random):
             params[attr] = INF
         requirements.append(Requirement(pin, MethodInvocation(method, params)))
     return stand, requirements
+
+
+# --- the JSON run report -----------------------------------------------------
+
+def _dec(value: Decimal | None) -> str | None:
+    return None if value is None else str(value)
+
+
+def _step_dict(s) -> dict:
+    return {
+        "n": s.index,
+        "dt": str(s.dt),
+        "t_end": str(s.t_end),
+        "passed": s.passed,
+        "stimuli": [{
+            "signal": r.signal,
+            "pin": r.pin,
+            "method": r.method,
+            "params": r.params,
+            "delivery": r.delivery,
+            "resource": r.resource,
+            "connector": r.connector,
+            "held": r.held,
+            "changed": r.changed,
+        } for r in s.stimuli],
+        "checks": [{
+            "signal": c.signal,
+            "pin": c.pin,
+            "method": c.method,
+            "min": _dec(c.low),
+            "max": _dec(c.high),
+            "measured": str(c.measured),
+            "passed": c.passed,
+        } for c in s.checks],
+    }
+
+
+def reference_report_json(report) -> str:
+    """The JSON run report as a dict rendered by ``json.dumps(indent=2)``:
+    the layout ``runner.report_to_json`` must reproduce byte for byte."""
+    doc = {
+        "test": report.name,
+        "dut": report.dut,
+        "overall": "pass" if report.overall else "fail",
+        "aborted": report.aborted,
+        "abort": (None if not report.aborted else {
+            "step": report.abort_step,
+            "kind": report.abort_kind,
+            "message": report.abort_message,
+        }),
+        "init": _step_dict(report.settle) if report.settle else None,
+        "steps": [_step_dict(s) for s in report.steps],
+        "totals": {
+            "steps_total": report.steps_total,
+            "steps_run": len(report.steps),
+            "steps_passed": report.steps_passed,
+            "checks_total": report.checks_total,
+            "checks_failed": report.checks_failed,
+            "step_time": str(report.step_time),
+            "total_time": str(report.total_time),
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"

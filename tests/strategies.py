@@ -12,6 +12,7 @@ from comptest import (ConnectionMatrix, Connector, MethodInvocation,
                       StatusDef, StatusTable, TestSequence, TestStep, INF)
 from comptest.compiler import InitBlock, ScriptSignal, ScriptStep, Statement, TestScript
 from comptest.expr import BinOp, Num, Paren, Var
+from comptest.runner import CheckRecord, RunReport, StepRecord, StimulusRecord
 
 idents = st.text(alphabet=string.ascii_letters + string.digits + "_",
                  min_size=1, max_size=8).filter(lambda s: s.strip() == s)
@@ -210,3 +211,45 @@ def test_scripts(draw) -> TestScript:
             statements.append(Statement(sig.name, draw(invocations(cls))))
         steps.append(ScriptStep(index, draw(positive_decimals), statements))
     return TestScript(draw(idents), draw(idents), manifest, init, steps)
+
+
+# --- run reports, for the JSON writer ---------------------------------------
+
+#: Any text, with the characters JSON escapes or that are easy to get wrong
+#: drawn often: quote, backslash, controls, non-ASCII, U+2028, astral.
+report_texts = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\\x00\x08\t\n\x1f\x7fé\u2028\u2029\U0001F600a'),
+    st.characters()), max_size=6)
+optional_texts = st.none() | report_texts
+report_decimals = st.decimals(allow_nan=False, allow_infinity=False,
+                              min_value=Decimal("-1e9"),
+                              max_value=Decimal("1e9"))
+optional_decimals = st.none() | st.decimals()
+
+
+@st.composite
+def step_records(draw) -> StepRecord:
+    stimuli = draw(st.lists(st.builds(
+        StimulusRecord, report_texts, report_texts, report_texts,
+        st.dictionaries(report_texts, report_texts, max_size=3),
+        report_texts, optional_texts, optional_texts, st.booleans(),
+        st.booleans()), max_size=2))
+    checks = draw(st.lists(st.builds(
+        CheckRecord, report_texts, report_texts, report_texts,
+        optional_decimals, optional_decimals, st.decimals(), st.booleans()),
+        max_size=2))
+    return StepRecord(draw(st.integers(-1, 10 ** 6)), draw(report_decimals),
+                      draw(report_decimals), stimuli, checks)
+
+
+@st.composite
+def run_reports(draw) -> RunReport:
+    aborted = draw(st.booleans())
+    return RunReport(
+        draw(report_texts), draw(report_texts), overall=draw(st.booleans()),
+        aborted=aborted,
+        abort_step=draw(st.none() | st.integers(-1, 10 ** 6)),
+        abort_kind=draw(optional_texts), abort_message=draw(optional_texts),
+        settle=draw(st.none() | step_records()),
+        steps=draw(st.lists(step_records(), max_size=2)),
+        steps_total=draw(st.integers(0, 10 ** 6)))

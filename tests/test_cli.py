@@ -213,6 +213,16 @@ def test_run_refuses_numbers_out_of_range(tmp_path, capsys, old, new,
     assert message in capsys.readouterr().err
 
 
+def test_run_dwell_sum_overflow_exits_2(tmp_path, capsys):
+    golden = (DATA / "expected_script.xml").read_text(encoding="utf-8")
+    script = tmp_path / "script.xml"
+    script.write_text(golden.replace('dt="0.5"', 'dt="9e999999"'),
+                      encoding="utf-8")
+    code = main(["run", "--script", str(script), *STAND])
+    assert code == 2
+    assert "[environment]: clock overflow: dwell sum" in capsys.readouterr().err
+
+
 def test_check_refuses_number_out_of_range(tmp_path, capsys):
     statuses = (DATA / "statuses.csv").read_text(encoding="utf-8")
     bad = tmp_path / "statuses.csv"

@@ -1,7 +1,8 @@
+import json
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from comptest import (ConnectionMatrix, Connector, DutError, EvalError,
                       InteriorLightConfig, InteriorLightDut, MethodInvocation,
@@ -10,10 +11,11 @@ from comptest import (ConnectionMatrix, Connector, DutError, EvalError,
                       report_to_json, report_to_text)
 from comptest.compiler import render_value
 from comptest.expr import BinOp, Num, Paren, Var
-from comptest.runner import report_to_dict
+from comptest.runner import CheckRecord, RunReport, StepRecord, StimulusRecord
 from comptest.stand import BUS_METHODS
 
 import strategies
+from oracles import reference_report_json
 
 
 def fresh_dut(timeout="300"):
@@ -171,7 +173,8 @@ def test_reports_are_byte_identical(demo_loaded, demo_stand, demo_env):
 
 
 def test_json_report_shape(demo_loaded, demo_stand, demo_env):
-    doc = report_to_dict(execute(demo_loaded, demo_stand, demo_env, fresh_dut()))
+    doc = json.loads(report_to_json(execute(demo_loaded, demo_stand, demo_env,
+                                            fresh_dut())))
     assert doc["overall"] == "pass"
     assert doc["totals"]["steps_total"] == 10
     assert doc["totals"]["step_time"] == "309.0"
@@ -179,6 +182,24 @@ def test_json_report_shape(demo_loaded, demo_stand, demo_env):
     assert doc["init"]["n"] == -1
     assert len(doc["steps"]) == 10
     assert doc["steps"][7]["checks"][0]["min"] == "8.40"
+
+
+TRICKY = 'q"b\\c\x00\x1f\x7f é \u2028 \U0001F600'
+
+
+@settings(max_examples=100)
+@given(report=strategies.run_reports())
+@example(report=RunReport(
+    TRICKY, TRICKY, overall=False, aborted=True, abort_step=None,
+    abort_kind="environment", abort_message=TRICKY, settle=None,
+    steps=[StepRecord(0, Decimal("1"), Decimal("1")),
+           StepRecord(1, Decimal("0.5"), Decimal("1.5"), [StimulusRecord(
+               TRICKY, "p", "m", {}, "bus", None, None, False, True)],
+               [CheckRecord(TRICKY, "p", "get_u", None, Decimal("2"),
+                            Decimal("-1E+3"), False)])],
+    steps_total=3))
+def test_json_writer_matches_reference(report):
+    assert report_to_json(report) == reference_report_json(report)
 
 
 def test_text_report_mentions_failures(demo_loaded, demo_stand, demo_env):
@@ -194,8 +215,6 @@ def test_unpaced_run_is_fast(demo_loaded, demo_stand, demo_env):
     execute(demo_loaded, demo_stand, demo_env, fresh_dut())
     assert time.perf_counter() - start < 1.0
 
-
-# --- hold semantics, checked against a brute-force reading -----------------
 
 class RecordingDut:
     """Accepts every input, reads 0 on every pin and logs each call."""
@@ -213,6 +232,30 @@ class RecordingDut:
         self.log.append(("read", pin))
         return Decimal("0")
 
+
+@pytest.mark.parametrize("make_dut", [RecordingDut, fresh_dut])
+def test_dwell_sum_overflow_aborts_as_environment(demo_xml, demo_stand,
+                                                  demo_env, make_dut):
+    # Each dwell is within the number rule; their sum is not.
+    xml = demo_xml
+    for n in (0, 1):
+        xml = xml.replace(f'<step n="{n}" dt="0.5">',
+                          f'<step n="{n}" dt="9e999999">')
+    dut = make_dut()
+    report = execute(load_script(xml), demo_stand, demo_env, dut)
+    assert report.aborted and not report.overall
+    assert report.abort_kind == "environment"
+    assert report.abort_step == 1
+    assert report.abort_message == ("clock overflow: dwell sum "
+                                    f"{report.steps[0].t_end} + 9E+999999 s "
+                                    "is out of range")
+    assert len(report.steps) == 1
+    if isinstance(dut, RecordingDut):  # the block was never driven
+        assert [c for c in dut.log if c[0] == "advance"] == [
+            ("advance", Decimal("0.1")), ("advance", Decimal("9E+999999"))]
+
+
+# --- hold semantics, checked against a brute-force reading -----------------
 
 def manifest_stand(script):
     """One resource per (pin, method) of the script, each on its own switch

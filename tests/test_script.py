@@ -27,6 +27,44 @@ MINI = """<?xml version="1.0" encoding="UTF-8"?>
 """
 
 
+# MINI with a second step that repeats the first one's check.
+TWO_STEPS = MINI.replace("</test>", """  <step n="1" dt="1">
+    <signal name="b">
+      <get_u u_max="(1.1*ubatt)" u_min="(0.7*ubatt)" />
+    </signal>
+  </step>
+</test>""")
+
+
+def _u_max(script, index):
+    return script.steps[index].statements[0].invocation.params["u_max"]
+
+
+def test_load_reports_first_line_of_a_repeated_bad_value():
+    bad = TWO_STEPS.replace('"(0.7*ubatt)"', '"(0.7*ubat"')
+    with pytest.raises(ScriptError, match="bad parameter value") as err:
+        load_script(bad)
+    assert err.value.line == 14
+
+
+def test_load_shares_equal_values_within_a_script():
+    script = load_script(TWO_STEPS)
+    assert _u_max(script, 0) is _u_max(script, 1)
+
+
+def test_load_keeps_no_values_between_scripts():
+    first = load_script(TWO_STEPS)
+    # A different script, with the bad text at line 19 only.
+    bad = TWO_STEPS.replace('"(0.7*ubatt)"', '"(0.7*ubat"').replace(
+        '"(0.7*ubat"', '"(0.7*ubatt)"', 1)
+    with pytest.raises(ScriptError) as err:
+        load_script(bad)
+    assert err.value.line == 19
+    second = load_script(TWO_STEPS)
+    assert _u_max(second, 0) == _u_max(first, 0)
+    assert _u_max(second, 0) is not _u_max(first, 0)
+
+
 def test_load_demo_script(demo_loaded):
     assert len(demo_loaded.steps) == 10
     assert demo_loaded.steps[7].dt == Decimal("280")
