@@ -235,6 +235,47 @@ def test_dialect_validation():
         CsvDialect(field_separator="ab")
 
 
+RESOURCE_ROW = "R1;get u;u;-60;60;V\n"
+
+
+@pytest.mark.parametrize("parse,text,where", [
+    (parse_status_sheet, STATUS_HEADER + "A;put r;r;;1;;;;;\nA;put r;r;;2;;;;;\n",
+     ("statuses", 3, "status")),
+    (parse_status_sheet, STATUS_HEADER + "A;put-r;r;;1;;;;;\n",
+     ("statuses", 2, "method")),
+    (parse_status_sheet, STATUS_HEADER + "A;put r;r.1;;1;;;;;\n",
+     ("statuses", 2, "attribut")),
+    (parse_status_sheet, STATUS_HEADER + "A;get u;u;9x;;0;1;;;\n",
+     ("statuses", 2, "var_x")),
+    (parse_signal_sheet, SIGNAL_HEADER + "A;input;P1;x\nA;input;P2;x\n",
+     ("signals", 3, "name")),
+    (parse_signal_sheet, SIGNAL_HEADER + "A;input;P1;x\nB;input;P1;x\n",
+     ("signals", 3, "pins")),
+    (parse_signal_sheet, SIGNAL_HEADER + "A;input;P1|P1;x\n",
+     ("signals", 2, "pins")),
+    (parse_signal_sheet, SIGNAL_HEADER + "A;sideways;P1;x\n",
+     ("signals", 2, "direction")),
+    (parse_test_sheet, TEST_HEADER + "0;1;;;;;;\n2;1;;;;;;\n",
+     ("test", 3, "test step")),
+    (parse_test_sheet, TEST_HEADER + "0;1;;;;;;\n1;0;;;;;;\n",
+     ("test", 3, "Δt")),
+    (parse_test_sheet, TEST_HEADER + "0;-1;;;;;;\n", ("test", 2, "Δt")),
+    (parse_test_sheet, TEST_HEADER, ("test", None, None)),
+    (parse_resource_sheet, RESOURCE_HEADER + RESOURCE_ROW + RESOURCE_ROW,
+     ("resources", 3, "res")),
+    (parse_resource_sheet, RESOURCE_HEADER + "R1;get u;u;5;1;V\n",
+     ("resources", 2, "min")),
+    (parse_resource_sheet, RESOURCE_HEADER + "R1;get.u;u;-60;60;V\n",
+     ("resources", 2, "method")),
+    (parse_resource_sheet, RESOURCE_HEADER + "R1;get u;9u;-60;60;V\n",
+     ("resources", 2, "attribut")),
+])
+def test_table_rule_errors_have_coordinates(parse, text, where):
+    with pytest.raises(SheetError) as err:
+        parse(text)
+    assert (err.value.sheet, err.value.row, err.value.column) == where
+
+
 @settings(max_examples=60)
 @given(table=strategies.status_tables())
 def test_status_round_trip(table):

@@ -141,6 +141,18 @@ def test_load_rejects_wrong_format_version():
         load_script(bad)
 
 
+@pytest.mark.parametrize("old,new,line", [
+    ('<init dt="0.1">', '<init dt="0">', 7),
+    ('<step n="0" dt="1">', '<step n="0" dt="0">', 12),
+    ('<step n="0"', '<step n="1"', 12),
+    ('<signal name="b">', '<signal name="zz">', 13),
+])
+def test_script_rule_errors_have_lines(old, new, line):
+    with pytest.raises(ScriptError) as err:
+        load_script(MINI.replace(old, new))
+    assert err.value.line == line
+
+
 def test_unknown_methods_are_retained():
     script = MINI.replace('<get_u u_max="(1.1*ubatt)" u_min="(0.7*ubatt)" />',
                           '<frob_x a="1" />')
