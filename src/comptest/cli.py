@@ -26,7 +26,7 @@ from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      parse_signal_sheet, parse_status_sheet, parse_test_sheet)
 from .runner import execute, report_to_json, report_to_text
 from .script import load_script
-from .sheets import is_name, parse_number, validate_sheets
+from .sheets import check_dwell, is_name, parse_number, validate_sheets
 from .stand import StandModel
 
 _SEP_NAMES = {"comma": ",", "dot": ".", "semicolon": ";", "tab": "\t",
@@ -58,15 +58,13 @@ def _parse_dialect(spec: str | None) -> CsvDialect:
 
 
 def _settle(text: str) -> Decimal:
-    """``--settle``: a positive number (``sheets.parse_number``)."""
+    """``--settle``: a number (``sheets.parse_number``) that obeys the dwell
+    rule (``sheets.check_dwell``)."""
     try:
         value = parse_number(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive decimal number, got {text!r}")
-    return value
+    return check_dwell(value, argparse.ArgumentTypeError)
 
 
 def _read(path: str) -> str:

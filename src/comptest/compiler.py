@@ -16,8 +16,8 @@ from xml.sax.saxutils import escape
 from .errors import LowerError, ValidationFailed
 from .expr import BinOp, Expr, Num, Paren, Var, render_expr
 from .sheets import (CLASS_ROLE, DIRECTION_ROLE, INF, SignalTable, StatusDef,
-                     StatusTable, TestSequence, _OpenCircuit, method_class,
-                     validate_sheets)
+                     StatusTable, TestSequence, _OpenCircuit, check_dwell,
+                     method_class, validate_sheets)
 
 #: A method parameter: a number, a text literal (bit pattern), a symbolic
 #: expression, or the open-circuit marker.
@@ -75,31 +75,16 @@ class ScriptStep:
 
 @dataclass
 class TestScript:
+    """A test script. Its two producers guarantee the script rules before
+    they build one: ``load_script`` with line numbers, ``compile`` through
+    the validated sheets."""
+
     name: str
     dut: str
     signals: list[ScriptSignal]
     init: InitBlock
     steps: list[ScriptStep]
     format: str = FORMAT_VERSION
-
-    def __post_init__(self):
-        manifest = {s.name for s in self.signals}
-        if self.init.dt <= 0:
-            raise ValueError(f"init dt must be > 0, got {self.init.dt}")
-        for st in self.init.statements:
-            if st.signal not in manifest:
-                raise ValueError(f"init references signal '{st.signal}' "
-                                 f"missing from the manifest")
-        for expected, step in enumerate(self.steps):
-            if step.index != expected:
-                raise ValueError(f"non-dense step index {step.index} "
-                                 f"(expected {expected})")
-            if step.dt <= 0:
-                raise ValueError(f"step {step.index}: dt must be > 0")
-            for st in step.statements:
-                if st.signal not in manifest:
-                    raise ValueError(f"step {step.index} references signal "
-                                     f"'{st.signal}' missing from the manifest")
 
 
 def _scaled(bound: Decimal, var: str) -> Expr:
@@ -172,8 +157,7 @@ def compile(signals: SignalTable, statuses: StatusTable, test: TestSequence,
     report = validate_sheets(signals, statuses, test)
     if not report.ok:
         raise ValidationFailed(report)
-    if settle <= 0:
-        raise ValueError(f"settle dwell must be > 0, got {settle}")
+    check_dwell(settle)
 
     manifest = [ScriptSignal(s.name.lower(), s.direction,
                              tuple(p.lower() for p in s.pins))

@@ -7,11 +7,13 @@ class ComptestError(Exception):
     """Base class for every error raised by this package."""
 
 
-class SheetError(ComptestError):
-    """A CSV sheet could not be parsed.
+class SheetError(ComptestError, ValueError):
+    """A sheet cell or table breaks a sheet rule.
 
     Carries the sheet kind plus 1-based row and column coordinates so that
-    authoring mistakes can be pointed at directly in the source table.
+    authoring mistakes can be pointed at directly in the source table. The
+    table types raise it too, with the row they were built from (None when
+    built in code); it is a ValueError for their callers.
     """
 
     def __init__(self, message: str, *, sheet: str | None = None,

@@ -4,7 +4,10 @@ Sheets are authored in a spreadsheet tool and exported as UTF-8 CSV. The
 default dialect is semicolon-separated fields with decimal commas (the
 usual export on a German locale); a dot-decimal dialect parses to the very
 same values. Every parse failure carries 1-based (row, column) coordinates,
-counting the header as row 1.
+counting the header as row 1. The parsers only turn cells into values; the
+table rules (names, uniqueness, directions, step order, dwells, ranges) are
+checked by the table types, which raise the same ``SheetError`` with the row
+they are built from.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import SheetError
-from .sheets import (BIT_LITERAL, INF, NAME_RULE, Scalar, SignalDef,
-                     SignalTable, StatusDef, StatusTable, TestSequence,
-                     TestStep, is_name, parse_number)
+from .sheets import (BIT_LITERAL, INF, Scalar, SignalDef, SignalTable,
+                     StatusDef, StatusTable, TestSequence, TestStep,
+                     parse_number)
 from .stand import (ConnectionMatrix, Connector, ResourceDef, ResourceTable,
                     parse_connector)
 
@@ -82,22 +85,9 @@ def _ident(cell: str, sheet: str, row: int, column: str) -> str:
     return text
 
 
-def _xml_name(cell: str, sheet: str, row: int, column: str) -> str:
-    # Methods, attributes and scale variables end up as XML names or
-    # expression identifiers, which are narrower than general idents.
-    text = cell.strip()
-    if not is_name(text):
-        raise SheetError(f"{text!r} is not a valid name ({NAME_RULE})",
-                         sheet=sheet, row=row, column=column)
-    return text
-
-
-def _method(cell: str, sheet: str, row: int, column: str) -> str:
+def _method(cell: str) -> str:
     # "put r" and "put_r" both normalize to the element name put_r.
-    text = "_".join(cell.strip().split())
-    if not text:
-        raise SheetError("empty method", sheet=sheet, row=row, column=column)
-    return _xml_name(text, sheet, row, column)
+    return "_".join(cell.split())
 
 
 def _header_map(header: list[str], required: dict[str, str],
@@ -140,15 +130,10 @@ def parse_status_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Stat
         raise SheetError("missing header row", sheet="statuses", row=1, column=None)
     cols = _header_map(rows[0], _STATUS_REQUIRED, _STATUS_OPTIONAL, "statuses")
     statuses: list[StatusDef] = []
-    seen: set[str] = set()
     for line, row in enumerate(rows[1:], start=2):
         if not any(cell.strip() for cell in row):
             continue
         name = _ident(_cell(row, cols["status"]), "statuses", line, "status")
-        if name in seen:
-            raise SheetError(f"duplicate status name {name!r}", sheet="statuses",
-                             row=line, column="status")
-        seen.add(name)
 
         def opt(column, **kinds):
             cell = _cell(row, cols.get(column))
@@ -156,15 +141,12 @@ def parse_status_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Stat
                 return None
             return _parse_scalar(cell, dialect, "statuses", line, column, **kinds)
 
-        var_cell = _cell(row, cols["var_x"]).strip()
         unit_cell = _cell(row, cols.get("unit")).strip()
         statuses.append(StatusDef(
             status=name,
-            method=_method(_cell(row, cols["method"]), "statuses", line, "method"),
-            attribut=_xml_name(_cell(row, cols["attribut"]), "statuses", line,
-                               "attribut"),
-            var_x=_xml_name(var_cell, "statuses", line, "var_x") if var_cell
-            else None,
+            method=_method(_cell(row, cols["method"])),
+            attribut=_cell(row, cols["attribut"]).strip(),
+            var_x=_cell(row, cols["var_x"]).strip() or None,
             nom=opt("nom", bits=True, inf=True),
             min=opt("min"),
             max=opt("max"),
@@ -187,36 +169,14 @@ def parse_signal_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Sign
         raise SheetError("missing header row", sheet="signals", row=1, column=None)
     cols = _header_map(rows[0], _SIGNAL_REQUIRED, {}, "signals")
     signals: list[SignalDef] = []
-    seen_names: set[str] = set()
-    seen_pins: set[str] = set()
     for line, row in enumerate(rows[1:], start=2):
         if not any(cell.strip() for cell in row):
             continue
-        name = _ident(_cell(row, cols["name"]), "signals", line, "name")
-        if name in seen_names:
-            raise SheetError(f"duplicate signal name {name!r}", sheet="signals",
-                             row=line, column="name")
-        seen_names.add(name)
-        direction = _cell(row, cols["direction"]).strip().casefold()
-        if direction not in ("input", "output"):
-            raise SheetError(f"direction must be input or output, got "
-                             f"{_cell(row, cols['direction']).strip()!r}",
-                             sheet="signals", row=line, column="direction")
-        pins_cell = _cell(row, cols["pins"])
-        pins = tuple(_ident(p, "signals", line, "pins")
-                     for p in pins_cell.split(PIN_SEPARATOR))
-        for pin in pins:
-            if pin in seen_pins:
-                raise SheetError(f"pin {pin!r} used by more than one signal",
-                                 sheet="signals", row=line, column="pins")
-        if len(set(pins)) != len(pins):
-            raise SheetError("duplicate pin within one signal",
-                             sheet="signals", row=line, column="pins")
-        seen_pins.update(pins)
         signals.append(SignalDef(
-            name=name,
-            direction=direction,
-            pins=pins,
+            name=_ident(_cell(row, cols["name"]), "signals", line, "name"),
+            direction=_cell(row, cols["direction"]).strip().casefold(),
+            pins=tuple(_ident(p, "signals", line, "pins")
+                       for p in _cell(row, cols["pins"]).split(PIN_SEPARATOR)),
             initial_status=_ident(_cell(row, cols["initial_status"]), "signals",
                                   line, "initial_status"),
             row=line,
@@ -266,7 +226,6 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
         signal_cols.append((col, label))
 
     steps: list[TestStep] = []
-    expected = 0
     for line, row in enumerate(rows[1:], start=2):
         if not any(cell.strip() for cell in row):
             continue
@@ -274,26 +233,15 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
         if not index_cell.isdigit():
             raise SheetError(f"malformed step index {index_cell!r}", sheet="test",
                              row=line, column="test step")
-        index = int(index_cell)
-        if index != expected:
-            raise SheetError(f"non-consecutive step index {index} "
-                             f"(expected {expected})", sheet="test", row=line,
-                             column="test step")
-        expected += 1
         dt = _parse_number(_cell(row, 1), dialect, "test", line, dt_label)
-        if dt <= 0:
-            raise SheetError(f"Δt must be > 0, got {dt}", sheet="test", row=line,
-                             column=dt_label)
         assignments: dict[str, str] = {}
         for col, signal in signal_cols:
             cell = _cell(row, col).strip()
             if cell:
                 assignments[signal] = _ident(cell, "test", line, signal)
         remark = _cell(row, remark_col).strip() if remark_col is not None else ""
-        steps.append(TestStep(index, dt, assignments, remark or None, row=line))
-    if not steps:
-        raise SheetError("test sheet has no steps", sheet="test", row=None,
-                         column=None)
+        steps.append(TestStep(int(index_cell), dt, assignments, remark or None,
+                              row=line))
     return TestSequence(name, steps)
 
 
@@ -309,30 +257,17 @@ def parse_resource_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Re
         raise SheetError("missing column 'res'", sheet="resources", row=1,
                          column="res")
     resources: list[ResourceDef] = []
-    seen: set[str] = set()
     for line, row in enumerate(rows[1:], start=2):
         if not any(cell.strip() for cell in row):
             continue
-        rid = _ident(_cell(row, cols["id"]), "resources", line, "res")
-        if rid in seen:
-            raise SheetError(f"duplicate resource id {rid!r}",
-                             sheet="resources", row=line, column="res")
-        seen.add(rid)
-        low = _parse_number(_cell(row, cols["min"]), dialect, "resources", line,
-                            "min")
-        high = _parse_number(_cell(row, cols["max"]), dialect, "resources",
-                             line, "max")
-        if low > high:
-            raise SheetError(f"min {low} > max {high}", sheet="resources",
-                             row=line, column="min")
         resources.append(ResourceDef(
-            id=rid,
-            method=_method(_cell(row, cols["method"]), "resources", line,
-                           "method"),
-            attribut=_xml_name(_cell(row, cols["attribut"]), "resources", line,
-                               "attribut"),
-            min=low,
-            max=high,
+            id=_ident(_cell(row, cols["id"]), "resources", line, "res"),
+            method=_method(_cell(row, cols["method"])),
+            attribut=_cell(row, cols["attribut"]).strip(),
+            min=_parse_number(_cell(row, cols["min"]), dialect, "resources",
+                              line, "min"),
+            max=_parse_number(_cell(row, cols["max"]), dialect, "resources",
+                              line, "max"),
             unit=_cell(row, cols["unit"]).strip(),
             row=line,
         ))

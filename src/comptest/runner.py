@@ -138,14 +138,14 @@ def _rendered(inv: MethodInvocation) -> dict[str, str]:
 
 
 def _stimulus_records(bindings: list[Binding], params: list[dict[str, str]],
-                      changed: set[str], check_pins: set[tuple[str, str]]
-                      ) -> list[StimulusRecord]:
-    """Records of the block's stimulus bindings; ``params`` holds the
-    rendered parameters of each binding's requirement, in binding order."""
+                      changed: set[str]) -> list[StimulusRecord]:
+    """Records of the block's stimulus bindings (puts and one-shots);
+    ``params`` holds the rendered parameters of each binding's requirement,
+    in binding order."""
     records = []
     for b, rendered in zip(bindings, params):
         req = b.requirement
-        if (req.signal, req.pin) in check_pins:
+        if req.role == "get":
             continue
         records.append(StimulusRecord(
             signal=req.signal or req.pin,
@@ -263,11 +263,9 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
         except Exception as exc:  # a faulty DUT plugin, see _dut_fault
             return report(where, "environment", _dut_fault(exc))
         clock = t_end
-        check_pins = {(signal, pin) for signal, _ in checks
-                      for pin in pins[signal]}
         records.append(StepRecord(index, dt, clock,
                                   _stimulus_records(alloc.bindings, params,
-                                                    set(changed), check_pins),
+                                                    set(changed)),
                                   check_records))
     return report()
 

@@ -19,7 +19,7 @@ from .compiler import (FORMAT_VERSION, InitBlock, MethodInvocation, ParamValue,
 from .errors import ExprError, ScriptError
 from .expr import Num, parse_expr
 from .sheets import (BIT_LITERAL, CLASS_ROLE, DIRECTION_ROLE, INF, NUMBER,
-                     method_class, parse_number)
+                     check_dwell, method_class, parse_number)
 
 
 @dataclass
@@ -113,9 +113,7 @@ def _parse_dt(node: _Node) -> Decimal:
         dt = parse_number(raw)
     except ValueError as exc:
         raise ScriptError(f"bad dt: {exc}", line=node.line) from None
-    if dt <= 0:
-        raise ScriptError(f"dt must be > 0, got {raw}", line=node.line)
-    return dt
+    return check_dwell(dt, ScriptError, line=node.line)
 
 
 def _lowercase(name: str, what: str, line: int) -> str:
@@ -190,6 +188,7 @@ def load_script(text: str) -> TestScript:
     _require_attrs(signals_node, ())
     manifest: dict[str, ScriptSignal] = {}
     order: list[ScriptSignal] = []
+    owners: dict[str, str] = {}  # pin -> the signal that lists it
     for node in signals_node.children:
         if node.tag != "signal":
             raise ScriptError(f"unexpected element <{node.tag}> in manifest",
@@ -206,6 +205,12 @@ def load_script(text: str) -> TestScript:
                      for p in node.attrs["pins"].split("|") if p)
         if not pins:
             raise ScriptError(f"signal '{name}' lists no pins", line=node.line)
+        for pin in pins:
+            if pin in owners:
+                raise ScriptError(f"pin '{pin}' of signal '{name}' is already "
+                                  f"listed by signal '{owners[pin]}'",
+                                  line=node.line)
+            owners[pin] = name
         if node.children:
             raise ScriptError("manifest entries must be empty elements",
                               line=node.line)
@@ -241,8 +246,4 @@ def load_script(text: str) -> TestScript:
                                 _parse_statements(node, manifest,
                                                   f"step {index}", values)))
 
-    try:
-        return TestScript(root.attrs["name"], root.attrs["dut"], order, init,
-                          steps)
-    except ValueError as exc:
-        raise ScriptError(str(exc)) from None
+    return TestScript(root.attrs["name"], root.attrs["dut"], order, init, steps)

@@ -3,8 +3,11 @@
 A component test is authored as three tables: a signal table naming the
 DUT's inputs and outputs, a status table defining named stimulus/check
 templates, and a test table assigning statuses to signals step by step.
-This module holds the parsed value types, the name, number and direction
-rules they share with the script loader, and the cross-reference validator.
+This module holds the parsed value types, the name, number, dwell and
+direction rules they share with the script loader, and the cross-reference
+validator. The types own every rule of a single table: they raise
+``SheetError`` with the sheet, the row they were built from and the column,
+so a parser only turns cells into values.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import DefaultContext, Decimal, InvalidOperation
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
+
+from .errors import SheetError
 
 
 class _OpenCircuit:
@@ -89,15 +94,45 @@ def is_name(text: str) -> bool:
     return _NAME.match(text) is not None
 
 
-def check_names(owner: str, **names: str | None) -> None:
-    """Raise ValueError for the first of ``names`` that breaks the name rule.
-
-    A value of None means the optional field is unset and is not checked.
+def check_names(owner: str, sheet: str, row: int | None,
+                **names: str | None) -> None:
+    """Raise SheetError for the first of ``names`` that breaks the name rule;
+    the keyword is the column. A value of None means the optional field is
+    unset and is not checked.
     """
     for column, value in names.items():
         if value is not None and not is_name(value):
-            raise ValueError(f"{owner}: {column} {value!r} is not a valid "
-                             f"name ({NAME_RULE})")
+            raise SheetError(f"{owner}: {column} {value!r} is not a valid "
+                             f"name ({NAME_RULE})", sheet=sheet, row=row,
+                             column=column)
+
+
+def check_unique(keys: Iterable[tuple[str, int | None]], what: str, *,
+                 sheet: str, column: str, fold: bool = False) -> None:
+    """The uniqueness rule of a table column: raise SheetError at the first
+    (key, row) whose key repeats an earlier one. With ``fold`` keys compare
+    lowercased, as the script a sheet compiles to spells them.
+    """
+    seen: dict[str, str] = {}
+    for key, row in keys:
+        norm = key.lower() if fold else key
+        first = seen.get(norm)
+        if first is not None:
+            same = "" if first == key else f" (as {first!r}, ignoring case)"
+            raise SheetError(f"duplicate {what} {key!r}{same}", sheet=sheet,
+                             row=row, column=column)
+        seen[norm] = key
+
+
+def check_dwell(dt: Decimal, error: type[Exception] = ValueError,
+                **where) -> Decimal:
+    """The dwell rule: every dwell (a step's Δt, the settle after init) is
+    greater than zero. Returns ``dt``, else raises ``error(message,
+    **where)``, so that each reader places the error its own way.
+    """
+    if dt <= 0:
+        raise error(f"dt must be > 0, got '{dt}'", **where)
+    return dt
 
 
 def method_class(method: str) -> str | None:
@@ -132,26 +167,27 @@ class SignalDef:
 
     def __post_init__(self):
         if self.direction not in ("input", "output"):
-            raise ValueError(f"signal {self.name}: bad direction {self.direction!r}")
+            raise SheetError(f"signal {self.name}: direction must be input or "
+                             f"output, got {self.direction!r}",
+                             sheet="signals", row=self.row, column="direction")
         if not self.pins:
-            raise ValueError(f"signal {self.name}: at least one pin required")
+            raise SheetError(f"signal {self.name}: at least one pin required",
+                             sheet="signals", row=self.row, column="pins")
 
 
 @dataclass
 class SignalTable:
+    """Signal names and pins are unique ignoring case: the compiled script
+    spells both in lowercase."""
+
     signals: list[SignalDef]
 
     def __post_init__(self):
-        names: set[str] = set()
-        pins: set[str] = set()
-        for sig in self.signals:
-            if sig.name in names:
-                raise ValueError(f"duplicate signal name {sig.name!r}")
-            names.add(sig.name)
-            for pin in sig.pins:
-                if pin in pins:
-                    raise ValueError(f"pin {pin!r} used by more than one signal")
-                pins.add(pin)
+        check_unique(((sig.name, sig.row) for sig in self.signals),
+                     "signal name", sheet="signals", column="name", fold=True)
+        check_unique(((pin, sig.row) for sig in self.signals
+                      for pin in sig.pins),
+                     "pin", sheet="signals", column="pins", fold=True)
         self._by_name = {sig.name: sig for sig in self.signals}
 
     def __iter__(self) -> Iterator[SignalDef]:
@@ -181,7 +217,8 @@ class StatusDef:
     carried through to the invocation untouched.
 
     ``method``, ``attribut`` and ``var_x`` (when set) must obey the name
-    rule (``is_name``); construction raises ValueError otherwise.
+    rule (``is_name``); construction raises SheetError (a ValueError)
+    otherwise.
     """
 
     status: str
@@ -198,8 +235,9 @@ class StatusDef:
     row: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        check_names(f"status {self.status}", method=self.method,
-                    attribut=self.attribut, var_x=self.var_x)
+        check_names(f"status {self.status}", "statuses", self.row,
+                    method=self.method, attribut=self.attribut,
+                    var_x=self.var_x)
 
 
 @dataclass
@@ -207,11 +245,8 @@ class StatusTable:
     statuses: list[StatusDef]
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for st in self.statuses:
-            if st.status in seen:
-                raise ValueError(f"duplicate status name {st.status!r}")
-            seen.add(st.status)
+        check_unique(((st.status, st.row) for st in self.statuses),
+                     "status name", sheet="statuses", column="status")
         self._by_name = {st.status: st for st in self.statuses}
 
     def __iter__(self) -> Iterator[StatusDef]:
@@ -244,9 +279,10 @@ class TestStep:
 
     def __post_init__(self):
         if self.index < 0:
-            raise ValueError(f"step index {self.index} is negative")
-        if self.dt <= 0:
-            raise ValueError(f"step {self.index}: dt must be > 0, got {self.dt}")
+            raise SheetError(f"step index {self.index} is negative",
+                             sheet="test", row=self.row, column="test step")
+        check_dwell(self.dt, SheetError, sheet="test", row=self.row,
+                    column="Δt")
 
 
 @dataclass
@@ -256,11 +292,12 @@ class TestSequence:
 
     def __post_init__(self):
         if not self.steps:
-            raise ValueError("a test sequence needs at least one step")
+            raise SheetError("test sheet has no steps", sheet="test")
         for expected, step in enumerate(self.steps):
             if step.index != expected:
-                raise ValueError(
-                    f"non-consecutive step index {step.index} (expected {expected})")
+                raise SheetError(f"non-consecutive step index {step.index} "
+                                 f"(expected {expected})", sheet="test",
+                                 row=step.row, column="test step")
 
 
 @dataclass(frozen=True)

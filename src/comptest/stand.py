@@ -27,8 +27,8 @@ from decimal import Decimal
 from typing import Iterator, Mapping, Sequence
 
 from .compiler import MethodInvocation
-from .errors import AllocationError, StandError
-from .sheets import check_names, method_class
+from .errors import AllocationError, SheetError, StandError
+from .sheets import check_names, check_unique, method_class
 
 #: Methods delivered over a bus instead of an electrical pin path.
 BUS_METHODS = frozenset({"put_can"})
@@ -64,8 +64,9 @@ def parse_connector(text: str) -> Connector:
 class ResourceDef:
     """One resource: the method it supports and the valid parameter range.
 
-    ``method`` and ``attribut`` must obey the name rule (``sheets.is_name``);
-    construction raises ValueError otherwise.
+    ``method`` and ``attribut`` must obey the name rule (``sheets.is_name``)
+    and ``min`` must not exceed ``max``; construction raises SheetError (a
+    ValueError) otherwise.
     """
 
     id: str
@@ -77,10 +78,12 @@ class ResourceDef:
     row: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        check_names(f"resource {self.id}", method=self.method,
-                    attribut=self.attribut)
+        check_names(f"resource {self.id}", "resources", self.row,
+                    method=self.method, attribut=self.attribut)
         if self.min > self.max:
-            raise ValueError(f"resource {self.id}: min {self.min} > max {self.max}")
+            raise SheetError(f"resource {self.id}: min {self.min} > max "
+                             f"{self.max}", sheet="resources", row=self.row,
+                             column="min")
 
 
 @dataclass
@@ -88,11 +91,8 @@ class ResourceTable:
     resources: list[ResourceDef]
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for res in self.resources:
-            if res.id in seen:
-                raise ValueError(f"duplicate resource id {res.id!r}")
-            seen.add(res.id)
+        check_unique(((res.id, res.row) for res in self.resources),
+                     "resource id", sheet="resources", column="res")
         self._by_id = {res.id: res for res in self.resources}
 
     def __iter__(self) -> Iterator[ResourceDef]:

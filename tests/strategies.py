@@ -56,9 +56,10 @@ def status_tables(draw) -> StatusTable:
 
 @st.composite
 def signal_tables(draw) -> SignalTable:
-    names = draw(st.lists(idents, min_size=1, max_size=5, unique=True))
+    # Signal names and pins are unique ignoring case (SignalTable).
+    names = draw(st.lists(idents, min_size=1, max_size=5, unique_by=str.lower))
     pin_pool = draw(st.lists(idents, min_size=len(names) * 3,
-                             max_size=len(names) * 3, unique=True))
+                             max_size=len(names) * 3, unique_by=str.lower))
     rows = []
     for i, name in enumerate(names):
         n_pins = draw(st.integers(min_value=1, max_value=3))

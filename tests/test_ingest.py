@@ -276,6 +276,18 @@ def test_table_rule_errors_have_coordinates(parse, text, where):
     assert (err.value.sheet, err.value.row, err.value.column) == where
 
 
+@pytest.mark.parametrize("rows,column", [
+    ("IGN_ST;input;P1;x\nign_st;input;P2;x\n", "name"),
+    ("IGN_ST;input;IGN_ST;x\nB;input;ign_st;x\n", "pins"),
+])
+def test_signal_names_and_pins_are_unique_ignoring_case(rows, column):
+    # The script spells both in lowercase: a clash there is refused here.
+    with pytest.raises(SheetError, match="ignoring case") as err:
+        parse_signal_sheet(SIGNAL_HEADER + rows)
+    assert (err.value.sheet, err.value.row, err.value.column) == \
+        ("signals", 3, column)
+
+
 @settings(max_examples=60)
 @given(table=strategies.status_tables())
 def test_status_round_trip(table):

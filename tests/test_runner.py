@@ -449,8 +449,19 @@ ONE_SHOTS = """<?xml version="1.0" encoding="UTF-8"?>
 """
 
 
-def test_unknown_methods_are_one_shots_in_every_block():
-    script = load_script(ONE_SHOTS)
+# A one-shot on an output that the same block checks is still recorded.
+ONE_SHOT_ON_CHECKED = ONE_SHOTS.replace(
+    '      <get_u u_max="1" />',
+    '      <frob_y v="3" />\n      <get_u u_max="1" />')
+
+
+@pytest.mark.parametrize("text,last", [
+    (ONE_SHOTS, [("a", "put_r", False, True)]),
+    (ONE_SHOT_ON_CHECKED, [("a", "put_r", False, True),
+                           ("b", "frob_y", False, False)]),
+], ids=["one_shots", "one_shot_on_checked_output"])
+def test_unknown_methods_are_one_shots_in_every_block(text, last):
+    script = load_script(text)
     dut = RecordingDut()
     report = execute(script, manifest_stand(script), {}, dut)
     assert not report.aborted
@@ -464,7 +475,7 @@ def test_unknown_methods_are_one_shots_in_every_block():
                                       ("c", "frob_x", False, False)]
     assert stimuli(report.steps[0]) == [("a", "put_r", False, True),
                                         ("b", "frob_y", False, False)]
-    assert stimuli(report.steps[1]) == [("a", "put_r", False, True)]
+    assert stimuli(report.steps[1]) == last
     # Never applied and never sampled: the DUT sees the put and the check.
     assert dut.log == [("set", "a", Decimal("5"), {}),
                        ("advance", Decimal("0.1")),

@@ -153,6 +153,13 @@ def test_script_rule_errors_have_lines(old, new, line):
     assert err.value.line == line
 
 
+def test_load_rejects_a_pin_listed_twice():
+    bad = MINI.replace('pins="b1|b2"', 'pins="b1|a"')
+    with pytest.raises(ScriptError, match="already listed") as err:
+        load_script(bad)
+    assert err.value.line == 5
+
+
 def test_unknown_methods_are_retained():
     script = MINI.replace('<get_u u_max="(1.1*ubatt)" u_min="(0.7*ubatt)" />',
                           '<frob_x a="1" />')

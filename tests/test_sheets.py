@@ -2,9 +2,9 @@ from decimal import Decimal
 
 import pytest
 
-from comptest import (LowerError, ScriptError, SignalDef, SignalTable,
-                      StatusDef, StatusTable, TestSequence, TestStep,
-                      load_script, lower_status, validate_sheets)
+from comptest import (LowerError, ScriptError, SheetError, SignalDef,
+                      SignalTable, StatusDef, StatusTable, TestSequence,
+                      TestStep, load_script, lower_status, validate_sheets)
 from comptest.sheets import method_class, parse_number
 
 
@@ -70,6 +70,15 @@ def test_signal_table_rejects_shared_pins():
     with pytest.raises(ValueError, match="pin"):
         SignalTable([SignalDef("A", "input", ("P1",), "x"),
                      SignalDef("B", "input", ("P1",), "x")])
+
+
+def test_sheet_errors_are_value_errors_placed_at_the_row():
+    with pytest.raises(ValueError) as err:
+        SignalTable([SignalDef("A", "input", ("P1",), "x", row=2),
+                     SignalDef("a", "input", ("P2",), "x", row=3)])
+    assert isinstance(err.value, SheetError)
+    assert (err.value.sheet, err.value.row, err.value.column) == \
+        ("signals", 3, "name")
 
 
 def test_status_table_rejects_duplicates():
