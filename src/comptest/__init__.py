@@ -13,8 +13,8 @@ from .compiler import (MethodInvocation, TestScript, compile, emit_xml,
 from .dut import (DUT_REGISTRY, DutModel, InteriorLightConfig,
                   InteriorLightDut, build_dut)
 from .errors import (AllocationError, ComptestError, DutError, EvalError,
-                     ExprError, LowerError, ScriptError, SheetError,
-                     StandError, ValidationFailed)
+                     ExprError, ScriptError, SheetError, StandError,
+                     ValidationFailed)
 from .expr import eval_expr, parse_expr, render_expr
 from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      parse_signal_sheet, parse_status_sheet, parse_test_sheet,
@@ -47,6 +47,5 @@ __all__ = [
     "build_dut", "DUT_REGISTRY",
     "RunReport", "execute", "report_to_json", "report_to_text",
     "ComptestError", "SheetError", "ValidationFailed", "ExprError",
-    "EvalError", "LowerError", "ScriptError", "StandError", "AllocationError",
-    "DutError",
+    "EvalError", "ScriptError", "StandError", "AllocationError", "DutError",
 ]

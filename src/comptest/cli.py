@@ -20,8 +20,7 @@ from . import __version__
 from .compiler import compile as compile_sheets
 from .compiler import emit_xml
 from .dut import build_dut
-from .errors import (AllocationError, ComptestError, DutError, ScriptError,
-                     SheetError, ValidationFailed)
+from .errors import ComptestError, ValidationFailed
 from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      parse_signal_sheet, parse_status_sheet, parse_test_sheet)
 from .runner import execute, report_to_json, report_to_text
@@ -109,17 +108,13 @@ def _load_sheets(args, dialect: CsvDialect):
 
 
 def cmd_check(args) -> int:
-    try:
-        dialect = _parse_dialect(args.dialect)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    dialect = _parse_dialect(args.dialect)
     try:
         signals, statuses, test = _load_sheets(args, dialect)
     except OSError as exc:
         _err(str(exc))
         return 2
-    except (SheetError, ValueError) as exc:
+    except ValueError as exc:
         _err(str(exc))
         return 1
     report = validate_sheets(signals, statuses, test)
@@ -131,11 +126,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    try:
-        dialect = _parse_dialect(args.dialect)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    dialect = _parse_dialect(args.dialect)
     try:
         signals, statuses, test = _load_sheets(args, dialect)
         script = compile_sheets(signals, statuses, test, dut=args.dut,

@@ -13,11 +13,10 @@ from decimal import Decimal
 from typing import Union
 from xml.sax.saxutils import escape
 
-from .errors import LowerError, ValidationFailed
+from .errors import ValidationFailed
 from .expr import BinOp, Expr, Num, Paren, Var, render_expr
-from .sheets import (CLASS_ROLE, DIRECTION_ROLE, INF, SignalTable, StatusDef,
-                     StatusTable, TestSequence, _OpenCircuit, check_dwell,
-                     method_class, validate_sheets)
+from .sheets import (INF, SignalTable, StatusDef, StatusTable, TestSequence,
+                     _OpenCircuit, check_dwell, method_class, validate_sheets)
 
 #: A method parameter: a number, a text literal (bit pattern), a symbolic
 #: expression, or the open-circuit marker.
@@ -84,39 +83,22 @@ class TestScript:
     signals: list[ScriptSignal]
     init: InitBlock
     steps: list[ScriptStep]
-    format: str = FORMAT_VERSION
 
 
 def _scaled(bound: Decimal, var: str) -> Expr:
     return Paren(BinOp("*", Num(bound), Var(var.lower())))
 
 
-def lower_status(status: StatusDef, role: str) -> MethodInvocation:
+def lower_status(status: StatusDef) -> MethodInvocation:
     """Turn one status row into a method invocation.
 
-    ``role`` is ``"stimulus"`` (input signals) or ``"check"`` (output
-    signals) and must be the role of the method's class (``CLASS_ROLE``).
     Get-class statuses become bounded measurements, symbolic when ``var_x``
     is set; put-class statuses carry their nominal value plus any d1..d3
-    pass-through.
+    pass-through. ``StatusDef`` has checked the row, and ``compile`` lowers
+    only statuses whose class fits the signal they are applied to.
     """
-    if role not in CLASS_ROLE.values():
-        raise ValueError(f"bad role {role!r}")
-    cls = method_class(status.method)
-    if cls is None:
-        raise LowerError(f"method '{status.method}' has unknown class",
-                         status=status.status, row=status.row, column="method")
-    if CLASS_ROLE[cls] != role:
-        raise LowerError(
-            f"direction/method mismatch: {cls}-class method "
-            f"'{status.method}' cannot be lowered as a {role}",
-            status=status.status, row=status.row, column="method")
-
     params: dict[str, ParamValue] = {}
-    if cls == "get":
-        if status.min is None and status.max is None:
-            raise LowerError("get-class status defines neither min nor max",
-                             status=status.status, row=status.row, column="min")
+    if method_class(status.method) == "get":
         attr = status.attribut
         if status.max is not None:
             params[f"{attr}_max"] = (_scaled(status.max, status.var_x)
@@ -126,22 +108,12 @@ def lower_status(status: StatusDef, role: str) -> MethodInvocation:
                                      if status.var_x else status.min)
     else:
         if status.nom is not None:
-            nom = status.nom
-            if status.var_x is not None:
-                if not isinstance(nom, Decimal):
-                    raise LowerError("var (x) scaling requires a numeric nom",
-                                     status=status.status, row=status.row,
-                                     column="nom")
-                nom = _scaled(nom, status.var_x)
-            params[status.attribut] = nom
+            params[status.attribut] = (_scaled(status.nom, status.var_x)
+                                       if status.var_x else status.nom)
         for name in ("d1", "d2", "d3"):
             value = getattr(status, name)
             if value is not None:
                 params[name] = value
-        if not params:
-            raise LowerError("put-class status defines no value "
-                             "(nom or d1..d3 required)",
-                             status=status.status, row=status.row, column="nom")
     return MethodInvocation(status.method, params)
 
 
@@ -163,17 +135,15 @@ def compile(signals: SignalTable, statuses: StatusTable, test: TestSequence,
                              tuple(p.lower() for p in s.pins))
                 for s in signals]
     init = InitBlock(settle, [
-        Statement(s.name.lower(), lower_status(statuses[s.initial_status],
-                                               "stimulus"))
+        Statement(s.name.lower(), lower_status(statuses[s.initial_status]))
         for s in signals.inputs()
     ])
     steps = []
     for step in test.steps:
         statements = []
         for sig_name, status_name in step.assignments.items():
-            role = DIRECTION_ROLE[signals[sig_name].direction]
             statements.append(Statement(sig_name.lower(),
-                                        lower_status(statuses[status_name], role)))
+                                        lower_status(statuses[status_name])))
         steps.append(ScriptStep(step.index, step.dt, statements))
     return TestScript(test.name, dut, manifest, init, steps)
 
@@ -211,7 +181,7 @@ def emit_xml(script: TestScript) -> str:
     """
     out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(f'<test name="{_attr(script.name)}" dut="{_attr(script.dut)}" '
-               f'format="{_attr(script.format)}">')
+               f'format="{FORMAT_VERSION}">')
     out.append("  <signals>")
     for sig in script.signals:
         pins = "|".join(sig.pins)

@@ -52,25 +52,6 @@ class EvalError(ComptestError):
     """An expression could not be evaluated (unbound variable, divide by zero)."""
 
 
-class LowerError(ComptestError):
-    """A status row cannot be turned into a method invocation."""
-
-    def __init__(self, message: str, *, status: str | None = None,
-                 row: int | None = None, column: str | None = None):
-        self.status = status
-        self.row = row
-        self.column = column
-        where = []
-        if status is not None:
-            where.append(f"status '{status}'")
-        if row is not None:
-            where.append(f"statuses row {row}")
-        if column is not None:
-            where.append(f"column {column}")
-        prefix = ", ".join(where)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
-
-
 class ScriptError(ComptestError):
     """An XML test script is malformed or violates the script schema."""
 

@@ -6,8 +6,9 @@ Grammar (no whitespace anywhere):
     term   := factor (('*'|'/') factor)*
     factor := NUMBER | IDENT | '(' expr ')'
 
-NUMBER uses a decimal point and an optional exponent; IDENT is a lowercase
-identifier. The surface form is locale-free regardless of the dialect the
+NUMBER is the number rule's token (``sheets.NUMBER_TOKEN``): an optional
+sign, a decimal point and an optional exponent, so ``a--1`` and ``2*-3``
+parse; IDENT is a lowercase identifier. The surface form is locale-free regardless of the dialect the
 sheets were authored in, so generated scripts mean the same thing on every
 stand. Rendering is the structural inverse of parsing: parenthes nodes are
 kept in the tree, which makes render/parse a lossless round trip.
@@ -21,7 +22,7 @@ from decimal import Decimal, DivisionByZero, InvalidOperation
 from typing import Mapping, Union
 
 from .errors import EvalError, ExprError
-from .sheets import parse_number
+from .sheets import NUMBER_TOKEN, parse_number
 
 __all__ = ["Num", "Var", "BinOp", "Paren", "Expr",
            "parse_expr", "eval_expr", "render_expr"]
@@ -51,7 +52,6 @@ class Paren:
 
 Expr = Union[Num, Var, BinOp, Paren]
 
-_NUM = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
 _IDENT = re.compile(r"[a-z_][a-z0-9_]*")
 
 
@@ -89,9 +89,8 @@ class _Parser:
                 raise ExprError("unbalanced parenthesis (expected ')')", self.pos)
             self.pos += 1
             return Paren(inner)
-        if ch.isdigit():
-            m = _NUM.match(self.text, self.pos)
-            assert m is not None
+        m = NUMBER_TOKEN.match(self.text, self.pos)
+        if m:
             try:
                 value = parse_number(m.group(0))
             except ValueError as exc:

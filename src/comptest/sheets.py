@@ -52,9 +52,11 @@ Scalar = Union[Decimal, str, _OpenCircuit]
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-#: A plain decimal number, as sheets (after decimal-comma folding), scripts
-#: and environment files spell it. No NaN, no infinity, no underscores.
-NUMBER = re.compile(r"[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?\Z")
+#: A plain decimal number, as sheets (after decimal-comma folding), scripts,
+#: expressions and environment files spell it. No NaN, no infinity, no
+#: underscores.
+NUMBER_TOKEN = re.compile(r"[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?")
+NUMBER = re.compile(NUMBER_TOKEN.pattern + r"\Z")
 
 
 def parse_number(text: str) -> Decimal:
@@ -217,8 +219,10 @@ class StatusDef:
     carried through to the invocation untouched.
 
     ``method``, ``attribut`` and ``var_x`` (when set) must obey the name
-    rule (``is_name``); construction raises SheetError (a ValueError)
-    otherwise.
+    rule (``is_name``). A get-class status needs ``min`` or ``max``; a
+    put-class status needs ``nom`` or one of ``d1``..``d3``, and with
+    ``var_x`` set its ``nom`` must be a number. Construction raises
+    SheetError (a ValueError) otherwise.
     """
 
     status: str
@@ -238,6 +242,21 @@ class StatusDef:
         check_names(f"status {self.status}", "statuses", self.row,
                     method=self.method, attribut=self.attribut,
                     var_x=self.var_x)
+        cls = method_class(self.method)
+        if cls == "get" and self.min is None and self.max is None:
+            self._refuse("get-class status defines neither min nor max", "min")
+        if cls == "put":
+            if (self.nom is None and self.d1 is None and self.d2 is None
+                    and self.d3 is None):
+                self._refuse("put-class status defines no value "
+                             "(nom or d1..d3 required)", "nom")
+            if (self.var_x is not None and self.nom is not None
+                    and not isinstance(self.nom, Decimal)):
+                self._refuse("var (x) scaling requires a numeric nom", "nom")
+
+    def _refuse(self, message: str, column: str):
+        raise SheetError(f"status {self.status}: {message}", sheet="statuses",
+                         row=self.row, column=column)
 
 
 @dataclass

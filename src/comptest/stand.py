@@ -172,9 +172,11 @@ class Allocation:
     bindings: list[Binding]
 
     def holds(self) -> dict[str, Binding]:
-        """Stimulus bindings that persist into the next step."""
+        """Put-class bindings: the stimuli that persist into the next step.
+        One-shots are allocated for their own block only."""
         return {b.requirement.pin: b for b in self.bindings
-                if b.delivery == "resource" and b.requirement.role != "get"}
+                if b.delivery == "resource"
+                and method_class(b.requirement.invocation.method) == "put"}
 
 
 def _range_offence(res: ResourceDef, inv: MethodInvocation) -> tuple[str, Decimal] | None:

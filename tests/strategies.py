@@ -37,19 +37,31 @@ def status_tables(draw) -> StatusTable:
     rows = []
     for name in status_names:
         method = draw(st.sampled_from(["put_r", "put_can", "get_u", "put_v"]))
-        rows.append(StatusDef(
-            status=name,
-            method=method,
-            attribut=draw(st.sampled_from(["r", "u", "data", "v"])),
-            # var (x) obeys the name rule that StatusDef enforces
-            var_x=draw(st.one_of(st.none(), names)),
-            nom=draw(st.one_of(st.none(), scalars)),
+        # var (x) obeys the name rule that StatusDef enforces
+        var_x = draw(st.one_of(st.none(), names))
+        # ... and so do the status-row rules: a get needs min or max, a put
+        # needs nom or d1..d3, and a scaled put's nom is a number.
+        noms = decimals if var_x and method.startswith("put") else scalars
+        row = dict(
+            nom=draw(st.one_of(st.none(), noms)),
             min=draw(st.one_of(st.none(), decimals)),
             max=draw(st.one_of(st.none(), decimals)),
             d1=draw(st.one_of(st.none(), decimals, st.just(INF))),
             d2=draw(st.one_of(st.none(), decimals, st.just(INF))),
             d3=draw(st.one_of(st.none(), decimals, st.just(INF))),
+        )
+        if method.startswith("get") and row["min"] is None and row["max"] is None:
+            row["min"] = draw(decimals)
+        if method.startswith("put") and all(
+                row[k] is None for k in ("nom", "d1", "d2", "d3")):
+            row["nom"] = draw(noms)
+        rows.append(StatusDef(
+            status=name,
+            method=method,
+            attribut=draw(st.sampled_from(["r", "u", "data", "v"])),
+            var_x=var_x,
             unit=draw(st.one_of(st.none(), st.sampled_from(["V", "Ω", "ms"]))),
+            **row,
         ))
     return StatusTable(rows)
 
@@ -122,10 +134,11 @@ def connection_matrices(draw) -> ConnectionMatrix:
 # --- expression trees in grammar shape (render/parse is lossless on them) --
 
 expr_numbers = st.one_of(
-    st.integers(min_value=0, max_value=10 ** 6).map(Decimal),
-    st.tuples(st.integers(0, 999), st.integers(0, 99)).map(
-        lambda t: Decimal(f"{t[0]}.{t[1]:02d}")),
-    st.just(Decimal("1.00E+6")),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6).map(Decimal),
+    st.tuples(st.sampled_from("+-"), st.integers(0, 999),
+              st.integers(0, 99)).map(
+        lambda t: Decimal(f"{t[0]}{t[1]}.{t[2]:02d}")),
+    st.sampled_from([Decimal("1.00E+6"), Decimal("-1.00E+6")]),
 ).map(Num)
 expr_vars = st.sampled_from(
     ["ubatt", "vref", "a", "b", "c", "x0", "temp_c"]).map(Var)

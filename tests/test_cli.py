@@ -236,6 +236,27 @@ def test_check_refuses_number_out_of_range(tmp_path, capsys):
     assert "statuses, row 4, column d2: number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "compile"])
+def test_check_and_compile_refuse_a_bad_status_row(tmp_path, capsys,
+                                                    command):
+    # Lo breaks the get-class rule: check and compile both refuse it when
+    # the sheet is read, at the same row and column.
+    statuses = (DATA / "statuses.csv").read_text(encoding="utf-8")
+    bad = tmp_path / "statuses.csv"
+    bad.write_text(statuses.replace("Lo;get u;u;UBATT;0;0;0,3;;;",
+                                    "Lo;get u;u;UBATT;0;;;;;"),
+                   encoding="utf-8")
+    out = tmp_path / "script.xml"
+    code = main([command, "--signals", str(DATA / "signals.csv"),
+                 "--statuses", str(bad),
+                 "--test", str(DATA / "test_interior_light.csv"),
+                 *(["-o", str(out)] if command == "compile" else [])])
+    assert code == 1
+    assert "statuses, row 7, column min: status Lo: get-class status " \
+        "defines neither min nor max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_reproduces_golden_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", "--script", str(DATA / "expected_script.xml"), *STAND,
@@ -299,6 +320,8 @@ def test_run_report_to_file_keeps_stdout_clean(script_path, tmp_path, capsys):
 
 def test_bad_dialect_flag(capsys):
     assert main(["check", *SHEETS, "--dialect", "bogus"]) == 2
+    assert main(["compile", *SHEETS, "--dialect", "bogus"]) == 2
+    assert "bad dialect part 'bogus'" in capsys.readouterr().err
 
 
 def test_unknown_dut_exits_2(script_path, capsys):

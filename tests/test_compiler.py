@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from comptest import (INF, LowerError, StatusTable, TestSequence, TestStep,
-                      ValidationFailed, compile, emit_xml, lower_status)
+from comptest import (INF, SheetError, SignalDef, SignalTable, StatusTable,
+                      TestSequence, TestStep, ValidationFailed, compile,
+                      emit_xml, load_script, lower_status)
 from comptest.expr import BinOp, Num, Paren, Var
 from comptest.sheets import StatusDef
 
@@ -14,7 +15,7 @@ GOLDEN = Path(__file__).resolve().parent.parent / "data" / "interior_light" \
 
 
 def test_lower_voltage_check_with_scale_variable(demo_statuses):
-    inv = lower_status(demo_statuses["Ho"], "check")
+    inv = lower_status(demo_statuses["Ho"])
     assert inv.method == "get_u"
     assert list(inv.params) == ["u_max", "u_min"]  # max first, as emitted
     assert inv.params["u_max"] == Paren(BinOp("*", Num(Decimal("1.1")),
@@ -24,7 +25,7 @@ def test_lower_voltage_check_with_scale_variable(demo_statuses):
 
 
 def test_lower_low_check(demo_statuses):
-    inv = lower_status(demo_statuses["Lo"], "check")
+    inv = lower_status(demo_statuses["Lo"])
     assert inv.params["u_min"] == Paren(BinOp("*", Num(Decimal("0")),
                                               Var("ubatt")))
     assert inv.params["u_max"] == Paren(BinOp("*", Num(Decimal("0.3")),
@@ -32,13 +33,13 @@ def test_lower_low_check(demo_statuses):
 
 
 def test_lower_bus_stimulus(demo_statuses):
-    inv = lower_status(demo_statuses["Off"], "stimulus")
+    inv = lower_status(demo_statuses["Off"])
     assert inv.method == "put_can"
     assert inv.params == {"data": "0001B"}
 
 
 def test_lower_open_circuit_with_passthrough(demo_statuses):
-    inv = lower_status(demo_statuses["Closed"], "stimulus")
+    inv = lower_status(demo_statuses["Closed"])
     assert list(inv.params) == ["r", "d1", "d2", "d3"]
     assert inv.params["r"] is INF
     assert inv.params["d1"] is INF
@@ -48,26 +49,25 @@ def test_lower_open_circuit_with_passthrough(demo_statuses):
 
 def test_lower_plain_numeric_bounds():
     status = StatusDef("Mid", "get_u", "u", min=Decimal("2"), max=Decimal("4"))
-    inv = lower_status(status, "check")
+    inv = lower_status(status)
     assert inv.params == {"u_max": Decimal("4"), "u_min": Decimal("2")}
 
 
 def test_lower_scaled_nominal_value():
     status = StatusDef("Half", "put_v", "v", var_x="UBATT", nom=Decimal("0.5"))
-    inv = lower_status(status, "stimulus")
+    inv = lower_status(status)
     assert inv.params["v"] == Paren(BinOp("*", Num(Decimal("0.5")),
                                           Var("ubatt")))
 
 
 def test_lower_rejects_incomplete_statuses():
-    with pytest.raises(LowerError, match="neither min nor max"):
-        lower_status(StatusDef("X", "get_u", "u"), "check")
-    with pytest.raises(LowerError, match="no value"):
-        lower_status(StatusDef("X", "put_r", "r"), "stimulus")
-    with pytest.raises(LowerError, match="direction/method mismatch"):
-        lower_status(StatusDef("X", "get_u", "u", min=Decimal("0")), "stimulus")
-    with pytest.raises(LowerError, match="unknown class"):
-        lower_status(StatusDef("X", "frob", "u", nom=Decimal("1")), "stimulus")
+    # StatusDef owns the status-row rules, so no such row reaches lowering.
+    with pytest.raises(SheetError, match="neither min nor max"):
+        StatusDef("X", "get_u", "u")
+    with pytest.raises(SheetError, match="no value"):
+        StatusDef("X", "put_r", "r")
+    with pytest.raises(SheetError, match="requires a numeric nom"):
+        StatusDef("X", "put_can", "data", var_x="ubatt", nom="0001B")
 
 
 def test_compile_step7_single_statement(demo_script):
@@ -151,3 +151,22 @@ def test_settle_is_configurable(demo_signals, demo_statuses, demo_test):
     assert script.init.dt == Decimal("0.25")
     with pytest.raises(ValueError):
         compile(demo_signals, demo_statuses, demo_test, settle=Decimal("0"))
+
+
+def test_negative_scaled_values_load_back():
+    # A negative multiplier of var (x) is emitted as a signed number inside
+    # the expression, which the loader reads back.
+    statuses = StatusTable([
+        StatusDef("Neg", "put_v", "v", var_x="UBATT", nom=Decimal("-0.5")),
+        StatusDef("Near0", "get_u", "u", var_x="UBATT", min=Decimal("-0.1"),
+                  max=Decimal("0.2"))])
+    signals = SignalTable([SignalDef("IN", "input", ("IN",), "Neg"),
+                           SignalDef("OUT", "output", ("OUT",), "Near0")])
+    test = TestSequence("t", [TestStep(0, Decimal("1"), {"OUT": "Near0"})])
+    script = compile(signals, statuses, test)
+    xml = emit_xml(script)
+    assert '<put_v v="(-0.5*ubatt)" />' in xml
+    assert '<get_u u_max="(0.2*ubatt)" u_min="(-0.1*ubatt)" />' in xml
+    loaded = load_script(xml)
+    assert loaded == script
+    assert emit_xml(loaded) == xml

@@ -19,6 +19,28 @@ def test_parse_plain_number():
     assert parse_expr("5") == Num(Decimal("5"))
 
 
+@pytest.mark.parametrize("text,tree", [
+    ("-1", Num(Decimal("-1"))),
+    ("+.5", Num(Decimal("0.5"))),
+    ("a--1", BinOp("-", Var("a"), Num(Decimal("-1")))),
+    ("2*-3", BinOp("*", Num(Decimal("2")), Num(Decimal("-3")))),
+    ("(-0.1*ubatt)", Paren(BinOp("*", Num(Decimal("-0.1")), Var("ubatt")))),
+    ("-1e-3+a", BinOp("+", Num(Decimal("-0.001")), Var("a"))),
+])
+def test_parse_signed_numbers(text, tree):
+    # Numbers in expressions follow the number rule, sign included.
+    assert parse_expr(text) == tree
+    assert parse_expr(render_expr(tree)) == tree
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("--1", 0), ("-a", 0), ("-(1)", 0), ("a*--1", 2)])
+def test_sign_belongs_to_a_number_only(text, offset):
+    with pytest.raises(ExprError) as err:
+        parse_expr(text)
+    assert err.value.offset == offset
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(ExprError) as err:
         parse_expr("1.1*")

@@ -247,6 +247,12 @@ RESOURCE_ROW = "R1;get u;u;-60;60;V\n"
      ("statuses", 2, "attribut")),
     (parse_status_sheet, STATUS_HEADER + "A;get u;u;9x;;0;1;;;\n",
      ("statuses", 2, "var_x")),
+    (parse_status_sheet, STATUS_HEADER + "A;put r;r;;1;;;;;\nB;get u;u;;;;;;;\n",
+     ("statuses", 3, "min")),
+    (parse_status_sheet, STATUS_HEADER + "A;put r;r;;;0;1;;;\n",
+     ("statuses", 2, "nom")),
+    (parse_status_sheet, STATUS_HEADER + "A;put can;data;UBATT;0001B;;;;;\n",
+     ("statuses", 2, "nom")),
     (parse_signal_sheet, SIGNAL_HEADER + "A;input;P1;x\nA;input;P2;x\n",
      ("signals", 3, "name")),
     (parse_signal_sheet, SIGNAL_HEADER + "A;input;P1;x\nB;input;P1;x\n",

@@ -345,18 +345,16 @@ def test_report_agrees_with_sheet_holds(demo_signals, demo_statuses,
     # Sheet meaning: a blank input cell holds the last status, seeded by the
     # initial status; an output cell is a check of its own step only.
     blocks = [(demo_loaded.init.dt,
-               {s.name.lower(): lower_status(demo_statuses[s.initial_status],
-                                             "stimulus")
+               {s.name.lower(): lower_status(demo_statuses[s.initial_status])
                 for s in demo_signals.inputs()}, [])]
     for step in demo_test.steps:
         puts, checks = {}, []
         for name, status in step.assignments.items():
             if demo_signals[name].direction == "input":
-                puts[name.lower()] = lower_status(demo_statuses[status],
-                                                  "stimulus")
+                puts[name.lower()] = lower_status(demo_statuses[status])
             else:
                 checks.append((name.lower(),
-                               lower_status(demo_statuses[status], "check")))
+                               lower_status(demo_statuses[status])))
         blocks.append((step.dt, puts, checks))
     pins = {s.name.lower(): tuple(p.lower() for p in s.pins)
             for s in demo_signals}
@@ -454,13 +452,42 @@ ONE_SHOT_ON_CHECKED = ONE_SHOTS.replace(
     '      <get_u u_max="1" />',
     '      <frob_y v="3" />\n      <get_u u_max="1" />')
 
+STEP0_ONE_SHOT = """    <signal name="b">
+      <frob_y v="2" />
+    </signal>
+"""
 
-@pytest.mark.parametrize("text,last", [
-    (ONE_SHOTS, [("a", "put_r", False, True)]),
-    (ONE_SHOT_ON_CHECKED, [("a", "put_r", False, True),
-                           ("b", "frob_y", False, False)]),
-], ids=["one_shots", "one_shot_on_checked_output"])
-def test_unknown_methods_are_one_shots_in_every_block(text, last):
+# A one-shot on the pin of a held put does not replace the put's hold.
+ONE_SHOT_ON_HELD_PIN = ONE_SHOTS.replace(STEP0_ONE_SHOT, """\
+    <signal name="a">
+      <frob_x v="2" />
+    </signal>
+""")
+
+# The same one-shot in two steps is allocated again, not held.
+REPEATED_FROB = """    <signal name="c">
+      <frob_x v="1" />
+    </signal>
+"""
+REPEATED_ONE_SHOT = ONE_SHOTS.replace(STEP0_ONE_SHOT, REPEATED_FROB).replace(
+    '  <step n="1" dt="1">\n', '  <step n="1" dt="1">\n' + REPEATED_FROB)
+
+
+@pytest.mark.parametrize("text,step0,last", [
+    (ONE_SHOTS, [("a", "put_r", False, True), ("b", "frob_y", False, False)],
+     [("a", "put_r", False, True)]),
+    (ONE_SHOT_ON_CHECKED,
+     [("a", "put_r", False, True), ("b", "frob_y", False, False)],
+     [("a", "put_r", False, True), ("b", "frob_y", False, False)]),
+    (ONE_SHOT_ON_HELD_PIN,
+     [("a", "put_r", False, True), ("a", "frob_x", False, False)],
+     [("a", "put_r", False, True)]),
+    (REPEATED_ONE_SHOT,
+     [("a", "put_r", False, True), ("c", "frob_x", False, False)],
+     [("a", "put_r", False, True), ("c", "frob_x", False, False)]),
+], ids=["one_shots", "one_shot_on_checked_output", "one_shot_on_held_pin",
+        "repeated_one_shot"])
+def test_unknown_methods_are_one_shots_in_every_block(text, step0, last):
     script = load_script(text)
     dut = RecordingDut()
     report = execute(script, manifest_stand(script), {}, dut)
@@ -473,8 +500,7 @@ def test_unknown_methods_are_one_shots_in_every_block(text, last):
     # Allocated for their own block only; never held.
     assert stimuli(report.settle) == [("a", "put_r", True, False),
                                       ("c", "frob_x", False, False)]
-    assert stimuli(report.steps[0]) == [("a", "put_r", False, True),
-                                        ("b", "frob_y", False, False)]
+    assert stimuli(report.steps[0]) == step0
     assert stimuli(report.steps[1]) == last
     # Never applied and never sampled: the DUT sees the put and the check.
     assert dut.log == [("set", "a", Decimal("5"), {}),
@@ -483,3 +509,51 @@ def test_unknown_methods_are_one_shots_in_every_block(text, last):
                        ("advance", Decimal("1")), ("read", "b")]
     assert [c.method for c in report.steps[1].checks] == ["get_u"]
     assert report.settle.checks == [] and report.steps[0].checks == []
+
+
+ONE_SHOT_THEN_PUT = """<?xml version="1.0" encoding="UTF-8"?>
+<test name="t" dut="d" format="1">
+  <signals>
+    <signal name="a" direction="input" pins="pa" />
+    <signal name="b" direction="input" pins="pb" />
+  </signals>
+  <init dt="0.1">
+    <signal name="a">
+      <put_r r="5" />
+    </signal>
+  </init>
+  <step n="0" dt="1">
+    <signal name="a">
+      <frob_x v="1" />
+    </signal>
+  </step>
+  <step n="1" dt="1">
+    <signal name="b">
+      <put_r r="5" />
+    </signal>
+  </step>
+</test>
+"""
+
+
+def test_one_shot_leaves_a_held_stimulus_pinned():
+    # a's put stays on R1 through step 0's one-shot on the same pin. In
+    # step 1 pb is wired only to R1; moving a to R2 would change its
+    # resource without re-applying it, so the run aborts instead.
+    unbounded = (Decimal("-Infinity"), Decimal("Infinity"))
+    stand = StandModel(
+        ResourceTable([ResourceDef("R1", "put_r", "r", *unbounded),
+                       ResourceDef("R2", "put_r", "r", *unbounded),
+                       ResourceDef("F", "frob_x", "v", *unbounded)]),
+        ConnectionMatrix(["pa", "pb"], ["R1", "R2", "F"], {
+            ("R1", "pa"): Connector("switch", 1, 1),
+            ("R1", "pb"): Connector("switch", 3, 1),
+            ("R2", "pa"): Connector("switch", 2, 1),
+            ("F", "pa"): Connector("switch", 4, 1)}))
+    dut = RecordingDut()
+    report = execute(load_script(ONE_SHOT_THEN_PUT), stand, {}, dut)
+    assert (report.abort_step, report.abort_kind) == (1, "allocation")
+    assert ("R1: conflict: resource holds a stimulus for pin pa"
+            in report.abort_message)
+    assert [r.resource for r in report.steps[0].stimuli] == ["R1", "F"]
+    assert all(call[1] != "pb" for call in dut.log if call[0] == "set")

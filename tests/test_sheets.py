@@ -2,9 +2,9 @@ from decimal import Decimal
 
 import pytest
 
-from comptest import (LowerError, ScriptError, SheetError, SignalDef,
-                      SignalTable, StatusDef, StatusTable, TestSequence,
-                      TestStep, load_script, lower_status, validate_sheets)
+from comptest import (ScriptError, SheetError, SignalDef, SignalTable,
+                      StatusDef, StatusTable, TestSequence, TestStep,
+                      load_script, validate_sheets)
 from comptest.sheets import method_class, parse_number
 
 
@@ -136,20 +136,12 @@ ONE_STATEMENT_SCRIPT = """<?xml version="1.0" encoding="UTF-8"?>
     ("get_u", "output", True), ("get_u", "input", False),
 ])
 def test_direction_rule_agrees_across_layers(method, direction, fits):
-    # Sheet validation, status lowering and the script loader accept and
-    # refuse the same (method, direction) pairs.
+    # Sheet validation and the script loader accept and refuse the same
+    # (method, direction) pairs.
     status = StatusDef("S", method, "x", nom=Decimal("1"), max=Decimal("1"))
     signals = SignalTable([SignalDef("A", direction, ("A",), "S")])
     test = make_test([TestStep(0, Decimal("1"), {"A": "S"})])
     validated = validate_sheets(signals, StatusTable([status]), test).ok
-
-    role = {"input": "stimulus", "output": "check"}[direction]
-    try:
-        lower_status(status, role)
-        lowered = True
-    except LowerError as exc:
-        assert "direction/method mismatch" in str(exc)
-        lowered = False
 
     try:
         load_script(ONE_STATEMENT_SCRIPT.format(method=method,
@@ -159,7 +151,7 @@ def test_direction_rule_agrees_across_layers(method, direction, fits):
         assert f"{direction} signal 'a'" in str(exc)
         loaded = False
 
-    assert validated == lowered == loaded == fits
+    assert validated == loaded == fits
 
 
 @pytest.mark.parametrize("text,value", [
