@@ -26,8 +26,12 @@ from .sheets import method_class
 from .stand import BUS_METHODS, Binding, Requirement, StandModel, allocate
 
 
-@dataclass
+@dataclass(frozen=True)
 class StimulusRecord:
+    """One stimulus of one block, as reported. Records are read-only: a
+    held stimulus whose binding did not change shares its record with the
+    blocks before it."""
+
     signal: str
     pin: str
     method: str
@@ -98,11 +102,20 @@ class RunReport:
         return settle + self.step_time
 
 
-def _evaluate(inv: MethodInvocation, env: Mapping[str, Decimal]) -> MethodInvocation:
+def _evaluate(inv: MethodInvocation, env: Mapping[str, Decimal],
+              values: dict[int, Decimal]) -> MethodInvocation:
+    """``inv`` with its expressions evaluated under ``env``. ``values``
+    caches each node's value by identity, not by equality: ``Num(1)``
+    equals ``Num(1.0)`` but renders differently. The script keeps every
+    node alive while it runs, so no identity is reused. A node that fails
+    is not cached and fails again wherever it is used."""
     params = {}
     for name, value in inv.params.items():
         if isinstance(value, (Num, Var, BinOp, Paren)):
-            params[name] = eval_expr(value, env)
+            key = id(value)
+            if key not in values:
+                values[key] = eval_expr(value, env)
+            params[name] = values[key]
         else:
             params[name] = value
     return MethodInvocation(inv.method, params)
@@ -137,27 +150,37 @@ def _rendered(inv: MethodInvocation) -> dict[str, str]:
     return {k: render_value(v) for k, v in inv.params.items()}
 
 
-def _stimulus_records(bindings: list[Binding], params: list[dict[str, str]],
-                      changed: set[str]) -> list[StimulusRecord]:
-    """Records of the block's stimulus bindings (puts and one-shots);
-    ``params`` holds the rendered parameters of each binding's requirement,
-    in binding order."""
+def _stimulus_records(bindings: list[Binding],
+                      stimuli: Mapping[str, MethodInvocation],
+                      shown: Mapping[str, dict[str, str]], changed: set[str],
+                      last: dict[str, tuple[Binding, StimulusRecord]]
+                      ) -> list[StimulusRecord]:
+    """Records of the block's stimulus bindings (puts and one-shots). A put
+    shows the params ``shown`` rendered for the stimulus in force. ``last``
+    maps a pin to its latest held binding and record: a binding that
+    ``allocate`` handed back unchanged keeps its record."""
     records = []
-    for b, rendered in zip(bindings, params):
+    for b in bindings:
         req = b.requirement
+        prev = last.get(req.pin)
+        if prev is not None and prev[0] is b:
+            records.append(prev[1])
+            continue
         if req.role == "get":
             continue
-        records.append(StimulusRecord(
-            signal=req.signal or req.pin,
-            pin=req.pin,
-            method=req.invocation.method,
-            params=rendered,
-            delivery=b.delivery,
-            resource=b.resource_id,
-            connector=str(b.connector) if b.connector else None,
-            held=b.held,
-            changed=(req.signal or req.pin) in changed,
-        ))
+        inv = req.invocation
+        signal = req.signal or req.pin
+        params = (shown[signal] if stimuli.get(signal) is inv
+                  else _rendered(inv))
+        connector = str(b.connector) if b.connector else None
+        # Positional: a frozen dataclass sets each field by a call, and
+        # keywords make that slower still.
+        record = StimulusRecord(signal, req.pin, inv.method, params,
+                                b.delivery, b.resource_id, connector, b.held,
+                                signal in changed)
+        records.append(record)
+        if b.held:
+            last[req.pin] = (b, record)
     return records
 
 
@@ -169,7 +192,9 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
     one block body: a put replaces the stimulus in force for its signal and
     is evaluated once, when it appears; a get is sampled at the end of its
     own block's dwell; any other method is a one-shot, allocated for its
-    block only and never evaluated, applied, held or sampled.
+    block only and never evaluated, applied, held or sampled. A held
+    stimulus passes the same requirements to every block, so ``allocate``
+    hands its binding back and the report shares its record.
 
     The report is complete and deterministic: byte-identical for identical
     inputs. The run aborts on allocation errors, unbound environment
@@ -181,9 +206,16 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
     pins = {sig.name: sig.pins for sig in script.signals}
     records: list[StepRecord] = []  # the init block's, then one per step
     clock = Decimal("0")
-    stimuli: dict[str, MethodInvocation] = {}  # in force, as applied
-    shown: dict[str, dict[str, str]] = {}  # their rendered params
+    values: dict[int, Decimal] = {}  # see _evaluate
+    # The stimuli in force, as applied, their rendered params and their
+    # requirements (one per target). All three are built when the put
+    # appears and shared by every block that holds it, so that allocate
+    # and the records see the same objects again.
+    stimuli: dict[str, MethodInvocation] = {}
+    shown: dict[str, dict[str, str]] = {}
+    required: dict[str, list[Requirement]] = {}
     held: dict[str, Binding] = {}
+    last: dict[str, tuple[Binding, StimulusRecord]] = {}
 
     def targets(signal: str, inv: MethodInvocation) -> tuple[str, ...]:
         # A bus method reaches the DUT by signal name, all else by pin.
@@ -216,23 +248,28 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
             else:
                 one_shots.append((st.signal, st.invocation))
         try:
-            puts = {sig: _evaluate(inv, env) for sig, inv in puts.items()}
-            checks = [(sig, _evaluate(inv, env)) for sig, inv in checks]
+            puts = {sig: _evaluate(inv, env, values)
+                    for sig, inv in puts.items()}
+            checks = [(sig, _evaluate(inv, env, values))
+                      for sig, inv in checks]
         except EvalError as exc:
             return report(where, "environment", str(exc))
-        changed = [sig for sig, inv in puts.items() if stimuli.get(sig) != inv]
-        stimuli.update(puts)
-        # Rendered once per put: every block that holds it shares the dict.
-        shown.update((sig, _rendered(inv)) for sig, inv in puts.items())
+        changed = []
+        for sig, inv in puts.items():
+            rendered = _rendered(inv)
+            if stimuli.get(sig) != inv:
+                changed.append(sig)
+            elif shown[sig] == rendered:
+                continue  # restated as it stands: keep its objects
+            stimuli[sig] = inv
+            shown[sig] = rendered
+            required[sig] = [Requirement(target, inv, sig)
+                             for target in targets(sig, inv)]
 
-        entries = [(sig, inv, shown[sig]) for sig, inv in stimuli.items()]
-        entries += [(sig, inv, _rendered(inv)) for sig, inv in one_shots]
-        entries += [(sig, inv, {}) for sig, inv in checks]  # not recorded
-        reqs, params = [], []
-        for signal, inv, rendered in entries:
-            for target in targets(signal, inv):
-                reqs.append(Requirement(target, inv, signal))
-                params.append(rendered)
+        reqs = [req for sig_reqs in required.values() for req in sig_reqs]
+        reqs += [Requirement(target, inv, sig)
+                 for sig, inv in one_shots + checks
+                 for target in targets(sig, inv)]
         try:
             alloc = allocate(reqs, stand, held)
         except AllocationError as exc:
@@ -264,8 +301,8 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
             return report(where, "environment", _dut_fault(exc))
         clock = t_end
         records.append(StepRecord(index, dt, clock,
-                                  _stimulus_records(alloc.bindings, params,
-                                                    set(changed)),
+                                  _stimulus_records(alloc.bindings, stimuli,
+                                                    shown, set(changed), last),
                                   check_records))
     return report()
 
@@ -310,15 +347,33 @@ def _check_json(c: CheckRecord, pad: str) -> str:
             f'{q}"passed": {"true" if c.passed else "false"}{pad}}}')
 
 
-def _step_json(s: StepRecord, pad: str) -> str:
+def _step_json(s: StepRecord, pad: str,
+               last: Mapping[int, str]) -> tuple[str, dict[int, str]]:
+    """The step's JSON, and the fragments of its held stimuli by record
+    identity. ``last`` holds the previous step's: a held stimulus whose
+    binding did not change shares its record with that step and is written
+    once. Nothing else can repeat, so no other fragment is kept."""
     q = pad + "  "
     item = q + "  "
-    stimuli = _array([_stimulus_json(r, item) for r in s.stimuli], q)
+    fragments = [last.get(id(r)) or _stimulus_json(r, item)
+                 for r in s.stimuli]
     checks = _array([_check_json(c, item) for c in s.checks], q)
     return (f'{{{q}"n": {s.index},{q}"dt": {_str(str(s.dt))},'
             f'{q}"t_end": {_str(str(s.t_end))},'
             f'{q}"passed": {"true" if s.passed else "false"},'
-            f'{q}"stimuli": {stimuli},{q}"checks": {checks}{pad}}}')
+            f'{q}"stimuli": {_array(fragments, q)},'
+            f'{q}"checks": {checks}{pad}}}',
+            {id(r): text for r, text in zip(s.stimuli, fragments) if r.held})
+
+
+def _steps_json(steps: list[StepRecord], pad: str) -> str:
+    """The steps as a JSON array; each step sees the fragments of the one
+    before it only."""
+    texts, last = [], {}
+    for s in steps:
+        text, last = _step_json(s, pad + "  ", last)
+        texts.append(text)
+    return _array(texts, pad)
 
 
 def report_to_json(report: RunReport) -> str:
@@ -331,8 +386,9 @@ def report_to_json(report: RunReport) -> str:
         abort = (f'{{{item}"step": {step},'
                  f'{item}"kind": {_null_or_str(report.abort_kind)},'
                  f'{item}"message": {_null_or_str(report.abort_message)}{q}}}')
-    init = "null" if report.settle is None else _step_json(report.settle, q)
-    steps = _array([_step_json(s, item) for s in report.steps], q)
+    init = ("null" if report.settle is None
+            else _step_json(report.settle, q, {})[0])
+    steps = _steps_json(report.steps, q)
     return (f'{{{q}"test": {_str(report.name)},{q}"dut": {_str(report.dut)},'
             f'{q}"overall": {_str("pass" if report.overall else "fail")},'
             f'{q}"aborted": {"true" if report.aborted else "false"},'

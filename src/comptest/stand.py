@@ -43,13 +43,15 @@ class Connector:
     kind: str  # "switch" | "mux"
     group: int
     position: int
+    #: (kind, group): the switch or multiplexer, engaged at one position at
+    #: a time. Stored, as the search reads it for every candidate it checks.
+    group_key: tuple[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "group_key", (self.kind, self.group))
 
     def __str__(self):
         return f"{_PREFIX[self.kind]}{self.group}.{self.position}"
-
-    @property
-    def group_key(self) -> tuple[str, int]:
-        return (self.kind, self.group)
 
 
 def parse_connector(text: str) -> Connector:
@@ -129,6 +131,9 @@ class StandModel:
     #: resource table row order (the search's candidate order).
     wired: dict[str, list[tuple[ResourceDef, Connector]]] = field(
         init=False, repr=False, compare=False)
+    #: Whether two resources reach pins through one connector group. If
+    #: not, distinct resources always engage distinct groups.
+    shares_groups: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for rid in self.matrix.rows:
@@ -142,6 +147,12 @@ class StandModel:
         for res in self.resources:
             for pin, conn in by_resource.get(res.id, ()):
                 self.wired.setdefault(pin, []).append((res, conn))
+        self.shares_groups = False
+        first: dict[tuple[str, int], str] = {}  # group -> its first resource
+        for (rid, _), conn in self.matrix.cells.items():
+            if first.setdefault(conn.group_key, rid) != rid:
+                self.shares_groups = True
+                break
 
 
 @dataclass
@@ -200,6 +211,10 @@ def _static_reject(res: ResourceDef, req: Requirement,
     return None
 
 
+def _group_name(conn: Connector) -> str:
+    return f"{_PREFIX[conn.kind]}{conn.group}"
+
+
 class _Engagements:
     """Occupancy bookkeeping that supports get-class time-sharing."""
 
@@ -216,10 +231,10 @@ class _Engagements:
             return "conflict: resource is sampling checks this step"
         grp = conn.group_key
         if grp in self.put_grp:
-            return (f"conflict: connector group {_PREFIX[conn.kind]}{conn.group} "
+            return (f"conflict: connector group {_group_name(conn)} "
                     f"is engaged for pin {self.put_grp[grp]}")
         if role != "get" and self.get_grp.get(grp, 0):
-            return (f"conflict: connector group {_PREFIX[conn.kind]}{conn.group} "
+            return (f"conflict: connector group {_group_name(conn)} "
                     f"is sampling checks this step")
         return None
 
@@ -261,10 +276,11 @@ class _Search:
 
     Before a node expands, every remaining exclusive (non-get) requirement
     must get a resource of its own in a maximum matching whose edges join
-    it to the statically usable resources that the engagements still allow.
-    A completion would be such a matching, so a node that fails the check
-    has none and is cut; as only subtrees without a solution are cut, the
-    first solution in candidate order is the one found.
+    it to the statically usable resources that the engagements still allow,
+    and a connector group of its own in a second matching over the groups
+    of the same edges. A completion would give both, so a node that fails
+    either check has none and is cut; as only subtrees without a solution
+    are cut, the first solution in candidate order is the one found.
     """
 
     def __init__(self, reqs: list[Requirement], free: list[int],
@@ -274,6 +290,11 @@ class _Search:
         self.engaged, self.out = engaged, out
         self.roles = {i: reqs[i].role for i in free}
         self.usable = {i: self._usable(reqs[i]) for i in free}
+        # requirement -> resource id -> connector group, where the group
+        # matching can cut more than the resource matching
+        self.groups = ({i: {res.id: conn.group_key for res, conn in usable}
+                        for i, usable in self.usable.items()}
+                       if stand.shares_groups else None)
         # depth, requirement, rejections of the deepest failed node
         self.deepest: tuple = (-1, None, None)
 
@@ -292,26 +313,37 @@ class _Search:
         first = [pair for pair in usable if pair[0].id == prev]
         return first + [pair for pair in usable if pair[0].id != prev]
 
-    def _unmatched(self, k: int) -> tuple[int | None, dict[str, int]]:
-        """The first exclusive requirement from node ``k`` on that the
-        matching leaves without a resource (None if there is none), and the
-        matching."""
+    def _unmatched(self, k: int) -> tuple[int | None, dict]:
+        """The first exclusive requirement from node ``k`` on that a
+        matching leaves without a resource or without a connector group
+        (None if there is none), and that matching: resource id or group
+        key -> requirement index."""
         edges: dict[int, list[str]] = {}
         owner: dict[str, int] = {}
+        group_edges: dict[int, list[tuple[str, int]]] = {}
+        group_owner: dict[tuple[str, int], int] = {}
+        conflict = self.engaged.conflict
         for i in self.free[k:]:
             role = self.roles[i]
             if role == "get":
                 continue
             edges[i] = [res.id for res, conn in self.usable[i]
-                        if self.engaged.conflict(res.id, conn, role) is None]
+                        if conflict(res.id, conn, role) is None]
             if not _augment(i, edges, owner, set()):
                 return i, owner
+            if self.groups is None:
+                continue  # distinct resources, so distinct groups
+            group_edges[i] = list(dict.fromkeys(self.groups[i][rid]
+                                                for rid in edges[i]))
+            if not _augment(i, group_edges, group_owner, set()):
+                return i, group_owner
         return None, owner
 
-    def _record(self, k: int, req: Requirement, owner: dict[str, int] | None):
+    def _record(self, k: int, req: Requirement, owner: dict | None):
         """Record node ``k`` as the failure, naming ``req`` and every
-        resource: the tried ones led to a dead end, or, when the matching
-        cut the node, are held for the pin the matching gave them."""
+        resource: the tried ones led to a dead end, or, when a matching cut
+        the node, they or their connector groups are held for the pin that
+        matching gave them."""
         stand = self.stand
         prev = self._prev(req)
         ordered = list(stand.resources)
@@ -324,10 +356,15 @@ class _Search:
             if reason is None:
                 conn = stand.matrix.connector_for(res.id, req.pin)
                 reason = self.engaged.conflict(res.id, conn, req.role)
-            if reason is None:
-                reason = ("conflict: leads to a dead end" if owner is None
-                          else f"conflict: resource holds a stimulus for pin "
-                               f"{self.reqs[owner[res.id]].pin}")
+            if reason is None and owner is None:
+                reason = "conflict: leads to a dead end"
+            elif reason is None and res.id in owner:
+                reason = (f"conflict: resource holds a stimulus for pin "
+                          f"{self.reqs[owner[res.id]].pin}")
+            elif reason is None:
+                reason = (f"conflict: connector group {_group_name(conn)} is "
+                          f"engaged for pin "
+                          f"{self.reqs[owner[conn.group_key]].pin}")
             rejections.append((res.id, reason))
         self.deepest = (k, req, rejections)
 
@@ -365,16 +402,17 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     glitch a live signal); a changed stimulus prefers its old resource but
     may move. The search is deterministic: resources are tried in table
     row order, requirements in the given order, and the result is the first
-    assignment in that order. A bipartite matching at every search node
-    (``_Search``) cuts subtrees that hold no assignment, so an infeasible
-    step fails in polynomial time wherever the resources alone are
-    overcommitted. The allocation holds one binding per requirement, in
-    the given order.
+    assignment in that order. Two bipartite matchings at every search node
+    (``_Search``) cut subtrees that hold no assignment, so an infeasible
+    step fails in polynomial time wherever the resources alone or the
+    connector groups alone are overcommitted. The allocation holds one
+    binding per requirement, in the given order. A held binding that is
+    passed its own requirement again comes back as the same object.
 
     Raises AllocationError naming the requirement at the deepest failed
-    search node (for a node the matching cut, the requirement it left
-    without a resource) and every candidate resource with its rejection
-    reason.
+    search node (for a node a matching cut, the requirement it left
+    without a resource or a connector group) and every candidate resource
+    with its rejection reason.
     """
     held = dict(held or {})
     reqs = list(requirements)
@@ -383,27 +421,35 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     free: list[int] = []
 
     for i, req in enumerate(reqs):
-        if req.invocation.method in BUS_METHODS:
+        prev = held.get(req.pin)
+        if prev is not None and prev.resource_id not in stand.resources:
+            prev = None
+        if prev is not None and prev.held and prev.requirement is req:
+            # Pinned in the previous step and passed again: the same
+            # binding, without a second look at the requirement.
+            pinned = prev
+        elif req.invocation.method in BUS_METHODS:
             out[i] = Binding(req, "bus")
             continue
-        if req.invocation.is_open_circuit():
+        elif req.invocation.is_open_circuit():
             out[i] = Binding(req, "open_circuit")
             continue
-        prev = held.get(req.pin)
-        if (prev is not None and prev.resource_id in stand.resources
-                and prev.requirement.invocation == req.invocation):
+        elif (prev is not None
+              and prev.requirement.invocation == req.invocation):
             # Unchanged held stimulus: the binding is pinned.
-            role = req.role
-            clash = engaged.conflict(prev.resource_id, prev.connector, role)
-            if clash is not None:
-                raise AllocationError(pin=req.pin, method=req.invocation.method,
-                                      parameter=None,
-                                      candidates=[(prev.resource_id, clash)])
-            engaged.engage(prev.resource_id, prev.connector, role, req.pin)
-            out[i] = Binding(req, "resource", prev.resource_id, prev.connector,
-                             held=True)
+            pinned = Binding(req, "resource", prev.resource_id,
+                             prev.connector, held=True)
+        else:
+            free.append(i)
             continue
-        free.append(i)
+        role = req.role
+        clash = engaged.conflict(pinned.resource_id, pinned.connector, role)
+        if clash is not None:
+            raise AllocationError(pin=req.pin, method=req.invocation.method,
+                                  parameter=None,
+                                  candidates=[(pinned.resource_id, clash)])
+        engaged.engage(pinned.resource_id, pinned.connector, role, req.pin)
+        out[i] = pinned
 
     search = _Search(reqs, free, stand, held, engaged, out)
     if not search.solve(0):

@@ -557,3 +557,130 @@ def test_one_shot_leaves_a_held_stimulus_pinned():
             in report.abort_message)
     assert [r.resource for r in report.steps[0].stimuli] == ["R1", "F"]
     assert all(call[1] != "pb" for call in dut.log if call[0] == "set")
+
+
+HOLD_CHANGE_HOLD_OPEN = """<?xml version="1.0" encoding="UTF-8"?>
+<test name="t" dut="d" format="1">
+  <signals>
+    <signal name="a" direction="input" pins="a" />
+    <signal name="b" direction="input" pins="b" />
+  </signals>
+  <init dt="0.1">
+    <signal name="a">
+      <put_r r="5" />
+    </signal>
+    <signal name="b">
+      <put_r r="(2*ubatt)" />
+    </signal>
+  </init>
+  <step n="0" dt="1" />
+  <step n="1" dt="1" />
+  <step n="2" dt="1">
+    <signal name="a">
+      <put_r r="7" />
+    </signal>
+  </step>
+  <step n="3" dt="1" />
+  <step n="4" dt="1" />
+  <step n="5" dt="1">
+    <signal name="a">
+      <put_r r="INF" />
+    </signal>
+  </step>
+  <step n="6" dt="1" />
+</test>
+"""
+
+
+def test_held_stimuli_share_their_records():
+    # a: applied, held, changed, held, open circuit; b: held throughout.
+    # From its second held block on, an unchanged binding keeps its record.
+    script = load_script(HOLD_CHANGE_HOLD_OPEN)
+    dut = RecordingDut()
+    report = execute(script, manifest_stand(script), ENV, dut)
+    assert not report.aborted
+    assert_blocks_hold(report, dut, script_blocks(script),
+                       {s.name: s.pins for s in script.signals}, ENV)
+    assert report_to_json(report) == reference_report_json(report)
+
+    blocks = [report.settle] + report.steps
+    a = [block.stimuli[0] for block in blocks]
+    b = [block.stimuli[1] for block in blocks]
+    assert [(r.params["r"], r.delivery, r.held, r.changed) for r in a] == [
+        ("5", "resource", False, True), ("5", "resource", True, False),
+        ("5", "resource", True, False), ("7", "resource", False, True),
+        ("7", "resource", True, False), ("7", "resource", True, False),
+        ("INF", "open_circuit", False, True),
+        ("INF", "open_circuit", False, False)]
+    shared = [k for k in range(1, len(blocks)) if a[k] is a[k - 1]]
+    assert shared == [2, 5]
+    assert all(b[k] is b[1] for k in range(2, len(blocks)))
+    assert b[1] is not b[0] and b[1].params["r"] == "24.0"
+    with pytest.raises(AttributeError):
+        b[1].held = False  # shared records are read-only
+
+
+TRAILING_ZEROS = """<?xml version="1.0" encoding="UTF-8"?>
+<test name="t" dut="d" format="1">
+  <signals>
+    <signal name="a" direction="input" pins="a" />
+    <signal name="b" direction="output" pins="b" />
+  </signals>
+  <init dt="0.1">
+    <signal name="a">
+      <put_r r="(1*ubatt)" />
+    </signal>
+  </init>
+  <step n="0" dt="1">
+    <signal name="a">
+      <put_r r="(1.0*ubatt)" />
+    </signal>
+    <signal name="b">
+      <get_u u_max="(1*ubatt)" />
+    </signal>
+  </step>
+  <step n="1" dt="1">
+    <signal name="b">
+      <get_u u_max="(1.0*ubatt)" />
+    </signal>
+  </step>
+</test>
+"""
+
+
+def test_equal_expressions_keep_their_own_digits():
+    # (1*ubatt) equals (1.0*ubatt) as a tree and as a value, but each is
+    # evaluated and rendered from its own digits.
+    script = load_script(TRAILING_ZEROS)
+    dut = RecordingDut()
+    report = execute(script, manifest_stand(script), ENV, dut)
+    assert_blocks_hold(report, dut, script_blocks(script),
+                       {s.name: s.pins for s in script.signals}, ENV)
+    assert [(s.stimuli[0].params["r"], s.stimuli[0].changed)
+            for s in [report.settle] + report.steps] == [
+        ("12.0", True), ("12.00", False), ("12.00", False)]
+    assert [str(s.checks[0].high) for s in report.steps] == ["12.0", "12.00"]
+    assert report_to_json(report) == reference_report_json(report)
+
+
+def test_failing_expression_aborts_where_first_used():
+    # vx is unbound: the run aborts at step 1, its first use, and not
+    # before; nothing of step 1 or later is driven.
+    xml = TRAILING_ZEROS.replace('<get_u u_max="(1.0*ubatt)" />',
+                                 '<get_u u_max="(1.0*vx)" />')
+    xml = xml.replace('  </step>\n</test>', '''  </step>
+  <step n="2" dt="1">
+    <signal name="b">
+      <get_u u_max="(1.0*vx)" />
+    </signal>
+  </step>
+</test>''')
+    script = load_script(xml)
+    dut = RecordingDut()
+    report = execute(script, manifest_stand(script), ENV, dut)
+    assert (report.abort_step, report.abort_kind) == (1, "environment")
+    assert report.abort_message == "unbound variable vx"
+    assert len(report.steps) == 1
+    assert dut.log[-2:] == [("advance", Decimal("1")), ("read", "b")]
+    assert_blocks_hold(report, dut, script_blocks(script),
+                       {s.name: s.pins for s in script.signals}, ENV)

@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 from decimal import Decimal
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from comptest import (AllocationError, ConnectionMatrix, Connector,
                       MethodInvocation, Requirement, ResourceDef,
                       ResourceTable, StandModel, StandError, allocate,
-                      load_script, parse_connector, INF)
+                      build_dut, execute, load_script, parse_connector,
+                      report_to_json, INF)
 
 from oracles import (assert_allocation_sound, enumeration_feasible,
                      first_feasible, random_stand_case)
@@ -150,6 +152,30 @@ def test_unchanged_held_stimulus_is_pinned(demo_stand):
     assert by_pin["ds_fl"].held
     assert by_pin["ds_fr"].resource_id == "Ress3"
     assert_allocation_sound(reqs, demo_stand, second, held)
+
+
+def test_equal_requirements_pin_like_the_same_ones(demo_stand):
+    # A held binding passed its own requirement again is handed back as it
+    # is; a fresh but equal requirement is pinned to the same place.
+    def reqs():
+        return [Requirement("ds_fl", put_r(Decimal("0"))),
+                Requirement("ds_fr", put_r(Decimal("1")))]
+
+    same = reqs()
+    first = allocate(same, demo_stand)
+    pinned = allocate(same, demo_stand, first.holds())
+    again = allocate(same, demo_stand, pinned.holds())
+    fresh = allocate(reqs(), demo_stand, pinned.holds())
+
+    def placed(alloc):
+        return [(b.requirement.pin, b.resource_id, b.connector, b.held)
+                for b in alloc.bindings]
+
+    assert not any(b.held for b in first.bindings)
+    assert placed(again) == placed(fresh) == placed(pinned)
+    assert all(b.held for b in fresh.bindings)
+    assert all(a is b for a, b in zip(again.bindings, pinned.bindings))
+    assert not any(a is b for a, b in zip(fresh.bindings, pinned.bindings))
 
 
 def test_changed_stimulus_prefers_previous_resource(demo_stand):
@@ -298,7 +324,42 @@ def test_pigeonhole_fails_on_the_last_pin(n):
                for _, reason in err.value.candidates)
 
 
-def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand):
+def _paired_groups_stand(n):
+    """2n interchangeable resources where resources 2i-1 and 2i share mux
+    group i, each wired to all n+1 pins: only the groups are overcommitted."""
+    resources = ResourceTable([
+        ResourceDef(f"R{r}", "put_r", "r", Decimal(0), Decimal(1000))
+        for r in range(1, 2 * n + 1)])
+    pins = [f"p{j}" for j in range(n + 1)]
+    matrix = ConnectionMatrix(
+        pins, [res.id for res in resources],
+        {(f"R{r}", pin): Connector("mux", (r + 1) // 2,
+                                   (r - 1) % 2 * (n + 1) + j + 1)
+         for r in range(1, 2 * n + 1) for j, pin in enumerate(pins)})
+    reqs = [Requirement(pin, put_r(Decimal("5"))) for pin in pins]
+    return StandModel(resources, matrix), reqs
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_overcommitted_groups_fail_at_once(n):
+    # Each pin gets a resource of its own, but n groups cannot serve n+1
+    # pins; without the group matching the search tries every assignment.
+    stand, reqs = _paired_groups_stand(n)
+    start = time.perf_counter()
+    with pytest.raises(AllocationError) as err:
+        allocate(reqs, stand)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.pin == f"p{n}"
+    assert [rid for rid, _ in err.value.candidates] == \
+        [f"R{r}" for r in range(1, 2 * n + 1)]
+    assert all(reason.startswith("conflict: connector group Mx")
+               for _, reason in err.value.candidates)
+    if n == 3:
+        assert first_feasible(reqs, stand) is None
+
+
+def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand,
+                                                     demo_env):
     # Garbage left to the cyclic collector stays alive until a collection
     # runs, which inflates peak memory; each call must free by refcount.
     one = [Requirement("ds_fl", put_r(Decimal("1")))]
@@ -313,6 +374,11 @@ def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand):
         assert gc.collect() == 0
         with pytest.raises(AllocationError):
             allocate(three, demo_stand)
+        assert gc.collect() == 0
+        report = execute(load_script(demo_xml), demo_stand, demo_env,
+                         build_dut("interior_illumination", demo_env))
+        report_to_json(report)
+        del report
         assert gc.collect() == 0
     finally:
         gc.enable()
