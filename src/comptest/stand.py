@@ -131,9 +131,6 @@ class StandModel:
     #: resource table row order (the search's candidate order).
     wired: dict[str, list[tuple[ResourceDef, Connector]]] = field(
         init=False, repr=False, compare=False)
-    #: Whether two resources reach pins through one connector group. If
-    #: not, distinct resources always engage distinct groups.
-    shares_groups: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for rid in self.matrix.rows:
@@ -147,17 +144,14 @@ class StandModel:
         for res in self.resources:
             for pin, conn in by_resource.get(res.id, ()):
                 self.wired.setdefault(pin, []).append((res, conn))
-        self.shares_groups = False
-        first: dict[tuple[str, int], str] = {}  # group -> its first resource
-        for (rid, _), conn in self.matrix.cells.items():
-            if first.setdefault(conn.group_key, rid) != rid:
-                self.shares_groups = True
-                break
 
 
 @dataclass
 class Requirement:
-    """One thing a step needs: an invocation delivered to one pin."""
+    """One thing a step needs: an invocation delivered to one pin.
+
+    Read-only once passed to ``allocate``: a held binding keeps it and is
+    handed back unchecked when the same object is passed again."""
 
     pin: str
     invocation: MethodInvocation
@@ -211,10 +205,6 @@ def _static_reject(res: ResourceDef, req: Requirement,
     return None
 
 
-def _group_name(conn: Connector) -> str:
-    return f"{_PREFIX[conn.kind]}{conn.group}"
-
-
 class _Engagements:
     """Occupancy bookkeeping that supports get-class time-sharing."""
 
@@ -231,10 +221,10 @@ class _Engagements:
             return "conflict: resource is sampling checks this step"
         grp = conn.group_key
         if grp in self.put_grp:
-            return (f"conflict: connector group {_group_name(conn)} "
+            return (f"conflict: connector group {_PREFIX[conn.kind]}{conn.group} "
                     f"is engaged for pin {self.put_grp[grp]}")
         if role != "get" and self.get_grp.get(grp, 0):
-            return (f"conflict: connector group {_group_name(conn)} "
+            return (f"conflict: connector group {_PREFIX[conn.kind]}{conn.group} "
                     f"is sampling checks this step")
         return None
 
@@ -276,11 +266,15 @@ class _Search:
 
     Before a node expands, every remaining exclusive (non-get) requirement
     must get a resource of its own in a maximum matching whose edges join
-    it to the statically usable resources that the engagements still allow,
-    and a connector group of its own in a second matching over the groups
-    of the same edges. A completion would give both, so a node that fails
-    either check has none and is cut; as only subtrees without a solution
-    are cut, the first solution in candidate order is the one found.
+    it to the statically usable resources that the engagements still allow.
+    Before a node tries its second candidate, each must also get a
+    connector group of its own in a matching over the groups of the same
+    edges. A completion would give both, so a node that fails either check
+    has none and is cut; as only subtrees without a solution are cut, the
+    first solution in candidate order is the one found. The group check
+    waits for a failed candidate, as most nodes' first candidate leads to
+    the solution; a node whose groups are overcommitted still costs only
+    the chain of first candidates below it.
     """
 
     def __init__(self, reqs: list[Requirement], free: list[int],
@@ -290,11 +284,6 @@ class _Search:
         self.engaged, self.out = engaged, out
         self.roles = {i: reqs[i].role for i in free}
         self.usable = {i: self._usable(reqs[i]) for i in free}
-        # requirement -> resource id -> connector group, where the group
-        # matching can cut more than the resource matching
-        self.groups = ({i: {res.id: conn.group_key for res, conn in usable}
-                        for i, usable in self.usable.items()}
-                       if stand.shares_groups else None)
         # depth, requirement, rejections of the deepest failed node
         self.deepest: tuple = (-1, None, None)
 
@@ -313,37 +302,29 @@ class _Search:
         first = [pair for pair in usable if pair[0].id == prev]
         return first + [pair for pair in usable if pair[0].id != prev]
 
-    def _unmatched(self, k: int) -> tuple[int | None, dict]:
-        """The first exclusive requirement from node ``k`` on that a
-        matching leaves without a resource or without a connector group
-        (None if there is none), and that matching: resource id or group
-        key -> requirement index."""
-        edges: dict[int, list[str]] = {}
-        owner: dict[str, int] = {}
-        group_edges: dict[int, list[tuple[str, int]]] = {}
-        group_owner: dict[tuple[str, int], int] = {}
-        conflict = self.engaged.conflict
+    def _unmatched(self, k: int, groups: bool = False
+                   ) -> tuple[int | None, dict]:
+        """The first exclusive requirement from node ``k`` on that the
+        matching leaves without a resource, or with ``groups`` without a
+        connector group (None if there is none), and the matching: resource
+        id or group key -> requirement index."""
+        edges: dict[int, list] = {}
+        owner: dict = {}
         for i in self.free[k:]:
             role = self.roles[i]
             if role == "get":
                 continue
-            edges[i] = [res.id for res, conn in self.usable[i]
-                        if conflict(res.id, conn, role) is None]
+            edges[i] = [conn.group_key if groups else res.id
+                        for res, conn in self.usable[i]
+                        if self.engaged.conflict(res.id, conn, role) is None]
             if not _augment(i, edges, owner, set()):
                 return i, owner
-            if self.groups is None:
-                continue  # distinct resources, so distinct groups
-            group_edges[i] = list(dict.fromkeys(self.groups[i][rid]
-                                                for rid in edges[i]))
-            if not _augment(i, group_edges, group_owner, set()):
-                return i, group_owner
         return None, owner
 
-    def _record(self, k: int, req: Requirement, owner: dict | None):
+    def _record(self, k: int, req: Requirement, owner: dict[str, int] | None):
         """Record node ``k`` as the failure, naming ``req`` and every
-        resource: the tried ones led to a dead end, or, when a matching cut
-        the node, they or their connector groups are held for the pin that
-        matching gave them."""
+        resource: the tried ones led to a dead end, or, when the matching
+        cut the node, are held for the pin the matching gave them."""
         stand = self.stand
         prev = self._prev(req)
         ordered = list(stand.resources)
@@ -356,15 +337,10 @@ class _Search:
             if reason is None:
                 conn = stand.matrix.connector_for(res.id, req.pin)
                 reason = self.engaged.conflict(res.id, conn, req.role)
-            if reason is None and owner is None:
-                reason = "conflict: leads to a dead end"
-            elif reason is None and res.id in owner:
-                reason = (f"conflict: resource holds a stimulus for pin "
-                          f"{self.reqs[owner[res.id]].pin}")
-            elif reason is None:
-                reason = (f"conflict: connector group {_group_name(conn)} is "
-                          f"engaged for pin "
-                          f"{self.reqs[owner[conn.group_key]].pin}")
+            if reason is None:
+                reason = ("conflict: leads to a dead end" if owner is None
+                          else f"conflict: resource holds a stimulus for pin "
+                               f"{self.reqs[owner[res.id]].pin}")
             rejections.append((res.id, reason))
         self.deepest = (k, req, rejections)
 
@@ -379,9 +355,14 @@ class _Search:
         i = self.free[k]
         req, role = self.reqs[i], self.roles[i]
         engaged = self.engaged
+        tries = 0
         for res, conn in self.usable[i]:
             if engaged.conflict(res.id, conn, role) is not None:
                 continue
+            tries += 1
+            if tries == 2 and self._unmatched(k, groups=True)[0] is not None:
+                # Cut: the failed first candidate recorded a deeper node.
+                break
             engaged.engage(res.id, conn, role, req.pin)
             self.out[i] = Binding(req, "resource", res.id, conn)
             if self.solve(k + 1):
@@ -402,17 +383,20 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     glitch a live signal); a changed stimulus prefers its old resource but
     may move. The search is deterministic: resources are tried in table
     row order, requirements in the given order, and the result is the first
-    assignment in that order. Two bipartite matchings at every search node
-    (``_Search``) cut subtrees that hold no assignment, so an infeasible
-    step fails in polynomial time wherever the resources alone or the
-    connector groups alone are overcommitted. The allocation holds one
-    binding per requirement, in the given order. A held binding that is
-    passed its own requirement again comes back as the same object.
+    assignment in that order. Bipartite matchings of the remaining
+    requirements to resources and to connector groups (``_Search``) cut
+    subtrees that hold no assignment, so an infeasible step fails in
+    polynomial time wherever the resources alone or the connector groups
+    alone are overcommitted. The allocation holds one binding per
+    requirement, in the given order. A held binding that is passed its own
+    requirement again comes back as the same object, with its invocation
+    not compared or range-checked again: a requirement must not be changed
+    in place once allocated. Pass a new one instead.
 
     Raises AllocationError naming the requirement at the deepest failed
-    search node (for a node a matching cut, the requirement it left
-    without a resource or a connector group) and every candidate resource
-    with its rejection reason.
+    search node (for a node the resource matching cut, the requirement it
+    left without a resource) and every candidate resource with its
+    rejection reason.
     """
     held = dict(held or {})
     reqs = list(requirements)

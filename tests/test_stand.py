@@ -350,10 +350,13 @@ def test_overcommitted_groups_fail_at_once(n):
         allocate(reqs, stand)
     assert time.perf_counter() - start < 1.0
     assert err.value.pin == f"p{n}"
-    assert [rid for rid, _ in err.value.candidates] == \
-        [f"R{r}" for r in range(1, 2 * n + 1)]
-    assert all(reason.startswith("conflict: connector group Mx")
-               for _, reason in err.value.candidates)
+    # The deepest node is the chain of first candidates: p0..p{n-1} hold
+    # R1, R3, ..., and with them every group.
+    assert err.value.candidates == [
+        (f"R{r}", f"conflict: resource holds a stimulus for pin p{r // 2}"
+         if r % 2 else f"conflict: connector group Mx{r // 2} is engaged "
+                       f"for pin p{r // 2 - 1}")
+        for r in range(1, 2 * n + 1)]
     if n == 3:
         assert first_feasible(reqs, stand) is None
 
