@@ -29,8 +29,8 @@ from .stand import BUS_METHODS, Binding, Requirement, StandModel, allocate
 @dataclass(frozen=True)
 class StimulusRecord:
     """One stimulus of one block, as reported. Records are read-only: a
-    held stimulus whose binding did not change shares its record with the
-    blocks before it."""
+    stimulus in force shares its records from its second unchanged block
+    on."""
 
     signal: str
     pin: str
@@ -150,38 +150,29 @@ def _rendered(inv: MethodInvocation) -> dict[str, str]:
     return {k: render_value(v) for k, v in inv.params.items()}
 
 
-def _stimulus_records(bindings: list[Binding],
-                      stimuli: Mapping[str, MethodInvocation],
-                      shown: Mapping[str, dict[str, str]], changed: set[str],
-                      last: dict[str, tuple[Binding, StimulusRecord]]
-                      ) -> list[StimulusRecord]:
-    """Records of the block's stimulus bindings (puts and one-shots). A put
-    shows the params ``shown`` rendered for the stimulus in force. ``last``
-    maps a pin to its latest held binding and record: a binding that
-    ``allocate`` handed back unchanged keeps its record."""
-    records = []
-    for b in bindings:
-        req = b.requirement
-        prev = last.get(req.pin)
-        if prev is not None and prev[0] is b:
-            records.append(prev[1])
-            continue
-        if req.role == "get":
-            continue
-        inv = req.invocation
-        signal = req.signal or req.pin
-        params = (shown[signal] if stimuli.get(signal) is inv
-                  else _rendered(inv))
-        connector = str(b.connector) if b.connector else None
-        # Positional: a frozen dataclass sets each field by a call, and
-        # keywords make that slower still.
-        record = StimulusRecord(signal, req.pin, inv.method, params,
-                                b.delivery, b.resource_id, connector, b.held,
-                                signal in changed)
-        records.append(record)
-        if b.held:
-            last[req.pin] = (b, record)
-    return records
+def _record(b: Binding, params: dict[str, str],
+            changed: bool) -> StimulusRecord:
+    req = b.requirement
+    connector = str(b.connector) if b.connector else None
+    # Positional: a frozen dataclass sets each field by a call, and
+    # keywords make that slower still.
+    return StimulusRecord(req.signal, req.pin, req.invocation.method, params,
+                          b.delivery, b.resource_id, connector, b.held,
+                          changed)
+
+
+@dataclass
+class _InForce:
+    """A stimulus in force, built when its put appears: the invocation as
+    applied, its rendered params and its requirements (one per target).
+    ``records`` are those of its first unchanged block, shared by every
+    later one: ``allocate`` pins an unchanged held resource or aborts, and
+    no other delivery changes while the stimulus does not."""
+
+    invocation: MethodInvocation
+    params: dict[str, str]
+    requirements: list[Requirement]
+    records: list[StimulusRecord] | None = None
 
 
 def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
@@ -192,9 +183,10 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
     one block body: a put replaces the stimulus in force for its signal and
     is evaluated once, when it appears; a get is sampled at the end of its
     own block's dwell; any other method is a one-shot, allocated for its
-    block only and never evaluated, applied, held or sampled. A held
-    stimulus passes the same requirements to every block, so ``allocate``
-    hands its binding back and the report shares its record.
+    block only and never evaluated, applied, held or sampled. A stimulus in
+    force passes the same requirements to every block, so ``allocate``
+    hands a held binding back, and shares its records from its second
+    unchanged block on (see _InForce).
 
     The report is complete and deterministic: byte-identical for identical
     inputs. The run aborts on allocation errors, unbound environment
@@ -207,15 +199,8 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
     records: list[StepRecord] = []  # the init block's, then one per step
     clock = Decimal("0")
     values: dict[int, Decimal] = {}  # see _evaluate
-    # The stimuli in force, as applied, their rendered params and their
-    # requirements (one per target). All three are built when the put
-    # appears and shared by every block that holds it, so that allocate
-    # and the records see the same objects again.
-    stimuli: dict[str, MethodInvocation] = {}
-    shown: dict[str, dict[str, str]] = {}
-    required: dict[str, list[Requirement]] = {}
+    in_force: dict[str, _InForce] = {}
     held: dict[str, Binding] = {}
-    last: dict[str, tuple[Binding, StimulusRecord]] = {}
 
     def targets(signal: str, inv: MethodInvocation) -> tuple[str, ...]:
         # A bus method reaches the DUT by signal name, all else by pin.
@@ -254,22 +239,26 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
                       for sig, inv in checks]
         except EvalError as exc:
             return report(where, "environment", str(exc))
-        changed = []
+        changed: dict[str, _InForce] = {}
         for sig, inv in puts.items():
             rendered = _rendered(inv)
-            if stimuli.get(sig) != inv:
-                changed.append(sig)
-            elif shown[sig] == rendered:
-                continue  # restated as it stands: keep its objects
-            stimuli[sig] = inv
-            shown[sig] = rendered
-            required[sig] = [Requirement(target, inv, sig)
-                             for target in targets(sig, inv)]
+            entry = in_force.get(sig)
+            new = entry is None or entry.invocation != inv
+            if not new and entry.params == rendered:
+                continue  # restated as it stands: keep its entry
+            in_force[sig] = entry = _InForce(inv, rendered, [
+                Requirement(target, inv, sig)
+                for target in targets(sig, inv)])
+            if new:
+                changed[sig] = entry
 
-        reqs = [req for sig_reqs in required.values() for req in sig_reqs]
+        reqs = [req for entry in in_force.values()
+                for req in entry.requirements]
         reqs += [Requirement(target, inv, sig)
-                 for sig, inv in one_shots + checks
-                 for target in targets(sig, inv)]
+                 for sig, inv in one_shots for target in targets(sig, inv)]
+        n_stimuli = len(reqs)  # the checks' requirements follow
+        reqs += [Requirement(target, inv, sig)
+                 for sig, inv in checks for target in targets(sig, inv)]
         try:
             alloc = allocate(reqs, stand, held)
         except AllocationError as exc:
@@ -284,10 +273,10 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
 
         check_records: list[CheckRecord] = []
         try:
-            for signal in changed:
-                inv = puts[signal]
-                for target in targets(signal, inv):
-                    dut.set_input(target, inv.principal_value(), _aux(inv))
+            for entry in changed.values():
+                inv = entry.invocation
+                for req in entry.requirements:
+                    dut.set_input(req.pin, inv.principal_value(), _aux(inv))
             dut.advance(dt)
             for signal, inv in checks:
                 low, high = _bounds(inv)
@@ -300,10 +289,22 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
         except Exception as exc:  # a faulty DUT plugin, see _dut_fault
             return report(where, "environment", _dut_fault(exc))
         clock = t_end
-        records.append(StepRecord(index, dt, clock,
-                                  _stimulus_records(alloc.bindings, stimuli,
-                                                    shown, set(changed), last),
-                                  check_records))
+        stimuli: list[StimulusRecord] = []
+        at = 0  # bindings come in the order of reqs
+        for sig, entry in in_force.items():
+            n = len(entry.requirements)
+            block_records = entry.records
+            if block_records is None:
+                new = sig in changed
+                block_records = [_record(b, entry.params, new)
+                                 for b in alloc.bindings[at:at + n]]
+                if not new:
+                    entry.records = block_records
+            stimuli += block_records
+            at += n
+        stimuli += [_record(b, _rendered(b.requirement.invocation), False)
+                    for b in alloc.bindings[at:n_stimuli]]
+        records.append(StepRecord(index, dt, clock, stimuli, check_records))
     return report()
 
 
@@ -349,10 +350,10 @@ def _check_json(c: CheckRecord, pad: str) -> str:
 
 def _step_json(s: StepRecord, pad: str,
                last: Mapping[int, str]) -> tuple[str, dict[int, str]]:
-    """The step's JSON, and the fragments of its held stimuli by record
-    identity. ``last`` holds the previous step's: a held stimulus whose
-    binding did not change shares its record with that step and is written
-    once. Nothing else can repeat, so no other fragment is kept."""
+    """The step's JSON, and the fragments of its unchanged stimuli by
+    record identity. ``last`` holds the previous step's: an unchanged
+    stimulus may share its record with that step, and is written once. A
+    changed one has a new record, so its fragment is not kept."""
     q = pad + "  "
     item = q + "  "
     fragments = [last.get(id(r)) or _stimulus_json(r, item)
@@ -363,7 +364,8 @@ def _step_json(s: StepRecord, pad: str,
             f'{q}"passed": {"true" if s.passed else "false"},'
             f'{q}"stimuli": {_array(fragments, q)},'
             f'{q}"checks": {checks}{pad}}}',
-            {id(r): text for r, text in zip(s.stimuli, fragments) if r.held})
+            {id(r): text for r, text in zip(s.stimuli, fragments)
+             if not r.changed})
 
 
 def _steps_json(steps: list[StepRecord], pad: str) -> str:

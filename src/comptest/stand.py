@@ -146,21 +146,19 @@ class StandModel:
                 self.wired.setdefault(pin, []).append((res, conn))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Requirement:
-    """One thing a step needs: an invocation delivered to one pin.
-
-    Read-only once passed to ``allocate``: a held binding keeps it and is
-    handed back unchecked when the same object is passed again."""
+    """One thing a step needs: an invocation delivered to one pin."""
 
     pin: str
     invocation: MethodInvocation
     signal: str | None = None
 
     @property
-    def role(self) -> str:
-        # "get" bindings time-share; everything else is exclusive.
-        return method_class(self.invocation.method) or "put"
+    def role(self) -> str | None:
+        # "put", "get" or None for a one-shot. "get" bindings time-share;
+        # everything else is exclusive.
+        return method_class(self.invocation.method)
 
 
 @dataclass
@@ -180,8 +178,7 @@ class Allocation:
         """Put-class bindings: the stimuli that persist into the next step.
         One-shots are allocated for their own block only."""
         return {b.requirement.pin: b for b in self.bindings
-                if b.delivery == "resource"
-                and method_class(b.requirement.invocation.method) == "put"}
+                if b.delivery == "resource" and b.requirement.role == "put"}
 
 
 def _range_offence(res: ResourceDef, inv: MethodInvocation) -> tuple[str, Decimal] | None:
@@ -289,9 +286,7 @@ class _Search:
 
     def _prev(self, req: Requirement) -> str | None:
         prev = self.held.get(req.pin)
-        if prev is not None and prev.resource_id in self.stand.resources:
-            return prev.resource_id
-        return None
+        return None if prev is None else prev.resource_id
 
     def _usable(self, req: Requirement) -> list[tuple[ResourceDef, Connector]]:
         """Statically usable resources: previous resource first, then row
@@ -324,7 +319,7 @@ class _Search:
     def _record(self, k: int, req: Requirement, owner: dict[str, int] | None):
         """Record node ``k`` as the failure, naming ``req`` and every
         resource: the tried ones led to a dead end, or, when the matching
-        cut the node, are held for the pin the matching gave them."""
+        cut the node, are needed for the pin the matching gave them."""
         stand = self.stand
         prev = self._prev(req)
         ordered = list(stand.resources)
@@ -339,7 +334,7 @@ class _Search:
                 reason = self.engaged.conflict(res.id, conn, req.role)
             if reason is None:
                 reason = ("conflict: leads to a dead end" if owner is None
-                          else f"conflict: resource holds a stimulus for pin "
+                          else f"conflict: resource is needed for pin "
                                f"{self.reqs[owner[res.id]].pin}")
             rejections.append((res.id, reason))
         self.deepest = (k, req, rejections)
@@ -378,27 +373,28 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
              held: Mapping[str, Binding] | None = None) -> Allocation:
     """Find a conflict-free binding for every requirement.
 
-    ``held`` carries the stimulus bindings of the previous step. A held
-    stimulus whose value is unchanged keeps its binding (moving it would
-    glitch a live signal); a changed stimulus prefers its old resource but
-    may move. The search is deterministic: resources are tried in table
-    row order, requirements in the given order, and the result is the first
-    assignment in that order. Bipartite matchings of the remaining
+    ``held`` carries the stimulus bindings of the previous step; those
+    whose resource is not in ``stand`` are ignored. A held stimulus whose
+    value is unchanged keeps its binding (moving it would glitch a live
+    signal); a changed stimulus prefers its old resource but may move. The
+    search is deterministic: resources are tried in table row order,
+    requirements in the given order, and the result is the first assignment
+    in that order. Bipartite matchings of the remaining
     requirements to resources and to connector groups (``_Search``) cut
     subtrees that hold no assignment, so an infeasible step fails in
     polynomial time wherever the resources alone or the connector groups
     alone are overcommitted. The allocation holds one binding per
     requirement, in the given order. A held binding that is passed its own
     requirement again comes back as the same object, with its invocation
-    not compared or range-checked again: a requirement must not be changed
-    in place once allocated. Pass a new one instead.
+    not compared or range-checked again.
 
     Raises AllocationError naming the requirement at the deepest failed
     search node (for a node the resource matching cut, the requirement it
     left without a resource) and every candidate resource with its
     rejection reason.
     """
-    held = dict(held or {})
+    held = {pin: b for pin, b in (held or {}).items()
+            if b.resource_id in stand.resources}
     reqs = list(requirements)
     out: list[Binding | None] = [None] * len(reqs)
     engaged = _Engagements()
@@ -406,8 +402,6 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
 
     for i, req in enumerate(reqs):
         prev = held.get(req.pin)
-        if prev is not None and prev.resource_id not in stand.resources:
-            prev = None
         if prev is not None and prev.held and prev.requirement is req:
             # Pinned in the previous step and passed again: the same
             # binding, without a second look at the requirement.

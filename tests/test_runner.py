@@ -564,6 +564,7 @@ HOLD_CHANGE_HOLD_OPEN = """<?xml version="1.0" encoding="UTF-8"?>
   <signals>
     <signal name="a" direction="input" pins="a" />
     <signal name="b" direction="input" pins="b" />
+    <signal name="c" direction="input" pins="c" />
   </signals>
   <init dt="0.1">
     <signal name="a">
@@ -571,6 +572,9 @@ HOLD_CHANGE_HOLD_OPEN = """<?xml version="1.0" encoding="UTF-8"?>
     </signal>
     <signal name="b">
       <put_r r="(2*ubatt)" />
+    </signal>
+    <signal name="c">
+      <put_can data="01B" />
     </signal>
   </init>
   <step n="0" dt="1" />
@@ -580,7 +584,11 @@ HOLD_CHANGE_HOLD_OPEN = """<?xml version="1.0" encoding="UTF-8"?>
       <put_r r="7" />
     </signal>
   </step>
-  <step n="3" dt="1" />
+  <step n="3" dt="1">
+    <signal name="c">
+      <put_can data="01B" />
+    </signal>
+  </step>
   <step n="4" dt="1" />
   <step n="5" dt="1">
     <signal name="a">
@@ -588,13 +596,16 @@ HOLD_CHANGE_HOLD_OPEN = """<?xml version="1.0" encoding="UTF-8"?>
     </signal>
   </step>
   <step n="6" dt="1" />
+  <step n="7" dt="1" />
 </test>
 """
 
 
 def test_held_stimuli_share_their_records():
-    # a: applied, held, changed, held, open circuit; b: held throughout.
-    # From its second held block on, an unchanged binding keeps its record.
+    # a: applied, held, changed, held, open circuit, held open; b and the
+    # bus signal c (restated as it stands at step 3): held throughout. From
+    # its second unchanged block on, a stimulus in force keeps its record,
+    # whatever its delivery.
     script = load_script(HOLD_CHANGE_HOLD_OPEN)
     dut = RecordingDut()
     report = execute(script, manifest_stand(script), ENV, dut)
@@ -606,16 +617,22 @@ def test_held_stimuli_share_their_records():
     blocks = [report.settle] + report.steps
     a = [block.stimuli[0] for block in blocks]
     b = [block.stimuli[1] for block in blocks]
+    c = [block.stimuli[2] for block in blocks]
     assert [(r.params["r"], r.delivery, r.held, r.changed) for r in a] == [
         ("5", "resource", False, True), ("5", "resource", True, False),
         ("5", "resource", True, False), ("7", "resource", False, True),
         ("7", "resource", True, False), ("7", "resource", True, False),
         ("INF", "open_circuit", False, True),
+        ("INF", "open_circuit", False, False),
         ("INF", "open_circuit", False, False)]
     shared = [k for k in range(1, len(blocks)) if a[k] is a[k - 1]]
-    assert shared == [2, 5]
+    assert shared == [2, 5, 8]
     assert all(b[k] is b[1] for k in range(2, len(blocks)))
     assert b[1] is not b[0] and b[1].params["r"] == "24.0"
+    assert [(r.delivery, r.held, r.changed) for r in c[:2]] == [
+        ("bus", False, True), ("bus", False, False)]
+    assert all(c[k] is c[1] for k in range(2, len(blocks)))
+    assert c[1] is not c[0]
     with pytest.raises(AttributeError):
         b[1].held = False  # shared records are read-only
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import time
@@ -178,6 +179,14 @@ def test_equal_requirements_pin_like_the_same_ones(demo_stand):
     assert not any(a is b for a, b in zip(fresh.bindings, pinned.bindings))
 
 
+def test_requirements_are_read_only():
+    # A held binding is handed back without a second look at its
+    # requirement, so a requirement cannot change once made.
+    req = Requirement("ds_fl", put_r(Decimal("0")))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        req.invocation = put_r(Decimal("7"))
+
+
 def test_changed_stimulus_prefers_previous_resource(demo_stand):
     first = allocate([Requirement("ds_fl", put_r(Decimal("0")))], demo_stand)
     second = allocate([Requirement("ds_fl", put_r(Decimal("7")))], demo_stand,
@@ -320,8 +329,14 @@ def test_pigeonhole_fails_on_the_last_pin(n):
     assert err.value.pin == f"p{n}"
     assert [rid for rid, _ in err.value.candidates] == \
         [f"P{i}" for i in range(1, n + 1)]
-    assert all(reason.startswith("conflict: resource holds a stimulus")
+    # The matching cut the root, where no binding holds a resource: each
+    # resource is named with the pin the matching gave it, one pin each.
+    prefix = "conflict: resource is needed for pin "
+    assert all(reason.startswith(prefix)
                for _, reason in err.value.candidates)
+    assert sorted(reason[len(prefix):]
+                  for _, reason in err.value.candidates) == \
+        sorted(f"p{j}" for j in range(n))
 
 
 def _paired_groups_stand(n):
