@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import SheetError
-from .sheets import (BIT_LITERAL, INF, Scalar, SignalDef, SignalTable,
-                     StatusDef, StatusTable, TestSequence, TestStep,
-                     parse_number)
+from .sheets import (INF, Scalar, SignalDef, SignalTable, StatusDef,
+                     StatusTable, TestSequence, TestStep, check_ident,
+                     check_unique, parse_number, parse_scalar,
+                     parse_step_index)
 from .stand import (ConnectionMatrix, Connector, ResourceDef, ResourceTable,
                     parse_connector)
 
@@ -50,39 +51,24 @@ def _norm(cell: str) -> str:
     return "".join(ch for ch in cell.casefold() if ch.isalnum())
 
 
-def _parse_number(cell: str, dialect: CsvDialect, sheet: str, row: int,
-                  column: str) -> Decimal:
+def _parse_cell(cell: str, dialect: CsvDialect, sheet: str, row: int,
+                column: str, read=parse_number) -> Scalar:
+    """Read a number (``read=parse_number``) or a scalar cell in ``dialect``."""
     text = cell.strip()
     for ch in ".,":
         if ch != dialect.decimal_separator and ch in text:
             raise SheetError(f"malformed number {cell!r}", sheet=sheet,
                              row=row, column=column)
     try:
-        return parse_number(text.replace(dialect.decimal_separator, "."))
+        return read(text.replace(dialect.decimal_separator, "."))
     except ValueError as exc:
         raise SheetError(str(exc), sheet=sheet, row=row,
                          column=column) from None
 
 
-def _parse_scalar(cell: str, dialect: CsvDialect, sheet: str, row: int,
-                  column: str, *, bits: bool = False,
-                  inf: bool = False) -> Scalar:
-    text = cell.strip()
-    if inf and text.casefold() == "inf":
-        return INF
-    if bits and BIT_LITERAL.match(text):
-        return text
-    return _parse_number(cell, dialect, sheet, row, column)
-
-
 def _ident(cell: str, sheet: str, row: int, column: str) -> str:
-    text = cell.strip()
-    if not text:
-        raise SheetError("empty identifier", sheet=sheet, row=row, column=column)
-    if any(ch.isspace() for ch in text):
-        raise SheetError(f"identifier {text!r} contains whitespace",
-                         sheet=sheet, row=row, column=column)
-    return text
+    return check_ident(cell.strip(), SheetError, sheet=sheet, row=row,
+                       column=column)
 
 
 def _method(cell: str) -> str:
@@ -135,11 +121,11 @@ def parse_status_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Stat
             continue
         name = _ident(_cell(row, cols["status"]), "statuses", line, "status")
 
-        def opt(column, **kinds):
+        def opt(column, read=parse_scalar):
             cell = _cell(row, cols.get(column))
             if not cell.strip():
                 return None
-            return _parse_scalar(cell, dialect, "statuses", line, column, **kinds)
+            return _parse_cell(cell, dialect, "statuses", line, column, read)
 
         unit_cell = _cell(row, cols.get("unit")).strip()
         statuses.append(StatusDef(
@@ -147,12 +133,12 @@ def parse_status_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Stat
             method=_method(_cell(row, cols["method"])),
             attribut=_cell(row, cols["attribut"]).strip(),
             var_x=_cell(row, cols["var_x"]).strip() or None,
-            nom=opt("nom", bits=True, inf=True),
-            min=opt("min"),
-            max=opt("max"),
-            d1=opt("d1", inf=True),
-            d2=opt("d2", inf=True),
-            d3=opt("d3", inf=True),
+            nom=opt("nom"),
+            min=opt("min", parse_number),
+            max=opt("max", parse_number),
+            d1=opt("d1"),
+            d2=opt("d2"),
+            d3=opt("d3"),
             unit=unit_cell or None,
             row=line,
         ))
@@ -219,28 +205,24 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
         if _norm(label) in _REMARK_HEADERS and remark_col is None:
             raise SheetError("remarks must be the last column", sheet="test",
                              row=1, column=label)
-        label = _ident(label, "test", 1, f"column {col + 1}")
-        if label in (s for _, s in signal_cols):
-            raise SheetError(f"duplicate signal column {label!r}", sheet="test",
-                             row=1, column=label)
-        signal_cols.append((col, label))
+        signal_cols.append((col, _ident(label, "test", 1, f"column {col + 1}")))
+    check_unique(((label, {"column": label}) for _, label in signal_cols),
+                 "signal column", SheetError, sheet="test", row=1)
 
     steps: list[TestStep] = []
     for line, row in enumerate(rows[1:], start=2):
         if not any(cell.strip() for cell in row):
             continue
-        index_cell = _cell(row, 0).strip()
-        if not index_cell.isdigit():
-            raise SheetError(f"malformed step index {index_cell!r}", sheet="test",
-                             row=line, column="test step")
-        dt = _parse_number(_cell(row, 1), dialect, "test", line, dt_label)
+        index = parse_step_index(_cell(row, 0).strip(), SheetError,
+                                 sheet="test", row=line, column="test step")
+        dt = _parse_cell(_cell(row, 1), dialect, "test", line, dt_label)
         assignments: dict[str, str] = {}
         for col, signal in signal_cols:
             cell = _cell(row, col).strip()
             if cell:
                 assignments[signal] = _ident(cell, "test", line, signal)
         remark = _cell(row, remark_col).strip() if remark_col is not None else ""
-        steps.append(TestStep(int(index_cell), dt, assignments, remark or None,
+        steps.append(TestStep(index, dt, assignments, remark or None,
                               row=line))
     return TestSequence(name, steps)
 
@@ -264,10 +246,10 @@ def parse_resource_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Re
             id=_ident(_cell(row, cols["id"]), "resources", line, "res"),
             method=_method(_cell(row, cols["method"])),
             attribut=_cell(row, cols["attribut"]).strip(),
-            min=_parse_number(_cell(row, cols["min"]), dialect, "resources",
-                              line, "min"),
-            max=_parse_number(_cell(row, cols["max"]), dialect, "resources",
-                              line, "max"),
+            min=_parse_cell(_cell(row, cols["min"]), dialect, "resources",
+                            line, "min"),
+            max=_parse_cell(_cell(row, cols["max"]), dialect, "resources",
+                            line, "max"),
             unit=_cell(row, cols["unit"]).strip(),
             row=line,
         ))
@@ -280,23 +262,17 @@ def parse_connection_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> 
         raise SheetError("missing header row", sheet="connections", row=1,
                          column=None)
     header = rows[0]
-    pins: list[str] = []
-    for col in range(1, len(header)):
-        pin = _ident(header[col], "connections", 1, f"column {col + 1}").lower()
-        if pin in pins:
-            raise SheetError(f"duplicate pin column {pin!r}", sheet="connections",
-                             row=1, column=pin)
-        pins.append(pin)
-    matrix_rows: list[str] = []
+    pins = [_ident(header[col], "connections", 1, f"column {col + 1}").lower()
+            for col in range(1, len(header))]
+    check_unique(((pin, {"column": pin}) for pin in pins), "pin column",
+                 SheetError, sheet="connections", row=1)
+    matrix_rows: list[tuple[str, int]] = []
     cells: dict[tuple[str, str], Connector] = {}
     for line, row in enumerate(rows[1:], start=2):
         if not any(cell.strip() for cell in row):
             continue
         rid = _ident(_cell(row, 0), "connections", line, "res")
-        if rid in matrix_rows:
-            raise SheetError(f"duplicate resource row {rid!r}",
-                             sheet="connections", row=line, column="res")
-        matrix_rows.append(rid)
+        matrix_rows.append((rid, line))
         for col, pin in enumerate(pins, start=1):
             cell = _cell(row, col).strip()
             if not cell:
@@ -306,7 +282,9 @@ def parse_connection_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> 
             except ValueError as exc:
                 raise SheetError(str(exc), sheet="connections", row=line,
                                  column=pin) from None
-    return ConnectionMatrix(pins, matrix_rows, cells)
+    check_unique(((rid, {"row": line}) for rid, line in matrix_rows),
+                 "resource row", SheetError, sheet="connections", column="res")
+    return ConnectionMatrix(pins, [rid for rid, _ in matrix_rows], cells)
 
 
 # --- serializers (round-trip partners of the parsers) ---------------------

@@ -10,6 +10,7 @@ is known.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from decimal import Decimal
 from xml.parsers import expat
@@ -17,9 +18,10 @@ from xml.parsers import expat
 from .compiler import (FORMAT_VERSION, InitBlock, MethodInvocation, ParamValue,
                        ScriptSignal, ScriptStep, Statement, TestScript)
 from .errors import ExprError, ScriptError
-from .expr import Num, parse_expr
-from .sheets import (BIT_LITERAL, CLASS_ROLE, DIRECTION_ROLE, INF, NUMBER,
-                     check_dwell, method_class, parse_number)
+from .expr import parse_expr
+from .sheets import (check_direction, check_dwell, check_ident, check_unique,
+                     fits_direction, method_class, parse_number, parse_scalar,
+                     parse_step_index)
 
 
 @dataclass
@@ -86,38 +88,30 @@ def _require_attrs(node: _Node, names: tuple[str, ...]):
 def classify_value(text: str, line: int | None = None) -> ParamValue:
     """Map an attribute value to its parameter type.
 
-    INF marker first, then bit literals, then plain numbers, then the
-    expression grammar; anything else is a schema violation.
+    A scalar first (``sheets.parse_scalar``: INF, a bit literal or a
+    number), else an expression that is more than a number; anything else
+    is a schema violation.
     """
-    if text.casefold() == "inf":
-        return INF
-    if BIT_LITERAL.match(text):
-        return text
+    with suppress(ValueError):
+        return parse_scalar(text)
     try:
-        if NUMBER.match(text):  # signed too, unlike the expression grammar
-            return parse_number(text)
-        node = parse_expr(text)
-    except (ValueError, ExprError) as exc:
+        return parse_expr(text)
+    except ExprError as exc:
         raise ScriptError(f"bad parameter value {text!r}: {exc}",
                           line=line) from None
-    if isinstance(node, Num):
-        return node.value
-    return node
 
 
 def _parse_dt(node: _Node) -> Decimal:
-    raw = node.attrs.get("dt")
-    if raw is None:
-        raise ScriptError(f"<{node.tag}> is missing dt", line=node.line)
     try:
-        dt = parse_number(raw)
+        dt = parse_number(node.attrs["dt"])
     except ValueError as exc:
         raise ScriptError(f"bad dt: {exc}", line=node.line) from None
     return check_dwell(dt, ScriptError, line=node.line)
 
 
-def _lowercase(name: str, what: str, line: int) -> str:
-    if name != name.lower():
+def _name(name: str, what: str, line: int) -> str:
+    """A signal name or pin: the sheet identifier rule, in lowercase."""
+    if check_ident(name, ScriptError, what, line=line) != name.lower():
         raise ScriptError(f"{what} '{name}' must be lowercase in scripts",
                           line=line)
     return name
@@ -135,8 +129,9 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
             raise ScriptError(f"unexpected element <{node.tag}> in {where}",
                               line=node.line)
         _require_attrs(node, ("name",))
-        name = _lowercase(node.attrs["name"], "signal name", node.line)
-        if name not in manifest:
+        name = node.attrs["name"]
+        if name not in manifest:  # each manifest name has passed _name
+            _name(name, "signal name", node.line)
             raise ScriptError(f"signal '{name}' is not in the manifest",
                               line=node.line)
         if not node.children:
@@ -157,10 +152,9 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
             cls = method_class(inv.method)
             direction = manifest[name].direction
             # Unknown classes load as one-shots; the stand decides them.
-            if (cls is not None
-                    and CLASS_ROLE[cls] != DIRECTION_ROLE[direction]):
-                raise ScriptError(f"{CLASS_ROLE[cls]} method '{inv.method}' "
-                                  f"on {direction} signal '{name}'",
+            if cls is not None and not fits_direction(cls, direction):
+                raise ScriptError(f"{cls}-class method '{inv.method}' on "
+                                  f"{direction} signal '{name}'",
                                   line=method_node.line)
             statements.append(Statement(name, inv))
     return statements
@@ -186,37 +180,27 @@ def load_script(text: str) -> TestScript:
                           line=root.line)
     signals_node = children[0]
     _require_attrs(signals_node, ())
-    manifest: dict[str, ScriptSignal] = {}
     order: list[ScriptSignal] = []
-    owners: dict[str, str] = {}  # pin -> the signal that lists it
     for node in signals_node.children:
         if node.tag != "signal":
             raise ScriptError(f"unexpected element <{node.tag}> in manifest",
                               line=node.line)
         _require_attrs(node, ("name", "direction", "pins"))
-        name = _lowercase(node.attrs["name"], "signal name", node.line)
-        if name in manifest:
-            raise ScriptError(f"duplicate manifest signal '{name}'",
-                              line=node.line)
-        direction = node.attrs["direction"]
-        if direction not in ("input", "output"):
-            raise ScriptError(f"bad direction {direction!r}", line=node.line)
-        pins = tuple(_lowercase(p, "pin", node.line)
-                     for p in node.attrs["pins"].split("|") if p)
-        if not pins:
-            raise ScriptError(f"signal '{name}' lists no pins", line=node.line)
-        for pin in pins:
-            if pin in owners:
-                raise ScriptError(f"pin '{pin}' of signal '{name}' is already "
-                                  f"listed by signal '{owners[pin]}'",
-                                  line=node.line)
-            owners[pin] = name
         if node.children:
             raise ScriptError("manifest entries must be empty elements",
                               line=node.line)
-        sig = ScriptSignal(name, direction, pins)
-        manifest[name] = sig
-        order.append(sig)
+        name = _name(node.attrs["name"], "signal name", node.line)
+        order.append(ScriptSignal(
+            name, check_direction(node.attrs["direction"], f"signal {name}",
+                                  ScriptError, line=node.line),
+            tuple(_name(pin, "pin", node.line)
+                  for pin in node.attrs["pins"].split("|"))))
+    lines = [{"line": node.line} for node in signals_node.children]
+    check_unique(((sig.name, at) for sig, at in zip(order, lines)),
+                 "manifest signal", ScriptError)
+    check_unique(((pin, at) for sig, at in zip(order, lines)
+                  for pin in sig.pins), "pin", ScriptError)
+    manifest = {sig.name: sig for sig in order}
 
     if len(children) < 2 or children[1].tag != "init":
         raise ScriptError("expected <init> after the manifest", line=root.line)
@@ -235,10 +219,7 @@ def load_script(text: str) -> TestScript:
         if node.tag != "step":
             raise ScriptError(f"unexpected element <{node.tag}>", line=node.line)
         _require_attrs(node, ("n", "dt"))
-        raw_n = node.attrs["n"]
-        if not raw_n.isdigit():
-            raise ScriptError(f"malformed step index {raw_n!r}", line=node.line)
-        index = int(raw_n)
+        index = parse_step_index(node.attrs["n"], ScriptError, line=node.line)
         if index != pos:
             raise ScriptError(f"non-dense step index {index} (expected {pos})",
                               line=node.line)

@@ -3,10 +3,12 @@
 A component test is authored as three tables: a signal table naming the
 DUT's inputs and outputs, a status table defining named stimulus/check
 templates, and a test table assigning statuses to signals step by step.
-This module holds the parsed value types, the name, number, dwell and
-direction rules they share with the script loader, and the cross-reference
-validator. The types own every rule of a single table: they raise
-``SheetError`` with the sheet, the row they were built from and the column,
+This module holds the parsed value types, the cross-reference validator
+and the one implementation of each rule the sheet parsers share with the
+script loader: identifier, name, number, scalar (INF, bit literal or
+number), step index, dwell, uniqueness and direction. A rule given an
+``error`` type raises ``error(message, **where)``: each reader places it,
+by row and column or by line. The types own every rule of a single table,
 so a parser only turns cells into values.
 """
 
@@ -53,19 +55,19 @@ Scalar = Union[Decimal, str, _OpenCircuit]
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 #: A plain decimal number, as sheets (after decimal-comma folding), scripts,
-#: expressions and environment files spell it. No NaN, no infinity, no
-#: underscores.
-NUMBER_TOKEN = re.compile(r"[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?")
-NUMBER = re.compile(NUMBER_TOKEN.pattern + r"\Z")
+#: expressions and environment files spell it: ASCII digits only. No NaN, no
+#: infinity, no underscores.
+NUMBER_TOKEN = re.compile(
+    r"[+-]?([0-9]+(\.[0-9]+)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def parse_number(text: str) -> Decimal:
-    """The number rule: ``text`` must match ``NUMBER``, and its adjusted
+    """The number rule: ``text`` must be a ``NUMBER_TOKEN``, and its adjusted
     exponent must lie in the default decimal context's [Emin, Emax], so
     that every number read is a normal value of the context that does the
     arithmetic. Returns the Decimal; raises ValueError otherwise.
     """
-    if NUMBER.match(text) is None:
+    if NUMBER_TOKEN.fullmatch(text) is None:
         raise ValueError(f"malformed number {text!r}")
     try:
         value = Decimal(text)
@@ -80,7 +82,35 @@ def parse_number(text: str) -> Decimal:
 
 
 #: A bit literal such as ``0001B``, kept as text wherever it appears.
-BIT_LITERAL = re.compile(r"[01]+B\Z")
+_BIT_LITERAL = re.compile(r"[01]+B\Z")
+
+
+def parse_scalar(text: str) -> Scalar:
+    """The scalar rule of a value cell or a script parameter: ``INF`` in any
+    case, a bit literal, or a number; raises ValueError otherwise."""
+    if text.casefold() == "inf":
+        return INF
+    if _BIT_LITERAL.match(text):
+        return text
+    return parse_number(text)
+
+
+def parse_step_index(text: str, error: type[Exception], **where) -> int:
+    """The step-index rule: one or more ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise error(f"malformed step index {text!r}", **where)
+    return int(text)
+
+
+def check_ident(text: str, error: type[Exception], what: str = "identifier",
+                **where) -> str:
+    """The identifier rule of signal, pin, status and resource names: not
+    empty, no whitespace."""
+    if text.split() != [text]:
+        raise error(f"{what} {text!r} contains whitespace" if text
+                    else f"empty {what}", **where)
+    return text
+
 
 #: The name rule in words, for error messages.
 NAME_RULE = "letters, digits, underscore; no leading digit"
@@ -109,29 +139,26 @@ def check_names(owner: str, sheet: str, row: int | None,
                              column=column)
 
 
-def check_unique(keys: Iterable[tuple[str, int | None]], what: str, *,
-                 sheet: str, column: str, fold: bool = False) -> None:
-    """The uniqueness rule of a table column: raise SheetError at the first
-    (key, row) whose key repeats an earlier one. With ``fold`` keys compare
-    lowercased, as the script a sheet compiles to spells them.
-    """
+def check_unique(keys: Iterable[tuple[str, dict]], what: str,
+                 error: type[Exception], *, fold: bool = False,
+                 **where) -> None:
+    """The uniqueness rule: raise ``error(message, **where, **at)`` at the
+    first (key, at) whose key repeats an earlier one; with ``fold`` keys
+    compare lowercased, as the script a sheet compiles to spells them."""
     seen: dict[str, str] = {}
-    for key, row in keys:
+    for key, at in keys:
         norm = key.lower() if fold else key
         first = seen.get(norm)
         if first is not None:
             same = "" if first == key else f" (as {first!r}, ignoring case)"
-            raise SheetError(f"duplicate {what} {key!r}{same}", sheet=sheet,
-                             row=row, column=column)
+            raise error(f"duplicate {what} {key!r}{same}", **where, **at)
         seen[norm] = key
 
 
 def check_dwell(dt: Decimal, error: type[Exception] = ValueError,
                 **where) -> Decimal:
     """The dwell rule: every dwell (a step's Δt, the settle after init) is
-    greater than zero. Returns ``dt``, else raises ``error(message,
-    **where)``, so that each reader places the error its own way.
-    """
+    greater than zero."""
     if dt <= 0:
         raise error(f"dt must be > 0, got '{dt}'", **where)
     return dt
@@ -152,9 +179,23 @@ def method_class(method: str) -> str | None:
 
 #: The direction rule, stated once: a put-class method is a stimulus and
 #: drives an input signal; a get-class method is a check and samples an
-#: output signal. A method fits a signal when both map to the same role.
-CLASS_ROLE = {"put": "stimulus", "get": "check"}
-DIRECTION_ROLE = {"input": "stimulus", "output": "check"}
+#: output signal.
+_DIRECTION_OF = {"put": "input", "get": "output"}
+
+
+def check_direction(direction: str, owner: str, error: type[Exception],
+                    **where) -> str:
+    """A signal's direction is ``input`` or ``output``."""
+    if direction not in _DIRECTION_OF.values():
+        raise error(f"{owner}: direction must be input or output, got "
+                    f"{direction!r}", **where)
+    return direction
+
+
+def fits_direction(cls: str, direction: str) -> bool:
+    """True if a put or get method (``cls``) fits a signal of ``direction``;
+    a method of unknown class is each caller's policy."""
+    return _DIRECTION_OF[cls] == direction
 
 
 @dataclass
@@ -168,10 +209,8 @@ class SignalDef:
     row: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.direction not in ("input", "output"):
-            raise SheetError(f"signal {self.name}: direction must be input or "
-                             f"output, got {self.direction!r}",
-                             sheet="signals", row=self.row, column="direction")
+        check_direction(self.direction, f"signal {self.name}", SheetError,
+                        sheet="signals", row=self.row, column="direction")
         if not self.pins:
             raise SheetError(f"signal {self.name}: at least one pin required",
                              sheet="signals", row=self.row, column="pins")
@@ -185,11 +224,12 @@ class SignalTable:
     signals: list[SignalDef]
 
     def __post_init__(self):
-        check_unique(((sig.name, sig.row) for sig in self.signals),
-                     "signal name", sheet="signals", column="name", fold=True)
-        check_unique(((pin, sig.row) for sig in self.signals
-                      for pin in sig.pins),
-                     "pin", sheet="signals", column="pins", fold=True)
+        check_unique(((sig.name, {"row": sig.row}) for sig in self.signals),
+                     "signal name", SheetError, fold=True, sheet="signals",
+                     column="name")
+        check_unique(((pin, {"row": sig.row}) for sig in self.signals
+                      for pin in sig.pins), "pin", SheetError, fold=True,
+                     sheet="signals", column="pins")
         self._by_name = {sig.name: sig for sig in self.signals}
 
     def __iter__(self) -> Iterator[SignalDef]:
@@ -264,8 +304,9 @@ class StatusTable:
     statuses: list[StatusDef]
 
     def __post_init__(self):
-        check_unique(((st.status, st.row) for st in self.statuses),
-                     "status name", sheet="statuses", column="status")
+        check_unique(((st.status, {"row": st.row}) for st in self.statuses),
+                     "status name", SheetError, sheet="statuses",
+                     column="status")
         self._by_name = {st.status: st for st in self.statuses}
 
     def __iter__(self) -> Iterator[StatusDef]:
@@ -297,9 +338,6 @@ class TestStep:
     row: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.index < 0:
-            raise SheetError(f"step index {self.index} is negative",
-                             sheet="test", row=self.row, column="test step")
         check_dwell(self.dt, SheetError, sheet="test", row=self.row,
                     column="Δt")
 
@@ -351,7 +389,7 @@ def _class_violation(sheet: str, row: int | None, column: str | None,
         return Violation(sheet, row, column,
                          f"status '{status.status}' uses method "
                          f"'{status.method}' of unknown class")
-    if CLASS_ROLE[cls] != DIRECTION_ROLE[signal.direction]:
+    if not fits_direction(cls, signal.direction):
         return Violation(sheet, row, column,
                          f"direction/method mismatch: {cls}-class status "
                          f"'{status.status}' ({status.method}) assigned to "

@@ -33,7 +33,7 @@ from .sheets import check_names, check_unique, method_class
 #: Methods delivered over a bus instead of an electrical pin path.
 BUS_METHODS = frozenset({"put_can"})
 
-_CONNECTOR = re.compile(r"(Sw|Mx)(\d+)\.(\d+)\Z")
+_CONNECTOR = re.compile(r"(Sw|Mx)([0-9]+)\.([0-9]+)\Z")
 _KIND = {"Sw": "switch", "Mx": "mux"}
 _PREFIX = {"switch": "Sw", "mux": "Mx"}
 
@@ -93,8 +93,9 @@ class ResourceTable:
     resources: list[ResourceDef]
 
     def __post_init__(self):
-        check_unique(((res.id, res.row) for res in self.resources),
-                     "resource id", sheet="resources", column="res")
+        check_unique(((res.id, {"row": res.row}) for res in self.resources),
+                     "resource id", SheetError, sheet="resources",
+                     column="res")
         self._by_id = {res.id: res for res in self.resources}
 
     def __iter__(self) -> Iterator[ResourceDef]:

@@ -46,9 +46,9 @@ def status_tables(draw) -> StatusTable:
             nom=draw(st.one_of(st.none(), noms)),
             min=draw(st.one_of(st.none(), decimals)),
             max=draw(st.one_of(st.none(), decimals)),
-            d1=draw(st.one_of(st.none(), decimals, st.just(INF))),
-            d2=draw(st.one_of(st.none(), decimals, st.just(INF))),
-            d3=draw(st.one_of(st.none(), decimals, st.just(INF))),
+            d1=draw(st.one_of(st.none(), scalars)),
+            d2=draw(st.one_of(st.none(), scalars)),
+            d3=draw(st.one_of(st.none(), scalars)),
         )
         if method.startswith("get") and row["min"] is None and row["max"] is None:
             row["min"] = draw(decimals)

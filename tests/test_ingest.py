@@ -209,6 +209,8 @@ def test_connection_sheet_bad_syntax():
         parse_connection_sheet(CONNECTION_HEADER + "Ress1;Xy1.1;;\n")
     with pytest.raises(SheetError, match="connector syntax"):
         parse_connection_sheet(CONNECTION_HEADER + "Ress1;Sw1;;\n")
+    with pytest.raises(SheetError, match="connector syntax"):
+        parse_connection_sheet(CONNECTION_HEADER + "Ress1;Sw١.١;;\n")
 
 
 def test_dialect_independence_on_values():
@@ -265,6 +267,8 @@ RESOURCE_ROW = "R1;get u;u;-60;60;V\n"
      ("test", 3, "test step")),
     (parse_test_sheet, TEST_HEADER + "0;1;;;;;;\n1;0;;;;;;\n",
      ("test", 3, "Δt")),
+    (parse_test_sheet, TEST_HEADER + "²;1;;;;;;\n", ("test", 2, "test step")),
+    (parse_test_sheet, TEST_HEADER + "٠;1;;;;;;\n", ("test", 2, "test step")),
     (parse_test_sheet, TEST_HEADER + "0;-1;;;;;;\n", ("test", 2, "Δt")),
     (parse_test_sheet, TEST_HEADER, ("test", None, None)),
     (parse_resource_sheet, RESOURCE_HEADER + RESOURCE_ROW + RESOURCE_ROW,

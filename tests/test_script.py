@@ -116,7 +116,7 @@ def test_load_rejects_uppercase_names():
 
 def test_load_rejects_wrong_direction_statements():
     bad = MINI.replace('<put_r r="5" />', '<get_u u_max="1" />')
-    with pytest.raises(ScriptError, match="check method 'get_u' on input"):
+    with pytest.raises(ScriptError, match="get-class method 'get_u' on input"):
         load_script(bad)
 
 
@@ -146,6 +146,9 @@ def test_load_rejects_wrong_format_version():
     ('<step n="0" dt="1">', '<step n="0" dt="0">', 12),
     ('<step n="0"', '<step n="1"', 12),
     ('<signal name="b">', '<signal name="zz">', 13),
+    ('<step n="0"', '<step n="²"', 12),
+    ('<step n="0"', '<step n="٠"', 12),
+    ('pins="b1|b2"', 'pins="b1||b2|"', 5),
 ])
 def test_script_rule_errors_have_lines(old, new, line):
     with pytest.raises(ScriptError) as err:
@@ -155,7 +158,7 @@ def test_script_rule_errors_have_lines(old, new, line):
 
 def test_load_rejects_a_pin_listed_twice():
     bad = MINI.replace('pins="b1|b2"', 'pins="b1|a"')
-    with pytest.raises(ScriptError, match="already listed") as err:
+    with pytest.raises(ScriptError, match="duplicate pin 'a'") as err:
         load_script(bad)
     assert err.value.line == 5
 

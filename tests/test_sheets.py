@@ -165,7 +165,8 @@ def test_number_rule_accepts(text, value):
 @pytest.mark.parametrize("text,message", [
     ("1e9999999999999999999999", "out of range"), ("10e999999", "out of range"),
     ("1e-1000000", "out of range"), ("nan", "malformed number"),
-    ("1_2", "malformed number"), ("1,5", "malformed number")])
+    ("1_2", "malformed number"), ("1,5", "malformed number"),
+    ("٣", "malformed number"), ("1٠", "malformed number")])
 def test_number_rule_refuses(text, message):
     # Decimal() itself raises InvalidOperation on the first one.
     with pytest.raises(ValueError, match=message):
