@@ -25,7 +25,8 @@ from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      parse_signal_sheet, parse_status_sheet, parse_test_sheet)
 from .runner import execute, report_to_json, report_to_text
 from .script import load_script
-from .sheets import check_dwell, is_name, parse_number, validate_sheets
+from .sheets import (check_unique, is_name, parse_dwell, parse_number,
+                     validate_sheets)
 from .stand import StandModel
 
 _SEP_NAMES = {"comma": ",", "dot": ".", "semicolon": ";", "tab": "\t",
@@ -56,28 +57,26 @@ def _parse_dialect(spec: str | None) -> CsvDialect:
     return CsvDialect(**kwargs)
 
 
-def _settle(text: str) -> Decimal:
-    """``--settle``: a number (``sheets.parse_number``) that obeys the dwell
-    rule (``sheets.check_dwell``)."""
-    try:
-        value = parse_number(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return check_dwell(value, argparse.ArgumentTypeError)
-
-
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write an artifact to ``path`` (``-o``), or to stdout without one."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_env_file(text: str) -> dict[str, Decimal]:
     """Parse ``key=value`` lines into the stand environment.
 
     Keys obey the name rule and are folded to lowercase, as the compiler
-    folds ``var (x)``; two keys that fold to one name are refused. Values
-    obey the number rule (``sheets.parse_number``).
+    folds ``var (x)``; two keys that fold to one name are refused
+    (``sheets.check_unique``). Values obey the number rule.
     """
-    env: dict[str, Decimal] = {}
+    entries: list[tuple[str, Decimal, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -91,12 +90,11 @@ def _parse_env_file(text: str) -> dict[str, Decimal]:
             number = parse_number(value)
         except ValueError as exc:
             raise ValueError(f"env line {lineno}: {exc}") from None
-        name = key.lower()
-        if name in env:
-            raise ValueError(f"env line {lineno}: {key!r} names the "
-                             f"variable {name!r} again (keys ignore case)")
-        env[name] = number
-    return env
+        entries.append((key, number, lineno))
+    check_unique(((key, {"line": lineno}) for key, _, lineno in entries),
+                 "key", lambda message, line: ValueError(
+                     f"env line {line}: {message}"), fold=True)
+    return {key.lower(): number for key, number, _ in entries}
 
 
 def _load_sheets(args, dialect: CsvDialect):
@@ -111,9 +109,6 @@ def cmd_check(args) -> int:
     dialect = _parse_dialect(args.dialect)
     try:
         signals, statuses, test = _load_sheets(args, dialect)
-    except OSError as exc:
-        _err(str(exc))
-        return 2
     except ValueError as exc:
         _err(str(exc))
         return 1
@@ -131,9 +126,6 @@ def cmd_compile(args) -> int:
         signals, statuses, test = _load_sheets(args, dialect)
         script = compile_sheets(signals, statuses, test, dut=args.dut,
                                 settle=args.settle)
-    except OSError as exc:
-        _err(str(exc))
-        return 2
     except ValidationFailed as exc:
         for violation in exc.report.violations:
             print(violation, file=sys.stderr)
@@ -142,36 +134,20 @@ def cmd_compile(args) -> int:
     except (ComptestError, ValueError, ArithmeticError) as exc:
         _err(str(exc))
         return 1
-    xml = emit_xml(script)
-    if args.out:
-        Path(args.out).write_text(xml, encoding="utf-8")
-    else:
-        sys.stdout.write(xml)
+    _write(args.out, emit_xml(script))
     return 0
 
 
 def cmd_run(args) -> int:
     dialect = _parse_dialect(args.dialect)
-    try:
-        script = load_script(_read(args.script))
-        stand = StandModel(parse_resource_sheet(_read(args.resources), dialect),
-                           parse_connection_sheet(_read(args.connections),
-                                                  dialect))
-        env = _parse_env_file(_read(args.env))
-        dut = build_dut(args.dut, env)
-    except OSError as exc:
-        _err(str(exc))
-        return 2
-    except (ComptestError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    script = load_script(_read(args.script))
+    stand = StandModel(parse_resource_sheet(_read(args.resources), dialect),
+                       parse_connection_sheet(_read(args.connections), dialect))
+    env = _parse_env_file(_read(args.env))
+    dut = build_dut(args.dut, env)
     report = execute(script, stand, env, dut)
-    rendered = (report_to_json(report) if args.report == "json"
-                else report_to_text(report))
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
+    _write(args.out, report_to_json(report) if args.report == "json"
+           else report_to_text(report))
     if report.aborted:
         _err(f"run aborted [{report.abort_kind}]: {report.abort_message}")
         return 2
@@ -208,7 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="test name (default: test sheet file stem)")
     p_compile.add_argument("--dut", default="dut",
                            help="DUT name recorded in the script header")
-    p_compile.add_argument("--settle", default=Decimal("0.1"), type=_settle,
+    p_compile.add_argument("--settle", default=Decimal("0.1"),
+                           type=lambda text: parse_dwell(
+                               text, argparse.ArgumentTypeError),
                            help="settling dwell after init, seconds")
     p_compile.set_defaults(func=cmd_compile)
 
@@ -240,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ComptestError, OSError, ValueError) as exc:
         _err(str(exc))
         return 2
 

@@ -119,8 +119,22 @@ DUT_REGISTRY: dict[str, Callable[[Mapping[str, Decimal]], DutModel]] = {
 }
 
 
+def dut_fault(exc: Exception) -> str:
+    """The message for whatever a DUT plugin, which is outside code, raises
+    while it is built, driven or read; anything but a DutError is named by
+    its type."""
+    if isinstance(exc, DutError):
+        return str(exc)
+    return f"dut model raised {type(exc).__name__}: {exc}"
+
+
 def build_dut(name: str, env: Mapping[str, Decimal]) -> DutModel:
     if name not in DUT_REGISTRY:
         known = ", ".join(sorted(DUT_REGISTRY))
         raise DutError(f"unknown dut '{name}' (available: {known})")
-    return DUT_REGISTRY[name](env)
+    try:
+        return DUT_REGISTRY[name](env)
+    except DutError:
+        raise
+    except Exception as exc:  # a faulty DUT plugin, see dut_fault
+        raise DutError(dut_fault(exc)) from exc

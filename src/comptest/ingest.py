@@ -16,6 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import Iterator
 
 from .errors import SheetError
 from .sheets import (INF, Scalar, SignalDef, SignalTable, StatusDef,
@@ -43,8 +44,16 @@ class CsvDialect:
 DEFAULT_DIALECT = CsvDialect()
 
 
-def _rows(text: str, dialect: CsvDialect) -> list[list[str]]:
-    return list(csv.reader(io.StringIO(text), delimiter=dialect.field_separator))
+def _frame(text: str, dialect: CsvDialect, sheet: str
+           ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The sheet frame: the header row, and every body row that is not
+    blank with its 1-based row number (the header is row 1)."""
+    rows = csv.reader(io.StringIO(text), delimiter=dialect.field_separator)
+    header = next(rows, None)
+    if header is None:
+        raise SheetError("missing header row", sheet=sheet, row=1, column=None)
+    return header, ((line, row) for line, row in enumerate(rows, start=2)
+                    if any(cell.strip() for cell in row))
 
 
 def _norm(cell: str) -> str:
@@ -111,14 +120,10 @@ _STATUS_OPTIONAL = {"unit": "unit"}
 
 
 def parse_status_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> StatusTable:
-    rows = _rows(text, dialect)
-    if not rows:
-        raise SheetError("missing header row", sheet="statuses", row=1, column=None)
-    cols = _header_map(rows[0], _STATUS_REQUIRED, _STATUS_OPTIONAL, "statuses")
+    header, body = _frame(text, dialect, "statuses")
+    cols = _header_map(header, _STATUS_REQUIRED, _STATUS_OPTIONAL, "statuses")
     statuses: list[StatusDef] = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
-            continue
+    for line, row in body:
         name = _ident(_cell(row, cols["status"]), "statuses", line, "status")
 
         def opt(column, read=parse_scalar):
@@ -150,14 +155,10 @@ _SIGNAL_REQUIRED = {"name": "name", "direction": "direction", "pins": "pins",
 
 
 def parse_signal_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> SignalTable:
-    rows = _rows(text, dialect)
-    if not rows:
-        raise SheetError("missing header row", sheet="signals", row=1, column=None)
-    cols = _header_map(rows[0], _SIGNAL_REQUIRED, {}, "signals")
+    header, body = _frame(text, dialect, "signals")
+    cols = _header_map(header, _SIGNAL_REQUIRED, {}, "signals")
     signals: list[SignalDef] = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
-            continue
+    for line, row in body:
         signals.append(SignalDef(
             name=_ident(_cell(row, cols["name"]), "signals", line, "name"),
             direction=_cell(row, cols["direction"]).strip().casefold(),
@@ -180,10 +181,7 @@ _REMARK_HEADERS = {"remarks", "remark"}
 
 def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
                      name: str = "test") -> TestSequence:
-    rows = _rows(text, dialect)
-    if not rows:
-        raise SheetError("missing header row", sheet="test", row=1, column=None)
-    header = rows[0]
+    header, body = _frame(text, dialect, "test")
     if len(header) < 2 or _norm(header[0]) not in _STEP_HEADERS:
         raise SheetError("first column must be the test step index",
                          sheet="test", row=1,
@@ -210,9 +208,7 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
                  "signal column", SheetError, sheet="test", row=1)
 
     steps: list[TestStep] = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
-            continue
+    for line, row in body:
         index = parse_step_index(_cell(row, 0).strip(), SheetError,
                                  sheet="test", row=line, column="test step")
         dt = _parse_cell(_cell(row, 1), dialect, "test", line, dt_label)
@@ -228,10 +224,8 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
 
 
 def parse_resource_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> ResourceTable:
-    rows = _rows(text, dialect)
-    if not rows:
-        raise SheetError("missing header row", sheet="resources", row=1, column=None)
-    cols = _header_map(rows[0], {"method": "method", "attribut": "attribut",
+    header, body = _frame(text, dialect, "resources")
+    cols = _header_map(header, {"method": "method", "attribut": "attribut",
                                  "min": "min", "max": "max", "unit": "unit"},
                        {"res": "id", "ress": "id", "resource": "id"},
                        "resources")
@@ -239,9 +233,7 @@ def parse_resource_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Re
         raise SheetError("missing column 'res'", sheet="resources", row=1,
                          column="res")
     resources: list[ResourceDef] = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
-            continue
+    for line, row in body:
         resources.append(ResourceDef(
             id=_ident(_cell(row, cols["id"]), "resources", line, "res"),
             method=_method(_cell(row, cols["method"])),
@@ -257,20 +249,14 @@ def parse_resource_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Re
 
 
 def parse_connection_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> ConnectionMatrix:
-    rows = _rows(text, dialect)
-    if not rows:
-        raise SheetError("missing header row", sheet="connections", row=1,
-                         column=None)
-    header = rows[0]
+    header, body = _frame(text, dialect, "connections")
     pins = [_ident(header[col], "connections", 1, f"column {col + 1}").lower()
             for col in range(1, len(header))]
     check_unique(((pin, {"column": pin}) for pin in pins), "pin column",
                  SheetError, sheet="connections", row=1)
     matrix_rows: list[tuple[str, int]] = []
     cells: dict[tuple[str, str], Connector] = {}
-    for line, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
-            continue
+    for line, row in body:
         rid = _ident(_cell(row, 0), "connections", line, "res")
         matrix_rows.append((rid, line))
         for col, pin in enumerate(pins, start=1):

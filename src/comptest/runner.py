@@ -19,8 +19,8 @@ from json.encoder import encode_basestring_ascii as _str
 from typing import Mapping
 
 from .compiler import MethodInvocation, TestScript, render_value
-from .dut import DutModel
-from .errors import AllocationError, DutError, EvalError
+from .dut import DutModel, dut_fault
+from .errors import AllocationError, EvalError
 from .expr import Num, Var, BinOp, Paren, eval_expr
 from .sheets import method_class
 from .stand import BUS_METHODS, Binding, Requirement, StandModel, allocate
@@ -134,16 +134,6 @@ def _bounds(inv: MethodInvocation) -> tuple[Decimal | None, Decimal | None]:
 def _aux(inv: MethodInvocation) -> dict:
     first = next(iter(inv.params), None)
     return {k: v for k, v in inv.params.items() if k != first}
-
-
-def _dut_fault(exc: Exception) -> str:
-    """Abort message for an exception raised while driving or reading the
-    DUT. A plugin is outside code: whatever it raises aborts the run as
-    ``environment`` instead of escaping ``execute``, and anything but a
-    DutError is named by its type."""
-    if isinstance(exc, DutError):
-        return str(exc)
-    return f"dut model raised {type(exc).__name__}: {exc}"
 
 
 def _rendered(inv: MethodInvocation) -> dict[str, str]:
@@ -286,8 +276,8 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
                           and (high is None or measured <= high))
                     check_records.append(CheckRecord(signal, pin, inv.method,
                                                      low, high, measured, ok))
-        except Exception as exc:  # a faulty DUT plugin, see _dut_fault
-            return report(where, "environment", _dut_fault(exc))
+        except Exception as exc:  # a faulty DUT plugin, see dut_fault
+            return report(where, "environment", dut_fault(exc))
         clock = t_end
         stimuli: list[StimulusRecord] = []
         at = 0  # bindings come in the order of reqs

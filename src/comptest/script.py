@@ -1,27 +1,26 @@
 """Interpreter-side loader: parse a test-script XML into a ``TestScript``.
 
 Loading is strict about the script schema (it is the portability contract)
-but deliberately tolerant about method names: an unknown method loads fine
-and only fails later if no stand resource supports it. Expressions are
-parsed eagerly so a syntactically broken script is rejected without any
-stand at all; evaluation waits until execution, when the stand environment
-is known.
+but deliberately tolerant about method names: an unknown method that obeys
+the name rule loads fine and only fails later if no stand resource supports
+it. Expressions are parsed eagerly so a syntactically broken script is
+rejected without any stand at all; evaluation waits until execution, when
+the stand environment is known.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
-from decimal import Decimal
 from xml.parsers import expat
 
 from .compiler import (FORMAT_VERSION, InitBlock, MethodInvocation, ParamValue,
                        ScriptSignal, ScriptStep, Statement, TestScript)
 from .errors import ExprError, ScriptError
 from .expr import parse_expr
-from .sheets import (check_direction, check_dwell, check_ident, check_unique,
-                     fits_direction, method_class, parse_number, parse_scalar,
-                     parse_step_index)
+from .sheets import (check_direction, check_ident, check_name,
+                     check_step_order, check_unique, fits_direction,
+                     method_class, parse_dwell, parse_scalar, parse_step_index)
 
 
 @dataclass
@@ -101,14 +100,6 @@ def classify_value(text: str, line: int | None = None) -> ParamValue:
                           line=line) from None
 
 
-def _parse_dt(node: _Node) -> Decimal:
-    try:
-        dt = parse_number(node.attrs["dt"])
-    except ValueError as exc:
-        raise ScriptError(f"bad dt: {exc}", line=node.line) from None
-    return check_dwell(dt, ScriptError, line=node.line)
-
-
 def _name(name: str, what: str, line: int) -> str:
     """A signal name or pin: the sheet identifier rule, in lowercase."""
     if check_ident(name, ScriptError, what, line=line) != name.lower():
@@ -118,11 +109,12 @@ def _name(name: str, what: str, line: int) -> str:
 
 
 def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
-                      where: str, values: dict[str, ParamValue]
-                      ) -> list[Statement]:
+                      where: str, values: dict[str, ParamValue],
+                      names: set[str]) -> list[Statement]:
     """``values`` caches ``classify_value`` per attribute text for one
-    script; a value that fails is not cached, so the error names the first
-    line that uses it."""
+    script, and ``names`` holds the method and parameter names that have
+    passed the name rule in it; a text that fails is not cached, so the
+    error names the first line that uses it."""
     statements: list[Statement] = []
     for node in parent.children:
         if node.tag != "signal":
@@ -138,17 +130,25 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
             raise ScriptError(f"signal '{name}' has no method statement",
                               line=node.line)
         for method_node in node.children:
+            tag = method_node.tag
             if method_node.children:
-                raise ScriptError(f"method <{method_node.tag}> must be empty",
+                raise ScriptError(f"method <{tag}> must be empty",
                                   line=method_node.line)
+            if tag not in names:
+                names.add(check_name(tag, ScriptError, "method",
+                                     line=method_node.line))
             params = {}
             for key, text in method_node.attrs.items():
+                if key not in names:
+                    names.add(check_name(key, ScriptError,
+                                         f"<{tag}> parameter",
+                                         line=method_node.line))
                 value = values.get(text)
                 if value is None:
                     value = values[text] = classify_value(text,
                                                           method_node.line)
                 params[key] = value
-            inv = MethodInvocation(method_node.tag, params)
+            inv = MethodInvocation(tag, params)
             cls = method_class(inv.method)
             direction = manifest[name].direction
             # Unknown classes load as one-shots; the stand decides them.
@@ -207,8 +207,11 @@ def load_script(text: str) -> TestScript:
     init_node = children[1]
     _require_attrs(init_node, ("dt",))
     values: dict[str, ParamValue] = {}  # equal texts share one value
-    init = InitBlock(_parse_dt(init_node),
-                     _parse_statements(init_node, manifest, "<init>", values))
+    names: set[str] = set()
+    init = InitBlock(parse_dwell(init_node.attrs["dt"], ScriptError,
+                                 line=init_node.line),
+                     _parse_statements(init_node, manifest, "<init>", values,
+                                       names))
     for st in init.statements:
         if method_class(st.invocation.method) == "get":
             raise ScriptError(f"check method '{st.invocation.method}' is not "
@@ -219,12 +222,13 @@ def load_script(text: str) -> TestScript:
         if node.tag != "step":
             raise ScriptError(f"unexpected element <{node.tag}>", line=node.line)
         _require_attrs(node, ("n", "dt"))
-        index = parse_step_index(node.attrs["n"], ScriptError, line=node.line)
-        if index != pos:
-            raise ScriptError(f"non-dense step index {index} (expected {pos})",
-                              line=node.line)
-        steps.append(ScriptStep(index, _parse_dt(node),
+        index = check_step_order(
+            parse_step_index(node.attrs["n"], ScriptError, line=node.line),
+            pos, ScriptError, line=node.line)
+        steps.append(ScriptStep(index, parse_dwell(node.attrs["dt"],
+                                                   ScriptError, line=node.line),
                                 _parse_statements(node, manifest,
-                                                  f"step {index}", values)))
+                                                  f"step {index}", values,
+                                                  names)))
 
     return TestScript(root.attrs["name"], root.attrs["dut"], order, init, steps)

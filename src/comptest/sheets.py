@@ -6,9 +6,9 @@ templates, and a test table assigning statuses to signals step by step.
 This module holds the parsed value types, the cross-reference validator
 and the one implementation of each rule the sheet parsers share with the
 script loader: identifier, name, number, scalar (INF, bit literal or
-number), step index, dwell, uniqueness and direction. A rule given an
-``error`` type raises ``error(message, **where)``: each reader places it,
-by row and column or by line. The types own every rule of a single table,
+number), step index, step order, dwell, uniqueness and direction. A rule
+given an ``error`` type raises ``error(message, **where)``: each reader
+places it, by row and column or by line. The types own every rule of a single table,
 so a parser only turns cells into values.
 """
 
@@ -102,6 +102,16 @@ def parse_step_index(text: str, error: type[Exception], **where) -> int:
     return int(text)
 
 
+def check_step_order(index: int, expected: int, error: type[Exception],
+                     **where) -> int:
+    """The step-order rule: the step at position ``expected`` (from 0) has
+    that index."""
+    if index != expected:
+        raise error(f"non-consecutive step index {index} (expected "
+                    f"{expected})", **where)
+    return index
+
+
 def check_ident(text: str, error: type[Exception], what: str = "identifier",
                 **where) -> str:
     """The identifier rule of signal, pin, status and resource names: not
@@ -126,6 +136,14 @@ def is_name(text: str) -> bool:
     return _NAME.match(text) is not None
 
 
+def check_name(text: str, error: type[Exception], what: str, **where) -> str:
+    """The name rule (see ``is_name``), raising ``error(message, **where)``."""
+    if not is_name(text):
+        raise error(f"{what} {text!r} is not a valid name ({NAME_RULE})",
+                    **where)
+    return text
+
+
 def check_names(owner: str, sheet: str, row: int | None,
                 **names: str | None) -> None:
     """Raise SheetError for the first of ``names`` that breaks the name rule;
@@ -133,10 +151,9 @@ def check_names(owner: str, sheet: str, row: int | None,
     unset and is not checked.
     """
     for column, value in names.items():
-        if value is not None and not is_name(value):
-            raise SheetError(f"{owner}: {column} {value!r} is not a valid "
-                             f"name ({NAME_RULE})", sheet=sheet, row=row,
-                             column=column)
+        if value is not None:
+            check_name(value, SheetError, f"{owner}: {column}", sheet=sheet,
+                       row=row, column=column)
 
 
 def check_unique(keys: Iterable[tuple[str, dict]], what: str,
@@ -162,6 +179,16 @@ def check_dwell(dt: Decimal, error: type[Exception] = ValueError,
     if dt <= 0:
         raise error(f"dt must be > 0, got '{dt}'", **where)
     return dt
+
+
+def parse_dwell(text: str, error: type[Exception], **where) -> Decimal:
+    """A dwell written as text (a script's ``dt``, ``--settle``): the
+    number rule, then the dwell rule."""
+    try:
+        dt = parse_number(text)
+    except ValueError as exc:
+        raise error(f"bad dt: {exc}", **where) from None
+    return check_dwell(dt, error, **where)
 
 
 def method_class(method: str) -> str | None:
@@ -351,10 +378,8 @@ class TestSequence:
         if not self.steps:
             raise SheetError("test sheet has no steps", sheet="test")
         for expected, step in enumerate(self.steps):
-            if step.index != expected:
-                raise SheetError(f"non-consecutive step index {step.index} "
-                                 f"(expected {expected})", sheet="test",
-                                 row=step.row, column="test step")
+            check_step_order(step.index, expected, SheetError, sheet="test",
+                             row=step.row, column="test step")
 
 
 @dataclass(frozen=True)

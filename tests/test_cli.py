@@ -176,9 +176,9 @@ def test_run_env_keys_ignore_case(script_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("env_text,message", [
-    ("ubatt=12.0\nUBATT=13.0\n", "env line 2: 'UBATT' names the variable "
-                                  "'ubatt' again"),
-    ("ubatt=12.0\nubatt=12.0\n", "env line 2: 'ubatt' names the variable"),
+    ("ubatt=12.0\nUBATT=13.0\n", "env line 2: duplicate key 'UBATT' (as "
+                                  "'ubatt', ignoring case)"),
+    ("ubatt=12.0\nubatt=12.0\n", "env line 2: duplicate key 'ubatt'\n"),
     ("# supply\nubatt=nan\n", "env line 2: malformed number 'nan'"),
     ("ubatt=Infinity\n", "env line 1: malformed number 'Infinity'"),
     ("ubatt=sNaN\n", "env line 1: malformed number 'sNaN'"),
@@ -346,6 +346,34 @@ def test_crashing_dut_plugin_exits_2(script_path, capsys, monkeypatch):
     assert ("run aborted [environment]: dut model raised KeyError: "
             "'int_ill_f'") in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_dut_factory_that_raises_exits_2(script_path, capsys, monkeypatch):
+    def broken(env):
+        raise RuntimeError("no supply")
+
+    monkeypatch.setitem(DUT_REGISTRY, "broken", broken)
+    code = main(["run", "--script", str(script_path), *STAND,
+                 "--dut", "broken"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("comptest: error: dut model raised RuntimeError: "
+                            "no supply\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_unwritable_out_exits_2(script_path, tmp_path, capsys, command):
+    args = SHEETS if command == "compile" else ["--script", str(script_path),
+                                                *STAND]
+    out = tmp_path / "missing" / "out"
+    code = main([command, *args, "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("comptest: error: ")
+    assert captured.err.count("\n") == 1
+    assert str(out) in captured.err
+    assert captured.out == ""
 
 
 def test_module_entry_point_smoke():

@@ -286,6 +286,33 @@ def test_table_rule_errors_have_coordinates(parse, text, where):
     assert (err.value.sheet, err.value.row, err.value.column) == where
 
 
+# Per parser: the sheet, a header, a valid row and a row with a bad name.
+FRAMES = [
+    (parse_status_sheet, "statuses", STATUS_HEADER.rstrip("\n"),
+     "Lo;put r;r;;5;;;;;", "L o;put r;r;;5;;;;;"),
+    (parse_signal_sheet, "signals", "name;direction;pins;initial_status",
+     "A;input;a;Lo", "A B;input;b;Lo"),
+    (parse_test_sheet, "test", "test step;Δt;A", "0;1;Lo", "1;1;L o"),
+    (parse_resource_sheet, "resources", "res;method;attribut;min;max;unit",
+     "R1;put r;r;0;10;Ω", "R 2;put r;r;0;10;Ω"),
+    (parse_connection_sheet, "connections", "res;a", "R1;Mx1.1", "R 2;Mx1.2"),
+]
+
+
+@pytest.mark.parametrize("parse,sheet,header,good,bad", FRAMES,
+                         ids=[frame[1] for frame in FRAMES])
+def test_sheet_frame(parse, sheet, header, good, bad):
+    with pytest.raises(SheetError, match="missing header row") as err:
+        parse("")
+    assert (err.value.sheet, err.value.row) == (sheet, 1)
+    # A blank line and a row of separators only are skipped, and the rows
+    # after them keep their 1-based numbers (the header is row 1).
+    parse(f"{header}\n\n ; ;\n{good}\n")
+    with pytest.raises(SheetError) as err:
+        parse(f"{header}\n\n ; ;\n{good}\n{bad}\n")
+    assert (err.value.sheet, err.value.row) == (sheet, 5)
+
+
 @pytest.mark.parametrize("rows,column", [
     ("IGN_ST;input;P1;x\nign_st;input;P2;x\n", "name"),
     ("IGN_ST;input;IGN_ST;x\nB;input;ign_st;x\n", "pins"),

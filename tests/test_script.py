@@ -86,7 +86,8 @@ def test_load_parses_expressions_eagerly():
 
 def test_load_rejects_non_dense_steps():
     bad = MINI.replace('<step n="0"', '<step n="2"')
-    with pytest.raises(ScriptError, match="non-dense step index"):
+    with pytest.raises(ScriptError, match=r"non-consecutive step index 2 "
+                       r"\(expected 0\)"):
         load_script(bad)
 
 
@@ -149,6 +150,9 @@ def test_load_rejects_wrong_format_version():
     ('<step n="0"', '<step n="²"', 12),
     ('<step n="0"', '<step n="٠"', 12),
     ('pins="b1|b2"', 'pins="b1||b2|"', 5),
+    ('<put_r r="5" />', '<put.r r="5" />', 9),
+    ('<put_r r="5" />', '<put_r R-x="5" />', 9),
+    ('<put_r r="5" />', '<put_r a:b="5" />', 9),
 ])
 def test_script_rule_errors_have_lines(old, new, line):
     with pytest.raises(ScriptError) as err:
