@@ -20,7 +20,7 @@ from . import __version__
 from .compiler import compile as compile_sheets
 from .compiler import emit_xml
 from .dut import build_dut
-from .errors import ComptestError, ValidationFailed
+from .errors import ComptestError, SheetError, ValidationFailed
 from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      parse_signal_sheet, parse_status_sheet, parse_test_sheet)
 from .runner import execute, report_to_json, report_to_text
@@ -109,7 +109,7 @@ def cmd_check(args) -> int:
     dialect = _parse_dialect(args.dialect)
     try:
         signals, statuses, test = _load_sheets(args, dialect)
-    except ValueError as exc:
+    except SheetError as exc:
         _err(str(exc))
         return 1
     report = validate_sheets(signals, statuses, test)
@@ -131,7 +131,7 @@ def cmd_compile(args) -> int:
             print(violation, file=sys.stderr)
         _err("sheets did not validate; no script written")
         return 1
-    except (ComptestError, ValueError, ArithmeticError) as exc:
+    except SheetError as exc:
         _err(str(exc))
         return 1
     _write(args.out, emit_xml(script))

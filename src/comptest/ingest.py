@@ -47,12 +47,23 @@ DEFAULT_DIALECT = CsvDialect()
 def _frame(text: str, dialect: CsvDialect, sheet: str
            ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """The sheet frame: the header row, and every body row that is not
-    blank with its 1-based row number (the header is row 1)."""
-    rows = csv.reader(io.StringIO(text), delimiter=dialect.field_separator)
-    header = next(rows, None)
+    blank with its 1-based row number (the header is row 1). A row the csv
+    module refuses (a field over its size limit) is a SheetError."""
+    def numbered():
+        line = 0
+        try:
+            for line, row in enumerate(csv.reader(
+                    io.StringIO(text), delimiter=dialect.field_separator), 1):
+                yield line, row
+        except csv.Error as exc:
+            raise SheetError(str(exc), sheet=sheet, row=line + 1,
+                             column=None) from None
+
+    rows = numbered()
+    _, header = next(rows, (1, None))
     if header is None:
         raise SheetError("missing header row", sheet=sheet, row=1, column=None)
-    return header, ((line, row) for line, row in enumerate(rows, start=2)
+    return header, ((line, row) for line, row in rows
                     if any(cell.strip() for cell in row))
 
 

@@ -11,7 +11,9 @@ Exclusivity rules:
     connector group (``Sw1``, ``Mx3``, ...) is engaged at one position;
   * check-class (get) bindings are sampled sequentially at the end of the
     dwell, so checks may time-share a resource and a connector group among
-    themselves, but never with a held stimulus.
+    themselves, but never with a held stimulus. So ``allocate`` searches
+    the exclusive requirements (stimuli, one-shots) alone, and then gives
+    each check its first usable resource that none of them holds.
 
 Two requirement shapes consume no resource at all: open-circuit stimuli
 (principal parameter INF; the connector is simply disengaged) and
@@ -155,12 +157,6 @@ class Requirement:
     invocation: MethodInvocation
     signal: str | None = None
 
-    @property
-    def role(self) -> str | None:
-        # "put", "get" or None for a one-shot. "get" bindings time-share;
-        # everything else is exclusive.
-        return method_class(self.invocation.method)
-
 
 @dataclass
 class Binding:
@@ -179,7 +175,8 @@ class Allocation:
         """Put-class bindings: the stimuli that persist into the next step.
         One-shots are allocated for their own block only."""
         return {b.requirement.pin: b for b in self.bindings
-                if b.delivery == "resource" and b.requirement.role == "put"}
+                if b.delivery == "resource"
+                and method_class(b.requirement.invocation.method) == "put"}
 
 
 def _range_offence(res: ResourceDef, inv: MethodInvocation) -> tuple[str, Decimal] | None:
@@ -204,45 +201,28 @@ def _static_reject(res: ResourceDef, req: Requirement,
 
 
 class _Engagements:
-    """Occupancy bookkeeping that supports get-class time-sharing."""
+    """The exclusive bindings: who holds each resource and connector group."""
 
     def __init__(self):
-        self.put_res: dict[str, str] = {}              # resource id -> pin
-        self.get_res: dict[str, int] = {}              # resource id -> samples
-        self.put_grp: dict[tuple[str, int], str] = {}  # group -> pin
-        self.get_grp: dict[tuple[str, int], int] = {}
+        self.res: dict[str, str] = {}              # resource id -> pin
+        self.grp: dict[tuple[str, int], str] = {}  # group -> pin
 
-    def conflict(self, res_id: str, conn: Connector, role: str) -> str | None:
-        if res_id in self.put_res:
-            return f"conflict: resource holds a stimulus for pin {self.put_res[res_id]}"
-        if role != "get" and self.get_res.get(res_id, 0):
-            return "conflict: resource is sampling checks this step"
+    def conflict(self, res_id: str, conn: Connector) -> str | None:
+        if res_id in self.res:
+            return f"conflict: resource holds a stimulus for pin {self.res[res_id]}"
         grp = conn.group_key
-        if grp in self.put_grp:
+        if grp in self.grp:
             return (f"conflict: connector group {_PREFIX[conn.kind]}{conn.group} "
-                    f"is engaged for pin {self.put_grp[grp]}")
-        if role != "get" and self.get_grp.get(grp, 0):
-            return (f"conflict: connector group {_PREFIX[conn.kind]}{conn.group} "
-                    f"is sampling checks this step")
+                    f"is engaged for pin {self.grp[grp]}")
         return None
 
-    def engage(self, res_id: str, conn: Connector, role: str, pin: str):
-        grp = conn.group_key
-        if role == "get":
-            self.get_res[res_id] = self.get_res.get(res_id, 0) + 1
-            self.get_grp[grp] = self.get_grp.get(grp, 0) + 1
-        else:
-            self.put_res[res_id] = pin
-            self.put_grp[grp] = pin
+    def engage(self, res_id: str, conn: Connector, pin: str):
+        self.res[res_id] = pin
+        self.grp[conn.group_key] = pin
 
-    def release(self, res_id: str, conn: Connector, role: str):
-        grp = conn.group_key
-        if role == "get":
-            self.get_res[res_id] -= 1
-            self.get_grp[grp] -= 1
-        else:
-            del self.put_res[res_id]
-            del self.put_grp[grp]
+    def release(self, res_id: str, conn: Connector):
+        del self.res[res_id]
+        del self.grp[conn.group_key]
 
 
 def _augment(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
@@ -260,9 +240,10 @@ def _augment(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
 
 
 class _Search:
-    """Depth-first search over the free requirements, in the given order.
+    """Depth-first search over the free exclusive requirements, in the
+    given order, that places the checks at each leaf (``_checks``).
 
-    Before a node expands, every remaining exclusive (non-get) requirement
+    Before a node expands, every remaining requirement
     must get a resource of its own in a maximum matching whose edges join
     it to the statically usable resources that the engagements still allow.
     Before a node tries its second candidate, each must also get a
@@ -276,12 +257,13 @@ class _Search:
     """
 
     def __init__(self, reqs: list[Requirement], free: list[int],
-                 stand: StandModel, held: Mapping[str, Binding],
-                 engaged: _Engagements, out: list[Binding | None]):
-        self.reqs, self.free, self.stand, self.held = reqs, free, stand, held
+                 checks: list[int], stand: StandModel,
+                 held: Mapping[str, Binding], engaged: _Engagements,
+                 out: list[Binding | None]):
+        self.reqs, self.free, self.checks = reqs, free, checks
+        self.stand, self.held = stand, held
         self.engaged, self.out = engaged, out
-        self.roles = {i: reqs[i].role for i in free}
-        self.usable = {i: self._usable(reqs[i]) for i in free}
+        self.usable = {i: self._usable(reqs[i]) for i in free + checks}
         # depth, requirement, rejections of the deepest failed node
         self.deepest: tuple = (-1, None, None)
 
@@ -295,44 +277,38 @@ class _Search:
         usable = [(res, conn) for res, conn in self.stand.wired.get(req.pin, ())
                   if _static_reject(res, req, self.stand.matrix) is None]
         prev = self._prev(req)
-        first = [pair for pair in usable if pair[0].id == prev]
-        return first + [pair for pair in usable if pair[0].id != prev]
+        return sorted(usable, key=lambda pair: pair[0].id != prev)
 
     def _unmatched(self, k: int, groups: bool = False
                    ) -> tuple[int | None, dict]:
-        """The first exclusive requirement from node ``k`` on that the
-        matching leaves without a resource, or with ``groups`` without a
-        connector group (None if there is none), and the matching: resource
-        id or group key -> requirement index."""
+        """The first requirement from node ``k`` on that the matching
+        leaves without a resource, or with ``groups`` without a connector
+        group (None if there is none), and the matching: resource id or
+        group key -> requirement index."""
         edges: dict[int, list] = {}
         owner: dict = {}
         for i in self.free[k:]:
-            role = self.roles[i]
-            if role == "get":
-                continue
             edges[i] = [conn.group_key if groups else res.id
                         for res, conn in self.usable[i]
-                        if self.engaged.conflict(res.id, conn, role) is None]
+                        if self.engaged.conflict(res.id, conn) is None]
             if not _augment(i, edges, owner, set()):
                 return i, owner
         return None, owner
 
     def _record(self, k: int, req: Requirement, owner: dict[str, int] | None):
-        """Record node ``k`` as the failure, naming ``req`` and every
-        resource: the tried ones led to a dead end, or, when the matching
-        cut the node, are needed for the pin the matching gave them."""
+        """Record node ``k`` as the failure unless a deeper one is: ``req``
+        and every resource, the tried ones leading to a dead end or, when
+        the matching cut the node, needed for the pin the matching gave."""
+        if k < self.deepest[0]:
+            return
         stand = self.stand
         prev = self._prev(req)
-        ordered = list(stand.resources)
-        if prev is not None:
-            ordered = ([stand.resources[prev]]
-                       + [res for res in ordered if res.id != prev])
         rejections: list[tuple[str, str]] = []
-        for res in ordered:
+        for res in sorted(stand.resources, key=lambda res: res.id != prev):
             reason = _static_reject(res, req, stand.matrix)
             if reason is None:
                 conn = stand.matrix.connector_for(res.id, req.pin)
-                reason = self.engaged.conflict(res.id, conn, req.role)
+                reason = self.engaged.conflict(res.id, conn)
             if reason is None:
                 reason = ("conflict: leads to a dead end" if owner is None
                           else f"conflict: resource is needed for pin "
@@ -340,33 +316,44 @@ class _Search:
             rejections.append((res.id, reason))
         self.deepest = (k, req, rejections)
 
+    def _checks(self) -> bool:
+        """A leaf: each check takes its first usable resource that no
+        exclusive binding holds; one without fails the leaf, at depth
+        ``len(free)`` plus its place among the checks."""
+        for p, i in enumerate(self.checks):
+            for res, conn in self.usable[i]:
+                if self.engaged.conflict(res.id, conn) is None:
+                    self.out[i] = Binding(self.reqs[i], "resource", res.id, conn)
+                    break
+            else:
+                self._record(len(self.free) + p, self.reqs[i], None)
+                return False
+        return True
+
     def solve(self, k: int) -> bool:
         if k == len(self.free):
-            return True
+            return self._checks()
         unmatched, owner = self._unmatched(k)
         if unmatched is not None:
-            if k >= self.deepest[0]:
-                self._record(k, self.reqs[unmatched], owner)
+            self._record(k, self.reqs[unmatched], owner)
             return False
         i = self.free[k]
-        req, role = self.reqs[i], self.roles[i]
+        req = self.reqs[i]
         engaged = self.engaged
         tries = 0
         for res, conn in self.usable[i]:
-            if engaged.conflict(res.id, conn, role) is not None:
+            if engaged.conflict(res.id, conn) is not None:
                 continue
             tries += 1
             if tries == 2 and self._unmatched(k, groups=True)[0] is not None:
                 # Cut: the failed first candidate recorded a deeper node.
                 break
-            engaged.engage(res.id, conn, role, req.pin)
+            engaged.engage(res.id, conn, req.pin)
             self.out[i] = Binding(req, "resource", res.id, conn)
             if self.solve(k + 1):
                 return True
-            engaged.release(res.id, conn, role)
-            self.out[i] = None
-        if k >= self.deepest[0]:
-            self._record(k, req, None)
+            engaged.release(res.id, conn)
+        self._record(k, req, None)
         return False
 
 
@@ -378,16 +365,17 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     whose resource is not in ``stand`` are ignored. A held stimulus whose
     value is unchanged keeps its binding (moving it would glitch a live
     signal); a changed stimulus prefers its old resource but may move. The
-    search is deterministic: resources are tried in table row order,
-    requirements in the given order, and the result is the first assignment
-    in that order. Bipartite matchings of the remaining
-    requirements to resources and to connector groups (``_Search``) cut
-    subtrees that hold no assignment, so an infeasible step fails in
-    polynomial time wherever the resources alone or the connector groups
-    alone are overcommitted. The allocation holds one binding per
-    requirement, in the given order. A held binding that is passed its own
-    requirement again comes back as the same object, with its invocation
-    not compared or range-checked again.
+    search is deterministic: resources are tried in table row order, the
+    exclusive requirements (stimuli and one-shots) in the given order, and
+    the result is the first assignment in that order. Checks are placed
+    after every exclusive requirement: each takes its first usable resource
+    no exclusive binding holds, or sends the search back. Bipartite matchings of the remaining exclusive requirements to
+    resources and to connector groups (``_Search``) cut subtrees that hold
+    no assignment, so an infeasible step fails in polynomial time wherever
+    the resources alone or the connector groups alone are overcommitted.
+    The allocation holds one binding per requirement, in the given order. A
+    held binding that is passed its own requirement again comes back as the
+    same object, with its invocation not compared or range-checked again.
 
     Raises AllocationError naming the requirement at the deepest failed
     search node (for a node the resource matching cut, the requirement it
@@ -399,7 +387,7 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     reqs = list(requirements)
     out: list[Binding | None] = [None] * len(reqs)
     engaged = _Engagements()
-    free: list[int] = []
+    free, checks = [], []  # indices: exclusive requirements, checks
 
     for i, req in enumerate(reqs):
         prev = held.get(req.pin)
@@ -419,18 +407,18 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
             pinned = Binding(req, "resource", prev.resource_id,
                              prev.connector, held=True)
         else:
-            free.append(i)
+            (checks if method_class(req.invocation.method) == "get"
+             else free).append(i)
             continue
-        role = req.role
-        clash = engaged.conflict(pinned.resource_id, pinned.connector, role)
+        clash = engaged.conflict(pinned.resource_id, pinned.connector)
         if clash is not None:
             raise AllocationError(pin=req.pin, method=req.invocation.method,
                                   parameter=None,
                                   candidates=[(pinned.resource_id, clash)])
-        engaged.engage(pinned.resource_id, pinned.connector, role, req.pin)
+        engaged.engage(pinned.resource_id, pinned.connector, req.pin)
         out[i] = pinned
 
-    search = _Search(reqs, free, stand, held, engaged, out)
+    search = _Search(reqs, free, checks, stand, held, engaged, out)
     if not search.solve(0):
         _, req, rejections = search.deepest
         parameter = None

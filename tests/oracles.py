@@ -3,7 +3,7 @@
 Everything here is written from the documented rules alone and shares no
 code with the program: ``assert_allocation_sound`` re-checks a returned
 allocation constraint by constraint, ``first_feasible`` finds by brute
-force the first candidate assignment in row order (and
+force the first candidate assignment in row order, checks last (and
 ``enumeration_feasible`` whether there is one), ``random_stand_case``
 builds small randomized stands for the equivalence test, and
 ``reference_report_json`` writes a run report through ``json.dumps``.
@@ -77,17 +77,23 @@ def _combination_ok(reqs, choice, stand, held) -> bool:
 
 
 def first_feasible(requirements, stand: StandModel, held=None):
-    """Brute force: the first assignment, in resource table row order with
-    the first requirement varying slowest, that satisfies everything.
+    """Brute force: the first assignment, in resource table row order, that
+    satisfies everything. The exclusive requirements come first, in the
+    given order, then the checks: the first varies slowest, the last check
+    fastest.
 
     Returns the resource ids of the requirements that expect a resource, in
     requirement order, or None when no assignment exists.
     """
     needing = [r for r in requirements if _expects_resource(r)]
+    order = sorted(range(len(needing)),
+                   key=lambda j: _role(needing[j]) == "get")
+    ordered = [needing[j] for j in order]
     ids = [res.id for res in stand.resources]
     for choice in itertools.product(ids, repeat=len(needing)):
-        if _combination_ok(needing, choice, stand, held or {}):
-            return list(choice)
+        if _combination_ok(ordered, choice, stand, held or {}):
+            by_index = dict(zip(order, choice))
+            return [by_index[j] for j in range(len(needing))]
     return None
 
 

@@ -78,6 +78,39 @@ def test_check_missing_file_is_io_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "compile"])
+def test_sheet_that_is_not_utf8_is_an_io_error(tmp_path, capsys, command):
+    # An unreadable file is exit 2 in every command, not a sheet fault.
+    signals = tmp_path / "signals.csv"
+    signals.write_bytes((DATA / "signals.csv").read_bytes()
+                        + "Bär;input;b;Lo\n".encode("latin-1"))
+    code = main([command, "--signals", str(signals), *SHEETS[2:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("comptest: error: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,sheet,expected", [
+    ("check", "signals", 1), ("compile", "signals", 1),
+    ("run", "resources", 2)])
+def test_oversized_cell_is_one_error_line(script_path, tmp_path, capsys,
+                                          command, sheet, expected):
+    # The csv module refuses a field over 131072 characters; that is a
+    # malformed cell like any other, at its sheet and row.
+    path = tmp_path / f"{sheet}.csv"
+    text = (DATA / f"{sheet}.csv").read_text(encoding="utf-8")
+    path.write_text(text + "x" * 140000 + "\n", encoding="utf-8")
+    rows = text.count("\n") + 1
+    args = ([*SHEETS, "--signals", str(path)] if command != "run" else
+            ["--script", str(script_path), *STAND, "--resources", str(path)])
+    code = main([command, *args])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert err == (f"comptest: error: {sheet}, row {rows}: field larger "
+                   f"than field limit (131072)\n")
+
+
 def test_compile_writes_golden_bytes(tmp_path, capsys):
     out = tmp_path / "script.xml"
     code = main(["compile", *SHEETS, "--name", "interior_light",

@@ -311,6 +311,11 @@ def test_sheet_frame(parse, sheet, header, good, bad):
     with pytest.raises(SheetError) as err:
         parse(f"{header}\n\n ; ;\n{good}\n{bad}\n")
     assert (err.value.sheet, err.value.row) == (sheet, 5)
+    # The csv module refuses a field over its size limit: a SheetError at
+    # the row that holds it.
+    with pytest.raises(SheetError, match="field limit") as err:
+        parse(f"{header}\n{good}\n{'x' * 140000}\n")
+    assert (err.value.sheet, err.value.row) == (sheet, 3)
 
 
 @pytest.mark.parametrize("rows,column", [

@@ -11,6 +11,7 @@ from comptest import (AllocationError, ConnectionMatrix, Connector,
                       ResourceTable, StandModel, StandError, allocate,
                       build_dut, execute, load_script, parse_connector,
                       report_to_json, INF)
+from comptest.stand import _Engagements
 
 from oracles import (assert_allocation_sound, enumeration_feasible,
                      first_feasible, random_stand_case)
@@ -266,6 +267,64 @@ def test_check_cannot_share_group_with_stimulus():
     with pytest.raises(AllocationError):
         allocate(reqs, stand)
     assert not enumeration_feasible(reqs, stand)
+
+
+@pytest.mark.parametrize("checks_first", [True, False])
+def test_checks_are_placed_after_the_stimuli(checks_first):
+    # Rg0 and Rp0 share group Mx1. The stimulus takes its first resource
+    # whatever the order, and the check the voltmeter left free.
+    resources = ResourceTable([
+        ResourceDef("Rg0", "get_u", "u", Decimal(-60), Decimal(60)),
+        ResourceDef("Rg1", "get_u", "u", Decimal(-60), Decimal(60)),
+        ResourceDef("Rp0", "put_r", "r", Decimal(0), Decimal(10)),
+        ResourceDef("Rp1", "put_r", "r", Decimal(0), Decimal(10)),
+    ])
+    matrix = ConnectionMatrix(
+        ["pg", "pp"], ["Rg0", "Rg1", "Rp0", "Rp1"],
+        {("Rg0", "pg"): Connector("mux", 1, 1),
+         ("Rg1", "pg"): Connector("mux", 2, 1),
+         ("Rp0", "pp"): Connector("mux", 1, 2),
+         ("Rp1", "pp"): Connector("mux", 3, 1)})
+    stand = StandModel(resources, matrix)
+    reqs = [Requirement("pg", get_u()), Requirement("pp", put_r(Decimal("1")))]
+    if not checks_first:
+        reqs.reverse()
+    alloc = allocate(reqs, stand)
+    by_pin = {b.requirement.pin: b.resource_id for b in alloc.bindings}
+    assert by_pin == {"pp": "Rp0", "pg": "Rg1"}
+    assert first_feasible(reqs, stand) == [by_pin[r.pin] for r in reqs]
+    assert_allocation_sound(reqs, stand, alloc)
+
+
+def test_infeasible_check_after_many_fails_in_linear_time(monkeypatch):
+    # Each of the 12 checks could take either voltmeter; the last is out of
+    # range on both. Retrying the earlier checks' choices would take 2^12
+    # nodes, although checks constrain nothing but themselves.
+    resources = ResourceTable([
+        ResourceDef(f"V{r}", "get_u", "u", Decimal(-60), Decimal(60))
+        for r in (1, 2)])
+    pins = [f"p{j}" for j in range(13)]
+    matrix = ConnectionMatrix(
+        pins, ["V1", "V2"],
+        {(f"V{r}", pin): Connector("switch", r, j + 1)
+         for r in (1, 2) for j, pin in enumerate(pins)})
+    reqs = [Requirement(pin, get_u()) for pin in pins[:-1]]
+    reqs.append(Requirement(pins[-1], get_u(high="1000")))
+    calls = []
+    conflict = _Engagements.conflict
+
+    def counting(self, *args):
+        calls.append(args)
+        return conflict(self, *args)
+
+    monkeypatch.setattr(_Engagements, "conflict", counting)
+    with pytest.raises(AllocationError) as err:
+        allocate(reqs, StandModel(resources, matrix))
+    assert str(err.value) == (
+        "no resource satisfies (pin p12, method get_u, parameter u_max); "
+        "rejected candidates: V1: range: u_max=1000 outside [-60, 60]; "
+        "V2: range: u_max=1000 outside [-60, 60]")
+    assert len(calls) <= 4 * len(reqs) * len(resources)
 
 
 def test_search_matches_enumeration_on_random_stands():
