@@ -8,10 +8,10 @@ in), and byte-deterministic so golden-file comparisons are exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Union
-from xml.sax.saxutils import escape
 
 from .errors import ValidationFailed
 from .expr import BinOp, Expr, Num, Paren, Var, render_expr
@@ -159,8 +159,28 @@ def render_value(value: ParamValue) -> str:
     return render_expr(value)
 
 
+#: The characters XML 1.0 cannot hold: controls other than tab, LF and CR,
+#: surrogates, U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+#: What ``_attr`` escapes or refuses; most values hold none of it.
+_SPECIAL = re.compile('[&<>"\x00-\x1f\ud800-\udfff\ufffe\uffff]')
+
+
 def _attr(value: str) -> str:
-    return escape(value, {'"': "&quot;"})
+    """``value`` as a double-quoted attribute value that a parser reads
+    back unchanged: tab, LF and CR are written as character references, as
+    a parser turns them into spaces. Raises ValueError for a character
+    XML 1.0 cannot hold."""
+    if _SPECIAL.search(value) is None:
+        return value
+    bad = _NOT_XML.search(value)
+    if bad:
+        raise ValueError(f"{value!r}: U+{ord(bad.group()):04X} cannot be "
+                         f"written to an XML script")
+    return (value.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;")
+            .replace("\t", "&#9;").replace("\n", "&#10;")
+            .replace("\r", "&#13;"))
 
 
 def _statement_lines(st: Statement, pad: str) -> list[str]:

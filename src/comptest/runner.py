@@ -154,10 +154,11 @@ def _record(b: Binding, params: dict[str, str],
 @dataclass
 class _InForce:
     """A stimulus in force, built when its put appears: the invocation as
-    applied, its rendered params and its requirements (one per target).
+    applied, its rendered params and its requirements (one per target),
+    kept while it is unchanged, even when restated with other digits.
     ``records`` are those of its first unchanged block, shared by every
-    later one: ``allocate`` pins an unchanged held resource or aborts, and
-    no other delivery changes while the stimulus does not."""
+    later one: ``allocate`` pins a binding handed its own requirement back
+    or aborts, and no other delivery changes while the stimulus does not."""
 
     invocation: MethodInvocation
     params: dict[str, str]
@@ -173,10 +174,10 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
     one block body: a put replaces the stimulus in force for its signal and
     is evaluated once, when it appears; a get is sampled at the end of its
     own block's dwell; any other method is a one-shot, allocated for its
-    block only and never evaluated, applied, held or sampled. A stimulus in
-    force passes the same requirements to every block, so ``allocate``
-    hands a held binding back, and shares its records from its second
-    unchanged block on (see _InForce).
+    block only and never evaluated, applied, held or sampled. Only this
+    function decides what is unchanged: a stimulus in force passes the same
+    requirements to every block, so ``allocate`` pins its binding, and
+    shares its records from its second unchanged block on (see _InForce).
 
     The report is complete and deterministic: byte-identical for identical
     inputs. The run aborts on allocation errors, unbound environment
@@ -233,17 +234,16 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
         for sig, inv in puts.items():
             rendered = _rendered(inv)
             entry = in_force.get(sig)
-            new = entry is None or entry.invocation != inv
-            if not new and entry.params == rendered:
-                continue  # restated as it stands: keep its entry
-            in_force[sig] = entry = _InForce(inv, rendered, [
-                Requirement(target, inv, sig)
-                for target in targets(sig, inv)])
-            if new:
-                changed[sig] = entry
+            if entry is None or entry.invocation != inv:
+                in_force[sig] = changed[sig] = _InForce(inv, rendered, [
+                    Requirement(target, inv, sig)
+                    for target in targets(sig, inv)])
+            elif entry.params != rendered:  # restated with other digits
+                entry.params, entry.records = rendered, None
 
         reqs = [req for entry in in_force.values()
                 for req in entry.requirements]
+        n_in_force = len(reqs)  # the one-shots' requirements follow
         reqs += [Requirement(target, inv, sig)
                  for sig, inv in one_shots for target in targets(sig, inv)]
         n_stimuli = len(reqs)  # the checks' requirements follow
@@ -253,7 +253,8 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
             alloc = allocate(reqs, stand, held)
         except AllocationError as exc:
             return report(where, "allocation", str(exc))
-        held = alloc.holds()
+        held = {b.requirement.pin: b for b in alloc.bindings[:n_in_force]
+                if b.delivery == "resource"}
         try:
             t_end = clock + dt
         except Overflow:

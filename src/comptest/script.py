@@ -12,15 +12,17 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
+from decimal import Decimal
 from xml.parsers import expat
 
 from .compiler import (FORMAT_VERSION, InitBlock, MethodInvocation, ParamValue,
                        ScriptSignal, ScriptStep, Statement, TestScript)
 from .errors import ExprError, ScriptError
-from .expr import parse_expr
-from .sheets import (check_direction, check_ident, check_name,
-                     check_step_order, check_unique, fits_direction,
-                     method_class, parse_dwell, parse_scalar, parse_step_index)
+from .expr import BinOp, Num, Paren, Var, parse_expr
+from .sheets import (check_direction, check_has_steps, check_ident,
+                     check_name, check_step_order, check_unique,
+                     fits_direction, method_class, parse_dwell, parse_scalar,
+                     parse_step_index)
 
 
 @dataclass
@@ -156,6 +158,14 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
                 raise ScriptError(f"{cls}-class method '{inv.method}' on "
                                   f"{direction} signal '{name}'",
                                   line=method_node.line)
+            if cls == "get" and not any(
+                    key.endswith(("_min", "_max"))
+                    and isinstance(value, (Decimal, Num, Var, BinOp, Paren))
+                    for key, value in params.items()):
+                # The script form of the status rule: a check sets min or max.
+                raise ScriptError(f"check method '{tag}' has no bound (a "
+                                  f"*_min or *_max number or expression)",
+                                  line=method_node.line)
             statements.append(Statement(name, inv))
     return statements
 
@@ -230,5 +240,6 @@ def load_script(text: str) -> TestScript:
                                 _parse_statements(node, manifest,
                                                   f"step {index}", values,
                                                   names)))
+    check_has_steps(steps, ScriptError, line=root.line)
 
     return TestScript(root.attrs["name"], root.attrs["dut"], order, init, steps)

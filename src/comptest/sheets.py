@@ -6,10 +6,11 @@ templates, and a test table assigning statuses to signals step by step.
 This module holds the parsed value types, the cross-reference validator
 and the one implementation of each rule the sheet parsers share with the
 script loader: identifier, name, number, scalar (INF, bit literal or
-number), step index, step order, dwell, uniqueness and direction. A rule
-given an ``error`` type raises ``error(message, **where)``: each reader
-places it, by row and column or by line. The types own every rule of a single table,
-so a parser only turns cells into values.
+number), step index, step order, step count, dwell, uniqueness and
+direction. A rule given an ``error`` type raises
+``error(message, **where)``: each reader places it, by row and column or
+by line. The types own every rule of a single table, so a parser only
+turns cells into values.
 """
 
 from __future__ import annotations
@@ -110,6 +111,12 @@ def check_step_order(index: int, expected: int, error: type[Exception],
         raise error(f"non-consecutive step index {index} (expected "
                     f"{expected})", **where)
     return index
+
+
+def check_has_steps(steps: list, error: type[Exception], **where):
+    """The rule of test sheets and scripts: a test has at least one step."""
+    if not steps:
+        raise error("a test needs at least one step", **where)
 
 
 def check_ident(text: str, error: type[Exception], what: str = "identifier",
@@ -375,8 +382,7 @@ class TestSequence:
     steps: list[TestStep]
 
     def __post_init__(self):
-        if not self.steps:
-            raise SheetError("test sheet has no steps", sheet="test")
+        check_has_steps(self.steps, SheetError, sheet="test")
         for expected, step in enumerate(self.steps):
             check_step_order(step.index, expected, SheetError, sheet="test",
                              row=step.row, column="test step")

@@ -171,13 +171,6 @@ class Binding:
 class Allocation:
     bindings: list[Binding]
 
-    def holds(self) -> dict[str, Binding]:
-        """Put-class bindings: the stimuli that persist into the next step.
-        One-shots are allocated for their own block only."""
-        return {b.requirement.pin: b for b in self.bindings
-                if b.delivery == "resource"
-                and method_class(b.requirement.invocation.method) == "put"}
-
 
 def _range_offence(res: ResourceDef, inv: MethodInvocation) -> tuple[str, Decimal] | None:
     for name, value in inv.params.items():
@@ -361,21 +354,23 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
              held: Mapping[str, Binding] | None = None) -> Allocation:
     """Find a conflict-free binding for every requirement.
 
-    ``held`` carries the stimulus bindings of the previous step; those
-    whose resource is not in ``stand`` are ignored. A held stimulus whose
-    value is unchanged keeps its binding (moving it would glitch a live
-    signal); a changed stimulus prefers its old resource but may move. The
-    search is deterministic: resources are tried in table row order, the
-    exclusive requirements (stimuli and one-shots) in the given order, and
-    the result is the first assignment in that order. Checks are placed
-    after every exclusive requirement: each takes its first usable resource
-    no exclusive binding holds, or sends the search back. Bipartite matchings of the remaining exclusive requirements to
-    resources and to connector groups (``_Search``) cut subtrees that hold
-    no assignment, so an infeasible step fails in polynomial time wherever
-    the resources alone or the connector groups alone are overcommitted.
-    The allocation holds one binding per requirement, in the given order. A
-    held binding that is passed its own requirement again comes back as the
-    same object, with its invocation not compared or range-checked again.
+    ``held`` carries the stimulus bindings of the previous step by pin;
+    those whose resource is not in ``stand`` are ignored. The caller alone
+    decides what is unchanged, by identity: a held binding passed its own
+    ``Requirement`` again is pinned (moving it would glitch a live signal)
+    and comes back as is, or as a held copy if not yet held, without a
+    second look at its invocation. Any other requirement, even an equal
+    one, prefers the old resource but may move. The search is
+    deterministic: resources are tried in table row order, the exclusive
+    requirements (stimuli and one-shots) in the given order, and the result
+    is the first assignment in that order. Checks are placed after every
+    exclusive requirement: each takes its first usable resource no
+    exclusive binding holds, or sends the search back. Bipartite matchings
+    of the remaining exclusive requirements to resources and to connector
+    groups (``_Search``) cut subtrees that hold no assignment, so an
+    infeasible step fails in polynomial time wherever the resources alone
+    or the connector groups alone are overcommitted. The allocation holds
+    one binding per requirement, in the given order.
 
     Raises AllocationError naming the requirement at the deepest failed
     search node (for a node the resource matching cut, the requirement it
@@ -391,21 +386,15 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
 
     for i, req in enumerate(reqs):
         prev = held.get(req.pin)
-        if prev is not None and prev.held and prev.requirement is req:
-            # Pinned in the previous step and passed again: the same
-            # binding, without a second look at the requirement.
-            pinned = prev
+        if prev is not None and prev.requirement is req:
+            pinned = prev if prev.held else Binding(
+                req, "resource", prev.resource_id, prev.connector, held=True)
         elif req.invocation.method in BUS_METHODS:
             out[i] = Binding(req, "bus")
             continue
         elif req.invocation.is_open_circuit():
             out[i] = Binding(req, "open_circuit")
             continue
-        elif (prev is not None
-              and prev.requirement.invocation == req.invocation):
-            # Unchanged held stimulus: the binding is pinned.
-            pinned = Binding(req, "resource", prev.resource_id,
-                             prev.connector, held=True)
         else:
             (checks if method_class(req.invocation.method) == "get"
              else free).append(i)

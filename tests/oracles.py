@@ -56,9 +56,9 @@ def _combination_ok(reqs, choice, stand, held) -> bool:
         if not _resource_ok(stand.resources[rid], req, stand):
             return False
         prev = held.get(req.pin) if held else None
-        if (prev is not None and prev.requirement.invocation == req.invocation
+        if (prev is not None and prev.requirement is req
                 and prev.resource_id != rid):
-            return False  # unchanged held stimuli may not move
+            return False  # pinned: the held binding's own requirement
         conn = stand.matrix.connector_for(rid, req.pin)
         grp = (conn.kind, conn.group)
         if _role(req) == "get":
@@ -131,9 +131,11 @@ def assert_allocation_sound(requirements, stand: StandModel,
             if isinstance(value, Decimal):
                 assert res.min <= value <= res.max, "range containment"
         prev = held.get(req.pin)
-        if prev is not None and prev.requirement.invocation == req.invocation:
+        if prev is not None and prev.requirement is req:
             assert binding.resource_id == prev.resource_id, "pinned hold moved"
             assert binding.held
+        else:
+            assert not binding.held, "searched requirement marked held"
         grp = (conn.kind, conn.group)
         if _role(req) == "get":
             assert res.id not in put_res and grp not in put_grp

@@ -196,7 +196,13 @@ def invocations(draw, cls: str) -> MethodInvocation:
     prefix = {"put": "put_", "get": "get_"}[cls]
     method = prefix + draw(st.sampled_from(["r", "u", "can", "v", "i"]))
     names = draw(st.lists(lower_idents, min_size=1, max_size=3, unique=True))
-    return MethodInvocation(method, {n: draw(param_values) for n in names})
+    params = {n: draw(param_values) for n in names}
+    if cls == "get":
+        # A check carries a bound: a number or an expression (load_script).
+        bound = draw(lower_idents) + draw(st.sampled_from(["_min", "_max"]))
+        params[bound] = draw(st.one_of(decimals,
+                                       expressions().filter(_param_safe)))
+    return MethodInvocation(method, params)
 
 
 @st.composite

@@ -7,7 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from comptest import DUT_REGISTRY, InteriorLightConfig, InteriorLightDut
+from comptest import (DUT_REGISTRY, InteriorLightConfig, InteriorLightDut,
+                      load_script)
 from comptest.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "interior_light"
@@ -126,6 +127,28 @@ def test_compile_to_stdout(capsys):
     assert code == 0
     assert capsys.readouterr().out == \
         (DATA / "expected_script.xml").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", ' a&<>"\t\r\n'])
+def test_compiled_names_round_trip(tmp_path, capsys, name):
+    # A parser turns a raw tab, LF or CR in an attribute into a space.
+    out = tmp_path / "script.xml"
+    code = main(["compile", *SHEETS, "--name", name, "--dut", name,
+                 "-o", str(out)])
+    assert code == 0
+    script = load_script(out.read_text(encoding="utf-8"))
+    assert (script.name, script.dut) == (name, name)
+
+
+@pytest.mark.parametrize("flag", ["--name", "--dut"])
+def test_name_that_xml_cannot_hold_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "script.xml"
+    code = main(["compile", *SHEETS, flag, "a\x01b", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("comptest: error: 'a\\x01b': U+0001 cannot be written to "
+                   "an XML script\n")
+    assert not out.exists()
 
 
 def test_compile_invalid_sheets_writes_nothing(tmp_path, capsys):

@@ -667,15 +667,19 @@ TRAILING_ZEROS = """<?xml version="1.0" encoding="UTF-8"?>
 
 def test_equal_expressions_keep_their_own_digits():
     # (1*ubatt) equals (1.0*ubatt) as a tree and as a value, but each is
-    # evaluated and rendered from its own digits.
+    # evaluated and rendered from its own digits. Restated with other
+    # digits, a stimulus is unchanged: it is not applied again and keeps
+    # its held binding.
     script = load_script(TRAILING_ZEROS)
     dut = RecordingDut()
     report = execute(script, manifest_stand(script), ENV, dut)
     assert_blocks_hold(report, dut, script_blocks(script),
                        {s.name: s.pins for s in script.signals}, ENV)
-    assert [(s.stimuli[0].params["r"], s.stimuli[0].changed)
+    assert [(s.stimuli[0].params["r"], s.stimuli[0].changed,
+             s.stimuli[0].held)
             for s in [report.settle] + report.steps] == [
-        ("12.0", True), ("12.00", False), ("12.00", False)]
+        ("12.0", True, False), ("12.00", False, True),
+        ("12.00", False, True)]
     assert [str(s.checks[0].high) for s in report.steps] == ["12.0", "12.00"]
     assert report_to_json(report) == reference_report_json(report)
 

@@ -130,6 +130,27 @@ def test_load_rejects_checks_in_init():
         load_script(bad)
 
 
+CHECK = '<get_u u_max="(1.1*ubatt)" u_min="(0.7*ubatt)" />'
+
+
+@pytest.mark.parametrize("check", [
+    "<get_u />", '<get_u u="5" />', '<get_u u_max="INF" />',
+    '<get_u u_max="1B" u_min="inf" />', '<get_u u_max="Inf" v="(1*ubatt)" />'])
+def test_load_rejects_a_check_without_a_bound(check):
+    # A status of a check sets min or max; so does a check in a script.
+    with pytest.raises(ScriptError, match="check method 'get_u' has no "
+                       "bound") as err:
+        load_script(MINI.replace(CHECK, check))
+    assert err.value.line == 14
+
+
+@pytest.mark.parametrize("check", [
+    '<get_u u_min="0" />', '<get_u u_max="(1*ubatt)" />',
+    '<get_u u="INF" u_min="INF" u_max="-1e3" />'])
+def test_load_accepts_a_check_with_one_bound(check):
+    load_script(MINI.replace(CHECK, check))
+
+
 def test_load_rejects_malformed_xml():
     with pytest.raises(ScriptError) as err:
         load_script(MINI.replace("</test>", ""))
@@ -153,6 +174,8 @@ def test_load_rejects_wrong_format_version():
     ('<put_r r="5" />', '<put.r r="5" />', 9),
     ('<put_r r="5" />', '<put_r R-x="5" />', 9),
     ('<put_r r="5" />', '<put_r a:b="5" />', 9),
+    pytest.param(MINI[MINI.index("  <step"):MINI.index("</test>")], "", 2,
+                 id="no-steps"),
 ])
 def test_script_rule_errors_have_lines(old, new, line):
     with pytest.raises(ScriptError) as err:

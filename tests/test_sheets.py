@@ -124,7 +124,7 @@ ONE_STATEMENT_SCRIPT = """<?xml version="1.0" encoding="UTF-8"?>
   <init dt="0.1" />
   <step n="0" dt="1">
     <signal name="a">
-      <{method} x="1" />
+      <{method} x_max="1" />
     </signal>
   </step>
 </test>
@@ -152,6 +152,19 @@ def test_direction_rule_agrees_across_layers(method, direction, fits):
         loaded = False
 
     assert validated == loaded == fits
+
+
+def test_step_count_rule_agrees_across_layers():
+    # The test sheet and the script loader refuse a test without steps with
+    # one text.
+    with pytest.raises(SheetError) as sheet:
+        make_test([])
+    with pytest.raises(ScriptError) as script:
+        load_script(ONE_STATEMENT_SCRIPT.format(method="put_r",
+                                                direction="input")
+                    .split("  <step")[0] + "</test>\n")
+    assert str(sheet.value) == "test: a test needs at least one step"
+    assert str(script.value) == "line 2: a test needs at least one step"
 
 
 @pytest.mark.parametrize("text,value", [

@@ -26,6 +26,12 @@ def get_u(low="0", high="60"):
                                       "u_min": Decimal(low)})
 
 
+def holds(alloc):
+    """What the runner hands the next block: resource bindings by pin."""
+    return {b.requirement.pin: b for b in alloc.bindings
+            if b.delivery == "resource"}
+
+
 def test_parse_connector():
     assert parse_connector("Sw1.1") == Connector("switch", 1, 1)
     assert parse_connector("Mx4.2") == Connector("mux", 4, 2)
@@ -124,7 +130,6 @@ def test_open_circuit_consumes_no_resource(demo_stand):
     alloc = allocate(reqs, demo_stand)
     assert alloc.bindings[0].delivery == "open_circuit"
     assert alloc.bindings[0].resource_id is None
-    assert alloc.holds() == {}
 
 
 def test_bus_methods_consume_no_resource(demo_stand):
@@ -144,10 +149,11 @@ def test_checks_time_share_the_dvm(demo_stand):
 
 
 def test_unchanged_held_stimulus_is_pinned(demo_stand):
-    first = allocate([Requirement("ds_fl", put_r(Decimal("0")))], demo_stand)
-    held = first.holds()
-    reqs = [Requirement("ds_fr", put_r(Decimal("1"))),
-            Requirement("ds_fl", put_r(Decimal("0")))]
+    # ds_fr comes first and would take Ress2 if ds_fl were searched.
+    fl = Requirement("ds_fl", put_r(Decimal("0")))
+    first = allocate([fl], demo_stand)
+    held = holds(first)
+    reqs = [Requirement("ds_fr", put_r(Decimal("1"))), fl]
     second = allocate(reqs, demo_stand, held)
     by_pin = {b.requirement.pin: b for b in second.bindings}
     assert by_pin["ds_fl"].resource_id == "Ress2"
@@ -156,28 +162,29 @@ def test_unchanged_held_stimulus_is_pinned(demo_stand):
     assert_allocation_sound(reqs, demo_stand, second, held)
 
 
-def test_equal_requirements_pin_like_the_same_ones(demo_stand):
+def test_only_the_same_requirements_are_pinned(demo_stand):
     # A held binding passed its own requirement again is handed back as it
-    # is; a fresh but equal requirement is pinned to the same place.
+    # is; a fresh but equal requirement is searched: it keeps its resource,
+    # as it tries that one first, but is not held.
     def reqs():
         return [Requirement("ds_fl", put_r(Decimal("0"))),
                 Requirement("ds_fr", put_r(Decimal("1")))]
 
     same = reqs()
     first = allocate(same, demo_stand)
-    pinned = allocate(same, demo_stand, first.holds())
-    again = allocate(same, demo_stand, pinned.holds())
-    fresh = allocate(reqs(), demo_stand, pinned.holds())
+    pinned = allocate(same, demo_stand, holds(first))
+    again = allocate(same, demo_stand, holds(pinned))
+    fresh = allocate(reqs(), demo_stand, holds(pinned))
 
     def placed(alloc):
-        return [(b.requirement.pin, b.resource_id, b.connector, b.held)
+        return [(b.requirement.pin, b.resource_id, b.connector)
                 for b in alloc.bindings]
 
     assert not any(b.held for b in first.bindings)
-    assert placed(again) == placed(fresh) == placed(pinned)
-    assert all(b.held for b in fresh.bindings)
+    assert placed(again) == placed(fresh) == placed(pinned) == placed(first)
+    assert all(b.held for b in pinned.bindings)
+    assert not any(b.held for b in fresh.bindings)
     assert all(a is b for a, b in zip(again.bindings, pinned.bindings))
-    assert not any(a is b for a, b in zip(fresh.bindings, pinned.bindings))
 
 
 def test_requirements_are_read_only():
@@ -191,7 +198,7 @@ def test_requirements_are_read_only():
 def test_changed_stimulus_prefers_previous_resource(demo_stand):
     first = allocate([Requirement("ds_fl", put_r(Decimal("0")))], demo_stand)
     second = allocate([Requirement("ds_fl", put_r(Decimal("7")))], demo_stand,
-                      first.holds())
+                      holds(first))
     assert second.bindings[0].resource_id == "Ress2"
     assert not second.bindings[0].held
 
@@ -213,20 +220,34 @@ def test_pinned_hold_can_block_allocation():
     # p2 is only reachable through A; while A holds an unchanged stimulus
     # on p1 the pair is infeasible, even though swapping would work.
     stand = _two_decades_one_pin_stand()
-    held = allocate([Requirement("p1", put_r(Decimal("5")))], stand).holds()
+    p1 = Requirement("p1", put_r(Decimal("5")))
+    held = holds(allocate([p1], stand))
     assert held["p1"].resource_id == "A"
-    reqs = [Requirement("p1", put_r(Decimal("5"))),
-            Requirement("p2", put_r(Decimal("5")))]
+    reqs = [p1, Requirement("p2", put_r(Decimal("5")))]
     with pytest.raises(AllocationError):
         allocate(reqs, stand, held)
     assert not enumeration_feasible(reqs, stand, held)
+
+
+def test_fresh_equal_requirement_may_move():
+    # An equal requirement that is not the held one is searched, so it
+    # moves to B and frees A for p2; neither binding is held.
+    stand = _two_decades_one_pin_stand()
+    held = holds(allocate([Requirement("p1", put_r(Decimal("5")))], stand))
+    reqs = [Requirement("p1", put_r(Decimal("5"))),
+            Requirement("p2", put_r(Decimal("5")))]
+    alloc = allocate(reqs, stand, held)
+    assert [(b.resource_id, b.held) for b in alloc.bindings] == [
+        ("B", False), ("A", False)]
+    assert first_feasible(reqs, stand, held) == ["B", "A"]
+    assert_allocation_sound(reqs, stand, alloc, held)
 
 
 def test_changed_value_allows_reshuffle():
     # Same shape, but the p1 stimulus changes value, so it may move to B
     # and free A for p2.
     stand = _two_decades_one_pin_stand()
-    held = allocate([Requirement("p1", put_r(Decimal("5")))], stand).holds()
+    held = holds(allocate([Requirement("p1", put_r(Decimal("5")))], stand))
     reqs = [Requirement("p1", put_r(Decimal("9"))),
             Requirement("p2", put_r(Decimal("5")))]
     alloc = allocate(reqs, stand, held)
