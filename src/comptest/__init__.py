@@ -13,8 +13,7 @@ from .compiler import (MethodInvocation, TestScript, compile, emit_xml,
 from .dut import (DUT_REGISTRY, DutModel, InteriorLightConfig,
                   InteriorLightDut, build_dut)
 from .errors import (AllocationError, ComptestError, DutError, EvalError,
-                     ExprError, ScriptError, SheetError, StandError,
-                     ValidationFailed)
+                     ExprError, ScriptError, SheetError, ValidationFailed)
 from .expr import eval_expr, parse_expr, render_expr
 from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      parse_signal_sheet, parse_status_sheet, parse_test_sheet,
@@ -24,7 +23,7 @@ from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
 from .runner import RunReport, execute, report_to_json, report_to_text
 from .script import load_script
 from .sheets import (INF, SignalDef, SignalTable, StatusDef, StatusTable,
-                     TestSequence, TestStep, ValidationReport, validate_sheets)
+                     TestSequence, TestStep, validate_sheets)
 from .stand import (Allocation, Binding, ConnectionMatrix, Connector,
                     Requirement, ResourceDef, ResourceTable, StandModel,
                     allocate, parse_connector)
@@ -32,7 +31,7 @@ from .stand import (Allocation, Binding, ConnectionMatrix, Connector,
 __all__ = [
     "__version__", "INF",
     "SignalDef", "SignalTable", "StatusDef", "StatusTable", "TestStep",
-    "TestSequence", "ValidationReport", "validate_sheets",
+    "TestSequence", "validate_sheets",
     "CsvDialect", "parse_signal_sheet", "parse_status_sheet",
     "parse_test_sheet", "parse_resource_sheet", "parse_connection_sheet",
     "serialize_signal_sheet", "serialize_status_sheet", "serialize_test_sheet",
@@ -47,5 +46,5 @@ __all__ = [
     "build_dut", "DUT_REGISTRY",
     "RunReport", "execute", "report_to_json", "report_to_text",
     "ComptestError", "SheetError", "ValidationFailed", "ExprError",
-    "EvalError", "ScriptError", "StandError", "AllocationError", "DutError",
+    "EvalError", "ScriptError", "AllocationError", "DutError",
 ]

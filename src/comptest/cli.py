@@ -112,12 +112,12 @@ def cmd_check(args) -> int:
     except SheetError as exc:
         _err(str(exc))
         return 1
-    report = validate_sheets(signals, statuses, test)
-    for violation in report.violations:
-        print(violation, file=sys.stderr)
-    n = len(report.violations)
+    violations = validate_sheets(signals, statuses, test)
+    for fault in violations:
+        print(fault, file=sys.stderr)
+    n = len(violations)
     print(f"{n} violation{'' if n == 1 else 's'}", file=sys.stderr)
-    return 0 if report.ok else 1
+    return 1 if violations else 0
 
 
 def cmd_compile(args) -> int:
@@ -127,8 +127,8 @@ def cmd_compile(args) -> int:
         script = compile_sheets(signals, statuses, test, dut=args.dut,
                                 settle=args.settle)
     except ValidationFailed as exc:
-        for violation in exc.report.violations:
-            print(violation, file=sys.stderr)
+        for fault in exc.violations:
+            print(fault, file=sys.stderr)
         _err("sheets did not validate; no script written")
         return 1
     except SheetError as exc:

@@ -9,7 +9,7 @@ in), and byte-deterministic so golden-file comparisons are exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
 
@@ -60,13 +60,9 @@ class ScriptSignal:
 
 
 @dataclass
-class InitBlock:
-    dt: Decimal
-    statements: list[Statement]
+class Block:
+    """``<init>`` (index -1, its dwell the settle) or one ``<step>``."""
 
-
-@dataclass
-class ScriptStep:
     index: int
     dt: Decimal
     statements: list[Statement]
@@ -81,8 +77,8 @@ class TestScript:
     name: str
     dut: str
     signals: list[ScriptSignal]
-    init: InitBlock
-    steps: list[ScriptStep]
+    init: Block
+    steps: list[Block]
 
 
 def _scaled(bound: Decimal, var: str) -> Expr:
@@ -126,15 +122,15 @@ def compile(signals: SignalTable, statuses: StatusTable, test: TestSequence,
     sheet: hold semantics are the interpreter's job, so re-stating unchanged
     stimuli would add bytes but no information.
     """
-    report = validate_sheets(signals, statuses, test)
-    if not report.ok:
-        raise ValidationFailed(report)
+    violations = validate_sheets(signals, statuses, test)
+    if violations:
+        raise ValidationFailed(violations)
     check_dwell(settle)
 
     manifest = [ScriptSignal(s.name.lower(), s.direction,
                              tuple(p.lower() for p in s.pins))
                 for s in signals]
-    init = InitBlock(settle, [
+    init = Block(-1, settle, [
         Statement(s.name.lower(), lower_status(statuses[s.initial_status]))
         for s in signals.inputs()
     ])
@@ -144,7 +140,7 @@ def compile(signals: SignalTable, statuses: StatusTable, test: TestSequence,
         for sig_name, status_name in step.assignments.items():
             statements.append(Statement(sig_name.lower(),
                                         lower_status(statuses[status_name])))
-        steps.append(ScriptStep(step.index, step.dt, statements))
+        steps.append(Block(step.index, step.dt, statements))
     return TestScript(test.name, dut, manifest, init, steps)
 
 
@@ -208,20 +204,15 @@ def emit_xml(script: TestScript) -> str:
         out.append(f'    <signal name="{_attr(sig.name)}" '
                    f'direction="{_attr(sig.direction)}" pins="{_attr(pins)}" />')
     out.append("  </signals>")
-    if script.init.statements:
-        out.append(f'  <init dt="{script.init.dt}">')
-        for st in script.init.statements:
-            out.extend(_statement_lines(st, "    "))
-        out.append("  </init>")
-    else:
-        out.append(f'  <init dt="{script.init.dt}" />')
-    for step in script.steps:
-        if step.statements:
-            out.append(f'  <step n="{step.index}" dt="{step.dt}">')
-            for st in step.statements:
+    for block in (script.init, *script.steps):
+        tag, n = (("init", "") if block.index < 0
+                  else ("step", f' n="{block.index}"'))
+        if block.statements:
+            out.append(f'  <{tag}{n} dt="{block.dt}">')
+            for st in block.statements:
                 out.extend(_statement_lines(st, "    "))
-            out.append("  </step>")
+            out.append(f"  </{tag}>")
         else:
-            out.append(f'  <step n="{step.index}" dt="{step.dt}" />')
+            out.append(f'  <{tag}{n} dt="{block.dt}" />')
     out.append("</test>")
     return "\n".join(out) + "\n"

@@ -13,7 +13,9 @@ class SheetError(ComptestError, ValueError):
     Carries the sheet kind plus 1-based row and column coordinates so that
     authoring mistakes can be pointed at directly in the source table. The
     table types raise it too, with the row they were built from (None when
-    built in code); it is a ValueError for their callers.
+    built in code); it is a ValueError for their callers. Cross-sheet
+    validation (``sheets.validate_sheets``) returns its faults as
+    SheetErrors without raising them.
     """
 
     def __init__(self, message: str, *, sheet: str | None = None,
@@ -33,11 +35,15 @@ class SheetError(ComptestError, ValueError):
 
 
 class ValidationFailed(ComptestError):
-    """Cross-reference validation found violations (compile refuses to run)."""
+    """Cross-reference validation found violations (compile refuses to run).
 
-    def __init__(self, report):
-        self.report = report
-        super().__init__(f"{len(report.violations)} sheet violation(s):\n{report}")
+    ``violations`` holds them as SheetErrors, in sheet order.
+    """
+
+    def __init__(self, violations: list[SheetError]):
+        self.violations = violations
+        super().__init__(f"{len(violations)} sheet violation(s):\n"
+                         + "\n".join(map(str, violations)))
 
 
 class ExprError(ComptestError):
@@ -58,10 +64,6 @@ class ScriptError(ComptestError):
     def __init__(self, message: str, *, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-class StandError(ComptestError):
-    """A stand description (resource table or connection matrix) is inconsistent."""
 
 
 class AllocationError(ComptestError):

@@ -208,14 +208,12 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
                          settle=records[0] if records else None,
                          steps=steps, steps_total=len(script.steps))
 
-    blocks = [(-1, script.init.dt, script.init.statements)]
-    blocks += [(step.index, step.dt, step.statements) for step in script.steps]
-    for index, dt, statements in blocks:
-        where = None if index < 0 else index
+    for block in (script.init, *script.steps):
+        where = None if block.index < 0 else block.index
         puts: dict[str, MethodInvocation] = {}  # the last put per signal
         one_shots: list[tuple[str, MethodInvocation]] = []
         checks: list[tuple[str, MethodInvocation]] = []
-        for st in statements:
+        for st in block.statements:
             cls = method_class(st.invocation.method)
             if cls == "put":
                 puts[st.signal] = st.invocation
@@ -256,11 +254,11 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
         held = {b.requirement.pin: b for b in alloc.bindings[:n_in_force]
                 if b.delivery == "resource"}
         try:
-            t_end = clock + dt
+            t_end = clock + block.dt
         except Overflow:
             return report(where, "environment",
-                          f"clock overflow: dwell sum {clock} + {dt} s is "
-                          f"out of range")
+                          f"clock overflow: dwell sum {clock} + {block.dt} s "
+                          f"is out of range")
 
         check_records: list[CheckRecord] = []
         try:
@@ -268,7 +266,7 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
                 inv = entry.invocation
                 for req in entry.requirements:
                     dut.set_input(req.pin, inv.principal_value(), _aux(inv))
-            dut.advance(dt)
+            dut.advance(block.dt)
             for signal, inv in checks:
                 low, high = _bounds(inv)
                 for pin in pins[signal]:
@@ -295,7 +293,8 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
             at += n
         stimuli += [_record(b, _rendered(b.requirement.invocation), False)
                     for b in alloc.bindings[at:n_stimuli]]
-        records.append(StepRecord(index, dt, clock, stimuli, check_records))
+        records.append(StepRecord(block.index, block.dt, clock, stimuli,
+                                  check_records))
     return report()
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from xml.parsers import expat
 
-from .compiler import (FORMAT_VERSION, InitBlock, MethodInvocation, ParamValue,
-                       ScriptSignal, ScriptStep, Statement, TestScript)
+from .compiler import (FORMAT_VERSION, Block, MethodInvocation, ParamValue,
+                       ScriptSignal, Statement, TestScript)
 from .errors import ExprError, ScriptError
 from .expr import BinOp, Num, Paren, Var, parse_expr
 from .sheets import (check_direction, check_has_steps, check_ident,
@@ -218,16 +218,16 @@ def load_script(text: str) -> TestScript:
     _require_attrs(init_node, ("dt",))
     values: dict[str, ParamValue] = {}  # equal texts share one value
     names: set[str] = set()
-    init = InitBlock(parse_dwell(init_node.attrs["dt"], ScriptError,
+    init = Block(-1, parse_dwell(init_node.attrs["dt"], ScriptError,
                                  line=init_node.line),
-                     _parse_statements(init_node, manifest, "<init>", values,
-                                       names))
+                 _parse_statements(init_node, manifest, "<init>", values,
+                                   names))
     for st in init.statements:
         if method_class(st.invocation.method) == "get":
             raise ScriptError(f"check method '{st.invocation.method}' is not "
                               f"allowed in <init>", line=init_node.line)
 
-    steps: list[ScriptStep] = []
+    steps: list[Block] = []
     for pos, node in enumerate(children[2:]):
         if node.tag != "step":
             raise ScriptError(f"unexpected element <{node.tag}>", line=node.line)
@@ -235,11 +235,10 @@ def load_script(text: str) -> TestScript:
         index = check_step_order(
             parse_step_index(node.attrs["n"], ScriptError, line=node.line),
             pos, ScriptError, line=node.line)
-        steps.append(ScriptStep(index, parse_dwell(node.attrs["dt"],
-                                                   ScriptError, line=node.line),
-                                _parse_statements(node, manifest,
-                                                  f"step {index}", values,
-                                                  names)))
+        steps.append(Block(index, parse_dwell(node.attrs["dt"], ScriptError,
+                                              line=node.line),
+                           _parse_statements(node, manifest, f"step {index}",
+                                             values, names)))
     check_has_steps(steps, ScriptError, line=root.line)
 
     return TestScript(root.attrs["name"], root.attrs["dut"], order, init, steps)

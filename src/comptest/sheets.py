@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import DefaultContext, Decimal, InvalidOperation
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import SheetError
 
@@ -232,6 +232,26 @@ def fits_direction(cls: str, direction: str) -> bool:
     return _DIRECTION_OF[cls] == direction
 
 
+class _Keyed:
+    """The lookup of a keyed table: its rows in order, and each by key.
+    A table sets ``_by_key`` once its rows have passed the uniqueness
+    rule."""
+
+    _by_key: dict
+
+    def __iter__(self):
+        return iter(self._by_key.values())
+
+    def __len__(self):
+        return len(self._by_key)
+
+    def __contains__(self, key: str):
+        return key in self._by_key
+
+    def __getitem__(self, key: str):
+        return self._by_key[key]
+
+
 @dataclass
 class SignalDef:
     """One row of the signal table: a logical DUT signal and its pins."""
@@ -251,7 +271,7 @@ class SignalDef:
 
 
 @dataclass
-class SignalTable:
+class SignalTable(_Keyed):
     """Signal names and pins are unique ignoring case: the compiled script
     spells both in lowercase."""
 
@@ -264,19 +284,7 @@ class SignalTable:
         check_unique(((pin, {"row": sig.row}) for sig in self.signals
                       for pin in sig.pins), "pin", SheetError, fold=True,
                      sheet="signals", column="pins")
-        self._by_name = {sig.name: sig for sig in self.signals}
-
-    def __iter__(self) -> Iterator[SignalDef]:
-        return iter(self.signals)
-
-    def __len__(self):
-        return len(self.signals)
-
-    def __contains__(self, name: str):
-        return name in self._by_name
-
-    def __getitem__(self, name: str) -> SignalDef:
-        return self._by_name[name]
+        self._by_key = {sig.name: sig for sig in self.signals}
 
     def inputs(self) -> list[SignalDef]:
         return [s for s in self.signals if s.direction == "input"]
@@ -334,26 +342,14 @@ class StatusDef:
 
 
 @dataclass
-class StatusTable:
+class StatusTable(_Keyed):
     statuses: list[StatusDef]
 
     def __post_init__(self):
         check_unique(((st.status, {"row": st.row}) for st in self.statuses),
                      "status name", SheetError, sheet="statuses",
                      column="status")
-        self._by_name = {st.status: st for st in self.statuses}
-
-    def __iter__(self) -> Iterator[StatusDef]:
-        return iter(self.statuses)
-
-    def __len__(self):
-        return len(self.statuses)
-
-    def __contains__(self, name: str):
-        return name in self._by_name
-
-    def __getitem__(self, name: str) -> StatusDef:
-        return self._by_name[name]
+        self._by_key = {st.status: st for st in self.statuses}
 
 
 @dataclass
@@ -388,77 +384,44 @@ class TestSequence:
                              row=step.row, column="test step")
 
 
-@dataclass(frozen=True)
-class Violation:
-    sheet: str
-    row: int | None
-    column: str | None
-    message: str
-
-    def __str__(self):
-        row = "?" if self.row is None else str(self.row)
-        col = "?" if self.column is None else self.column
-        return f"{self.sheet}:{row}:{col}: {self.message}"
-
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self):
-        return "\n".join(str(v) for v in self.violations)
-
-
-def _class_violation(sheet: str, row: int | None, column: str | None,
-                     status: StatusDef, signal: SignalDef) -> Violation | None:
+def _class_fault(status: StatusDef, signal: SignalDef) -> str | None:
     cls = method_class(status.method)
     if cls is None:
-        return Violation(sheet, row, column,
-                         f"status '{status.status}' uses method "
-                         f"'{status.method}' of unknown class")
+        return (f"status '{status.status}' uses method '{status.method}' of "
+                f"unknown class")
     if not fits_direction(cls, signal.direction):
-        return Violation(sheet, row, column,
-                         f"direction/method mismatch: {cls}-class status "
-                         f"'{status.status}' ({status.method}) assigned to "
-                         f"{signal.direction} signal '{signal.name}'")
+        return (f"direction/method mismatch: {cls}-class status "
+                f"'{status.status}' ({status.method}) assigned to "
+                f"{signal.direction} signal '{signal.name}'")
     return None
 
 
 def validate_sheets(signals: SignalTable, statuses: StatusTable,
-                    test: TestSequence) -> ValidationReport:
+                    test: TestSequence) -> list[SheetError]:
     """Cross-check the three sheets against each other.
 
-    The report is empty exactly when every referenced status exists, every
+    The list is empty exactly when every referenced status exists, every
     assigned signal exists, initial statuses resolve, and each status's
     method class matches the direction of the signal it is applied to.
-    Violations are data, not exceptions.
+    Violations are data: SheetErrors placed at their sheet, row and
+    column, returned in sheet order, not raised.
     """
-    out: list[Violation] = []
-    for sig in signals:
-        if sig.initial_status not in statuses:
-            out.append(Violation("signals", sig.row, "initial_status",
-                                 f"unknown status '{sig.initial_status}'"))
-            continue
-        v = _class_violation("signals", sig.row, "initial_status",
-                             statuses[sig.initial_status], sig)
-        if v:
-            out.append(v)
-    for step in test.steps:
-        for sig_name, status_name in step.assignments.items():
-            if sig_name not in signals:
-                out.append(Violation("test", step.row, sig_name,
-                                     f"unknown signal '{sig_name}'"))
+    uses = [(sig.name, sig.initial_status,
+             {"sheet": "signals", "row": sig.row, "column": "initial_status"})
+            for sig in signals]
+    uses += [(sig_name, status_name,
+              {"sheet": "test", "row": step.row, "column": sig_name})
+             for step in test.steps
+             for sig_name, status_name in step.assignments.items()]
+    out: list[SheetError] = []
+    for sig_name, status_name, where in uses:
+        if sig_name not in signals:
+            message = f"unknown signal '{sig_name}'"
+        elif status_name not in statuses:
+            message = f"unknown status '{status_name}'"
+        else:
+            message = _class_fault(statuses[status_name], signals[sig_name])
+            if message is None:
                 continue
-            if status_name not in statuses:
-                out.append(Violation("test", step.row, sig_name,
-                                     f"unknown status '{status_name}'"))
-                continue
-            v = _class_violation("test", step.row, sig_name,
-                                 statuses[status_name], signals[sig_name])
-            if v:
-                out.append(v)
-    return ValidationReport(out)
+        out.append(SheetError(message, **where))
+    return out

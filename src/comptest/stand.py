@@ -26,11 +26,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .compiler import MethodInvocation
-from .errors import AllocationError, SheetError, StandError
-from .sheets import check_names, check_unique, method_class
+from .errors import AllocationError, SheetError
+from .sheets import _Keyed, check_names, check_unique, method_class
 
 #: Methods delivered over a bus instead of an electrical pin path.
 BUS_METHODS = frozenset({"put_can"})
@@ -91,26 +91,14 @@ class ResourceDef:
 
 
 @dataclass
-class ResourceTable:
+class ResourceTable(_Keyed):
     resources: list[ResourceDef]
 
     def __post_init__(self):
         check_unique(((res.id, {"row": res.row}) for res in self.resources),
                      "resource id", SheetError, sheet="resources",
                      column="res")
-        self._by_id = {res.id: res for res in self.resources}
-
-    def __iter__(self) -> Iterator[ResourceDef]:
-        return iter(self.resources)
-
-    def __len__(self):
-        return len(self.resources)
-
-    def __getitem__(self, rid: str) -> ResourceDef:
-        return self._by_id[rid]
-
-    def __contains__(self, rid: str):
-        return rid in self._by_id
+        self._by_key = {res.id: res for res in self.resources}
 
 
 @dataclass
@@ -138,8 +126,8 @@ class StandModel:
     def __post_init__(self):
         for rid in self.matrix.rows:
             if rid not in self.resources:
-                raise StandError(f"connection matrix row '{rid}' is not in "
-                                 f"the resource table")
+                raise SheetError(f"resource '{rid}' is not in the resource "
+                                 f"table", sheet="connections", column="res")
         by_resource: dict[str, list[tuple[str, Connector]]] = {}
         for (rid, pin), conn in self.matrix.cells.items():
             by_resource.setdefault(rid, []).append((pin, conn))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from comptest import (ConnectionMatrix, Connector, MethodInvocation,
                       ResourceDef, ResourceTable, SignalDef, SignalTable,
                       StatusDef, StatusTable, TestSequence, TestStep, INF)
-from comptest.compiler import InitBlock, ScriptSignal, ScriptStep, Statement, TestScript
+from comptest.compiler import Block, ScriptSignal, Statement, TestScript
 from comptest.expr import BinOp, Num, Paren, Var
 from comptest.runner import CheckRecord, RunReport, StepRecord, StimulusRecord
 
@@ -220,7 +220,7 @@ def test_scripts(draw) -> TestScript:
             tuple(pin_pool[i * 2:i * 2 + n_pins])))
     inputs = [s for s in manifest if s.direction == "input"]
     outputs = [s for s in manifest if s.direction == "output"]
-    init = InitBlock(draw(positive_decimals), [
+    init = Block(-1, draw(positive_decimals), [
         Statement(s.name, draw(invocations("put"))) for s in inputs])
     steps = []
     for index in range(draw(st.integers(min_value=1, max_value=4))):
@@ -229,7 +229,7 @@ def test_scripts(draw) -> TestScript:
                                  unique_by=lambda s: s.name)):
             cls = "put" if sig.direction == "input" else "get"
             statements.append(Statement(sig.name, draw(invocations(cls))))
-        steps.append(ScriptStep(index, draw(positive_decimals), statements))
+        steps.append(Block(index, draw(positive_decimals), statements))
     return TestScript(draw(idents), draw(idents), manifest, init, steps)
 
 

@@ -13,29 +13,27 @@ def make_test(steps):
 
 
 def test_demo_sheets_validate_clean(demo_signals, demo_statuses, demo_test):
-    report = validate_sheets(demo_signals, demo_statuses, demo_test)
-    assert report.ok
-    assert report.violations == []
+    assert validate_sheets(demo_signals, demo_statuses, demo_test) == []
 
 
 def test_unknown_status_is_one_violation(demo_signals, demo_statuses, demo_test):
     steps = [TestStep(s.index, s.dt, dict(s.assignments), s.remark, row=s.row)
              for s in demo_test.steps]
     steps[3].assignments["INT_ILL"] = "Hi"
-    report = validate_sheets(demo_signals, demo_statuses, make_test(steps))
-    assert len(report.violations) == 1
-    v = report.violations[0]
-    assert "unknown status" in v.message and "Hi" in v.message
-    assert v.sheet == "test" and v.column == "INT_ILL"
+    [fault] = validate_sheets(demo_signals, demo_statuses, make_test(steps))
+    assert isinstance(fault, SheetError)
+    assert str(fault) == "test, row 5, column INT_ILL: unknown status 'Hi'"
+    assert (fault.sheet, fault.row, fault.column) == ("test", 5, "INT_ILL")
 
 
 def test_direction_method_mismatch(demo_signals, demo_statuses, demo_test):
     steps = [TestStep(s.index, s.dt, dict(s.assignments), s.remark)
              for s in demo_test.steps]
     steps[1].assignments["DS_FL"] = "Ho"  # get-class status on an input
-    report = validate_sheets(demo_signals, demo_statuses, make_test(steps))
-    assert len(report.violations) == 1
-    assert "direction/method mismatch" in report.violations[0].message
+    [fault] = validate_sheets(demo_signals, demo_statuses, make_test(steps))
+    assert str(fault) == ("test, column DS_FL: direction/method mismatch: "
+                          "get-class status 'Ho' (get_u) assigned to input "
+                          "signal 'DS_FL'")
 
 
 def test_unknown_signal_and_bad_initial_status(demo_statuses, demo_test):
@@ -44,20 +42,19 @@ def test_unknown_signal_and_bad_initial_status(demo_statuses, demo_test):
         SignalDef("INT_ILL", "output", ("INT_ILL_F",), "Lo", row=3),
     ])
     steps = [TestStep(0, Decimal("1"), {"GHOST": "Lo"})]
-    report = validate_sheets(signals, demo_statuses, make_test(steps))
-    messages = [v.message for v in report.violations]
-    assert any("unknown status 'Nope'" in m for m in messages)
-    assert any("unknown signal 'GHOST'" in m for m in messages)
+    faults = validate_sheets(signals, demo_statuses, make_test(steps))
+    assert [str(fault) for fault in faults] == [
+        "signals, row 2, column initial_status: unknown status 'Nope'",
+        "test, column GHOST: unknown signal 'GHOST'"]
 
 
 def test_validation_covers_initial_status_direction(demo_statuses):
     # An output signal whose initial status is a stimulus is a violation.
     signals = SignalTable([SignalDef("OUT", "output", ("OUT",), "Open", row=2)])
     steps = [TestStep(0, Decimal("1"), {})]
-    report = validate_sheets(signals, demo_statuses, make_test(steps))
-    assert len(report.violations) == 1
-    assert "direction/method mismatch" in report.violations[0].message
-    assert report.violations[0].sheet == "signals"
+    [fault] = validate_sheets(signals, demo_statuses, make_test(steps))
+    assert "direction/method mismatch" in str(fault)
+    assert (fault.sheet, fault.column) == ("signals", "initial_status")
 
 
 def test_signal_table_rejects_duplicate_names():
@@ -141,7 +138,7 @@ def test_direction_rule_agrees_across_layers(method, direction, fits):
     status = StatusDef("S", method, "x", nom=Decimal("1"), max=Decimal("1"))
     signals = SignalTable([SignalDef("A", direction, ("A",), "S")])
     test = make_test([TestStep(0, Decimal("1"), {"A": "S"})])
-    validated = validate_sheets(signals, StatusTable([status]), test).ok
+    validated = not validate_sheets(signals, StatusTable([status]), test)
 
     try:
         load_script(ONE_STATEMENT_SCRIPT.format(method=method,

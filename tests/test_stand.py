@@ -8,7 +8,7 @@ import pytest
 
 from comptest import (AllocationError, ConnectionMatrix, Connector,
                       MethodInvocation, Requirement, ResourceDef,
-                      ResourceTable, StandModel, StandError, allocate,
+                      ResourceTable, SheetError, StandModel, allocate,
                       build_dut, execute, load_script, parse_connector,
                       report_to_json, INF)
 from comptest.stand import _Engagements
@@ -61,8 +61,11 @@ def test_stand_rejects_unknown_matrix_rows():
                                            Decimal(10))])
     matrix = ConnectionMatrix(["p"], ["R9"], {("R9", "p"):
                                               Connector("mux", 1, 1)})
-    with pytest.raises(StandError, match="R9"):
+    with pytest.raises(SheetError) as err:
         StandModel(resources, matrix)
+    assert str(err.value) == ("connections, column res: resource 'R9' is not "
+                              "in the resource table")
+    assert (err.value.sheet, err.value.column) == ("connections", "res")
 
 
 def test_voltage_check_binds_dvm_via_switch(demo_stand):
