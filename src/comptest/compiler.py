@@ -15,8 +15,9 @@ from typing import Union
 
 from .errors import ValidationFailed
 from .expr import BinOp, Expr, Num, Paren, Var, render_expr
-from .sheets import (INF, SignalTable, StatusDef, StatusTable, TestSequence,
-                     _OpenCircuit, check_dwell, method_class, validate_sheets)
+from .sheets import (INF, NOT_XML, SignalTable, StatusDef, StatusTable,
+                     TestSequence, _OpenCircuit, check_dwell, method_class,
+                     validate_sheets)
 
 #: A method parameter: a number, a text literal (bit pattern), a symbolic
 #: expression, or the open-circuit marker.
@@ -155,9 +156,6 @@ def render_value(value: ParamValue) -> str:
     return render_expr(value)
 
 
-#: The characters XML 1.0 cannot hold: controls other than tab, LF and CR,
-#: surrogates, U+FFFE and U+FFFF.
-_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 #: What ``_attr`` escapes or refuses; most values hold none of it.
 _SPECIAL = re.compile('[&<>"\x00-\x1f\ud800-\udfff\ufffe\uffff]')
 
@@ -169,7 +167,7 @@ def _attr(value: str) -> str:
     XML 1.0 cannot hold."""
     if _SPECIAL.search(value) is None:
         return value
-    bad = _NOT_XML.search(value)
+    bad = NOT_XML.search(value)
     if bad:
         raise ValueError(f"{value!r}: U+{ord(bad.group()):04X} cannot be "
                          f"written to an XML script")

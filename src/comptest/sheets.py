@@ -119,13 +119,22 @@ def check_has_steps(steps: list, error: type[Exception], **where):
         raise error("a test needs at least one step", **where)
 
 
+#: The characters XML 1.0 cannot hold: controls other than tab, LF and CR,
+#: surrogates, U+FFFE and U+FFFF.
+NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def check_ident(text: str, error: type[Exception], what: str = "identifier",
                 **where) -> str:
     """The identifier rule of signal, pin, status and resource names: not
-    empty, no whitespace."""
+    empty, no whitespace, no character an XML script cannot hold."""
     if text.split() != [text]:
         raise error(f"{what} {text!r} contains whitespace" if text
                     else f"empty {what}", **where)
+    bad = NOT_XML.search(text)
+    if bad:
+        raise error(f"{what} {text!r} holds U+{ord(bad.group()):04X}, which "
+                    f"an XML script cannot hold", **where)
     return text
 
 
@@ -406,15 +415,13 @@ def validate_sheets(signals: SignalTable, statuses: StatusTable,
     Violations are data: SheetErrors placed at their sheet, row and
     column, returned in sheet order, not raised.
     """
-    uses = [(sig.name, sig.initial_status,
-             {"sheet": "signals", "row": sig.row, "column": "initial_status"})
-            for sig in signals]
-    uses += [(sig_name, status_name,
-              {"sheet": "test", "row": step.row, "column": sig_name})
+    uses = [("signals", sig.row, "initial_status", sig.name,
+             sig.initial_status) for sig in signals]
+    uses += [("test", step.row, sig_name, sig_name, status_name)
              for step in test.steps
              for sig_name, status_name in step.assignments.items()]
     out: list[SheetError] = []
-    for sig_name, status_name, where in uses:
+    for sheet, row, column, sig_name, status_name in uses:
         if sig_name not in signals:
             message = f"unknown signal '{sig_name}'"
         elif status_name not in statuses:
@@ -423,5 +430,5 @@ def validate_sheets(signals: SignalTable, statuses: StatusTable,
             message = _class_fault(statuses[status_name], signals[sig_name])
             if message is None:
                 continue
-        out.append(SheetError(message, **where))
+        out.append(SheetError(message, sheet=sheet, row=row, column=column))
     return out

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .compiler import MethodInvocation
 from .errors import AllocationError, SheetError
@@ -210,14 +210,45 @@ def _augment(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
              seen: set[str]) -> bool:
     """Kuhn's augmenting path: give requirement ``j`` a resource from
     ``edges[j]``, moving the owners of taken ones along if that frees one.
-    ``owner`` maps resource id -> requirement index."""
+    ``owner`` maps resource id -> requirement index. The owner of a taken
+    resource is moved by ``_move``; this first level keeps no path, as
+    most requirements find a free resource at once."""
     for rid in edges[j]:
         if rid not in seen:
             seen.add(rid)
-            if rid not in owner or _augment(owner[rid], edges, owner, seen):
+            if rid not in owner or _move(owner[rid], edges, owner, seen):
                 owner[rid] = j
                 return True
     return False
+
+
+def _move(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
+          seen: set[str]) -> bool:
+    """Give requirement ``j`` another resource as ``_augment`` would, in
+    the same order, but as a loop, so that a path may be as long as the
+    block: ``path`` holds, per owner still to move, the requirement that
+    asks for its resource, that resource and the requirement's edges not
+    yet tried."""
+    path: list[tuple[int, str, Iterator[str]]] = []
+    todo = iter(edges[j])
+    while True:
+        for rid in todo:
+            if rid not in seen:
+                seen.add(rid)
+                if rid not in owner:
+                    owner[rid] = j
+                    while path:
+                        j, rid, _ = path.pop()
+                        owner[rid] = j
+                    return True
+                path.append((j, rid, todo))
+                j = owner[rid]
+                todo = iter(edges[j])
+                break
+        else:
+            if not path:
+                return False
+            j, _, todo = path.pop()
 
 
 class _Search:
@@ -311,31 +342,50 @@ class _Search:
                 return False
         return True
 
-    def solve(self, k: int) -> bool:
-        if k == len(self.free):
-            return self._checks()
-        unmatched, owner = self._unmatched(k)
-        if unmatched is not None:
-            self._record(k, self.reqs[unmatched], owner)
-            return False
-        i = self.free[k]
-        req = self.reqs[i]
-        engaged = self.engaged
-        tries = 0
-        for res, conn in self.usable[i]:
-            if engaged.conflict(res.id, conn) is not None:
-                continue
-            tries += 1
-            if tries == 2 and self._unmatched(k, groups=True)[0] is not None:
-                # Cut: the failed first candidate recorded a deeper node.
-                break
-            engaged.engage(res.id, conn, req.pin)
-            self.out[i] = Binding(req, "resource", res.id, conn)
-            if self.solve(k + 1):
-                return True
-            engaged.release(res.id, conn)
-        self._record(k, req, None)
-        return False
+    def solve(self) -> bool:
+        """The depth-first search as a loop, so that a block of any size
+        needs no deeper recursion. ``path`` holds, per node entered and not
+        yet failed, its candidates not yet tried, its tries so far and the
+        resource id and connector of the candidate it has engaged."""
+        free, reqs, engaged, out = self.free, self.reqs, self.engaged, self.out
+        path: list[list] = []
+        while True:
+            k = len(path)  # enter node k
+            if k == len(free):
+                if self._checks():
+                    return True
+            else:
+                unmatched, owner = self._unmatched(k)
+                if unmatched is None:
+                    path.append([iter(self.usable[free[k]]), 0, None, None])
+                else:
+                    self._record(k, reqs[unmatched], owner)
+            while path:  # the deepest open node tries its next candidate
+                k = len(path) - 1
+                node = path[k]
+                i = free[k]
+                if node[2] is not None:
+                    engaged.release(node[2], node[3])
+                    node[2] = None
+                for res, conn in node[0]:
+                    if engaged.conflict(res.id, conn) is not None:
+                        continue
+                    node[1] += 1
+                    if node[1] == 2 and (
+                            self._unmatched(k, groups=True)[0] is not None):
+                        # Cut: the failed first candidate recorded a deeper
+                        # node.
+                        break
+                    engaged.engage(res.id, conn, reqs[i].pin)
+                    out[i] = Binding(reqs[i], "resource", res.id, conn)
+                    node[2], node[3] = res.id, conn
+                    break
+                if node[2] is not None:  # engaged: enter node k + 1
+                    break
+                self._record(k, reqs[i], None)
+                path.pop()
+            else:
+                return False
 
 
 def allocate(requirements: Sequence[Requirement], stand: StandModel,
@@ -396,7 +446,7 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
         out[i] = pinned
 
     search = _Search(reqs, free, checks, stand, held, engaged, out)
-    if not search.solve(0):
+    if not search.solve():
         _, req, rejections = search.deepest
         parameter = None
         for _, reason in rejections:

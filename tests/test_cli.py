@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import jsonschema
@@ -69,8 +70,8 @@ def test_check_reports_violations(tmp_path, capsys):
     code = main(["check", *SHEETS[:4], "--test", str(bad_path)])
     err = capsys.readouterr().err
     assert code == 1
-    assert "unknown status 'Hi'" in err
-    assert "1 violation" in err
+    assert err == ("test, row 6, column INT_ILL: unknown status 'Hi'\n"
+                   "1 violation\n")
 
 
 def test_check_missing_file_is_io_error(tmp_path, capsys):
@@ -161,7 +162,9 @@ def test_compile_invalid_sheets_writes_nothing(tmp_path, capsys):
                  "-o", str(out)])
     assert code == 1
     assert not out.exists()
-    assert "unknown status" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "test, row 6, column INT_ILL: unknown status 'Hi'\n"
+        "comptest: error: sheets did not validate; no script written\n")
 
 
 def test_compile_dot_dialect_gives_identical_bytes(tmp_path, capsys):
@@ -313,6 +316,24 @@ def test_check_and_compile_refuse_a_bad_status_row(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "compile"])
+def test_check_and_compile_refuse_an_identifier_xml_cannot_hold(
+        tmp_path, capsys, command):
+    # Check passes only what compile can write.
+    signals = (DATA / "signals.csv").read_text(encoding="utf-8")
+    bad = tmp_path / "signals.csv"
+    bad.write_text(signals.replace("IGN_ST;input", "IG\x01N_ST;input"),
+                   encoding="utf-8")
+    out = tmp_path / "script.xml"
+    code = main([command, "--signals", str(bad), *SHEETS[2:],
+                 *(["-o", str(out)] if command == "compile" else [])])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "comptest: error: signals, row 2, column name: identifier "
+        "'IG\\x01N_ST' holds U+0001, which an XML script cannot hold\n")
+    assert not out.exists()
+
+
 def test_run_reproduces_golden_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", "--script", str(DATA / "expected_script.xml"), *STAND,
@@ -345,6 +366,19 @@ def test_run_without_dvm_exits_2(script_path, tmp_path, capsys):
     assert code == 2
     assert "get_u" in captured.err
     assert "aborted" in captured.out  # the report itself is still an artifact
+
+
+def test_run_names_an_unknown_matrix_row(script_path, tmp_path, capsys):
+    connections = tmp_path / "connections.csv"
+    connections.write_text((DATA / "connections.csv").read_text(
+        encoding="utf-8") + "R9;;;;;;\n", encoding="utf-8")
+    code = main(["run", "--script", str(script_path), *STAND,
+                 "--connections", str(connections)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("comptest: error: connections, column res: "
+                            "resource 'R9' is not in the resource table\n")
+    assert captured.out == ""
 
 
 def test_run_check_failure_exits_1(tmp_path, capsys):
@@ -402,6 +436,53 @@ def test_crashing_dut_plugin_exits_2(script_path, capsys, monkeypatch):
     assert ("run aborted [environment]: dut model raised KeyError: "
             "'int_ill_f'") in captured.err
     assert "Traceback" not in captured.err
+
+
+class PermissiveDut:
+    """Takes every input and reads 0 V on every pin."""
+
+    def set_input(self, name, value, aux=None):
+        pass
+
+    def advance(self, dt):
+        pass
+
+    def read_pin(self, pin):
+        return Decimal(0)
+
+
+def test_run_allocates_a_wide_init_block(tmp_path, capsys, monkeypatch):
+    # 1 100 stimuli in one block, each on a resource of its own: deeper
+    # than the interpreter's default recursion limit.
+    n = 1100
+    pins = [f"p{j}" for j in range(n)]
+    manifest = "".join(f'    <signal name="{pin}" direction="input" '
+                       f'pins="{pin}" />\n' for pin in pins)
+    puts = "".join(f'    <signal name="{pin}">\n      <put_r r="5" />\n'
+                   f'    </signal>\n' for pin in pins)
+    files = {
+        "script.xml": '<?xml version="1.0" encoding="UTF-8"?>\n'
+                      '<test name="wide" dut="permissive" format="1">\n'
+                      f'  <signals>\n{manifest}  </signals>\n'
+                      f'  <init dt="0.1">\n{puts}  </init>\n'
+                      '  <step n="0" dt="1" />\n</test>\n',
+        "resources.csv": "res;method;attribut;min;max;unit\n" + "".join(
+            f"R{j};put r;r;0;1000;Ω\n" for j in range(n)),
+        "connections.csv": ";".join(["res", *pins]) + "\n" + "".join(
+            f"R{j};{';' * j}Mx{j}.1\n" for j in range(n)),
+        "stand.env": "ubatt=12\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.setitem(DUT_REGISTRY, "permissive", lambda env: PermissiveDut())
+    code = main(["run", "--script", str(tmp_path / "script.xml"),
+                 "--resources", str(tmp_path / "resources.csv"),
+                 "--connections", str(tmp_path / "connections.csv"),
+                 "--env", str(tmp_path / "stand.env"), "--dut", "permissive",
+                 "--report", "json", "-o", str(tmp_path / "report.json")])
+    assert (code, capsys.readouterr().err) == (0, "")
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert [s["resource"] for s in report["init"]["stimuli"]] == \
+        [f"R{j}" for j in range(n)]
 
 
 def test_dut_factory_that_raises_exits_2(script_path, capsys, monkeypatch):

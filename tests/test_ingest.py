@@ -279,6 +279,23 @@ RESOURCE_ROW = "R1;get u;u;-60;60;V\n"
      ("resources", 2, "method")),
     (parse_resource_sheet, RESOURCE_HEADER + "R1;get u;9u;-60;60;V\n",
      ("resources", 2, "attribut")),
+    # Identifiers hold no character an XML script cannot hold.
+    (parse_signal_sheet, SIGNAL_HEADER + "IG\x01N_ST;input;P1;x\n",
+     ("signals", 2, "name")),
+    (parse_signal_sheet, SIGNAL_HEADER + "A;input;P1|P\ufffe;x\n",
+     ("signals", 2, "pins")),
+    (parse_signal_sheet, SIGNAL_HEADER + "A;input;P1;x\x1b\n",
+     ("signals", 2, "initial_status")),
+    (parse_status_sheet, STATUS_HEADER + "L\x08o;put r;r;;1;;;;;\n",
+     ("statuses", 2, "status")),
+    (parse_test_sheet, TEST_HEADER + "0;1;O\x01f;;;;;\n",
+     ("test", 2, "IGN_ST")),
+    (parse_test_sheet, "test step;Δt;A\udfffB\n0;1;Lo\n",
+     ("test", 1, "column 3")),
+    (parse_resource_sheet, RESOURCE_HEADER + "R\x0e1;get u;u;-60;60;V\n",
+     ("resources", 2, "res")),
+    (parse_connection_sheet, "res;a\uffffb\nR1;Mx1.1\n",
+     ("connections", 1, "column 2")),
 ])
 def test_table_rule_errors_have_coordinates(parse, text, where):
     with pytest.raises(SheetError) as err:

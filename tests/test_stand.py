@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import sys
 import time
 from decimal import Decimal
 
@@ -457,6 +458,60 @@ def test_overcommitted_groups_fail_at_once(n):
         for r in range(1, 2 * n + 1)]
     if n == 3:
         assert first_feasible(reqs, stand) is None
+
+
+def _one_each_stand(n):
+    """n pins, each wired to a resource of its own."""
+    resources = ResourceTable([
+        ResourceDef(f"R{j}", "put_r", "r", Decimal(0), Decimal(1000))
+        for j in range(n)])
+    pins = [f"p{j}" for j in range(n)]
+    matrix = ConnectionMatrix(
+        pins, [res.id for res in resources],
+        {(f"R{j}", pin): Connector("mux", j, 1) for j, pin in enumerate(pins)})
+    return StandModel(resources, matrix), pins
+
+
+def _chain_stand(n):
+    """n pins, pin j wired to R_j and R_(j+1) where that exists, with the
+    rows in reverse: each pin's first candidate is its neighbour's own
+    resource, so the last pin's matching moves every pin before it."""
+    ids = [f"R{j}" for j in reversed(range(n))]
+    resources = ResourceTable([
+        ResourceDef(rid, "put_r", "r", Decimal(0), Decimal(1000))
+        for rid in ids])
+    pins = [f"p{j}" for j in range(n)]
+    cells = {(f"R{j}", pin): Connector("mux", j, 1)
+             for j, pin in enumerate(pins)}
+    cells.update({(f"R{j + 1}", pin): Connector("mux", j + 1, 2)
+                  for j, pin in enumerate(pins[:-1])})
+    return StandModel(resources, ConnectionMatrix(pins, ids, cells)), pins
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("build", [_one_each_stand, _chain_stand])
+def test_allocation_depth_needs_no_recursion(build):
+    # The search and the matching hold their paths in lists: a block of
+    # 400 stimuli allocates within 150 frames of the caller's stack.
+    stand, pins = build(400)
+    reqs = [Requirement(pin, put_r(Decimal("5"))) for pin in pins]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        start = time.perf_counter()
+        alloc = allocate(reqs, stand)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    assert elapsed < 1.0
+    assert [b.resource_id for b in alloc.bindings] == \
+        [f"R{j}" for j in range(400)]
 
 
 def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand,
