@@ -203,14 +203,18 @@ def emit_xml(script: TestScript) -> str:
                    f'direction="{_attr(sig.direction)}" pins="{_attr(pins)}" />')
     out.append("  </signals>")
     for block in (script.init, *script.steps):
-        tag, n = (("init", "") if block.index < 0
-                  else ("step", f' n="{block.index}"'))
+        # The closing tags are constants, shared by every block's line.
+        if block.index < 0:
+            head, end = f'  <init dt="{block.dt}"', "  </init>"
+        else:
+            head = f'  <step n="{block.index}" dt="{block.dt}"'
+            end = "  </step>"
         if block.statements:
-            out.append(f'  <{tag}{n} dt="{block.dt}">')
+            out.append(head + ">")
             for st in block.statements:
                 out.extend(_statement_lines(st, "    "))
-            out.append(f"  </{tag}>")
+            out.append(end)
         else:
-            out.append(f'  <{tag}{n} dt="{block.dt}" />')
+            out.append(head + " />")
     out.append("</test>")
     return "\n".join(out) + "\n"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import DefaultContext, Decimal, InvalidOperation
+from itertools import chain
 from typing import Iterable, Union
 
 from .errors import SheetError
@@ -415,11 +416,12 @@ def validate_sheets(signals: SignalTable, statuses: StatusTable,
     Violations are data: SheetErrors placed at their sheet, row and
     column, returned in sheet order, not raised.
     """
-    uses = [("signals", sig.row, "initial_status", sig.name,
-             sig.initial_status) for sig in signals]
-    uses += [("test", step.row, sig_name, sig_name, status_name)
-             for step in test.steps
-             for sig_name, status_name in step.assignments.items()]
+    # (sheet, row, column, signal, status) per use, streamed, not listed
+    uses = chain((("signals", sig.row, "initial_status", sig.name,
+                   sig.initial_status) for sig in signals),
+                 (("test", step.row, sig_name, sig_name, status_name)
+                  for step in test.steps
+                  for sig_name, status_name in step.assignments.items()))
     out: list[SheetError] = []
     for sheet, row, column, sig_name, status_name in uses:
         if sig_name not in signals:
