@@ -281,7 +281,8 @@ def parse_connection_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> 
                                  column=pin) from None
     check_unique(((rid, {"row": line}) for rid, line in matrix_rows),
                  "resource row", SheetError, sheet="connections", column="res")
-    return ConnectionMatrix(pins, [rid for rid, _ in matrix_rows], cells)
+    return ConnectionMatrix(pins, [rid for rid, _ in matrix_rows], cells,
+                            dict(matrix_rows))
 
 
 # --- serializers (round-trip partners of the parsers) ---------------------

@@ -1,8 +1,11 @@
 """Discrete-time execution of a test script on a virtual stand.
 
 The script is as sparse as the sheets; this module owns hold semantics.
-Each block (``<init>``, then every step) allocates resources for the
-stimuli in force plus the block's one-shots and checks, applies whatever
+A run is planned, then driven. ``plan`` needs no DUT: per block
+(``<init>``, then every step) it evaluates the block's stimuli and checks,
+allocates resources for the stimuli in force plus the block's one-shots
+and checks, keeping the run's held bindings engaged across blocks
+(``stand.Holds``), and advances the clock. ``drive`` applies whatever
 stimuli changed, advances the DUT by the dwell and samples every check pin
 at the end of it. Check failures are recorded and execution continues;
 allocation failures, unbound environment variables, a dwell sum beyond the
@@ -16,14 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal, Overflow
 from json.encoder import encode_basestring_ascii as _str
-from typing import Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .compiler import MethodInvocation, TestScript, render_value
 from .dut import DutModel, dut_fault
 from .errors import AllocationError, EvalError
 from .expr import Num, Var, BinOp, Paren, eval_expr
 from .sheets import method_class
-from .stand import BUS_METHODS, Binding, Requirement, StandModel, allocate
+from .stand import (BUS_METHODS, Binding, Holds, Requirement, StandModel,
+                    allocate)
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,7 @@ class _InForce:
     applied, its rendered params and its requirements (one per target),
     kept while it is unchanged, even when restated with other digits.
     ``records`` are those of its first unchanged block, shared by every
-    later one: ``allocate`` pins a binding handed its own requirement back
+    later one: ``allocate`` keeps a binding handed its own requirement back
     or aborts, and no other delivery changes while the stimulus does not."""
 
     invocation: MethodInvocation
@@ -166,47 +170,75 @@ class _InForce:
     records: list[StimulusRecord] | None = None
 
 
-def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
-            dut: DutModel) -> RunReport:
-    """Run ``script`` against ``dut`` on ``stand`` under ``env``.
+@dataclass
+class Planned:
+    """One block as planned: its stimulus records, the requirements of the
+    stimuli to apply (those that changed, in statement order) and of the
+    checks to sample, both evaluated, and the clock at its end."""
+
+    index: int  # -1 is the init block
+    dt: Decimal
+    t_end: Decimal
+    applies: list[Requirement]
+    checks: list[Requirement]
+    stimuli: list[StimulusRecord]
+
+
+class Abort(NamedTuple):
+    """The first block that cannot be planned, or driven."""
+
+    step: int | None  # None is the init block
+    kind: str  # "allocation" | "environment"
+    message: str
+
+
+@dataclass
+class Plan:
+    """A script's run on one stand under one environment, block by block:
+    ``blocks`` gives each ``Planned`` block and ends with the first
+    ``Abort``, if there is one. It is lazy and can be walked once."""
+
+    script: TestScript
+    blocks: Iterator[Planned | Abort]
+
+
+def plan(script: TestScript, stand: StandModel,
+         env: Mapping[str, Decimal]) -> Plan:
+    """Plan ``script`` on ``stand`` under ``env``, without a DUT.
 
     This is where hold semantics live. ``<init>`` and every step go through
     one block body: a put replaces the stimulus in force for its signal and
-    is evaluated once, when it appears; a get is sampled at the end of its
-    own block's dwell; any other method is a one-shot, allocated for its
-    block only and never evaluated, applied, held or sampled. Only this
-    function decides what is unchanged: a stimulus in force passes the same
-    requirements to every block, so ``allocate`` pins its binding, and
-    shares its records from its second unchanged block on (see _InForce).
+    is evaluated once, when it appears; a get is evaluated as a check of its
+    own block; any other method is a one-shot, allocated for its block only
+    and never evaluated, applied, held or sampled. Only the plan decides
+    what is unchanged: a stimulus in force passes the same requirements to
+    every block, so ``allocate`` keeps its binding engaged in the run's
+    ``Holds``, and it shares its records from its second unchanged block on
+    (see _InForce).
 
-    The report is complete and deterministic: byte-identical for identical
-    inputs. The run aborts on allocation errors, unbound environment
-    variables, a clock overflow (checked before the block drives ``dut``)
-    and exceptions raised by ``dut``; failed checks only mark their step as
-    failed.
+    Each block is evaluated, then allocated, then its clock is checked; the
+    first that fails ends the plan with an ``Abort``: unbound environment
+    variables and a dwell sum beyond the decimal range are of kind
+    ``environment``, allocation errors of kind ``allocation``. A block is
+    planned only when the one before it has been taken, so a run driven
+    from the plan stops at whichever fault comes first.
     """
-    env = {k: Decimal(v) for k, v in env.items()}
+    return Plan(script, _blocks(script, stand,
+                                {k: Decimal(v) for k, v in env.items()}))
+
+
+def _blocks(script: TestScript, stand: StandModel,
+            env: dict[str, Decimal]) -> Iterator[Planned | Abort]:
     pins = {sig.name: sig.pins for sig in script.signals}
-    records: list[StepRecord] = []  # the init block's, then one per step
+    holds = Holds()
     clock = Decimal("0")
     values: dict[int, Decimal] = {}  # see _evaluate
     in_force: dict[str, _InForce] = {}
-    held: dict[str, Binding] = {}
 
-    def targets(signal: str, inv: MethodInvocation) -> tuple[str, ...]:
+    def requirements(signal: str, inv: MethodInvocation) -> list[Requirement]:
         # A bus method reaches the DUT by signal name, all else by pin.
-        return (signal,) if inv.method in BUS_METHODS else pins[signal]
-
-    def report(step: int | None = None, kind: str | None = None,
-               message: str | None = None) -> RunReport:
-        steps = records[1:]
-        aborted = kind is not None
-        return RunReport(script.name, script.dut,
-                         overall=not aborted and all(s.passed for s in steps),
-                         aborted=aborted, abort_step=step, abort_kind=kind,
-                         abort_message=message,
-                         settle=records[0] if records else None,
-                         steps=steps, steps_total=len(script.steps))
+        return [Requirement(target, inv, signal) for target in
+                ((signal,) if inv.method in BUS_METHODS else pins[signal])]
 
     for block in (script.init, *script.steps):
         where = None if block.index < 0 else block.index
@@ -227,57 +259,40 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
             checks = [(sig, _evaluate(inv, env, values))
                       for sig, inv in checks]
         except EvalError as exc:
-            return report(where, "environment", str(exc))
+            yield Abort(where, "environment", str(exc))
+            return
         changed: dict[str, _InForce] = {}
         for sig, inv in puts.items():
             rendered = _rendered(inv)
             entry = in_force.get(sig)
             if entry is None or entry.invocation != inv:
-                in_force[sig] = changed[sig] = _InForce(inv, rendered, [
-                    Requirement(target, inv, sig)
-                    for target in targets(sig, inv)])
+                in_force[sig] = changed[sig] = _InForce(
+                    inv, rendered, requirements(sig, inv))
             elif entry.params != rendered:  # restated with other digits
                 entry.params, entry.records = rendered, None
 
         reqs = [req for entry in in_force.values()
                 for req in entry.requirements]
         n_in_force = len(reqs)  # the one-shots' requirements follow
-        reqs += [Requirement(target, inv, sig)
-                 for sig, inv in one_shots for target in targets(sig, inv)]
+        for sig, inv in one_shots:
+            reqs += requirements(sig, inv)
         n_stimuli = len(reqs)  # the checks' requirements follow
-        reqs += [Requirement(target, inv, sig)
-                 for sig, inv in checks for target in targets(sig, inv)]
+        for sig, inv in checks:
+            reqs += requirements(sig, inv)
         try:
-            alloc = allocate(reqs, stand, held)
+            bindings = allocate(reqs, stand, holds).bindings
         except AllocationError as exc:
-            return report(where, "allocation", str(exc))
-        held = {b.requirement.pin: b for b in alloc.bindings[:n_in_force]
-                if b.delivery == "resource"}
+            yield Abort(where, "allocation", str(exc))
+            return
         try:
             t_end = clock + block.dt
         except Overflow:
-            return report(where, "environment",
-                          f"clock overflow: dwell sum {clock} + {block.dt} s "
-                          f"is out of range")
-
-        check_records: list[CheckRecord] = []
-        try:
-            for entry in changed.values():
-                inv = entry.invocation
-                for req in entry.requirements:
-                    dut.set_input(req.pin, inv.principal_value(), _aux(inv))
-            dut.advance(block.dt)
-            for signal, inv in checks:
-                low, high = _bounds(inv)
-                for pin in pins[signal]:
-                    measured = dut.read_pin(pin)
-                    ok = ((low is None or low <= measured)
-                          and (high is None or measured <= high))
-                    check_records.append(CheckRecord(signal, pin, inv.method,
-                                                     low, high, measured, ok))
-        except Exception as exc:  # a faulty DUT plugin, see dut_fault
-            return report(where, "environment", dut_fault(exc))
+            yield Abort(where, "environment",
+                        f"clock overflow: dwell sum {clock} + {block.dt} s "
+                        f"is out of range")
+            return
         clock = t_end
+
         stimuli: list[StimulusRecord] = []
         at = 0  # bindings come in the order of reqs
         for sig, entry in in_force.items():
@@ -286,16 +301,70 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
             if block_records is None:
                 new = sig in changed
                 block_records = [_record(b, entry.params, new)
-                                 for b in alloc.bindings[at:at + n]]
+                                 for b in bindings[at:at + n]]
                 if not new:
                     entry.records = block_records
             stimuli += block_records
             at += n
         stimuli += [_record(b, _rendered(b.requirement.invocation), False)
-                    for b in alloc.bindings[at:n_stimuli]]
-        records.append(StepRecord(block.index, block.dt, clock, stimuli,
-                                  check_records))
-    return report()
+                    for b in bindings[n_in_force:n_stimuli]]
+        yield Planned(block.index, block.dt, t_end,
+                      [req for entry in changed.values()
+                       for req in entry.requirements],
+                      reqs[n_stimuli:], stimuli)
+
+
+def drive(plan: Plan, dut: DutModel) -> RunReport:
+    """Run ``plan`` against ``dut``: per block, apply the changed stimuli,
+    advance by the dwell and sample every check pin at the end of it.
+
+    Failed checks only mark their step as failed. The run stops at the
+    plan's abort, or at the first exception raised by ``dut`` (kind
+    ``environment``), whichever block comes first.
+    """
+    script = plan.script
+    records: list[StepRecord] = []  # the init block's, then one per step
+    abort: Abort | None = None
+    for block in plan.blocks:
+        if isinstance(block, Abort):
+            abort = block
+            break
+        check_records: list[CheckRecord] = []
+        try:
+            for req in block.applies:
+                inv = req.invocation
+                dut.set_input(req.pin, inv.principal_value(), _aux(inv))
+            dut.advance(block.dt)
+            for req in block.checks:
+                low, high = _bounds(req.invocation)
+                measured = dut.read_pin(req.pin)
+                ok = ((low is None or low <= measured)
+                      and (high is None or measured <= high))
+                check_records.append(CheckRecord(
+                    req.signal, req.pin, req.invocation.method, low, high,
+                    measured, ok))
+        except Exception as exc:  # a faulty DUT plugin, see dut_fault
+            abort = Abort(None if block.index < 0 else block.index,
+                          "environment", dut_fault(exc))
+            break
+        records.append(StepRecord(block.index, block.dt, block.t_end,
+                                  block.stimuli, check_records))
+    steps = records[1:]
+    step, kind, message = abort or (None, None, None)
+    return RunReport(script.name, script.dut,
+                     overall=kind is None and all(s.passed for s in steps),
+                     aborted=kind is not None, abort_step=step,
+                     abort_kind=kind, abort_message=message,
+                     settle=records[0] if records else None,
+                     steps=steps, steps_total=len(script.steps))
+
+
+def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
+            dut: DutModel) -> RunReport:
+    """Run ``script`` against ``dut`` on ``stand`` under ``env``: its
+    ``plan``, driven (``drive``). The report is complete and deterministic:
+    byte-identical for identical inputs."""
+    return drive(plan(script, stand, env), dut)
 
 
 # --- report rendering ------------------------------------------------------

@@ -3,8 +3,10 @@
 A stand consists of resources (instruments described by the one method
 they support and the valid parameter range) and a connection matrix that
 wires resources to DUT pins through switch (``SwN.M``) and multiplexer
-(``MxN.M``) connectors. For each step the interpreter asks ``allocate``
-for a conflict-free assignment of requirements to resources.
+(``MxN.M``) connectors. For each block the planner asks ``allocate`` for a
+conflict-free assignment of requirements to resources, handing it the
+run's ``Holds``: the stimulus bindings of the block before, kept engaged
+from block to block, so that only what changed is released and searched.
 
 Exclusivity rules:
   * while a stimulus is held, its resource drives exactly one pin and its
@@ -103,11 +105,13 @@ class ResourceTable(_Keyed):
 
 @dataclass
 class ConnectionMatrix:
-    """Resource-to-pin wiring. Pins are normalized to lowercase."""
+    """Resource-to-pin wiring. Pins are normalized to lowercase. ``lines``
+    gives each row's sheet line, for a matrix parsed from a sheet."""
 
     pins: list[str]
     rows: list[str]
     cells: dict[tuple[str, str], Connector]
+    lines: dict[str, int] = field(default_factory=dict, compare=False)
 
     def connector_for(self, resource_id: str, pin: str) -> Connector | None:
         return self.cells.get((resource_id, pin))
@@ -127,7 +131,8 @@ class StandModel:
         for rid in self.matrix.rows:
             if rid not in self.resources:
                 raise SheetError(f"resource '{rid}' is not in the resource "
-                                 f"table", sheet="connections", column="res")
+                                 f"table", sheet="connections",
+                                 row=self.matrix.lines.get(rid), column="res")
         by_resource: dict[str, list[tuple[str, Connector]]] = {}
         for (rid, pin), conn in self.matrix.cells.items():
             by_resource.setdefault(rid, []).append((pin, conn))
@@ -253,7 +258,9 @@ def _move(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
 
 class _Search:
     """Depth-first search over the free exclusive requirements, in the
-    given order, that places the checks at each leaf (``_checks``).
+    given order, that places the checks at each leaf (``_checks``). A check
+    with no usable resource would fail every leaf, so it fails the search
+    at entry, recorded as that leaf would record it.
 
     Before a node expands, every remaining requirement
     must get a resource of its own in a maximum matching whose edges join
@@ -348,6 +355,10 @@ class _Search:
         yet failed, its candidates not yet tried, its tries so far and the
         resource id and connector of the candidate it has engaged."""
         free, reqs, engaged, out = self.free, self.reqs, self.engaged, self.out
+        for p, i in enumerate(self.checks):
+            if not self.usable[i]:  # fails every leaf: no search
+                self._record(len(free) + p, reqs[i], None)
+                return False
         path: list[list] = []
         while True:
             k = len(path)  # enter node k
@@ -388,65 +399,86 @@ class _Search:
                 return False
 
 
+class Holds:
+    """The stimulus bindings a run holds from one block to the next.
+
+    ``by_pin`` maps each pin to the put-class binding that delivers the
+    previous block's stimulus there through a resource; ``engaged`` keeps
+    every one of them engaged. One ``Holds`` serves one run on one stand,
+    and ``allocate`` alone updates it.
+    """
+
+    def __init__(self):
+        self.by_pin: dict[str, Binding] = {}
+        self.engaged = _Engagements()
+
+
 def allocate(requirements: Sequence[Requirement], stand: StandModel,
-             held: Mapping[str, Binding] | None = None) -> Allocation:
+             holds: Holds | None = None) -> Allocation:
     """Find a conflict-free binding for every requirement.
 
-    ``held`` carries the stimulus bindings of the previous step by pin;
-    those whose resource is not in ``stand`` are ignored. The caller alone
-    decides what is unchanged, by identity: a held binding passed its own
-    ``Requirement`` again is pinned (moving it would glitch a live signal)
-    and comes back as is, or as a held copy if not yet held, without a
-    second look at its invocation. Any other requirement, even an equal
-    one, prefers the old resource but may move. The search is
-    deterministic: resources are tried in table row order, the exclusive
-    requirements (stimuli and one-shots) in the given order, and the result
-    is the first assignment in that order. Checks are placed after every
+    ``holds`` carries the stimulus bindings of the previous block (none if
+    not given) and is updated to this block's. The caller alone decides
+    what is unchanged, by identity: a held binding passed its own
+    ``Requirement`` again stays engaged (moving it would glitch a live
+    signal) and comes back as is (as a held copy the first time), without
+    a second look at its invocation. Every other held binding is released;
+    a requirement on its pin, even an equal one, prefers the old resource
+    but may move. A call holds at most one stimulus per pin, as a script's
+    signals share no pin.
+
+    The search is deterministic: resources are tried in table row order,
+    the exclusive requirements not held (changed stimuli and one-shots) in
+    the given order, and the result is the first assignment in that order.
+    One-shots are released after the block. Checks are placed after every
     exclusive requirement: each takes its first usable resource no
-    exclusive binding holds, or sends the search back. Bipartite matchings
-    of the remaining exclusive requirements to resources and to connector
-    groups (``_Search``) cut subtrees that hold no assignment, so an
-    infeasible step fails in polynomial time wherever the resources alone
-    or the connector groups alone are overcommitted. The allocation holds
-    one binding per requirement, in the given order.
+    exclusive binding holds, or sends the search back; a check no resource
+    can serve at all fails the block before any search. Bipartite
+    matchings of the remaining exclusive requirements to resources and to
+    connector groups (``_Search``) cut subtrees that hold no assignment,
+    so an infeasible block fails in polynomial time wherever the resources
+    alone or the connector groups alone are overcommitted. The allocation
+    holds one binding per requirement, in the given order.
 
     Raises AllocationError naming the requirement at the deepest failed
     search node (for a node the resource matching cut, the requirement it
     left without a resource) and every candidate resource with its
-    rejection reason.
+    rejection reason; ``holds`` is then left as it was.
     """
-    held = {pin: b for pin, b in (held or {}).items()
-            if b.resource_id in stand.resources}
+    holds = Holds() if holds is None else holds
+    by_pin, engaged = holds.by_pin, holds.engaged
     reqs = list(requirements)
     out: list[Binding | None] = [None] * len(reqs)
-    engaged = _Engagements()
+    released = dict(by_pin)  # those not passed their requirement again
+    copies: list[Binding] = []  # held for the first time
     free, checks = [], []  # indices: exclusive requirements, checks
+    puts, one_shots = [], []  # the exclusive ones by class
 
     for i, req in enumerate(reqs):
-        prev = held.get(req.pin)
+        prev = by_pin.get(req.pin)
         if prev is not None and prev.requirement is req:
-            pinned = prev if prev.held else Binding(
-                req, "resource", prev.resource_id, prev.connector, held=True)
+            del released[req.pin]
+            if not prev.held:
+                prev = Binding(req, "resource", prev.resource_id,
+                               prev.connector, held=True)
+                copies.append(prev)
+            out[i] = prev
         elif req.invocation.method in BUS_METHODS:
             out[i] = Binding(req, "bus")
-            continue
         elif req.invocation.is_open_circuit():
             out[i] = Binding(req, "open_circuit")
-            continue
+        elif (cls := method_class(req.invocation.method)) == "get":
+            checks.append(i)
         else:
-            (checks if method_class(req.invocation.method) == "get"
-             else free).append(i)
-            continue
-        clash = engaged.conflict(pinned.resource_id, pinned.connector)
-        if clash is not None:
-            raise AllocationError(pin=req.pin, method=req.invocation.method,
-                                  parameter=None,
-                                  candidates=[(pinned.resource_id, clash)])
-        engaged.engage(pinned.resource_id, pinned.connector, req.pin)
-        out[i] = pinned
+            free.append(i)
+            (puts if cls == "put" else one_shots).append(i)
 
-    search = _Search(reqs, free, checks, stand, held, engaged, out)
+    for b in released.values():
+        engaged.release(b.resource_id, b.connector)
+    search = _Search(reqs, free, checks, stand, by_pin, engaged, out)
     if not search.solve():
+        for b in released.values():
+            engaged.engage(b.resource_id, b.connector, b.requirement.pin)
         _, req, rejections = search.deepest
         parameter = None
         for _, reason in rejections:
@@ -455,4 +487,12 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
                 break
         raise AllocationError(pin=req.pin, method=req.invocation.method,
                               parameter=parameter, candidates=rejections)
-    return Allocation([b for b in out if b is not None])
+    for pin in released:
+        del by_pin[pin]
+    for b in copies:
+        by_pin[b.requirement.pin] = b
+    for i in puts:
+        by_pin[reqs[i].pin] = out[i]
+    for i in one_shots:
+        engaged.release(out[i].resource_id, out[i].connector)
+    return Allocation(out)

@@ -5,8 +5,10 @@ code with the program: ``assert_allocation_sound`` re-checks a returned
 allocation constraint by constraint, ``first_feasible`` finds by brute
 force the first candidate assignment in row order, checks last (and
 ``enumeration_feasible`` whether there is one), ``random_stand_case``
-builds small randomized stands for the equivalence test, and
-``reference_report_json`` writes a run report through ``json.dumps``.
+builds small randomized stands for the equivalence test, ``replay_run``
+replays a whole run block by block through ``first_feasible`` on the tiny
+runs of ``random_run_case``, and ``reference_report_json`` writes a run
+report through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import itertools
 import json
 import random
 from decimal import Decimal
+from typing import NamedTuple
 
 from comptest import (Allocation, ConnectionMatrix, Connector,
                       MethodInvocation, Requirement, ResourceDef,
-                      ResourceTable, StandModel, INF)
+                      ResourceTable, StandModel, TestScript, INF)
+from comptest.compiler import Block, ScriptSignal, Statement
 from comptest.sheets import method_class
 from comptest.stand import BUS_METHODS
 
@@ -78,20 +82,28 @@ def _combination_ok(reqs, choice, stand, held) -> bool:
 
 def first_feasible(requirements, stand: StandModel, held=None):
     """Brute force: the first assignment, in resource table row order, that
-    satisfies everything. The exclusive requirements come first, in the
-    given order, then the checks: the first varies slowest, the last check
-    fastest.
+    satisfies everything. A requirement on a pin ``held`` (pin -> binding)
+    names tries that binding's resource first. The exclusive requirements
+    come first, in the given order, then the checks: the first varies
+    slowest, the last check fastest.
 
     Returns the resource ids of the requirements that expect a resource, in
     requirement order, or None when no assignment exists.
     """
+    held = held or {}
     needing = [r for r in requirements if _expects_resource(r)]
     order = sorted(range(len(needing)),
                    key=lambda j: _role(needing[j]) == "get")
     ordered = [needing[j] for j in order]
     ids = [res.id for res in stand.resources]
-    for choice in itertools.product(ids, repeat=len(needing)):
-        if _combination_ok(ordered, choice, stand, held or {}):
+
+    def candidates(req):
+        prev = held.get(req.pin)
+        return sorted(ids, key=lambda rid: prev is None
+                      or rid != prev.resource_id)
+
+    for choice in itertools.product(*map(candidates, ordered)):
+        if _combination_ok(ordered, choice, stand, held):
             by_index = dict(zip(order, choice))
             return [by_index[j] for j in range(len(needing))]
     return None
@@ -198,6 +210,117 @@ def random_stand_case(rng: random.Random):
             params[attr] = INF
         requirements.append(Requirement(pin, MethodInvocation(method, params)))
     return stand, requirements
+
+
+# --- whole runs ------------------------------------------------------------
+
+class _Held(NamedTuple):
+    requirement: Requirement
+    resource_id: str
+
+
+def replay_run(script: TestScript, stand: StandModel):
+    """Brute force, block by block: ``first_feasible`` on each block's
+    requirements with the previous block's holds.
+
+    The blocks are ``<init>`` and then the steps. In each, a signal's last
+    put replaces its stimulus unless it equals the one in force; a get is a
+    check of the block; any other method is a one-shot of the block. A
+    block's requirements are the stimuli in force, each signal at the
+    place of its first put, then the one-shots, then the checks, one per
+    target: the signal for a bus method, else each of its pins. An
+    unchanged stimulus keeps its requirements, so a binding is held
+    exactly while its stimulus is unchanged.
+
+    Returns, per block until the first that cannot be allocated, the
+    resource id (or None) of each stimulus in force and each one-shot, in
+    that order.
+    """
+    pins = {sig.name: sig.pins for sig in script.signals}
+    in_force: dict[str, tuple[MethodInvocation, list[Requirement]]] = {}
+    held: dict[str, _Held] = {}
+    blocks = []
+
+    def requirements(signal, inv):
+        targets = ((signal,) if inv.method in BUS_METHODS
+                   else pins[signal])
+        return [Requirement(t, inv, signal) for t in targets]
+
+    for block in (script.init, *script.steps):
+        puts, one_shots, checks = {}, [], []
+        for st in block.statements:
+            role = method_class(st.invocation.method)
+            if role == "put":
+                puts[st.signal] = st.invocation
+            else:
+                (checks if role == "get" else one_shots).extend(
+                    requirements(st.signal, st.invocation))
+        for signal, inv in puts.items():
+            if signal not in in_force or in_force[signal][0] != inv:
+                in_force[signal] = (inv, requirements(signal, inv))
+        stimuli = [req for _, reqs in in_force.values() for req in reqs]
+        reqs = stimuli + one_shots + checks
+        ids = first_feasible(reqs, stand, held)
+        if ids is None:
+            break
+        got = iter(ids)
+        placed = [next(got) if _expects_resource(req) else None
+                  for req in reqs]
+        blocks.append(placed[:len(stimuli) + len(one_shots)])
+        held = {req.pin: _Held(req, rid)
+                for req, rid in zip(stimuli, placed) if rid is not None}
+    return blocks
+
+
+def random_run_case(rng: random.Random):
+    """A random tiny run: 2-4 resources on 2-3 pins, and a script of 2-4
+    blocks. Each connection has a mux group of its own, or in about half
+    the cases one of as many groups as there are pins, shared. The
+    last pin is an output, sampled by checks, in about a third of them;
+    every other pin is an input that may get a stimulus (a resistance,
+    now and then an open circuit) or a one-shot pulse in each block."""
+    n_res, n_pins = rng.randint(2, 4), rng.randint(2, 3)
+    pins = [f"p{j}" for j in range(n_pins)]
+    output = pins[-1] if rng.random() < 0.35 else None
+    shared = rng.random() < 0.5
+    resources, cells = [], {}
+    for i in range(n_res):
+        method = rng.choice(["put_r"] * 8 + ["get_u"] * 2 * bool(output)
+                            + ["pulse_r"] * 2)
+        resources.append(ResourceDef(f"R{i}", method, method[-1], Decimal(0),
+                                     Decimal(rng.choice((6, 10, 10)))))
+        for j, pin in enumerate(pins):
+            if rng.random() < 0.7:
+                group = (rng.randint(1, n_pins) if shared
+                         else i * n_pins + j + 1)
+                cells[(f"R{i}", pin)] = Connector("mux", group, i + 1)
+    stand = StandModel(ResourceTable(resources),
+                       ConnectionMatrix(pins, [r.id for r in resources],
+                                        cells))
+    signals = [ScriptSignal(pin, "output" if pin == output else "input",
+                            (pin,)) for pin in pins]
+    blocks = []
+    for index in range(-1, rng.randint(1, 3)):
+        statements = []
+        for pin in pins:
+            if pin == output:  # the script rules allow no check in <init>
+                if index >= 0 and rng.random() < 0.5:
+                    statements.append(Statement(pin, MethodInvocation(
+                        "get_u", {"u_max": Decimal(9), "u_min": Decimal(0)})))
+                continue
+            draw = rng.random()
+            if draw < 0.35 or (index < 0 and draw < 0.7):
+                value = Decimal(rng.choice((1, 1, 5, 5, 8)))
+                statements.append(Statement(pin, MethodInvocation(
+                    "put_r", {"r": value})))
+            elif draw < 0.45:
+                statements.append(Statement(pin, MethodInvocation(
+                    "put_r", {"r": INF})))
+            if rng.random() < 0.15:
+                statements.append(Statement(pin, MethodInvocation(
+                    "pulse_r", {"r": Decimal(1)})))
+        blocks.append(Block(index, Decimal(1), statements))
+    return stand, TestScript("run", "dut", signals, blocks[0], blocks[1:])
 
 
 # --- the JSON run report -----------------------------------------------------

@@ -376,8 +376,10 @@ def test_run_names_an_unknown_matrix_row(script_path, tmp_path, capsys):
                  "--connections", str(connections)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == ("comptest: error: connections, column res: "
-                            "resource 'R9' is not in the resource table\n")
+    # The connections sheet has a header and three rows, so R9 is row 5.
+    assert captured.err == ("comptest: error: connections, row 5, column "
+                            "res: resource 'R9' is not in the resource "
+                            "table\n")
     assert captured.out == ""
 
 

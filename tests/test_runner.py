@@ -1,4 +1,5 @@
 import json
+import random
 from decimal import Decimal
 
 import pytest
@@ -10,12 +11,13 @@ from comptest import (ConnectionMatrix, Connector, DutError, EvalError,
                       eval_expr, execute, load_script, lower_status,
                       report_to_json, report_to_text)
 from comptest.compiler import render_value
+from comptest.sheets import method_class
 from comptest.expr import BinOp, Num, Paren, Var
 from comptest.runner import CheckRecord, RunReport, StepRecord, StimulusRecord
 from comptest.stand import BUS_METHODS
 
 import strategies
-from oracles import reference_report_json
+from oracles import random_run_case, reference_report_json, replay_run
 
 
 def fresh_dut(timeout="300"):
@@ -705,3 +707,37 @@ def test_failing_expression_aborts_where_first_used():
     assert dut.log[-2:] == [("advance", Decimal("1")), ("read", "b")]
     assert_blocks_hold(report, dut, script_blocks(script),
                        {s.name: s.pins for s in script.signals}, ENV)
+
+
+def test_runs_match_the_block_by_block_replay():
+    # Whole runs against a brute force of every block with the holds of
+    # the block before: the same resources for every stimulus and one-shot,
+    # the same block for an allocation abort, and the same bytes twice.
+    rng = random.Random(20261018)
+    completed = late = shared = held = shots = 0
+    for _ in range(400):
+        stand, script = random_run_case(rng)
+        blocks = replay_run(script, stand)
+        report = execute(script, stand, {}, RecordingDut())
+        again = execute(script, stand, {}, RecordingDut())
+        assert report_to_json(report) == report_to_json(again)
+        ran = [report.settle, *report.steps] if report.settle else []
+        assert [[r.resource for r in s.stimuli] for s in ran] == blocks
+        every = [script.init, *script.steps]
+        if len(blocks) == len(every):
+            assert not report.aborted
+            completed += 1
+        else:
+            index = every[len(blocks)].index
+            assert report.abort_kind == "allocation"
+            assert report.abort_step == (None if index < 0 else index)
+            late += index >= 0
+        groups = [c.group_key for c in stand.matrix.cells.values()]
+        shared += len(set(groups)) < len(groups)
+        held += any(r.held for s in ran for r in s.stimuli)
+        # a one-shot bound in a block that another block was planned after
+        shots += any(r.resource and method_class(r.method) is None
+                     for s in (ran if report.aborted else ran[:-1])
+                     for r in s.stimuli)
+    assert completed > 60 and late > 60 and shared > 80 and held > 60
+    assert shots > 20

@@ -8,11 +8,13 @@ from decimal import Decimal
 import pytest
 
 from comptest import (AllocationError, ConnectionMatrix, Connector,
+                      DutError, InteriorLightConfig, InteriorLightDut,
                       MethodInvocation, Requirement, ResourceDef,
                       ResourceTable, SheetError, StandModel, allocate,
                       build_dut, execute, load_script, parse_connector,
                       report_to_json, INF)
-from comptest.stand import _Engagements
+from comptest.runner import drive, plan
+from comptest.stand import Holds, _Engagements
 
 from oracles import (assert_allocation_sound, enumeration_feasible,
                      first_feasible, random_stand_case)
@@ -25,12 +27,6 @@ def put_r(value, **extra):
 def get_u(low="0", high="60"):
     return MethodInvocation("get_u", {"u_max": Decimal(high),
                                       "u_min": Decimal(low)})
-
-
-def holds(alloc):
-    """What the runner hands the next block: resource bindings by pin."""
-    return {b.requirement.pin: b for b in alloc.bindings
-            if b.delivery == "resource"}
 
 
 def test_parse_connector():
@@ -67,6 +63,12 @@ def test_stand_rejects_unknown_matrix_rows():
     assert str(err.value) == ("connections, column res: resource 'R9' is not "
                               "in the resource table")
     assert (err.value.sheet, err.value.column) == ("connections", "res")
+    # Built from a sheet, the matrix knows the row.
+    matrix = dataclasses.replace(matrix, lines={"R9": 4})
+    with pytest.raises(SheetError) as err:
+        StandModel(resources, matrix)
+    assert str(err.value) == ("connections, row 4, column res: resource 'R9' "
+                              "is not in the resource table")
 
 
 def test_voltage_check_binds_dvm_via_switch(demo_stand):
@@ -155,10 +157,11 @@ def test_checks_time_share_the_dvm(demo_stand):
 def test_unchanged_held_stimulus_is_pinned(demo_stand):
     # ds_fr comes first and would take Ress2 if ds_fl were searched.
     fl = Requirement("ds_fl", put_r(Decimal("0")))
-    first = allocate([fl], demo_stand)
-    held = holds(first)
+    holds = Holds()
+    allocate([fl], demo_stand, holds)
+    held = dict(holds.by_pin)
     reqs = [Requirement("ds_fr", put_r(Decimal("1"))), fl]
-    second = allocate(reqs, demo_stand, held)
+    second = allocate(reqs, demo_stand, holds)
     by_pin = {b.requirement.pin: b for b in second.bindings}
     assert by_pin["ds_fl"].resource_id == "Ress2"
     assert by_pin["ds_fl"].held
@@ -175,10 +178,13 @@ def test_only_the_same_requirements_are_pinned(demo_stand):
                 Requirement("ds_fr", put_r(Decimal("1")))]
 
     same = reqs()
-    first = allocate(same, demo_stand)
-    pinned = allocate(same, demo_stand, holds(first))
-    again = allocate(same, demo_stand, holds(pinned))
-    fresh = allocate(reqs(), demo_stand, holds(pinned))
+    holds, other = Holds(), Holds()
+    first = allocate(same, demo_stand, holds)
+    pinned = allocate(same, demo_stand, holds)
+    again = allocate(same, demo_stand, holds)
+    for _ in range(2):  # other holds what holds held before ``again``
+        allocate(same, demo_stand, other)
+    fresh = allocate(reqs(), demo_stand, other)
 
     def placed(alloc):
         return [(b.requirement.pin, b.resource_id, b.connector)
@@ -200,9 +206,10 @@ def test_requirements_are_read_only():
 
 
 def test_changed_stimulus_prefers_previous_resource(demo_stand):
-    first = allocate([Requirement("ds_fl", put_r(Decimal("0")))], demo_stand)
+    holds = Holds()
+    allocate([Requirement("ds_fl", put_r(Decimal("0")))], demo_stand, holds)
     second = allocate([Requirement("ds_fl", put_r(Decimal("7")))], demo_stand,
-                      holds(first))
+                      holds)
     assert second.bindings[0].resource_id == "Ress2"
     assert not second.bindings[0].held
 
@@ -225,22 +232,44 @@ def test_pinned_hold_can_block_allocation():
     # on p1 the pair is infeasible, even though swapping would work.
     stand = _two_decades_one_pin_stand()
     p1 = Requirement("p1", put_r(Decimal("5")))
-    held = holds(allocate([p1], stand))
+    holds = Holds()
+    allocate([p1], stand, holds)
+    held = dict(holds.by_pin)
     assert held["p1"].resource_id == "A"
     reqs = [p1, Requirement("p2", put_r(Decimal("5")))]
     with pytest.raises(AllocationError):
-        allocate(reqs, stand, held)
+        allocate(reqs, stand, holds)
     assert not enumeration_feasible(reqs, stand, held)
+    # A failed block leaves the holds as they were.
+    assert holds.by_pin == held
+    assert holds.engaged.res == {"A": "p1"}
+    assert holds.engaged.grp == {("mux", 1): "p1"}
+
+
+def test_failed_block_leaves_the_holds_as_they_were():
+    # The changed p1 stimulus is out of range: its old binding, released
+    # for the search, is engaged again when the block fails.
+    stand = _two_decades_one_pin_stand()
+    holds = Holds()
+    allocate([Requirement("p1", put_r(Decimal("5")))], stand, holds)
+    held = dict(holds.by_pin)
+    with pytest.raises(AllocationError):
+        allocate([Requirement("p1", put_r(Decimal("5000")))], stand, holds)
+    assert holds.by_pin == held
+    assert (holds.engaged.res, holds.engaged.grp) == (
+        {"A": "p1"}, {("mux", 1): "p1"})
 
 
 def test_fresh_equal_requirement_may_move():
     # An equal requirement that is not the held one is searched, so it
     # moves to B and frees A for p2; neither binding is held.
     stand = _two_decades_one_pin_stand()
-    held = holds(allocate([Requirement("p1", put_r(Decimal("5")))], stand))
+    holds = Holds()
+    allocate([Requirement("p1", put_r(Decimal("5")))], stand, holds)
+    held = dict(holds.by_pin)
     reqs = [Requirement("p1", put_r(Decimal("5"))),
             Requirement("p2", put_r(Decimal("5")))]
-    alloc = allocate(reqs, stand, held)
+    alloc = allocate(reqs, stand, holds)
     assert [(b.resource_id, b.held) for b in alloc.bindings] == [
         ("B", False), ("A", False)]
     assert first_feasible(reqs, stand, held) == ["B", "A"]
@@ -251,10 +280,12 @@ def test_changed_value_allows_reshuffle():
     # Same shape, but the p1 stimulus changes value, so it may move to B
     # and free A for p2.
     stand = _two_decades_one_pin_stand()
-    held = holds(allocate([Requirement("p1", put_r(Decimal("5")))], stand))
+    holds = Holds()
+    allocate([Requirement("p1", put_r(Decimal("5")))], stand, holds)
+    held = dict(holds.by_pin)
     reqs = [Requirement("p1", put_r(Decimal("9"))),
             Requirement("p2", put_r(Decimal("5")))]
-    alloc = allocate(reqs, stand, held)
+    alloc = allocate(reqs, stand, holds)
     by_pin = {b.requirement.pin: b.resource_id for b in alloc.bindings}
     assert by_pin == {"p1": "B", "p2": "A"}
     assert_allocation_sound(reqs, stand, alloc, held)
@@ -350,6 +381,59 @@ def test_infeasible_check_after_many_fails_in_linear_time(monkeypatch):
         "rejected candidates: V1: range: u_max=1000 outside [-60, 60]; "
         "V2: range: u_max=1000 outside [-60, 60]")
     assert len(calls) <= 4 * len(reqs) * len(resources)
+
+
+def _two_each_and_an_unwired_check(n):
+    """n stimulus pins, each wired to two resources of its own on groups
+    of their own, and a check on a pin no resource is wired to."""
+    resources = ResourceTable([
+        ResourceDef(f"R{r}", "put_r", "r", Decimal(0), Decimal(10))
+        for r in range(2 * n)])
+    pins = [f"p{j}" for j in range(n)]
+    matrix = ConnectionMatrix(
+        [*pins, "q"], [res.id for res in resources],
+        {(f"R{r}", pins[r // 2]): Connector("mux", r, 1)
+         for r in range(2 * n)})
+    reqs = [Requirement(pin, put_r(Decimal("5"))) for pin in pins]
+    reqs.append(Requirement("q", get_u()))
+    return StandModel(resources, matrix), reqs
+
+
+def test_unservable_check_fails_before_the_search():
+    # The check would fail every leaf, and there are 2^16 of them.
+    stand, reqs = _two_each_and_an_unwired_check(16)
+    start = time.perf_counter()
+    with pytest.raises(AllocationError) as err:
+        allocate(reqs, stand)
+    assert time.perf_counter() - start < 0.25
+    assert str(err.value) == (
+        "no resource satisfies (pin q, method get_u); rejected candidates: "
+        + "; ".join(f"R{r}: no method (supports put_r)" for r in range(32)))
+
+
+@pytest.mark.parametrize("reqs", [
+    # The stimuli alone cannot be placed: the check is named, not pin b.
+    [Requirement("a", put_r(Decimal("1"))),
+     Requirement("b", put_r(Decimal("1"))), Requirement("q", get_u())],
+    # The check on c fails at every leaf: the one on q is named instead.
+    [Requirement("a", put_r(Decimal("1"))), Requirement("c", get_u()),
+     Requirement("q", get_u())],
+], ids=["stimuli", "earlier-check"])
+def test_unservable_check_is_named_first(reqs):
+    # A check no resource can serve is named even where the search would
+    # never have reached it with every earlier check placed.
+    resources = ResourceTable([
+        ResourceDef("R", "put_r", "r", Decimal(0), Decimal(10)),
+        ResourceDef("V", "get_u", "u", Decimal(-60), Decimal(60))])
+    stand = StandModel(resources, ConnectionMatrix(
+        ["a", "b", "c", "q"], ["R", "V"],
+        {("R", "a"): Connector("mux", 1, 1), ("R", "b"): Connector("mux", 1, 2),
+         ("V", "c"): Connector("mux", 1, 3)}))
+    with pytest.raises(AllocationError) as err:
+        allocate(reqs, stand)
+    assert str(err.value) == (
+        "no resource satisfies (pin q, method get_u); rejected candidates: "
+        "R: no method (supports put_r); V: no connection")
 
 
 def test_search_matches_enumeration_on_random_stands():
@@ -517,7 +601,24 @@ def test_allocation_depth_needs_no_recursion(build):
 def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand,
                                                      demo_env):
     # Garbage left to the cyclic collector stays alive until a collection
-    # runs, which inflates peak memory; each call must free by refcount.
+    # runs, which inflates peak memory; each call must free by refcount,
+    # and a plan with its holds must be freed whether or not it was walked
+    # to its end.
+    class StallingDut(InteriorLightDut):
+        def advance(self, dt):
+            if dt == Decimal("0.5"):
+                raise DutError("stalled")
+            super().advance(dt)
+
+        def __init__(self):
+            super().__init__(InteriorLightConfig(ubatt=Decimal("12.0")))
+
+    reduced = StandModel(ResourceTable(list(demo_stand.resources)[1:]),
+                         ConnectionMatrix(demo_stand.matrix.pins,
+                                          demo_stand.matrix.rows[1:],
+                                          {k: v for k, v in
+                                           demo_stand.matrix.cells.items()
+                                           if k[0] != "Ress1"}))
     one = [Requirement("ds_fl", put_r(Decimal("1")))]
     three = [Requirement(pin, put_r(Decimal("1")))
              for pin in ("ds_fl", "ds_fr", "ds_rl")]
@@ -531,10 +632,25 @@ def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand,
         with pytest.raises(AllocationError):
             allocate(three, demo_stand)
         assert gc.collect() == 0
+        holds = Holds()
+        allocate(one, demo_stand, holds)
+        with pytest.raises(AllocationError):
+            allocate(three, demo_stand, holds)
+        del holds
+        assert gc.collect() == 0
         report = execute(load_script(demo_xml), demo_stand, demo_env,
                          build_dut("interior_illumination", demo_env))
         report_to_json(report)
         del report
+        assert gc.collect() == 0
+        # A plan driven to an abort of each kind, and one left half walked
+        # when its DUT fails.
+        script = load_script(demo_xml)
+        kinds = [drive(plan(script, stand, env), StallingDut()).abort_kind
+                 for stand, env in ((demo_stand, {}), (reduced, demo_env),
+                                    (demo_stand, demo_env))]
+        assert kinds == ["environment", "allocation", "environment"]
+        del script
         assert gc.collect() == 0
     finally:
         gc.enable()
