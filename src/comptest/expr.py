@@ -8,10 +8,11 @@ Grammar (no whitespace anywhere):
 
 NUMBER is the number rule's token (``sheets.NUMBER_TOKEN``): an optional
 sign, a decimal point and an optional exponent, so ``a--1`` and ``2*-3``
-parse; IDENT is a lowercase identifier. The surface form is locale-free regardless of the dialect the
-sheets were authored in, so generated scripts mean the same thing on every
-stand. Rendering is the structural inverse of parsing: parenthes nodes are
-kept in the tree, which makes render/parse a lossless round trip.
+parse; IDENT is a lowercase identifier. The surface form is locale-free
+regardless of the dialect the sheets were authored in, so generated
+scripts mean the same thing on every stand. Rendering is the structural
+inverse of parsing: parenthesis nodes are kept in the tree, which makes
+render/parse a lossless round trip.
 """
 
 from __future__ import annotations

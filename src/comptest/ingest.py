@@ -96,6 +96,13 @@ def _method(cell: str) -> str:
     return "_".join(cell.split())
 
 
+def _column(header: list[str], col: int) -> str:
+    """How a fault names header column ``col``: by its text, or by its
+    1-based position when it has none."""
+    text = header[col].strip() if col < len(header) else ""
+    return text or str(col + 1)
+
+
 def _header_map(header: list[str], required: dict[str, str],
                 optional: dict[str, str], sheet: str) -> dict[str, int]:
     index: dict[str, int] = {}
@@ -104,11 +111,11 @@ def _header_map(header: list[str], required: dict[str, str],
         key = _norm(cell)
         if key not in known:
             raise SheetError(f"unexpected column {cell.strip()!r}", sheet=sheet,
-                             row=1, column=cell.strip())
+                             row=1, column=_column(header, col))
         name = known[key]
         if name in index:
             raise SheetError(f"duplicate column {cell.strip()!r}", sheet=sheet,
-                             row=1, column=cell.strip())
+                             row=1, column=_column(header, col))
         index[name] = col
     for key, name in required.items():
         if name not in index:
@@ -193,13 +200,12 @@ _REMARK_HEADERS = {"remarks", "remark"}
 def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
                      name: str = "test") -> TestSequence:
     header, body = _frame(text, dialect, "test")
-    if len(header) < 2 or _norm(header[0]) not in _STEP_HEADERS:
+    if not header or _norm(header[0]) not in _STEP_HEADERS:
         raise SheetError("first column must be the test step index",
-                         sheet="test", row=1,
-                         column=header[0].strip() if header else None)
-    if _norm(header[1]) not in _DT_HEADERS:
+                         sheet="test", row=1, column=_column(header, 0))
+    if len(header) < 2 or _norm(header[1]) not in _DT_HEADERS:
         raise SheetError("second column must be the step duration Δt",
-                         sheet="test", row=1, column=header[1].strip())
+                         sheet="test", row=1, column=_column(header, 1))
     dt_label = header[1].strip()
     # The remarks column, when there is one, is the last column. A column
     # before it may then be headed "remark(s)" too: that is a signal of
@@ -214,7 +220,7 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
         if _norm(label) in _REMARK_HEADERS and remark_col is None:
             raise SheetError("remarks must be the last column", sheet="test",
                              row=1, column=label)
-        signal_cols.append((col, _ident(label, "test", 1, f"column {col + 1}")))
+        signal_cols.append((col, _ident(label, "test", 1, str(col + 1))))
     check_unique(((label, {"column": label}) for _, label in signal_cols),
                  "signal column", SheetError, sheet="test", row=1)
 
@@ -261,7 +267,7 @@ def parse_resource_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Re
 
 def parse_connection_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> ConnectionMatrix:
     header, body = _frame(text, dialect, "connections")
-    pins = [_ident(header[col], "connections", 1, f"column {col + 1}").lower()
+    pins = [_ident(header[col], "connections", 1, str(col + 1)).lower()
             for col in range(1, len(header))]
     check_unique(((pin, {"column": pin}) for pin in pins), "pin column",
                  SheetError, sheet="connections", row=1)

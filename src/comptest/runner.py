@@ -409,10 +409,10 @@ def _check_json(c: CheckRecord, pad: str) -> str:
 
 def _step_json(s: StepRecord, pad: str,
                last: Mapping[int, str]) -> tuple[str, dict[int, str]]:
-    """The step's JSON, and the fragments of its unchanged stimuli by
-    record identity. ``last`` holds the previous step's: an unchanged
-    stimulus may share its record with that step, and is written once. A
-    changed one has a new record, so its fragment is not kept."""
+    """The step's JSON, and the fragments of its stimuli by record
+    identity. ``last`` holds the previous step's: a record the plan shares
+    with that step is written once. The report keeps every record alive
+    while it is rendered, so no identity is reused."""
     q = pad + "  "
     item = q + "  "
     fragments = [last.get(id(r)) or _stimulus_json(r, item)
@@ -423,8 +423,7 @@ def _step_json(s: StepRecord, pad: str,
             f'{q}"passed": {"true" if s.passed else "false"},'
             f'{q}"stimuli": {_array(fragments, q)},'
             f'{q}"checks": {checks}{pad}}}',
-            {id(r): text for r, text in zip(s.stimuli, fragments)
-             if not r.changed})
+            dict(zip(map(id, s.stimuli), fragments)))
 
 
 def _steps_json(steps: list[StepRecord], pad: str) -> str:
@@ -434,6 +433,7 @@ def _steps_json(steps: list[StepRecord], pad: str) -> str:
     for s in steps:
         text, last = _step_json(s, pad + "  ", last)
         texts.append(text)
+    del last  # free the last step's fragments before the join, the peak
     return _array(texts, pad)
 
 

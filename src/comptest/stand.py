@@ -173,11 +173,12 @@ def _range_offence(res: ResourceDef, inv: MethodInvocation) -> tuple[str, Decima
 
 
 def _static_reject(res: ResourceDef, req: Requirement,
-                   matrix: ConnectionMatrix) -> str | None:
-    """Reason this resource can never serve this requirement, else None."""
+                   conn: Connector | None) -> str | None:
+    """Reason this resource, wired to the requirement's pin through ``conn``
+    (None if it is not), can never serve this requirement, else None."""
     if res.method != req.invocation.method:
         return f"no method (supports {res.method})"
-    if matrix.connector_for(res.id, req.pin) is None:
+    if conn is None:
         return "no connection"
     offence = _range_offence(res, req.invocation)
     if offence is not None:
@@ -214,26 +215,11 @@ class _Engagements:
 def _augment(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
              seen: set[str]) -> bool:
     """Kuhn's augmenting path: give requirement ``j`` a resource from
-    ``edges[j]``, moving the owners of taken ones along if that frees one.
-    ``owner`` maps resource id -> requirement index. The owner of a taken
-    resource is moved by ``_move``; this first level keeps no path, as
-    most requirements find a free resource at once."""
-    for rid in edges[j]:
-        if rid not in seen:
-            seen.add(rid)
-            if rid not in owner or _move(owner[rid], edges, owner, seen):
-                owner[rid] = j
-                return True
-    return False
-
-
-def _move(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
-          seen: set[str]) -> bool:
-    """Give requirement ``j`` another resource as ``_augment`` would, in
-    the same order, but as a loop, so that a path may be as long as the
-    block: ``path`` holds, per owner still to move, the requirement that
-    asks for its resource, that resource and the requirement's edges not
-    yet tried."""
+    ``edges[j]``, in that order, moving the owners of taken ones along if
+    that frees one. ``owner`` maps resource id -> requirement index. A loop,
+    so that a path may be as long as the block: ``path`` holds, per owner
+    still to move, the requirement that asks for its resource, that
+    resource and the requirement's edges not yet tried."""
     path: list[tuple[int, str, Iterator[str]]] = []
     todo = iter(edges[j])
     while True:
@@ -294,7 +280,7 @@ class _Search:
         """Statically usable resources: previous resource first, then row
         order."""
         usable = [(res, conn) for res, conn in self.stand.wired.get(req.pin, ())
-                  if _static_reject(res, req, self.stand.matrix) is None]
+                  if _static_reject(res, req, conn) is None]
         prev = self._prev(req)
         return sorted(usable, key=lambda pair: pair[0].id != prev)
 
@@ -324,9 +310,9 @@ class _Search:
         prev = self._prev(req)
         rejections: list[tuple[str, str]] = []
         for res in sorted(stand.resources, key=lambda res: res.id != prev):
-            reason = _static_reject(res, req, stand.matrix)
+            conn = stand.matrix.connector_for(res.id, req.pin)
+            reason = _static_reject(res, req, conn)
             if reason is None:
-                conn = stand.matrix.connector_for(res.id, req.pin)
                 reason = self.engaged.conflict(res.id, conn)
             if reason is None:
                 reason = ("conflict: leads to a dead end" if owner is None
@@ -403,9 +389,10 @@ class Holds:
     """The stimulus bindings a run holds from one block to the next.
 
     ``by_pin`` maps each pin to the put-class binding that delivers the
-    previous block's stimulus there through a resource; ``engaged`` keeps
-    every one of them engaged. One ``Holds`` serves one run on one stand,
-    and ``allocate`` alone updates it.
+    previous block's stimulus there through a resource, as the held binding
+    ``allocate`` hands back while that stimulus is unchanged; ``engaged``
+    keeps every one of them engaged. One ``Holds`` serves one run on one
+    stand, and ``allocate`` alone updates it.
     """
 
     def __init__(self):
@@ -421,11 +408,12 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     not given) and is updated to this block's. The caller alone decides
     what is unchanged, by identity: a held binding passed its own
     ``Requirement`` again stays engaged (moving it would glitch a live
-    signal) and comes back as is (as a held copy the first time), without
-    a second look at its invocation. Every other held binding is released;
-    a requirement on its pin, even an equal one, prefers the old resource
-    but may move. A call holds at most one stimulus per pin, as a script's
-    signals share no pin.
+    signal) and comes back as is, without a second look at its invocation.
+    A stimulus that is searched comes back not held, and ``holds`` keeps a
+    held copy of its binding for the blocks after. Every other held binding
+    is released; a requirement on its pin, even an equal one, prefers the
+    old resource but may move. A call holds at most one stimulus per pin,
+    as a script's signals share no pin.
 
     The search is deterministic: resources are tried in table row order,
     the exclusive requirements not held (changed stimuli and one-shots) in
@@ -450,7 +438,6 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     reqs = list(requirements)
     out: list[Binding | None] = [None] * len(reqs)
     released = dict(by_pin)  # those not passed their requirement again
-    copies: list[Binding] = []  # held for the first time
     free, checks = [], []  # indices: exclusive requirements, checks
     puts, one_shots = [], []  # the exclusive ones by class
 
@@ -458,10 +445,6 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
         prev = by_pin.get(req.pin)
         if prev is not None and prev.requirement is req:
             del released[req.pin]
-            if not prev.held:
-                prev = Binding(req, "resource", prev.resource_id,
-                               prev.connector, held=True)
-                copies.append(prev)
             out[i] = prev
         elif req.invocation.method in BUS_METHODS:
             out[i] = Binding(req, "bus")
@@ -489,10 +472,9 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
                               parameter=parameter, candidates=rejections)
     for pin in released:
         del by_pin[pin]
-    for b in copies:
-        by_pin[b.requirement.pin] = b
     for i in puts:
-        by_pin[reqs[i].pin] = out[i]
+        by_pin[reqs[i].pin] = Binding(reqs[i], "resource", out[i].resource_id,
+                                      out[i].connector, held=True)
     for i in one_shots:
         engaged.release(out[i].resource_id, out[i].connector)
     return Allocation(out)

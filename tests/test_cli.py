@@ -74,6 +74,29 @@ def test_check_reports_violations(tmp_path, capsys):
                    "1 violation\n")
 
 
+@pytest.mark.parametrize("command,sheet,edit,expected,err", [
+    ("check", "test_interior_light", lambda t: t.replace("DS_FL", "D S", 1),
+     1, "test, row 1, column 4: identifier 'D S' contains whitespace"),
+    ("run", "connections", lambda t: t.replace("INT_ILL_R", "INT ILL", 1),
+     2, "connections, row 1, column 3: identifier 'INT ILL' contains "
+        "whitespace"),
+    ("run", "resources", lambda t: t.replace("\n", ";\n", 1), 2,
+     "resources, row 1, column 7: unexpected column ''"),
+], ids=["signal", "pin", "blank"])
+def test_header_faults_name_their_column_once(script_path, tmp_path, capsys,
+                                             command, sheet, edit, expected,
+                                             err):
+    # A signal or pin header is named by its 1-based position, and so is a
+    # blank header cell (here a trailing separator).
+    path = tmp_path / f"{sheet}.csv"
+    path.write_text(edit((DATA / f"{sheet}.csv").read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    args = ([*SHEETS, "--test", str(path)] if command == "check" else
+            ["--script", str(script_path), *STAND, f"--{sheet}", str(path)])
+    assert main([command, *args]) == expected
+    assert capsys.readouterr().err == f"comptest: error: {err}\n"
+
+
 def test_check_missing_file_is_io_error(tmp_path, capsys):
     code = main(["check", *SHEETS[:4], "--test", str(tmp_path / "nope.csv")])
     assert code == 2

@@ -129,6 +129,19 @@ def test_test_sheet_misplaced_remarks_column():
     assert (err.value.row, err.value.column) == (1, "remarks")
 
 
+@pytest.mark.parametrize("text,column", [
+    ("test step\n0\n", "2"),  # no second column
+    ("test step;\n0;1\n", "2"),  # a blank one is named by its position
+    ("test step;IGN_ST;Δt\n0;Off;1\n", "IGN_ST"),
+])
+def test_test_sheet_without_dt_column(text, column):
+    # The first column is the step index; it is the second that is wrong.
+    with pytest.raises(SheetError) as err:
+        parse_test_sheet(text)
+    assert str(err.value) == (f"test, row 1, column {column}: second column "
+                              f"must be the step duration Δt")
+
+
 def test_test_sheet_signal_named_remark():
     # Before a trailing remarks column, a "remark" header is a signal.
     seq = TestSequence("t", [TestStep(0, Decimal("1"), {"REMARK": "On"},
@@ -291,11 +304,11 @@ RESOURCE_ROW = "R1;get u;u;-60;60;V\n"
     (parse_test_sheet, TEST_HEADER + "0;1;O\x01f;;;;;\n",
      ("test", 2, "IGN_ST")),
     (parse_test_sheet, "test step;Δt;A\udfffB\n0;1;Lo\n",
-     ("test", 1, "column 3")),
+     ("test", 1, "3")),
     (parse_resource_sheet, RESOURCE_HEADER + "R\x0e1;get u;u;-60;60;V\n",
      ("resources", 2, "res")),
     (parse_connection_sheet, "res;a\uffffb\nR1;Mx1.1\n",
-     ("connections", 1, "column 2")),
+     ("connections", 1, "2")),
 ])
 def test_table_rule_errors_have_coordinates(parse, text, where):
     with pytest.raises(SheetError) as err:

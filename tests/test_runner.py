@@ -712,7 +712,8 @@ def test_failing_expression_aborts_where_first_used():
 def test_runs_match_the_block_by_block_replay():
     # Whole runs against a brute force of every block with the holds of
     # the block before: the same resources for every stimulus and one-shot,
-    # the same block for an allocation abort, and the same bytes twice.
+    # the same block for an allocation abort, and the same bytes twice, as
+    # the reference renderer writes them.
     rng = random.Random(20261018)
     completed = late = shared = held = shots = 0
     for _ in range(400):
@@ -721,6 +722,8 @@ def test_runs_match_the_block_by_block_replay():
         report = execute(script, stand, {}, RecordingDut())
         again = execute(script, stand, {}, RecordingDut())
         assert report_to_json(report) == report_to_json(again)
+        # Records the plan shares between steps are rendered once.
+        assert report_to_json(report) == reference_report_json(report)
         ran = [report.settle, *report.steps] if report.settle else []
         assert [[r.resource for r in s.stimuli] for s in ran] == blocks
         every = [script.init, *script.steps]

@@ -158,11 +158,16 @@ def test_unchanged_held_stimulus_is_pinned(demo_stand):
     # ds_fr comes first and would take Ress2 if ds_fl were searched.
     fl = Requirement("ds_fl", put_r(Decimal("0")))
     holds = Holds()
-    allocate([fl], demo_stand, holds)
+    first = allocate([fl], demo_stand, holds)
+    assert not first.bindings[0].held
+    # The run holds one shape of binding: a held copy of each searched put.
+    assert all(b.held for b in holds.by_pin.values())
     held = dict(holds.by_pin)
     reqs = [Requirement("ds_fr", put_r(Decimal("1"))), fl]
     second = allocate(reqs, demo_stand, holds)
+    assert all(b.held for b in holds.by_pin.values())
     by_pin = {b.requirement.pin: b for b in second.bindings}
+    assert by_pin["ds_fl"] is held["ds_fl"]  # handed back as it is
     assert by_pin["ds_fl"].resource_id == "Ress2"
     assert by_pin["ds_fl"].held
     assert by_pin["ds_fr"].resource_id == "Ress3"
@@ -256,6 +261,7 @@ def test_failed_block_leaves_the_holds_as_they_were():
     with pytest.raises(AllocationError):
         allocate([Requirement("p1", put_r(Decimal("5000")))], stand, holds)
     assert holds.by_pin == held
+    assert all(holds.by_pin[pin] is b for pin, b in held.items())
     assert (holds.engaged.res, holds.engaged.grp) == (
         {"A": "p1"}, {("mux", 1): "p1"})
 
