@@ -44,6 +44,21 @@ class MethodInvocation:
     def is_open_circuit(self) -> bool:
         return self.principal_value() is INF
 
+    def bounds(self) -> tuple[ParamValue | None, ParamValue | None]:
+        """A check's bounds: its first ``*_min`` and its first ``*_max``
+        parameter that is neither text nor INF (None where it has none).
+        Before evaluation a bound is a number or an expression, after it a
+        number. A check needs at least one."""
+        low = high = None
+        for name, value in self.params.items():
+            if isinstance(value, str) or value is INF:
+                continue
+            if low is None and name.endswith("_min"):
+                low = value
+            elif high is None and name.endswith("_max"):
+                high = value
+        return low, high
+
 
 @dataclass
 class Statement:

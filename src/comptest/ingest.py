@@ -240,12 +240,15 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
     return TestSequence(name, steps)
 
 
+#: How both stand sheets may head their resource id column.
+_RES_HEADERS = ("res", "ress", "resource")
+
+
 def parse_resource_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> ResourceTable:
     header, body = _frame(text, dialect, "resources")
     cols = _header_map(header, {"method": "method", "attribut": "attribut",
                                  "min": "min", "max": "max", "unit": "unit"},
-                       {"res": "id", "ress": "id", "resource": "id"},
-                       "resources")
+                       dict.fromkeys(_RES_HEADERS, "id"), "resources")
     if "id" not in cols:
         raise SheetError("missing column 'res'", sheet="resources", row=1,
                          column="res")
@@ -267,6 +270,10 @@ def parse_resource_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> Re
 
 def parse_connection_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> ConnectionMatrix:
     header, body = _frame(text, dialect, "connections")
+    if not header or _norm(header[0]) not in _RES_HEADERS:
+        raise SheetError("first column must be the resource id 'res'",
+                         sheet="connections", row=1,
+                         column=_column(header, 0))
     pins = [_ident(header[col], "connections", 1, str(col + 1)).lower()
             for col in range(1, len(header))]
     check_unique(((pin, {"column": pin}) for pin in pins), "pin column",

@@ -1,13 +1,15 @@
 """Discrete-time execution of a test script on a virtual stand.
 
 The script is as sparse as the sheets; this module owns hold semantics.
-A run is planned, then driven. ``plan`` needs no DUT: per block
-(``<init>``, then every step) it evaluates the block's stimuli and checks,
-allocates resources for the stimuli in force plus the block's one-shots
-and checks, keeping the run's held bindings engaged across blocks
-(``stand.Holds``), and advances the clock. ``drive`` applies whatever
-stimuli changed, advances the DUT by the dwell and samples every check pin
-at the end of it. Check failures are recorded and execution continues;
+A run is planned, then driven. ``plan`` needs no DUT: it is an iterator
+that, per block (``<init>``, then every step), evaluates the block's
+stimuli and checks, allocates resources for the stimuli in force plus the
+block's one-shots and checks, keeping the run's held bindings engaged
+across blocks (``stand.Holds``), advances the clock and yields the block's
+step record with the stimuli to apply and the checks to sample.
+``drive(script, blocks, dut)`` applies whatever stimuli changed, advances
+the DUT by the dwell and samples every check pin at the end of it into the
+step record. Check failures are recorded and execution continues;
 allocation failures, unbound environment variables, a dwell sum beyond the
 decimal range and any exception raised by the DUT model abort the run. The
 clock is virtual and exact (decimal arithmetic), so a 300 s test finishes
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal, Overflow
 from json.encoder import encode_basestring_ascii as _str
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .compiler import MethodInvocation, TestScript, render_value
 from .dut import DutModel, dut_fault
@@ -125,16 +127,6 @@ def _evaluate(inv: MethodInvocation, env: Mapping[str, Decimal],
     return MethodInvocation(inv.method, params)
 
 
-def _bounds(inv: MethodInvocation) -> tuple[Decimal | None, Decimal | None]:
-    low = high = None
-    for name, value in inv.params.items():
-        if name.endswith("_min") and isinstance(value, Decimal) and low is None:
-            low = value
-        elif name.endswith("_max") and isinstance(value, Decimal) and high is None:
-            high = value
-    return low, high
-
-
 def _aux(inv: MethodInvocation) -> dict:
     first = next(iter(inv.params), None)
     return {k: v for k, v in inv.params.items() if k != first}
@@ -170,18 +162,15 @@ class _InForce:
     records: list[StimulusRecord] | None = None
 
 
-@dataclass
-class Planned:
-    """One block as planned: its stimulus records, the requirements of the
-    stimuli to apply (those that changed, in statement order) and of the
-    checks to sample, both evaluated, and the clock at its end."""
+class Planned(NamedTuple):
+    """One block as planned: its step record, with its stimulus records and
+    no check records yet, and the requirements of the stimuli to apply
+    (those that changed, in statement order) and of the checks to sample,
+    both evaluated."""
 
-    index: int  # -1 is the init block
-    dt: Decimal
-    t_end: Decimal
+    record: StepRecord
     applies: list[Requirement]
     checks: list[Requirement]
-    stimuli: list[StimulusRecord]
 
 
 class Abort(NamedTuple):
@@ -192,19 +181,11 @@ class Abort(NamedTuple):
     message: str
 
 
-@dataclass
-class Plan:
-    """A script's run on one stand under one environment, block by block:
-    ``blocks`` gives each ``Planned`` block and ends with the first
-    ``Abort``, if there is one. It is lazy and can be walked once."""
-
-    script: TestScript
-    blocks: Iterator[Planned | Abort]
-
-
 def plan(script: TestScript, stand: StandModel,
-         env: Mapping[str, Decimal]) -> Plan:
-    """Plan ``script`` on ``stand`` under ``env``, without a DUT.
+         env: Mapping[str, Decimal]) -> Iterator[Planned | Abort]:
+    """Plan ``script`` on ``stand`` under ``env``, without a DUT: each
+    block, ``<init>`` first, as ``Planned``, ending with the first
+    ``Abort`` if there is one. The plan is lazy and can be walked once.
 
     This is where hold semantics live. ``<init>`` and every step go through
     one block body: a put replaces the stimulus in force for its signal and
@@ -223,12 +204,7 @@ def plan(script: TestScript, stand: StandModel,
     planned only when the one before it has been taken, so a run driven
     from the plan stops at whichever fault comes first.
     """
-    return Plan(script, _blocks(script, stand,
-                                {k: Decimal(v) for k, v in env.items()}))
-
-
-def _blocks(script: TestScript, stand: StandModel,
-            env: dict[str, Decimal]) -> Iterator[Planned | Abort]:
+    env = {k: Decimal(v) for k, v in env.items()}
     pins = {sig.name: sig.pins for sig in script.signals}
     holds = Holds()
     clock = Decimal("0")
@@ -241,7 +217,6 @@ def _blocks(script: TestScript, stand: StandModel,
                 ((signal,) if inv.method in BUS_METHODS else pins[signal])]
 
     for block in (script.init, *script.steps):
-        where = None if block.index < 0 else block.index
         puts: dict[str, MethodInvocation] = {}  # the last put per signal
         one_shots: list[tuple[str, MethodInvocation]] = []
         checks: list[tuple[str, MethodInvocation]] = []
@@ -258,38 +233,34 @@ def _blocks(script: TestScript, stand: StandModel,
                     for sig, inv in puts.items()}
             checks = [(sig, _evaluate(inv, env, values))
                       for sig, inv in checks]
-        except EvalError as exc:
-            yield Abort(where, "environment", str(exc))
-            return
-        changed: dict[str, _InForce] = {}
-        for sig, inv in puts.items():
-            rendered = _rendered(inv)
-            entry = in_force.get(sig)
-            if entry is None or entry.invocation != inv:
-                in_force[sig] = changed[sig] = _InForce(
-                    inv, rendered, requirements(sig, inv))
-            elif entry.params != rendered:  # restated with other digits
-                entry.params, entry.records = rendered, None
+            changed: dict[str, _InForce] = {}
+            for sig, inv in puts.items():
+                rendered = _rendered(inv)
+                entry = in_force.get(sig)
+                if entry is None or entry.invocation != inv:
+                    in_force[sig] = changed[sig] = _InForce(
+                        inv, rendered, requirements(sig, inv))
+                elif entry.params != rendered:  # restated with other digits
+                    entry.params, entry.records = rendered, None
 
-        reqs = [req for entry in in_force.values()
-                for req in entry.requirements]
-        n_in_force = len(reqs)  # the one-shots' requirements follow
-        for sig, inv in one_shots:
-            reqs += requirements(sig, inv)
-        n_stimuli = len(reqs)  # the checks' requirements follow
-        for sig, inv in checks:
-            reqs += requirements(sig, inv)
-        try:
+            reqs = [req for entry in in_force.values()
+                    for req in entry.requirements]
+            n_in_force = len(reqs)  # the one-shots' requirements follow
+            for sig, inv in one_shots:
+                reqs += requirements(sig, inv)
+            n_stimuli = len(reqs)  # the checks' requirements follow
+            for sig, inv in checks:
+                reqs += requirements(sig, inv)
             bindings = allocate(reqs, stand, holds).bindings
-        except AllocationError as exc:
-            yield Abort(where, "allocation", str(exc))
-            return
-        try:
             t_end = clock + block.dt
-        except Overflow:
-            yield Abort(where, "environment",
-                        f"clock overflow: dwell sum {clock} + {block.dt} s "
-                        f"is out of range")
+        except (EvalError, AllocationError, Overflow) as exc:
+            message = str(exc)
+            if isinstance(exc, Overflow):
+                message = (f"clock overflow: dwell sum {clock} + {block.dt} "
+                           f"s is out of range")
+            yield Abort(None if block.index < 0 else block.index,
+                        "allocation" if isinstance(exc, AllocationError)
+                        else "environment", message)
             return
         clock = t_end
 
@@ -308,47 +279,48 @@ def _blocks(script: TestScript, stand: StandModel,
             at += n
         stimuli += [_record(b, _rendered(b.requirement.invocation), False)
                     for b in bindings[n_in_force:n_stimuli]]
-        yield Planned(block.index, block.dt, t_end,
+        yield Planned(StepRecord(block.index, block.dt, t_end, stimuli),
                       [req for entry in changed.values()
                        for req in entry.requirements],
-                      reqs[n_stimuli:], stimuli)
+                      reqs[n_stimuli:])
 
 
-def drive(plan: Plan, dut: DutModel) -> RunReport:
-    """Run ``plan`` against ``dut``: per block, apply the changed stimuli,
-    advance by the dwell and sample every check pin at the end of it.
+def drive(script: TestScript, blocks: Iterable[Planned | Abort],
+          dut: DutModel) -> RunReport:
+    """Run ``script``, planned as ``blocks``, against ``dut``: per block,
+    apply the changed stimuli, advance by the dwell and sample every check
+    pin at the end of it, into the block's step record.
 
     Failed checks only mark their step as failed. The run stops at the
     plan's abort, or at the first exception raised by ``dut`` (kind
-    ``environment``), whichever block comes first.
+    ``environment``), whichever block comes first; a block the DUT failed
+    in is not reported.
     """
-    script = plan.script
     records: list[StepRecord] = []  # the init block's, then one per step
     abort: Abort | None = None
-    for block in plan.blocks:
+    for block in blocks:
         if isinstance(block, Abort):
             abort = block
             break
-        check_records: list[CheckRecord] = []
+        record, applies, checks = block
         try:
-            for req in block.applies:
+            for req in applies:
                 inv = req.invocation
                 dut.set_input(req.pin, inv.principal_value(), _aux(inv))
-            dut.advance(block.dt)
-            for req in block.checks:
-                low, high = _bounds(req.invocation)
+            dut.advance(record.dt)
+            for req in checks:
+                inv = req.invocation
+                low, high = inv.bounds()
                 measured = dut.read_pin(req.pin)
                 ok = ((low is None or low <= measured)
                       and (high is None or measured <= high))
-                check_records.append(CheckRecord(
-                    req.signal, req.pin, req.invocation.method, low, high,
-                    measured, ok))
+                record.checks.append(CheckRecord(
+                    req.signal, req.pin, inv.method, low, high, measured, ok))
         except Exception as exc:  # a faulty DUT plugin, see dut_fault
-            abort = Abort(None if block.index < 0 else block.index,
+            abort = Abort(None if record.index < 0 else record.index,
                           "environment", dut_fault(exc))
             break
-        records.append(StepRecord(block.index, block.dt, block.t_end,
-                                  block.stimuli, check_records))
+        records.append(record)
     steps = records[1:]
     step, kind, message = abort or (None, None, None)
     return RunReport(script.name, script.dut,
@@ -364,7 +336,7 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
     """Run ``script`` against ``dut`` on ``stand`` under ``env``: its
     ``plan``, driven (``drive``). The report is complete and deterministic:
     byte-identical for identical inputs."""
-    return drive(plan(script, stand, env), dut)
+    return drive(script, plan(script, stand, env), dut)
 
 
 # --- report rendering ------------------------------------------------------

@@ -5,8 +5,9 @@ they support and the valid parameter range) and a connection matrix that
 wires resources to DUT pins through switch (``SwN.M``) and multiplexer
 (``MxN.M``) connectors. For each block the planner asks ``allocate`` for a
 conflict-free assignment of requirements to resources, handing it the
-run's ``Holds``: the stimulus bindings of the block before, kept engaged
-from block to block, so that only what changed is released and searched.
+run's ``Holds``: the stimulus bindings of the block before and the
+resources and connector groups they engage, kept from block to block, so
+that only what changed is released and searched.
 
 Exclusivity rules:
   * while a stimulus is held, its resource drives exactly one pin and its
@@ -187,10 +188,20 @@ def _static_reject(res: ResourceDef, req: Requirement,
     return None
 
 
-class _Engagements:
-    """The exclusive bindings: who holds each resource and connector group."""
+class Holds:
+    """The exclusive bindings of one run on one stand: who holds each
+    resource and connector group.
+
+    ``by_pin`` maps each pin to the put-class binding that delivers the
+    previous block's stimulus there through a resource, as the held binding
+    ``allocate`` hands back while that stimulus is unchanged. ``res`` and
+    ``grp`` map each engaged resource id and connector group to its pin:
+    those of every binding in ``by_pin``, and during a search also those of
+    the candidates it has taken. ``allocate`` alone updates a ``Holds``.
+    """
 
     def __init__(self):
+        self.by_pin: dict[str, Binding] = {}
         self.res: dict[str, str] = {}              # resource id -> pin
         self.grp: dict[tuple[str, int], str] = {}  # group -> pin
 
@@ -250,7 +261,7 @@ class _Search:
 
     Before a node expands, every remaining requirement
     must get a resource of its own in a maximum matching whose edges join
-    it to the statically usable resources that the engagements still allow.
+    it to the statically usable resources that the ``Holds`` still allows.
     Before a node tries its second candidate, each must also get a
     connector group of its own in a matching over the groups of the same
     edges. A completion would give both, so a node that fails either check
@@ -262,18 +273,16 @@ class _Search:
     """
 
     def __init__(self, reqs: list[Requirement], free: list[int],
-                 checks: list[int], stand: StandModel,
-                 held: Mapping[str, Binding], engaged: _Engagements,
+                 checks: list[int], stand: StandModel, holds: Holds,
                  out: list[Binding | None]):
         self.reqs, self.free, self.checks = reqs, free, checks
-        self.stand, self.held = stand, held
-        self.engaged, self.out = engaged, out
+        self.stand, self.holds, self.out = stand, holds, out
         self.usable = {i: self._usable(reqs[i]) for i in free + checks}
         # depth, requirement, rejections of the deepest failed node
         self.deepest: tuple = (-1, None, None)
 
     def _prev(self, req: Requirement) -> str | None:
-        prev = self.held.get(req.pin)
+        prev = self.holds.by_pin.get(req.pin)
         return None if prev is None else prev.resource_id
 
     def _usable(self, req: Requirement) -> list[tuple[ResourceDef, Connector]]:
@@ -295,7 +304,7 @@ class _Search:
         for i in self.free[k:]:
             edges[i] = [conn.group_key if groups else res.id
                         for res, conn in self.usable[i]
-                        if self.engaged.conflict(res.id, conn) is None]
+                        if self.holds.conflict(res.id, conn) is None]
             if not _augment(i, edges, owner, set()):
                 return i, owner
         return None, owner
@@ -313,7 +322,7 @@ class _Search:
             conn = stand.matrix.connector_for(res.id, req.pin)
             reason = _static_reject(res, req, conn)
             if reason is None:
-                reason = self.engaged.conflict(res.id, conn)
+                reason = self.holds.conflict(res.id, conn)
             if reason is None:
                 reason = ("conflict: leads to a dead end" if owner is None
                           else f"conflict: resource is needed for pin "
@@ -327,7 +336,7 @@ class _Search:
         ``len(free)`` plus its place among the checks."""
         for p, i in enumerate(self.checks):
             for res, conn in self.usable[i]:
-                if self.engaged.conflict(res.id, conn) is None:
+                if self.holds.conflict(res.id, conn) is None:
                     self.out[i] = Binding(self.reqs[i], "resource", res.id, conn)
                     break
             else:
@@ -340,7 +349,7 @@ class _Search:
         needs no deeper recursion. ``path`` holds, per node entered and not
         yet failed, its candidates not yet tried, its tries so far and the
         resource id and connector of the candidate it has engaged."""
-        free, reqs, engaged, out = self.free, self.reqs, self.engaged, self.out
+        free, reqs, holds, out = self.free, self.reqs, self.holds, self.out
         for p, i in enumerate(self.checks):
             if not self.usable[i]:  # fails every leaf: no search
                 self._record(len(free) + p, reqs[i], None)
@@ -362,10 +371,10 @@ class _Search:
                 node = path[k]
                 i = free[k]
                 if node[2] is not None:
-                    engaged.release(node[2], node[3])
+                    holds.release(node[2], node[3])
                     node[2] = None
                 for res, conn in node[0]:
-                    if engaged.conflict(res.id, conn) is not None:
+                    if holds.conflict(res.id, conn) is not None:
                         continue
                     node[1] += 1
                     if node[1] == 2 and (
@@ -373,7 +382,7 @@ class _Search:
                         # Cut: the failed first candidate recorded a deeper
                         # node.
                         break
-                    engaged.engage(res.id, conn, reqs[i].pin)
+                    holds.engage(res.id, conn, reqs[i].pin)
                     out[i] = Binding(reqs[i], "resource", res.id, conn)
                     node[2], node[3] = res.id, conn
                     break
@@ -383,21 +392,6 @@ class _Search:
                 path.pop()
             else:
                 return False
-
-
-class Holds:
-    """The stimulus bindings a run holds from one block to the next.
-
-    ``by_pin`` maps each pin to the put-class binding that delivers the
-    previous block's stimulus there through a resource, as the held binding
-    ``allocate`` hands back while that stimulus is unchanged; ``engaged``
-    keeps every one of them engaged. One ``Holds`` serves one run on one
-    stand, and ``allocate`` alone updates it.
-    """
-
-    def __init__(self):
-        self.by_pin: dict[str, Binding] = {}
-        self.engaged = _Engagements()
 
 
 def allocate(requirements: Sequence[Requirement], stand: StandModel,
@@ -434,7 +428,7 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     rejection reason; ``holds`` is then left as it was.
     """
     holds = Holds() if holds is None else holds
-    by_pin, engaged = holds.by_pin, holds.engaged
+    by_pin = holds.by_pin
     reqs = list(requirements)
     out: list[Binding | None] = [None] * len(reqs)
     released = dict(by_pin)  # those not passed their requirement again
@@ -457,11 +451,11 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
             (puts if cls == "put" else one_shots).append(i)
 
     for b in released.values():
-        engaged.release(b.resource_id, b.connector)
-    search = _Search(reqs, free, checks, stand, by_pin, engaged, out)
+        holds.release(b.resource_id, b.connector)
+    search = _Search(reqs, free, checks, stand, holds, out)
     if not search.solve():
         for b in released.values():
-            engaged.engage(b.resource_id, b.connector, b.requirement.pin)
+            holds.engage(b.resource_id, b.connector, b.requirement.pin)
         _, req, rejections = search.deepest
         parameter = None
         for _, reason in rejections:
@@ -476,5 +470,5 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
         by_pin[reqs[i].pin] = Binding(reqs[i], "resource", out[i].resource_id,
                                       out[i].connector, held=True)
     for i in one_shots:
-        engaged.release(out[i].resource_id, out[i].connector)
+        holds.release(out[i].resource_id, out[i].connector)
     return Allocation(out)

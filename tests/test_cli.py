@@ -82,7 +82,14 @@ def test_check_reports_violations(tmp_path, capsys):
         "whitespace"),
     ("run", "resources", lambda t: t.replace("\n", ";\n", 1), 2,
      "resources, row 1, column 7: unexpected column ''"),
-], ids=["signal", "pin", "blank"])
+    ("run", "connections", lambda t: t.replace("res;", "anything at all;", 1),
+     2, "connections, row 1, column anything at all: first column must be "
+        "the resource id 'res'"),
+    ("run", "connections",
+     lambda t: "".join(line.split(";", 1)[1] for line in t.splitlines(True)),
+     2, "connections, row 1, column INT_ILL_F: first column must be the "
+        "resource id 'res'"),
+], ids=["signal", "pin", "blank", "resource-id", "no-resource-id"])
 def test_header_faults_name_their_column_once(script_path, tmp_path, capsys,
                                              command, sheet, edit, expected,
                                              err):
@@ -95,6 +102,45 @@ def test_header_faults_name_their_column_once(script_path, tmp_path, capsys,
             ["--script", str(script_path), *STAND, f"--{sheet}", str(path)])
     assert main([command, *args]) == expected
     assert capsys.readouterr().err == f"comptest: error: {err}\n"
+
+
+def test_check_reports_a_method_of_unknown_class(tmp_path, capsys):
+    statuses = tmp_path / "statuses.csv"
+    statuses.write_text((DATA / "statuses.csv").read_text(encoding="utf-8")
+                        .replace("Open;put r;", "Open;pulse r;", 1),
+                        encoding="utf-8")
+    code = main(["check", *SHEETS[:2], "--statuses", str(statuses),
+                 *SHEETS[4:]])
+    assert code == 1
+    # Each use of the status is a violation: steps 1, 2, 4 and 6.
+    assert capsys.readouterr().err == "".join(
+        f"test, row {row}, column {signal}: status 'Open' uses method "
+        f"'pulse_r' of unknown class\n"
+        for row, signal in ((3, "DS_FL"), (4, "DS_FR"), (6, "DS_FL"),
+                            (8, "DS_FR"))) + "4 violations\n"
+
+
+def test_run_on_a_second_stand_changes_only_resources_and_connectors(
+        tmp_path):
+    # One script, any stand: stand B has other resource ids, other switch
+    # and mux groups and another row order. Its report differs from the
+    # golden one in the chosen resources and connectors, and nowhere else.
+    stand_b = DATA / "stand_b"
+    out = tmp_path / "report.json"
+    code = main(["run", "--script", str(DATA / "expected_script.xml"),
+                 "--resources", str(stand_b / "resources.csv"),
+                 "--connections", str(stand_b / "connections.csv"),
+                 "--env", str(DATA / "stand.env"), "--report", "json",
+                 "-o", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (stand_b / "expected_report.json").read_bytes()
+    lines = out.read_text(encoding="utf-8").splitlines()
+    golden = (DATA / "expected_report.json").read_text(
+        encoding="utf-8").splitlines()
+    assert len(lines) == len(golden)
+    changed = {line.split(":")[0].strip()
+               for line, was in zip(lines, golden) if line != was}
+    assert changed == {'"resource"', '"connector"'}
 
 
 def test_check_missing_file_is_io_error(tmp_path, capsys):
@@ -194,26 +240,26 @@ def test_compile_dot_dialect_gives_identical_bytes(tmp_path, capsys):
     from comptest import (CsvDialect, parse_signal_sheet, parse_status_sheet,
                           parse_test_sheet, serialize_signal_sheet,
                           serialize_status_sheet, serialize_test_sheet)
-    dot = CsvDialect(decimal_separator=".")
     signals = parse_signal_sheet((DATA / "signals.csv").read_text("utf-8"))
     statuses = parse_status_sheet((DATA / "statuses.csv").read_text("utf-8"))
     test = parse_test_sheet(
         (DATA / "test_interior_light.csv").read_text("utf-8"))
-    (tmp_path / "signals.csv").write_text(
-        serialize_signal_sheet(signals, dot), encoding="utf-8")
-    (tmp_path / "statuses.csv").write_text(
-        serialize_status_sheet(statuses, dot), encoding="utf-8")
-    (tmp_path / "test.csv").write_text(
-        serialize_test_sheet(test, dot), encoding="utf-8")
-    code = main(["compile",
-                 "--signals", str(tmp_path / "signals.csv"),
-                 "--statuses", str(tmp_path / "statuses.csv"),
-                 "--test", str(tmp_path / "test.csv"),
-                 "--dialect", "decimal=dot",
-                 "--name", "interior_light", "--dut", "interior_light_ecu"])
-    assert code == 0
-    assert capsys.readouterr().out == \
-        (DATA / "expected_script.xml").read_text(encoding="utf-8")
+    for dialect, spec in ((CsvDialect(decimal_separator="."), "decimal=dot"),
+                          (CsvDialect(",", "."), "field=comma,decimal=dot")):
+        (tmp_path / "signals.csv").write_text(
+            serialize_signal_sheet(signals, dialect), encoding="utf-8")
+        (tmp_path / "statuses.csv").write_text(
+            serialize_status_sheet(statuses, dialect), encoding="utf-8")
+        (tmp_path / "test.csv").write_text(
+            serialize_test_sheet(test, dialect), encoding="utf-8")
+        sheets = ["--signals", str(tmp_path / "signals.csv"),
+                  "--statuses", str(tmp_path / "statuses.csv"),
+                  "--test", str(tmp_path / "test.csv"), "--dialect", spec]
+        assert main(["check", *sheets]) == 0
+        assert main(["compile", *sheets, "--name", "interior_light",
+                     "--dut", "interior_light_ecu"]) == 0
+        assert capsys.readouterr().out == \
+            (DATA / "expected_script.xml").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("settle", ["Infinity", "nan", "-1", "abc",
@@ -437,6 +483,9 @@ def test_bad_dialect_flag(capsys):
     assert main(["check", *SHEETS, "--dialect", "bogus"]) == 2
     assert main(["compile", *SHEETS, "--dialect", "bogus"]) == 2
     assert "bad dialect part 'bogus'" in capsys.readouterr().err
+    assert main(["check", *SHEETS, "--dialect", "sep=comma"]) == 2
+    assert capsys.readouterr().err == \
+        "comptest: error: unknown dialect key 'sep'\n"
 
 
 def test_unknown_dut_exits_2(script_path, capsys):

@@ -226,6 +226,33 @@ def test_connection_sheet_bad_syntax():
         parse_connection_sheet(CONNECTION_HEADER + "Ress1;Sw١.١;;\n")
 
 
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_resource_sheet, "method;attribut;min;max;unit\nget u;u;0;1;V\n",
+     "resources, row 1, column res: missing column 'res'"),
+    (parse_resource_sheet, "res;method;method;attribut;min;max;unit\n",
+     "resources, row 1, column method: duplicate column 'method'"),
+    (parse_test_sheet, "step no;Δt;A\n0;1;Lo\n",
+     "test, row 1, column step no: first column must be the test step "
+     "index"),
+    (parse_signal_sheet, "name;direction;pins;initial_status\n",
+     "signals: signal sheet has no rows"),
+], ids=["resources-no-res-column", "resources-duplicate-column",
+        "test-no-step-column", "signals-no-rows"])
+def test_sheet_frame_faults(parse, text, message):
+    with pytest.raises(SheetError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("label", ["res", "Ress", "RESOURCE"])
+def test_both_stand_sheets_take_one_resource_id_header(label):
+    matrix = parse_connection_sheet(f"{label};A\nR1;Mx1.1\n")
+    assert matrix.rows == ["R1"]
+    table = parse_resource_sheet(f"{label};method;attribut;min;max;unit\n"
+                                 f"R1;put r;r;0;1;Ω\n")
+    assert [res.id for res in table] == ["R1"]
+
+
 def test_dialect_independence_on_values():
     comma = parse_status_sheet(STATUS_HEADER + "Lo;get u;u;UBATT;0;0;0,3;;;\n")
     dot = parse_status_sheet(

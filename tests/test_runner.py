@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -744,3 +746,108 @@ def test_runs_match_the_block_by_block_replay():
                      for r in s.stimuli)
     assert completed > 60 and late > 60 and shared > 80 and held > 60
     assert shots > 20
+
+
+# --- stand independence: the same script on stands that differ ---------------
+
+def _renamed(stand, rng):
+    """``stand`` with its resource ids and mux group numbers renamed by
+    random bijections, rows kept in order, and the function that maps a
+    report's text back to the old names."""
+    rows = [res.id for res in stand.resources]
+    ids = dict(zip(rows, (f"Q{k}" for k in rng.sample(range(len(rows)),
+                                                      len(rows)))))
+    groups = sorted({conn.group for conn in stand.matrix.cells.values()})
+    numbers = dict(zip(groups, rng.sample(range(50, 50 + len(groups)),
+                                          len(groups))))
+    renamed = StandModel(
+        ResourceTable([ResourceDef(ids[res.id], res.method, res.attribut,
+                                   res.min, res.max)
+                       for res in stand.resources]),
+        ConnectionMatrix(stand.matrix.pins,
+                         [ids[rid] for rid in stand.matrix.rows],
+                         {(ids[rid], pin): Connector(conn.kind,
+                                                     numbers[conn.group],
+                                                     conn.position)
+                          for (rid, pin), conn in
+                          stand.matrix.cells.items()}))
+    old_id = {new: old for old, new in ids.items()}
+    old_group = {new: old for old, new in numbers.items()}
+
+    def back(text):
+        return re.sub(r"\bQ\d+\b|\bMx(\d+)",
+                      lambda m: (f"Mx{old_group[int(m.group(1))]}"
+                                 if m.group(1) else old_id[m.group(0)]),
+                      text)
+
+    return renamed, back
+
+
+def _reversed(stand):
+    """``stand`` with its resource rows in reverse order."""
+    return StandModel(ResourceTable(list(stand.resources)[::-1]),
+                      ConnectionMatrix(stand.matrix.pins,
+                                       stand.matrix.rows[::-1],
+                                       stand.matrix.cells))
+
+
+def _without_stand(report):
+    """A completed run's JSON report without the fields that name the
+    stand's choices."""
+    doc = json.loads(report_to_json(report))
+    for block in [doc["init"], *doc["steps"]]:
+        for stimulus in block["stimuli"]:
+            stimulus["resource"] = stimulus["connector"] = None
+    return doc
+
+
+def test_the_same_script_on_other_stands():
+    # Metamorphic properties of stand independence, over the runs of the
+    # block-by-block replay test: (1) names carry no meaning: renaming the
+    # resource ids and mux group numbers gives the same report bytes once
+    # the names are mapped back, abort messages included; (2) a resource
+    # row no connection names changes no byte of a completing run, and an
+    # abort only gains that resource's rejection; (3) the DUT cannot tell
+    # apart any two of the original, renamed and row-reversed stands on
+    # which the run completes: it sees the same calls, and the reports
+    # differ in resources and connectors only.
+    rng = random.Random(20261018)
+    names = random.Random(7)
+    completed = aborted = both = moved = 0
+    for _ in range(400):
+        stand, script = random_run_case(rng)
+        dut = RecordingDut()
+        report = execute(script, stand, {}, dut)
+        text = report_to_json(report)
+
+        renamed, back = _renamed(stand, names)
+        renamed_dut = RecordingDut()
+        renamed_report = execute(script, renamed, {}, renamed_dut)
+        assert back(report_to_json(renamed_report)) == text
+
+        unwired = StandModel(
+            ResourceTable([*stand.resources, ResourceDef(
+                "Q9", "put_r", "r", Decimal(0), Decimal(10))]),
+            stand.matrix)
+        extra = execute(script, unwired, {}, RecordingDut())
+        if report.aborted:
+            assert extra.abort_message.startswith(
+                report.abort_message + "; Q9: ")
+            extra = dataclasses.replace(extra,
+                                        abort_message=report.abort_message)
+            aborted += 1
+        else:
+            completed += 1
+        assert report_to_json(extra) == text
+
+        reversed_dut = RecordingDut()
+        reversed_report = execute(script, _reversed(stand), {}, reversed_dut)
+        seen = [(d.log, _without_stand(r))
+                for d, r in ((dut, report), (renamed_dut, renamed_report),
+                             (reversed_dut, reversed_report))
+                if not r.aborted]
+        assert all(view == seen[0] for view in seen)
+        if not report.aborted and not reversed_report.aborted:
+            both += 1
+            moved += report_to_json(reversed_report) != text
+    assert completed > 60 and aborted > 200 and both > 60 and moved > 30

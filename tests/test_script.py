@@ -183,6 +183,45 @@ def test_script_rule_errors_have_lines(old, new, line):
     assert err.value.line == line
 
 
+SCHEMA_FAULTS = [
+    ('<put_r r="5" />', '<put_r r="5" />x', 9, "unexpected text content 'x'"),
+    ('<init dt="0.1">', '<init dt="0.1" z="1">', 7,
+     "<init> has unexpected attribute 'z'"),
+    ("  </init>", "    <frob />\n  </init>", 11,
+     "unexpected element <frob> in <init>"),
+    ('<signal name="a">\n      <put_r r="5" />\n    </signal>',
+     '<signal name="a" />', 8, "signal 'a' has no method statement"),
+    ('<put_r r="5" />', '<put_r r="5"><x /></put_r>', 9,
+     "method <put_r> must be empty"),
+    ("test", "exam", 2, "root element must be <test>, got <exam>"),
+    (MINI[MINI.index("  <signals>"):MINI.index("  <init")], "", 2,
+     "first element must be the <signals> manifest"),
+    ('pins="a" />', 'pins="a"><x /></signal>', 4,
+     "manifest entries must be empty elements"),
+    (MINI[MINI.index("  <init"):MINI.index("  <step")], "", 2,
+     "expected <init> after the manifest"),
+    ("</test>", "  <end />\n</test>", 17, "unexpected element <end>"),
+]
+
+
+@pytest.mark.parametrize("old,new,line,message", SCHEMA_FAULTS, ids=[
+    "text", "attribute", "block-element", "no-method", "method-not-empty",
+    "root", "no-manifest", "manifest-not-empty", "no-init",
+    "top-level-element"])
+def test_script_schema_errors_have_lines(old, new, line, message):
+    assert old in MINI
+    with pytest.raises(ScriptError) as err:
+        load_script(MINI.replace(old, new))
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_load_rejects_an_empty_document():
+    # expat refuses a document without an element.
+    with pytest.raises(ScriptError) as err:
+        load_script("")
+    assert str(err.value) == "line 1: no element found"
+
+
 def test_load_rejects_a_pin_listed_twice():
     bad = MINI.replace('pins="b1|b2"', 'pins="b1|a"')
     with pytest.raises(ScriptError, match="duplicate pin 'a'") as err:

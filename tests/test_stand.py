@@ -14,7 +14,7 @@ from comptest import (AllocationError, ConnectionMatrix, Connector,
                       build_dut, execute, load_script, parse_connector,
                       report_to_json, INF)
 from comptest.runner import drive, plan
-from comptest.stand import Holds, _Engagements
+from comptest.stand import Holds
 
 from oracles import (assert_allocation_sound, enumeration_feasible,
                      first_feasible, random_stand_case)
@@ -247,8 +247,8 @@ def test_pinned_hold_can_block_allocation():
     assert not enumeration_feasible(reqs, stand, held)
     # A failed block leaves the holds as they were.
     assert holds.by_pin == held
-    assert holds.engaged.res == {"A": "p1"}
-    assert holds.engaged.grp == {("mux", 1): "p1"}
+    assert holds.res == {"A": "p1"}
+    assert holds.grp == {("mux", 1): "p1"}
 
 
 def test_failed_block_leaves_the_holds_as_they_were():
@@ -262,7 +262,7 @@ def test_failed_block_leaves_the_holds_as_they_were():
         allocate([Requirement("p1", put_r(Decimal("5000")))], stand, holds)
     assert holds.by_pin == held
     assert all(holds.by_pin[pin] is b for pin, b in held.items())
-    assert (holds.engaged.res, holds.engaged.grp) == (
+    assert (holds.res, holds.grp) == (
         {"A": "p1"}, {("mux", 1): "p1"})
 
 
@@ -373,13 +373,13 @@ def test_infeasible_check_after_many_fails_in_linear_time(monkeypatch):
     reqs = [Requirement(pin, get_u()) for pin in pins[:-1]]
     reqs.append(Requirement(pins[-1], get_u(high="1000")))
     calls = []
-    conflict = _Engagements.conflict
+    conflict = Holds.conflict
 
     def counting(self, *args):
         calls.append(args)
         return conflict(self, *args)
 
-    monkeypatch.setattr(_Engagements, "conflict", counting)
+    monkeypatch.setattr(Holds, "conflict", counting)
     with pytest.raises(AllocationError) as err:
         allocate(reqs, StandModel(resources, matrix))
     assert str(err.value) == (
@@ -652,7 +652,8 @@ def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand,
         # A plan driven to an abort of each kind, and one left half walked
         # when its DUT fails.
         script = load_script(demo_xml)
-        kinds = [drive(plan(script, stand, env), StallingDut()).abort_kind
+        kinds = [drive(script, plan(script, stand, env),
+                       StallingDut()).abort_kind
                  for stand, env in ((demo_stand, {}), (reduced, demo_env),
                                     (demo_stand, demo_env))]
         assert kinds == ["environment", "allocation", "environment"]
