@@ -48,7 +48,9 @@ def _frame(text: str, dialect: CsvDialect, sheet: str
            ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """The sheet frame: the header row, and every body row that is not
     blank with its 1-based row number (the header is row 1). A row the csv
-    module refuses (a field over its size limit) is a SheetError."""
+    module refuses (a field over its size limit) is a SheetError, and so
+    is a row with a cell that is not blank beyond the header's last column
+    (named by its 1-based position)."""
     def numbered():
         line = 0
         try:
@@ -59,12 +61,22 @@ def _frame(text: str, dialect: CsvDialect, sheet: str
             raise SheetError(str(exc), sheet=sheet, row=line + 1,
                              column=None) from None
 
+    def body():
+        for line, row in rows:
+            if not any(cell.strip() for cell in row):
+                continue
+            for col in range(len(header), len(row)):
+                if row[col].strip():
+                    raise SheetError(f"cell {row[col].strip()!r} is beyond "
+                                     f"the header's last column", sheet=sheet,
+                                     row=line, column=str(col + 1))
+            yield line, row
+
     rows = numbered()
     _, header = next(rows, (1, None))
     if header is None:
         raise SheetError("missing header row", sheet=sheet, row=1, column=None)
-    return header, ((line, row) for line, row in rows
-                    if any(cell.strip() for cell in row))
+    return header, body()
 
 
 def _norm(cell: str) -> str:

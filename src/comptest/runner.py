@@ -188,14 +188,15 @@ def plan(script: TestScript, stand: StandModel,
     ``Abort`` if there is one. The plan is lazy and can be walked once.
 
     This is where hold semantics live. ``<init>`` and every step go through
-    one block body: a put replaces the stimulus in force for its signal and
-    is evaluated once, when it appears; a get is evaluated as a check of its
-    own block; any other method is a one-shot, allocated for its block only
-    and never evaluated, applied, held or sampled. Only the plan decides
-    what is unchanged: a stimulus in force passes the same requirements to
-    every block, so ``allocate`` keeps its binding engaged in the run's
-    ``Holds``, and it shares its records from its second unchanged block on
-    (see _InForce).
+    one block body: a put replaces the stimulus in force for its signal
+    when it appears; a get is a check of its own block; any other method is
+    a one-shot, allocated for its block only and never evaluated, applied,
+    held or sampled. Each distinct statement is classified and evaluated
+    once per run, and a check restated on a signal passes the same
+    requirements to every block. Only the plan decides what is unchanged: a
+    stimulus in force passes the same requirements to every block, so
+    ``allocate`` keeps its binding engaged in the run's ``Holds``, and it
+    shares its records from its second unchanged block on (see _InForce).
 
     Each block is evaluated, then allocated, then its clock is checked; the
     first that fails ends the plan with an ``Abort``: unbound environment
@@ -210,29 +211,51 @@ def plan(script: TestScript, stand: StandModel,
     clock = Decimal("0")
     values: dict[int, Decimal] = {}  # see _evaluate
     in_force: dict[str, _InForce] = {}
+    # Per script invocation, by identity as in _evaluate (the loader gives
+    # equal statements one invocation): its method class and, once it has
+    # been evaluated without fault, the evaluated invocation; per signal
+    # and check invocation, the check's requirements, which every block
+    # then passes as the same objects.
+    classes: dict[int, str | None] = {}
+    evaluated: dict[int, MethodInvocation] = {}
+    checked: dict[tuple[str, int], list[Requirement]] = {}
 
     def requirements(signal: str, inv: MethodInvocation) -> list[Requirement]:
         # A bus method reaches the DUT by signal name, all else by pin.
         return [Requirement(target, inv, signal) for target in
                 ((signal,) if inv.method in BUS_METHODS else pins[signal])]
 
+    def evaluate(inv: MethodInvocation) -> MethodInvocation:
+        done = evaluated.get(id(inv))
+        if done is None:
+            done = evaluated[id(inv)] = _evaluate(inv, env, values)
+        return done
+
+    def check(signal: str, inv: MethodInvocation) -> list[Requirement]:
+        reqs = checked.get((signal, id(inv)))
+        if reqs is None:
+            reqs = checked[signal, id(inv)] = requirements(signal,
+                                                           evaluate(inv))
+        return reqs
+
     for block in (script.init, *script.steps):
         puts: dict[str, MethodInvocation] = {}  # the last put per signal
         one_shots: list[tuple[str, MethodInvocation]] = []
         checks: list[tuple[str, MethodInvocation]] = []
         for st in block.statements:
-            cls = method_class(st.invocation.method)
+            inv = st.invocation
+            cls = classes.get(id(inv), False)  # False: not seen yet
+            if cls is False:
+                cls = classes[id(inv)] = method_class(inv.method)
             if cls == "put":
-                puts[st.signal] = st.invocation
+                puts[st.signal] = inv
             elif cls == "get":
-                checks.append((st.signal, st.invocation))
+                checks.append((st.signal, inv))
             else:
-                one_shots.append((st.signal, st.invocation))
+                one_shots.append((st.signal, inv))
         try:
-            puts = {sig: _evaluate(inv, env, values)
-                    for sig, inv in puts.items()}
-            checks = [(sig, _evaluate(inv, env, values))
-                      for sig, inv in checks]
+            puts = {sig: evaluate(inv) for sig, inv in puts.items()}
+            checks = [check(sig, inv) for sig, inv in checks]
             changed: dict[str, _InForce] = {}
             for sig, inv in puts.items():
                 rendered = _rendered(inv)
@@ -249,8 +272,8 @@ def plan(script: TestScript, stand: StandModel,
             for sig, inv in one_shots:
                 reqs += requirements(sig, inv)
             n_stimuli = len(reqs)  # the checks' requirements follow
-            for sig, inv in checks:
-                reqs += requirements(sig, inv)
+            for check_reqs in checks:
+                reqs += check_reqs
             bindings = allocate(reqs, stand, holds).bindings
             t_end = clock + block.dt
         except (EvalError, AllocationError, Overflow) as exc:
@@ -298,6 +321,10 @@ def drive(script: TestScript, blocks: Iterable[Planned | Abort],
     """
     records: list[StepRecord] = []  # the init block's, then one per step
     abort: Abort | None = None
+    # Per evaluated check invocation, by identity (kept alive here): its
+    # bounds.
+    bounds: dict[int, tuple[MethodInvocation, Decimal | None,
+                            Decimal | None]] = {}
     for block in blocks:
         if isinstance(block, Abort):
             abort = block
@@ -310,7 +337,10 @@ def drive(script: TestScript, blocks: Iterable[Planned | Abort],
             dut.advance(record.dt)
             for req in checks:
                 inv = req.invocation
-                low, high = inv.bounds()
+                known = bounds.get(id(inv))
+                if known is None:
+                    known = bounds[id(inv)] = (inv, *inv.bounds())
+                _, low, high = known
                 measured = dut.read_pin(req.pin)
                 ok = ((low is None or low <= measured)
                       and (high is None or measured <= high))

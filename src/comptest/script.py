@@ -107,13 +107,38 @@ def _name(name: str, what: str, line: int) -> str:
     return name
 
 
+def _invocation(node: _Node, values: dict[str, ParamValue],
+                names: set[str]) -> MethodInvocation:
+    """A method element as an invocation, under the name rule for its
+    method and parameter names and with its attribute values classified."""
+    tag = node.tag
+    if tag not in names:
+        names.add(check_name(tag, ScriptError, "method", line=node.line))
+    params = {}
+    for key, text in node.attrs.items():
+        if key not in names:
+            names.add(check_name(key, ScriptError, f"<{tag}> parameter",
+                                 line=node.line))
+        value = values.get(text)
+        if value is None:
+            value = values[text] = classify_value(text, node.line)
+        params[key] = value
+    return MethodInvocation(tag, params)
+
+
 def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
                       where: str, values: dict[str, ParamValue],
-                      names: set[str]) -> list[Statement]:
+                      names: set[str],
+                      invocations: dict[tuple, MethodInvocation]
+                      ) -> list[Statement]:
     """``values`` caches ``classify_value`` per attribute text for one
-    script, and ``names`` holds the method and parameter names that have
-    passed the name rule in it; a text that fails is not cached, so the
-    error names the first line that uses it."""
+    script, ``names`` holds the method and parameter names that have
+    passed the name rule in it, and ``invocations`` gives equal method
+    elements (same tag, same attributes in the same order) one
+    ``MethodInvocation``: a repeated element skips the name, value and
+    bound rules, but not the direction rule, as it may sit on a signal of
+    the other direction. What fails is not cached, so the error names the
+    first line that uses it."""
     statements: list[Statement] = []
     for node in parent.children:
         if node.tag != "signal":
@@ -133,33 +158,26 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
             if method_node.children:
                 raise ScriptError(f"method <{tag}> must be empty",
                                   line=method_node.line)
-            if tag not in names:
-                names.add(check_name(tag, ScriptError, "method",
-                                     line=method_node.line))
-            params = {}
-            for key, text in method_node.attrs.items():
-                if key not in names:
-                    names.add(check_name(key, ScriptError,
-                                         f"<{tag}> parameter",
-                                         line=method_node.line))
-                value = values.get(text)
-                if value is None:
-                    value = values[text] = classify_value(text,
-                                                          method_node.line)
-                params[key] = value
-            inv = MethodInvocation(tag, params)
-            cls = method_class(inv.method)
+            element = (tag, *method_node.attrs.items())
+            inv = invocations.get(element)
+            fresh = inv is None
+            if fresh:
+                inv = _invocation(method_node, values, names)
+            cls = method_class(tag)
             direction = manifest[name].direction
             # Unknown classes load as one-shots; the stand decides them.
             if cls is not None and not fits_direction(cls, direction):
-                raise ScriptError(f"{cls}-class method '{inv.method}' on "
+                raise ScriptError(f"{cls}-class method '{tag}' on "
                                   f"{direction} signal '{name}'",
                                   line=method_node.line)
-            if cls == "get" and inv.bounds() == (None, None):
-                # The script form of the status rule: a check sets min or max.
-                raise ScriptError(f"check method '{tag}' has no bound (a "
-                                  f"*_min or *_max number or expression)",
-                                  line=method_node.line)
+            if fresh:
+                if cls == "get" and inv.bounds() == (None, None):
+                    # The script form of the status rule: a check sets min
+                    # or max.
+                    raise ScriptError(f"check method '{tag}' has no bound "
+                                      f"(a *_min or *_max number or "
+                                      f"expression)", line=method_node.line)
+                invocations[element] = inv
             statements.append(Statement(name, inv))
     return statements
 
@@ -212,10 +230,11 @@ def load_script(text: str) -> TestScript:
     _require_attrs(init_node, ("dt",))
     values: dict[str, ParamValue] = {}  # equal texts share one value
     names: set[str] = set()
+    invocations: dict[tuple, MethodInvocation] = {}  # see _parse_statements
     init = Block(-1, parse_dwell(init_node.attrs["dt"], ScriptError,
                                  line=init_node.line),
                  _parse_statements(init_node, manifest, "<init>", values,
-                                   names))
+                                   names, invocations))
     for st in init.statements:
         if method_class(st.invocation.method) == "get":
             raise ScriptError(f"check method '{st.invocation.method}' is not "
@@ -232,7 +251,7 @@ def load_script(text: str) -> TestScript:
         steps.append(Block(index, parse_dwell(node.attrs["dt"], ScriptError,
                                               line=node.line),
                            _parse_statements(node, manifest, f"step {index}",
-                                             values, names)))
+                                             values, names, invocations)))
     check_has_steps(steps, ScriptError, line=root.line)
 
     return TestScript(root.attrs["name"], root.attrs["dut"], order, init, steps)

@@ -127,6 +127,9 @@ class StandModel:
     #: resource table row order (the search's candidate order).
     wired: dict[str, list[tuple[ResourceDef, Connector]]] = field(
         init=False, repr=False, compare=False)
+    #: connector group -> the (resource id, pin) cells wired through it.
+    grouped: dict[tuple[str, int], list[tuple[str, str]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for rid in self.matrix.rows:
@@ -135,8 +138,10 @@ class StandModel:
                                  f"table", sheet="connections",
                                  row=self.matrix.lines.get(rid), column="res")
         by_resource: dict[str, list[tuple[str, Connector]]] = {}
+        self.grouped = {}
         for (rid, pin), conn in self.matrix.cells.items():
             by_resource.setdefault(rid, []).append((pin, conn))
+            self.grouped.setdefault(conn.group_key, []).append((rid, pin))
         self.wired = {}
         for res in self.resources:
             for pin, conn in by_resource.get(res.id, ()):
@@ -197,13 +202,18 @@ class Holds:
     ``allocate`` hands back while that stimulus is unchanged. ``res`` and
     ``grp`` map each engaged resource id and connector group to its pin:
     those of every binding in ``by_pin``, and during a search also those of
-    the candidates it has taken. ``allocate`` alone updates a ``Holds``.
+    the candidates it has taken. ``usable`` keeps, by the identity of each
+    check requirement it has seen, that requirement and its statically
+    usable resources: a run passes a check the same requirement in every
+    block that states it. ``allocate`` alone updates a ``Holds``.
     """
 
     def __init__(self):
         self.by_pin: dict[str, Binding] = {}
         self.res: dict[str, str] = {}              # resource id -> pin
         self.grp: dict[tuple[str, int], str] = {}  # group -> pin
+        self.usable: dict[int, tuple[Requirement,
+                                     list[tuple[ResourceDef, Connector]]]] = {}
 
     def conflict(self, res_id: str, conn: Connector) -> str | None:
         if res_id in self.res:
@@ -221,6 +231,12 @@ class Holds:
     def release(self, res_id: str, conn: Connector):
         del self.res[res_id]
         del self.grp[conn.group_key]
+
+    def engaged(self) -> Holds:
+        """A copy of who holds each resource and connector group now."""
+        copy = Holds()
+        copy.res, copy.grp = dict(self.res), dict(self.grp)
+        return copy
 
 
 def _augment(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
@@ -253,6 +269,52 @@ def _augment(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
             j, _, todo = path.pop()
 
 
+class _Edges(dict):
+    """The edges of a matching, each requirement's built when first asked
+    for: the ids (with ``groups`` the connector group keys) of its usable
+    resources that ``holds`` allows, in order."""
+
+    def __init__(self, usable: Mapping[int, list[tuple[ResourceDef,
+                                                        Connector]]],
+                 holds: Holds, groups: bool = False):
+        super().__init__()
+        self.usable, self.holds, self.groups = usable, holds, groups
+
+    def __missing__(self, i: int) -> list:
+        conflict = self.holds.conflict
+        edges = self[i] = [conn.group_key if self.groups else res.id
+                           for res, conn in self.usable[i]
+                           if conflict(res.id, conn) is None]
+        return edges
+
+
+class _Matching(dict):
+    """A resource matching (resource id -> requirement index) that logs
+    each change, so that a search node can take back those made below it."""
+
+    def __init__(self, pairs: dict[str, int]):
+        super().__init__(pairs)
+        self.log: list[tuple[str, int | None]] = []
+
+    def __setitem__(self, rid: str, j: int):
+        self.log.append((rid, self.get(rid)))
+        super().__setitem__(rid, j)
+
+    def __delitem__(self, rid: str):
+        self.log.append((rid, self[rid]))
+        super().__delitem__(rid)
+
+    def undo(self, mark: int):
+        """Take back every change after the first ``mark``."""
+        log = self.log
+        while len(log) > mark:
+            rid, j = log.pop()
+            if j is None:
+                dict.__delitem__(self, rid)
+            else:
+                dict.__setitem__(self, rid, j)
+
+
 class _Search:
     """Depth-first search over the free exclusive requirements, in the
     given order, that places the checks at each leaf (``_checks``). A check
@@ -270,6 +332,13 @@ class _Search:
     waits for a failed candidate, as most nodes' first candidate leads to
     the solution; a node whose groups are overcommitted still costs only
     the chain of first candidates below it.
+
+    The root matches from scratch; every other node repairs its parent's
+    resource matching (``_repair``), which the parent keeps for its next
+    candidate. Whether every requirement can be matched does not depend on
+    the matching a repair starts from, so the cuts are those of a matching
+    from scratch. A failed node is recorded by its depth and a copy of the
+    engagements; only a search that fails builds the error (``failure``).
     """
 
     def __init__(self, reqs: list[Requirement], free: list[int],
@@ -277,58 +346,112 @@ class _Search:
                  out: list[Binding | None]):
         self.reqs, self.free, self.checks = reqs, free, checks
         self.stand, self.holds, self.out = stand, holds, out
-        self.usable = {i: self._usable(reqs[i]) for i in free + checks}
-        # depth, requirement, rejections of the deepest failed node
-        self.deepest: tuple = (-1, None, None)
+        self.usable = {i: self._usable(reqs[i], self._static(reqs[i]))
+                       for i in free}
+        for i in checks:  # a check's static list is kept for the run
+            req = reqs[i]
+            kept = holds.usable.get(id(req))
+            if kept is None:
+                kept = holds.usable[id(req)] = (req, self._static(req))
+            self.usable[i] = self._usable(req, kept[1])
+        # depth, requirement (None for a node the resource matching cut),
+        # that matching if it is known, engagements of the deepest failed
+        # node
+        self.deepest: tuple = (-1, None, None, None)
 
     def _prev(self, req: Requirement) -> str | None:
         prev = self.holds.by_pin.get(req.pin)
         return None if prev is None else prev.resource_id
 
-    def _usable(self, req: Requirement) -> list[tuple[ResourceDef, Connector]]:
-        """Statically usable resources: previous resource first, then row
-        order."""
-        usable = [(res, conn) for res, conn in self.stand.wired.get(req.pin, ())
-                  if _static_reject(res, req, conn) is None]
-        prev = self._prev(req)
-        return sorted(usable, key=lambda pair: pair[0].id != prev)
+    def _static(self, req: Requirement) -> list[tuple[ResourceDef, Connector]]:
+        """Statically usable resources, in row order."""
+        return [(res, conn) for res, conn in self.stand.wired.get(req.pin, ())
+                if _static_reject(res, req, conn) is None]
 
-    def _unmatched(self, k: int, groups: bool = False
+    def _usable(self, req: Requirement, static: list[tuple[ResourceDef,
+                                                           Connector]]
+                ) -> list[tuple[ResourceDef, Connector]]:
+        """``static`` with the previous resource first."""
+        prev = self._prev(req)
+        if prev is None:
+            return static
+        return sorted(static, key=lambda pair: pair[0].id != prev)
+
+    def _unmatched(self, k: int, holds: Holds, groups: bool = False
                    ) -> tuple[int | None, dict]:
-        """The first requirement from node ``k`` on that the matching
-        leaves without a resource, or with ``groups`` without a connector
-        group (None if there is none), and the matching: resource id or
-        group key -> requirement index."""
-        edges: dict[int, list] = {}
+        """The first requirement from node ``k`` on that a matching from
+        scratch under ``holds`` leaves without a resource, or with
+        ``groups`` without a connector group (None if there is none), and
+        the matching: resource id or group key -> requirement index."""
+        edges = _Edges(self.usable, holds, groups)
         owner: dict = {}
         for i in self.free[k:]:
-            edges[i] = [conn.group_key if groups else res.id
-                        for res, conn in self.usable[i]
-                        if self.holds.conflict(res.id, conn) is None]
             if not _augment(i, edges, owner, set()):
                 return i, owner
         return None, owner
 
-    def _record(self, k: int, req: Requirement, owner: dict[str, int] | None):
+    def _repair(self, k: int, matching: _Matching, rid: str,
+                conn: Connector) -> bool:
+        """Turn node ``k - 1``'s resource matching into node ``k``'s, now
+        that node ``k - 1`` has engaged resource ``rid`` through ``conn``:
+        its requirement leaves the matching, and so does each one matched
+        to ``rid`` or through ``conn``'s group; those augment again. False
+        if one cannot."""
+        reqs, i = self.reqs, self.free[k - 1]
+        for res, _ in self.usable[i]:
+            if matching.get(res.id) == i:
+                del matching[res.id]
+                break
+        again = []
+        for other, pin in self.stand.grouped[conn.group_key]:
+            j = matching.get(other)
+            if j is not None and reqs[j].pin == pin:
+                del matching[other]
+                again.append(j)
+        j = matching.get(rid)
+        if j is not None:
+            del matching[rid]
+            again.append(j)
+        edges = _Edges(self.usable, self.holds)
+        return all(_augment(j, edges, matching, set()) for j in again)
+
+    def _record(self, k: int, req: Requirement | None = None,
+                owner: dict[str, int] | None = None):
         """Record node ``k`` as the failure unless a deeper one is: ``req``
-        and every resource, the tried ones leading to a dead end or, when
-        the matching cut the node, needed for the pin the matching gave."""
-        if k < self.deepest[0]:
-            return
+        (None when the resource matching cut the node), the matching from
+        scratch if it is at hand, and what the holds engage."""
+        if k >= self.deepest[0]:
+            self.deepest = (k, req, owner, self.holds.engaged())
+
+    def failure(self) -> AllocationError:
+        """The error of the deepest failed node: its requirement and every
+        resource, with the reason it was rejected there; the tried ones
+        lead to a dead end or, when the matching cut the node, are needed
+        for the pin a matching from scratch gave them. For a node the
+        matching cut, the requirement is the first that matching leaves
+        without a resource."""
+        k, req, owner, holds = self.deepest
+        if req is None:
+            unmatched, owner = self._unmatched(k, holds)
+            req = self.reqs[unmatched]
         stand = self.stand
         prev = self._prev(req)
         rejections: list[tuple[str, str]] = []
+        parameter = None
         for res in sorted(stand.resources, key=lambda res: res.id != prev):
             conn = stand.matrix.connector_for(res.id, req.pin)
             reason = _static_reject(res, req, conn)
             if reason is None:
-                reason = self.holds.conflict(res.id, conn)
+                reason = holds.conflict(res.id, conn)
             if reason is None:
                 reason = ("conflict: leads to a dead end" if owner is None
                           else f"conflict: resource is needed for pin "
                                f"{self.reqs[owner[res.id]].pin}")
+            elif parameter is None and reason.startswith("range:"):
+                parameter = reason.split(":", 1)[1].strip().split("=", 1)[0]
             rejections.append((res.id, reason))
-        self.deepest = (k, req, rejections)
+        return AllocationError(pin=req.pin, method=req.invocation.method,
+                               parameter=parameter, candidates=rejections)
 
     def _checks(self) -> bool:
         """A leaf: each check takes its first usable resource that no
@@ -340,32 +463,37 @@ class _Search:
                     self.out[i] = Binding(self.reqs[i], "resource", res.id, conn)
                     break
             else:
-                self._record(len(self.free) + p, self.reqs[i], None)
+                self._record(len(self.free) + p, self.reqs[i])
                 return False
         return True
 
     def solve(self) -> bool:
         """The depth-first search as a loop, so that a block of any size
         needs no deeper recursion. ``path`` holds, per node entered and not
-        yet failed, its candidates not yet tried, its tries so far and the
-        resource id and connector of the candidate it has engaged."""
+        yet failed, its candidates not yet tried, its tries so far, the
+        resource id and connector of the candidate it has engaged and the
+        length of the matching's log at its entry."""
         free, reqs, holds, out = self.free, self.reqs, self.holds, self.out
         for p, i in enumerate(self.checks):
             if not self.usable[i]:  # fails every leaf: no search
-                self._record(len(free) + p, reqs[i], None)
+                self._record(len(free) + p, reqs[i])
                 return False
+        unmatched, owner = self._unmatched(0, holds)
+        if unmatched is not None:
+            self._record(0, reqs[unmatched], owner)
+            return False
+        matching = _Matching(owner)
         path: list[list] = []
         while True:
             k = len(path)  # enter node k
             if k == len(free):
                 if self._checks():
                     return True
+            elif k == 0 or self._repair(k, matching, *path[-1][2:4]):
+                path.append([iter(self.usable[free[k]]), 0, None, None,
+                             len(matching.log)])
             else:
-                unmatched, owner = self._unmatched(k)
-                if unmatched is None:
-                    path.append([iter(self.usable[free[k]]), 0, None, None])
-                else:
-                    self._record(k, reqs[unmatched], owner)
+                self._record(k)
             while path:  # the deepest open node tries its next candidate
                 k = len(path) - 1
                 node = path[k]
@@ -373,12 +501,13 @@ class _Search:
                 if node[2] is not None:
                     holds.release(node[2], node[3])
                     node[2] = None
+                    matching.undo(node[4])
                 for res, conn in node[0]:
                     if holds.conflict(res.id, conn) is not None:
                         continue
                     node[1] += 1
-                    if node[1] == 2 and (
-                            self._unmatched(k, groups=True)[0] is not None):
+                    if node[1] == 2 and self._unmatched(
+                            k, holds, groups=True)[0] is not None:
                         # Cut: the failed first candidate recorded a deeper
                         # node.
                         break
@@ -388,7 +517,7 @@ class _Search:
                     break
                 if node[2] is not None:  # engaged: enter node k + 1
                     break
-                self._record(k, reqs[i], None)
+                self._record(k, reqs[i])
                 path.pop()
             else:
                 return False
@@ -423,9 +552,10 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     holds one binding per requirement, in the given order.
 
     Raises AllocationError naming the requirement at the deepest failed
-    search node (for a node the resource matching cut, the requirement it
-    left without a resource) and every candidate resource with its
-    rejection reason; ``holds`` is then left as it was.
+    search node (for a node the resource matching cut, the first
+    requirement a matching from scratch leaves without a resource) and
+    every candidate resource with its rejection reason; ``holds`` is then
+    left as it was.
     """
     holds = Holds() if holds is None else holds
     by_pin = holds.by_pin
@@ -456,14 +586,7 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     if not search.solve():
         for b in released.values():
             holds.engage(b.resource_id, b.connector, b.requirement.pin)
-        _, req, rejections = search.deepest
-        parameter = None
-        for _, reason in rejections:
-            if reason.startswith("range:"):
-                parameter = reason.split(":", 1)[1].strip().split("=", 1)[0]
-                break
-        raise AllocationError(pin=req.pin, method=req.invocation.method,
-                              parameter=parameter, candidates=rejections)
+        raise search.failure()
     for pin in released:
         del by_pin[pin]
     for i in puts:

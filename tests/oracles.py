@@ -5,7 +5,9 @@ code with the program: ``assert_allocation_sound`` re-checks a returned
 allocation constraint by constraint, ``first_feasible`` finds by brute
 force the first candidate assignment in row order, checks last (and
 ``enumeration_feasible`` whether there is one), ``random_stand_case``
-builds small randomized stands for the equivalence test, ``replay_run``
+builds small randomized stands for the equivalence test,
+``random_block_sequence`` larger ones with a few blocks to allocate in
+turn, ``replay_run``
 replays a whole run block by block through ``first_feasible`` on the tiny
 runs of ``random_run_case``, and ``reference_report_json`` writes a run
 report through ``json.dumps``.
@@ -210,6 +212,75 @@ def random_stand_case(rng: random.Random):
             params[attr] = INF
         requirements.append(Requirement(pin, MethodInvocation(method, params)))
     return stand, requirements
+
+
+def random_block_sequence(rng: random.Random):
+    """A random stand of 3-14 resources on 3-12 pins, whose switch and mux
+    groups many cells share, and 1-4 blocks to allocate in turn, each of
+    at most 12 requirements: stimuli (about one in ten an open circuit)
+    on pins of their own, which a later block passes again as the same
+    requirement, changes or drops, and one-shot pulses and checks in
+    between, in a random order."""
+    methods = ["put_r", "put_v", "get_u", "pulse_r"]
+    n_res, n_pins = rng.randint(3, 14), rng.randint(3, 12)
+    pins = [f"p{j}" for j in range(n_pins)]
+    resources = []
+    for i in range(n_res):
+        method = rng.choice(methods[:1] * 4 + methods[1:3] * 2 + methods[3:])
+        low = Decimal(rng.randint(-5, 5))
+        resources.append(ResourceDef(f"R{i}", method, method[-1], low,
+                                     low + Decimal(rng.randint(5, 25))))
+    groups, density = rng.randint(1, max(2, n_res // 2)), rng.uniform(0.3, 0.8)
+    cells = {(res.id, pin): Connector(rng.choice(["switch", "mux"]),
+                                      rng.randint(1, groups), j + 1)
+             for res in resources for j, pin in enumerate(pins)
+             if rng.random() < density}
+    stand = StandModel(ResourceTable(resources),
+                       ConnectionMatrix(pins, [r.id for r in resources],
+                                        cells))
+
+    def requirement(pin: str, *methods: str) -> Requirement:
+        # Mostly a method and a value that some resource wired to the pin
+        # offers, so that the search has work to do.
+        wired = [r for r in resources if r.method in methods
+                 and (r.id, pin) in cells]
+        if wired and rng.random() < 0.9:
+            res = rng.choice(wired)
+            method, value = res.method, Decimal(rng.randint(int(res.min),
+                                                            int(res.max)))
+        else:
+            method, value = rng.choice(methods), Decimal(rng.randint(-10, 40))
+        if method.startswith("put") and rng.random() < 0.1:
+            value = INF
+        return Requirement(pin, MethodInvocation(method, {method[-1]: value}))
+
+    def served(method: str, among: list[str]) -> list[str]:
+        # Mostly the pins some resource of the method is wired to, if any.
+        wired = [pin for pin in among if any(
+            r.method == method and (r.id, pin) in cells for r in resources)]
+        return among if rng.random() < 0.05 else wired
+
+    stimulus_pins = rng.sample(pins, rng.randint(1, min(8, n_pins)))
+    check_pins = [pin for pin in pins if pin not in stimulus_pins]
+    in_force: dict[str, Requirement] = {}
+    blocks = []
+    for _ in range(rng.randint(1, 4)):
+        for pin in stimulus_pins:
+            draw = rng.random()
+            if pin not in in_force or draw < 0.35:
+                in_force[pin] = requirement(pin, "put_r", "put_v")
+            elif draw < 0.45:
+                del in_force[pin]
+        block = list(in_force.values())
+        pulsed = served("pulse_r", pins)
+        block += [requirement(rng.choice(pulsed), "pulse_r")
+                  for _ in range(rng.choice((0, 0, 1, 2)) if pulsed else 0)]
+        checked = served("get_u", check_pins)
+        block += [requirement(pin, "get_u") for pin in
+                  rng.sample(checked, min(len(checked), rng.randint(0, 3)))]
+        rng.shuffle(block)
+        blocks.append(block[:12])
+    return stand, blocks
 
 
 # --- whole runs ------------------------------------------------------------

@@ -104,6 +104,34 @@ def test_header_faults_name_their_column_once(script_path, tmp_path, capsys,
     assert capsys.readouterr().err == f"comptest: error: {err}\n"
 
 
+@pytest.mark.parametrize("command,sheet,edit,expected,err", [
+    ("check", "test_interior_light",
+     lambda t: t.replace(";day: no interior\n", ";day: no interior;x\n", 1),
+     1, "test, row 2, column 9: cell 'x' is beyond the header's last "
+        "column"),
+    ("run", "connections", lambda t: t.replace("Mx4.2\n", "Mx4.2;Mx5.2\n", 1),
+     2, "connections, row 3, column 8: cell 'Mx5.2' is beyond the header's "
+        "last column"),
+], ids=["test", "connections"])
+def test_cells_beyond_the_header_are_refused(script_path, tmp_path, capsys,
+                                             command, sheet, edit, expected,
+                                             err):
+    # A cell the header gives no column would be lost; trailing blank cells
+    # are not cells.
+    path = tmp_path / f"{sheet}.csv"
+    text = (DATA / f"{sheet}.csv").read_text(encoding="utf-8")
+    args = ([*SHEETS, "--test", str(path)] if command == "check" else
+            ["--script", str(script_path), *STAND, f"--{sheet}", str(path)])
+    head, body = text.split("\n", 1)
+    path.write_text(head + "\n" + body.replace("\n", "; ;\n"),
+                    encoding="utf-8")
+    assert main([command, *args]) == 0
+    capsys.readouterr()
+    path.write_text(edit(text), encoding="utf-8")
+    assert main([command, *args]) == expected
+    assert capsys.readouterr().err == f"comptest: error: {err}\n"
+
+
 def test_check_reports_a_method_of_unknown_class(tmp_path, capsys):
     statuses = tmp_path / "statuses.csv"
     statuses.write_text((DATA / "statuses.csv").read_text(encoding="utf-8")

@@ -236,8 +236,14 @@ def test_connection_sheet_bad_syntax():
      "index"),
     (parse_signal_sheet, "name;direction;pins;initial_status\n",
      "signals: signal sheet has no rows"),
+    (parse_connection_sheet, "res;A\nR1;Mx1.1;Mx2.1\n",
+     "connections, row 2, column 3: cell 'Mx2.1' is beyond the header's "
+     "last column"),
+    (parse_test_sheet, "test step;Δt;A\n0;1;Lo;Hi\n",
+     "test, row 2, column 4: cell 'Hi' is beyond the header's last column"),
 ], ids=["resources-no-res-column", "resources-duplicate-column",
-        "test-no-step-column", "signals-no-rows"])
+        "test-no-step-column", "signals-no-rows", "connections-extra-cell",
+        "test-extra-cell"])
 def test_sheet_frame_faults(parse, text, message):
     with pytest.raises(SheetError) as err:
         parse(text)
@@ -368,6 +374,15 @@ def test_sheet_frame(parse, sheet, header, good, bad):
     with pytest.raises(SheetError) as err:
         parse(f"{header}\n\n ; ;\n{good}\n{bad}\n")
     assert (err.value.sheet, err.value.row) == (sheet, 5)
+    # A cell beyond the header's last column is refused at its row, named
+    # by its position; blank ones are not cells.
+    parse(f"{header}\n{good}; ;\n")
+    width = len(header.split(";"))
+    with pytest.raises(SheetError, match="beyond the header's last column"
+                       ) as err:
+        parse(f"{header}\n{good}\n{good}; ;x\n")
+    assert (err.value.sheet, err.value.row, err.value.column) == \
+        (sheet, 3, str(width + 2))
     # The csv module refuses a field over its size limit: a SheetError at
     # the row that holds it.
     with pytest.raises(SheetError, match="field limit") as err:

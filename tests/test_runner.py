@@ -16,6 +16,7 @@ from comptest.compiler import render_value
 from comptest.sheets import method_class
 from comptest.expr import BinOp, Num, Paren, Var
 from comptest.runner import CheckRecord, RunReport, StepRecord, StimulusRecord
+from comptest import stand as stand_module
 from comptest.stand import BUS_METHODS
 
 import strategies
@@ -686,6 +687,49 @@ def test_equal_expressions_keep_their_own_digits():
         ("12.00", False, True)]
     assert [str(s.checks[0].high) for s in report.steps] == ["12.0", "12.00"]
     assert report_to_json(report) == reference_report_json(report)
+
+
+def test_a_run_filters_each_distinct_check_once(monkeypatch):
+    # 100 steps restate two check statements on one signal. The loader
+    # gives each statement one invocation, the plan passes it the same
+    # requirement in every block, and the holds keep that requirement's
+    # usable list: each check requirement is filtered against each
+    # resource wired to its pin once in the whole run.
+    steps = "".join(f"""  <step n="{n}" dt="1">
+    <signal name="a">
+      <put_r r="{n % 3}" />
+    </signal>
+    <signal name="b">
+      <get_u u_max="({1 + n % 2}*ubatt)" />
+    </signal>
+  </step>
+""" for n in range(100))
+    script = load_script(TRAILING_ZEROS.split("  <step ")[0] + steps
+                         + "</test>\n")
+    resources = ResourceTable([
+        ResourceDef("R", "put_r", "r", Decimal(0), Decimal(100)),
+        ResourceDef("V1", "get_u", "u", Decimal(-60), Decimal(60)),
+        ResourceDef("V2", "get_u", "u", Decimal(-60), Decimal(60))])
+    stand = StandModel(resources, ConnectionMatrix(
+        ["a", "b"], ["R", "V1", "V2"],
+        {("R", "a"): Connector("mux", 1, 1),
+         ("V1", "b"): Connector("switch", 1, 1),
+         ("V2", "b"): Connector("switch", 2, 1)}))
+    filtered = []
+    static_reject = stand_module._static_reject
+
+    def counting(res, req, conn):
+        if method_class(req.invocation.method) == "get":
+            filtered.append((req, res.id))
+        return static_reject(res, req, conn)
+
+    monkeypatch.setattr(stand_module, "_static_reject", counting)
+    report = execute(script, stand, ENV, RecordingDut())
+    assert not report.aborted and report.checks_total == 100
+    assert len({id(req) for req, _ in filtered}) == 2
+    assert sorted((str(req.invocation.params["u_max"]), rid)
+                  for req, rid in filtered) == [
+        ("12.0", "V1"), ("12.0", "V2"), ("24.0", "V1"), ("24.0", "V2")]
 
 
 def test_failing_expression_aborts_where_first_used():

@@ -52,6 +52,42 @@ def test_load_shares_equal_values_within_a_script():
     assert _u_max(script, 0) is _u_max(script, 1)
 
 
+def test_load_shares_equal_method_elements():
+    # Same tag and the same attributes in the same order: one invocation.
+    script = load_script(TWO_STEPS)
+    first, second = (step.statements[0].invocation for step in script.steps)
+    assert first is second
+    swapped = TWO_STEPS.replace(
+        '<get_u u_max="(1.1*ubatt)" u_min="(0.7*ubatt)" />',
+        '<get_u u_min="(0.7*ubatt)" u_max="(1.1*ubatt)" />', 1)
+    script = load_script(swapped)
+    first, second = (step.statements[0].invocation for step in script.steps)
+    assert first is not second and first.params == second.params
+
+
+# MINI with the init's put element repeated in step 0, on signal b.
+PUT_ON_B = MINI.replace('<get_u u_max="(1.1*ubatt)" u_min="(0.7*ubatt)" />',
+                        '<put_r r="5" />')
+
+
+@pytest.mark.parametrize("script,line,message", [
+    # The direction rule holds for an element seen before on an input.
+    (PUT_ON_B, 14, "put-class method 'put_r' on output signal 'b'"),
+    # So does the rule that a method element is empty.
+    (MINI.replace("</step>", """</step>
+  <step n="1" dt="1">
+    <signal name="a">
+      <put_r r="5"><x /></put_r>
+    </signal>
+  </step>"""), 19, "method <put_r> must be empty"),
+], ids=["direction", "empty"])
+def test_a_repeated_method_element_meets_the_rules_of_its_place(
+        script, line, message):
+    with pytest.raises(ScriptError) as err:
+        load_script(script)
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_load_keeps_no_values_between_scripts():
     first = load_script(TWO_STEPS)
     # A different script, with the bad text at line 19 only.

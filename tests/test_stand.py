@@ -14,10 +14,10 @@ from comptest import (AllocationError, ConnectionMatrix, Connector,
                       build_dut, execute, load_script, parse_connector,
                       report_to_json, INF)
 from comptest.runner import drive, plan
-from comptest.stand import Holds
+from comptest.stand import Holds, _Search
 
 from oracles import (assert_allocation_sound, enumeration_feasible,
-                     first_feasible, random_stand_case)
+                     first_feasible, random_block_sequence, random_stand_case)
 
 
 def put_r(value, **extra):
@@ -604,6 +604,19 @@ def test_allocation_depth_needs_no_recursion(build):
         [f"R{j}" for j in range(400)]
 
 
+def test_each_node_repairs_the_matching_it_inherits():
+    # Engaging a pin's one resource leaves every other pair of its parent's
+    # matching in place, so a node costs no new matching: 1 100 stimuli
+    # with a resource each take about as long as one matching.
+    stand, pins = _one_each_stand(1100)
+    reqs = [Requirement(pin, put_r(Decimal("5"))) for pin in pins]
+    start = time.perf_counter()
+    alloc = allocate(reqs, stand)
+    assert time.perf_counter() - start < 0.25
+    assert [b.resource_id for b in alloc.bindings] == \
+        [f"R{j}" for j in range(1100)]
+
+
 def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand,
                                                      demo_env):
     # Garbage left to the cyclic collector stays alive until a collection
@@ -661,3 +674,65 @@ def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand,
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _allocate_in_turn(stand, blocks):
+    """Every block allocated in turn with one ``Holds``, past a failed
+    block too: per block its bindings or its error text, and the holds."""
+    holds, seen = Holds(), []
+    for reqs in blocks:
+        try:
+            alloc = allocate(reqs, stand, holds)
+        except AllocationError as exc:
+            seen.append(str(exc))
+        else:
+            seen.append([(b.delivery, b.resource_id, str(b.connector), b.held)
+                         for b in alloc.bindings])
+        seen.append((sorted(holds.res.items()), sorted(holds.grp.items()),
+                     sorted((pin, b.resource_id)
+                            for pin, b in holds.by_pin.items())))
+    return seen
+
+
+def test_repaired_matchings_and_lazy_failures_change_nothing(monkeypatch):
+    # The reference matches every node from scratch and builds each failed
+    # node's error at that node, against the live holds: the bindings, the
+    # held flags, the error texts and the holds must all be the same.
+    rng = random.Random(20261019)
+    cases = [random_block_sequence(rng) for _ in range(2000)]
+    cuts = []
+    repair = _Search._repair
+
+    def counted(self, *args):
+        ok = repair(self, *args)
+        cuts.append(not ok)
+        return ok
+
+    monkeypatch.setattr(_Search, "_repair", counted)
+    shipped = [_allocate_in_turn(stand, blocks) for stand, blocks in cases]
+
+    failure = _Search.failure
+
+    def from_scratch(self, k, matching, rid, conn):
+        unmatched, owner = self._unmatched(k, self.holds)
+        for other in list(matching):  # through the log, as a repair does
+            del matching[other]
+        for other, j in owner.items():
+            matching[other] = j
+        return unmatched is None
+
+    def eager(self, k, req=None, owner=None):
+        if k >= self.deepest[0]:
+            self.deepest = (k, req, owner, self.holds)
+            self.error = failure(self)
+
+    monkeypatch.setattr(_Search, "_repair", from_scratch)
+    monkeypatch.setattr(_Search, "_record", eager)
+    monkeypatch.setattr(_Search, "failure", lambda self: self.error)
+    reference = [_allocate_in_turn(stand, blocks) for stand, blocks in cases]
+    assert shipped == reference
+    # The cases exercise both outcomes and the repair's cuts.
+    blocks = [entry for case in shipped for entry in case[::2]]
+    failed = sum(isinstance(entry, str) for entry in blocks)
+    assert 0.2 * len(blocks) < failed < 0.8 * len(blocks)
+    assert sum(cuts) > 200
