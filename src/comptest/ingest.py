@@ -295,8 +295,8 @@ def parse_connection_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> 
     for line, row in body:
         rid = _ident(_cell(row, 0), "connections", line, "res")
         matrix_rows.append((rid, line))
-        for col, pin in enumerate(pins, start=1):
-            cell = _cell(row, col).strip()
+        for pin, cell in zip(pins, row[1:]):  # a short row ends in blanks
+            cell = cell.strip()
             if not cell:
                 continue
             try:

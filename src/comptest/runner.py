@@ -108,23 +108,13 @@ class RunReport:
         return settle + self.step_time
 
 
-def _evaluate(inv: MethodInvocation, env: Mapping[str, Decimal],
-              values: dict[int, Decimal]) -> MethodInvocation:
-    """``inv`` with its expressions evaluated under ``env``. ``values``
-    caches each node's value by identity, not by equality: ``Num(1)``
-    equals ``Num(1.0)`` but renders differently. The script keeps every
-    node alive while it runs, so no identity is reused. A node that fails
-    is not cached and fails again wherever it is used."""
-    params = {}
-    for name, value in inv.params.items():
-        if isinstance(value, (Num, Var, BinOp, Paren)):
-            key = id(value)
-            if key not in values:
-                values[key] = eval_expr(value, env)
-            params[name] = values[key]
-        else:
-            params[name] = value
-    return MethodInvocation(inv.method, params)
+def _evaluate(inv: MethodInvocation,
+              env: Mapping[str, Decimal]) -> MethodInvocation:
+    """``inv`` with its expressions evaluated under ``env``."""
+    return MethodInvocation(inv.method, {
+        name: (eval_expr(value, env)
+               if isinstance(value, (Num, Var, BinOp, Paren)) else value)
+        for name, value in inv.params.items()})
 
 
 def _aux(inv: MethodInvocation) -> dict:
@@ -162,15 +152,20 @@ class _InForce:
     records: list[StimulusRecord] | None = None
 
 
+#: A check statement as planned: its requirements (one per pin) and its
+#: evaluated bounds.
+_Check = tuple[list[Requirement], Decimal | None, Decimal | None]
+
+
 class Planned(NamedTuple):
     """One block as planned: its step record, with its stimulus records and
-    no check records yet, and the requirements of the stimuli to apply
-    (those that changed, in statement order) and of the checks to sample,
-    both evaluated."""
+    no check records yet, the requirements of the stimuli to apply (those
+    that changed, in statement order, evaluated) and the check statements
+    to sample."""
 
     record: StepRecord
     applies: list[Requirement]
-    checks: list[Requirement]
+    checks: list[_Check]
 
 
 class Abort(NamedTuple):
@@ -191,12 +186,13 @@ def plan(script: TestScript, stand: StandModel,
     one block body: a put replaces the stimulus in force for its signal
     when it appears; a get is a check of its own block; any other method is
     a one-shot, allocated for its block only and never evaluated, applied,
-    held or sampled. Each distinct statement is classified and evaluated
-    once per run, and a check restated on a signal passes the same
-    requirements to every block. Only the plan decides what is unchanged: a
-    stimulus in force passes the same requirements to every block, so
-    ``allocate`` keeps its binding engaged in the run's ``Holds``, and it
-    shares its records from its second unchanged block on (see _InForce).
+    held or sampled. Each distinct statement is evaluated (unless it is a
+    one-shot) and rendered once per run, and a check restated on a signal
+    passes the same requirements and bounds to every block. Only the plan
+    decides what is unchanged: a stimulus in force passes the same
+    requirements to every block, so ``allocate`` keeps its binding engaged
+    in the run's ``Holds``, and it shares its records from its second
+    unchanged block on (see _InForce).
 
     Each block is evaluated, then allocated, then its clock is checked; the
     first that fails ends the plan with an ``Abort``: unbound environment
@@ -209,56 +205,56 @@ def plan(script: TestScript, stand: StandModel,
     pins = {sig.name: sig.pins for sig in script.signals}
     holds = Holds()
     clock = Decimal("0")
-    values: dict[int, Decimal] = {}  # see _evaluate
     in_force: dict[str, _InForce] = {}
-    # Per script invocation, by identity as in _evaluate (the loader gives
-    # equal statements one invocation): its method class and, once it has
-    # been evaluated without fault, the evaluated invocation; per signal
-    # and check invocation, the check's requirements, which every block
-    # then passes as the same objects.
-    classes: dict[int, str | None] = {}
-    evaluated: dict[int, MethodInvocation] = {}
-    checked: dict[tuple[str, int], list[Requirement]] = {}
+    # Per script invocation, by identity (the loader gives equal statements
+    # one invocation, and the script keeps each alive while it runs): once
+    # it has been evaluated without fault, the invocation as applied and
+    # its rendered params; per signal and check invocation, the check's
+    # requirements and bounds, which every block then passes as the same
+    # objects.
+    evaluated: dict[int, tuple[MethodInvocation, dict[str, str]]] = {}
+    checked: dict[tuple[str, int], _Check] = {}
 
     def requirements(signal: str, inv: MethodInvocation) -> list[Requirement]:
         # A bus method reaches the DUT by signal name, all else by pin.
         return [Requirement(target, inv, signal) for target in
                 ((signal,) if inv.method in BUS_METHODS else pins[signal])]
 
-    def evaluate(inv: MethodInvocation) -> MethodInvocation:
+    def evaluate(inv: MethodInvocation
+                 ) -> tuple[MethodInvocation, dict[str, str]]:
         done = evaluated.get(id(inv))
         if done is None:
-            done = evaluated[id(inv)] = _evaluate(inv, env, values)
+            # A one-shot (a method of no class) is never evaluated.
+            as_applied = (inv if method_class(inv.method) is None
+                          else _evaluate(inv, env))
+            done = evaluated[id(inv)] = (as_applied, _rendered(as_applied))
         return done
 
-    def check(signal: str, inv: MethodInvocation) -> list[Requirement]:
-        reqs = checked.get((signal, id(inv)))
-        if reqs is None:
-            reqs = checked[signal, id(inv)] = requirements(signal,
-                                                           evaluate(inv))
-        return reqs
+    def check(signal: str, inv: MethodInvocation) -> _Check:
+        known = checked.get((signal, id(inv)))
+        if known is None:
+            as_applied = evaluate(inv)[0]
+            known = checked[signal, id(inv)] = (
+                requirements(signal, as_applied), *as_applied.bounds())
+        return known
 
     for block in (script.init, *script.steps):
         puts: dict[str, MethodInvocation] = {}  # the last put per signal
         one_shots: list[tuple[str, MethodInvocation]] = []
         checks: list[tuple[str, MethodInvocation]] = []
         for st in block.statements:
-            inv = st.invocation
-            cls = classes.get(id(inv), False)  # False: not seen yet
-            if cls is False:
-                cls = classes[id(inv)] = method_class(inv.method)
+            cls = method_class(st.invocation.method)
             if cls == "put":
-                puts[st.signal] = inv
+                puts[st.signal] = st.invocation
             elif cls == "get":
-                checks.append((st.signal, inv))
+                checks.append((st.signal, st.invocation))
             else:
-                one_shots.append((st.signal, inv))
+                one_shots.append((st.signal, st.invocation))
         try:
             puts = {sig: evaluate(inv) for sig, inv in puts.items()}
             checks = [check(sig, inv) for sig, inv in checks]
             changed: dict[str, _InForce] = {}
-            for sig, inv in puts.items():
-                rendered = _rendered(inv)
+            for sig, (inv, rendered) in puts.items():
                 entry = in_force.get(sig)
                 if entry is None or entry.invocation != inv:
                     in_force[sig] = changed[sig] = _InForce(
@@ -272,7 +268,7 @@ def plan(script: TestScript, stand: StandModel,
             for sig, inv in one_shots:
                 reqs += requirements(sig, inv)
             n_stimuli = len(reqs)  # the checks' requirements follow
-            for check_reqs in checks:
+            for check_reqs, _, _ in checks:
                 reqs += check_reqs
             bindings = allocate(reqs, stand, holds).bindings
             t_end = clock + block.dt
@@ -300,12 +296,11 @@ def plan(script: TestScript, stand: StandModel,
                     entry.records = block_records
             stimuli += block_records
             at += n
-        stimuli += [_record(b, _rendered(b.requirement.invocation), False)
+        stimuli += [_record(b, evaluate(b.requirement.invocation)[1], False)
                     for b in bindings[n_in_force:n_stimuli]]
         yield Planned(StepRecord(block.index, block.dt, t_end, stimuli),
                       [req for entry in changed.values()
-                       for req in entry.requirements],
-                      reqs[n_stimuli:])
+                       for req in entry.requirements], checks)
 
 
 def drive(script: TestScript, blocks: Iterable[Planned | Abort],
@@ -321,10 +316,6 @@ def drive(script: TestScript, blocks: Iterable[Planned | Abort],
     """
     records: list[StepRecord] = []  # the init block's, then one per step
     abort: Abort | None = None
-    # Per evaluated check invocation, by identity (kept alive here): its
-    # bounds.
-    bounds: dict[int, tuple[MethodInvocation, Decimal | None,
-                            Decimal | None]] = {}
     for block in blocks:
         if isinstance(block, Abort):
             abort = block
@@ -335,17 +326,14 @@ def drive(script: TestScript, blocks: Iterable[Planned | Abort],
                 inv = req.invocation
                 dut.set_input(req.pin, inv.principal_value(), _aux(inv))
             dut.advance(record.dt)
-            for req in checks:
-                inv = req.invocation
-                known = bounds.get(id(inv))
-                if known is None:
-                    known = bounds[id(inv)] = (inv, *inv.bounds())
-                _, low, high = known
-                measured = dut.read_pin(req.pin)
-                ok = ((low is None or low <= measured)
-                      and (high is None or measured <= high))
-                record.checks.append(CheckRecord(
-                    req.signal, req.pin, inv.method, low, high, measured, ok))
+            for reqs, low, high in checks:
+                for req in reqs:
+                    measured = dut.read_pin(req.pin)
+                    ok = ((low is None or low <= measured)
+                          and (high is None or measured <= high))
+                    record.checks.append(CheckRecord(
+                        req.signal, req.pin, req.invocation.method, low, high,
+                        measured, ok))
         except Exception as exc:  # a faulty DUT plugin, see dut_fault
             abort = Abort(None if record.index < 0 else record.index,
                           "environment", dut_fault(exc))

@@ -107,38 +107,26 @@ def _name(name: str, what: str, line: int) -> str:
     return name
 
 
-def _invocation(node: _Node, values: dict[str, ParamValue],
-                names: set[str]) -> MethodInvocation:
+def _invocation(node: _Node) -> MethodInvocation:
     """A method element as an invocation, under the name rule for its
     method and parameter names and with its attribute values classified."""
-    tag = node.tag
-    if tag not in names:
-        names.add(check_name(tag, ScriptError, "method", line=node.line))
-    params = {}
-    for key, text in node.attrs.items():
-        if key not in names:
-            names.add(check_name(key, ScriptError, f"<{tag}> parameter",
-                                 line=node.line))
-        value = values.get(text)
-        if value is None:
-            value = values[text] = classify_value(text, node.line)
-        params[key] = value
-    return MethodInvocation(tag, params)
+    tag = check_name(node.tag, ScriptError, "method", line=node.line)
+    return MethodInvocation(tag, {
+        check_name(key, ScriptError, f"<{tag}> parameter", line=node.line):
+            classify_value(text, node.line)
+        for key, text in node.attrs.items()})
 
 
 def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
-                      where: str, values: dict[str, ParamValue],
-                      names: set[str],
-                      invocations: dict[tuple, MethodInvocation]
+                      where: str, invocations: dict[tuple, MethodInvocation]
                       ) -> list[Statement]:
-    """``values`` caches ``classify_value`` per attribute text for one
-    script, ``names`` holds the method and parameter names that have
-    passed the name rule in it, and ``invocations`` gives equal method
-    elements (same tag, same attributes in the same order) one
-    ``MethodInvocation``: a repeated element skips the name, value and
-    bound rules, but not the direction rule, as it may sit on a signal of
-    the other direction. What fails is not cached, so the error names the
-    first line that uses it."""
+    """The statements of ``<init>`` or of a step, under the direction and
+    bound rules and the rule that ``<init>`` holds no check. ``invocations``
+    gives equal method elements of one script (same tag, same attributes in
+    the same order) one ``MethodInvocation``: a repeated element skips the
+    name, value and bound rules, but not the direction and ``<init>`` rules,
+    as it may sit on a signal of the other direction or in ``<init>``. What
+    fails is not kept, so the error names the first line that uses it."""
     statements: list[Statement] = []
     for node in parent.children:
         if node.tag != "signal":
@@ -162,7 +150,7 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
             inv = invocations.get(element)
             fresh = inv is None
             if fresh:
-                inv = _invocation(method_node, values, names)
+                inv = _invocation(method_node)
             cls = method_class(tag)
             direction = manifest[name].direction
             # Unknown classes load as one-shots; the stand decides them.
@@ -178,6 +166,9 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
                                       f"(a *_min or *_max number or "
                                       f"expression)", line=method_node.line)
                 invocations[element] = inv
+            if cls == "get" and where == "<init>":
+                raise ScriptError(f"check method '{tag}' is not allowed in "
+                                  f"<init>", line=method_node.line)
             statements.append(Statement(name, inv))
     return statements
 
@@ -228,17 +219,11 @@ def load_script(text: str) -> TestScript:
         raise ScriptError("expected <init> after the manifest", line=root.line)
     init_node = children[1]
     _require_attrs(init_node, ("dt",))
-    values: dict[str, ParamValue] = {}  # equal texts share one value
-    names: set[str] = set()
     invocations: dict[tuple, MethodInvocation] = {}  # see _parse_statements
     init = Block(-1, parse_dwell(init_node.attrs["dt"], ScriptError,
                                  line=init_node.line),
-                 _parse_statements(init_node, manifest, "<init>", values,
-                                   names, invocations))
-    for st in init.statements:
-        if method_class(st.invocation.method) == "get":
-            raise ScriptError(f"check method '{st.invocation.method}' is not "
-                              f"allowed in <init>", line=init_node.line)
+                 _parse_statements(init_node, manifest, "<init>",
+                                   invocations))
 
     steps: list[Block] = []
     for pos, node in enumerate(children[2:]):
@@ -251,7 +236,7 @@ def load_script(text: str) -> TestScript:
         steps.append(Block(index, parse_dwell(node.attrs["dt"], ScriptError,
                                               line=node.line),
                            _parse_statements(node, manifest, f"step {index}",
-                                             values, names, invocations)))
+                                             invocations)))
     check_has_steps(steps, ScriptError, line=root.line)
 
     return TestScript(root.attrs["name"], root.attrs["dut"], order, init, steps)

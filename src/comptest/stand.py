@@ -448,7 +448,7 @@ class _Search:
                           else f"conflict: resource is needed for pin "
                                f"{self.reqs[owner[res.id]].pin}")
             elif parameter is None and reason.startswith("range:"):
-                parameter = reason.split(":", 1)[1].strip().split("=", 1)[0]
+                parameter = _range_offence(res, req.invocation)[0]
             rejections.append((res.id, reason))
         return AllocationError(pin=req.pin, method=req.invocation.method,
                                parameter=parameter, candidates=rejections)

@@ -11,11 +11,12 @@ from comptest import (ConnectionMatrix, Connector, DutError, EvalError,
                       InteriorLightConfig, InteriorLightDut, MethodInvocation,
                       ResourceDef, ResourceTable, StandModel, emit_xml,
                       eval_expr, execute, load_script, lower_status,
-                      report_to_json, report_to_text)
+                      render_expr, report_to_json, report_to_text)
 from comptest.compiler import render_value
 from comptest.sheets import method_class
 from comptest.expr import BinOp, Num, Paren, Var
 from comptest.runner import CheckRecord, RunReport, StepRecord, StimulusRecord
+from comptest import runner as runner_module
 from comptest import stand as stand_module
 from comptest.stand import BUS_METHODS
 
@@ -730,6 +731,47 @@ def test_a_run_filters_each_distinct_check_once(monkeypatch):
     assert sorted((str(req.invocation.params["u_max"]), rid)
                   for req, rid in filtered) == [
         ("12.0", "V1"), ("12.0", "V2"), ("24.0", "V1"), ("24.0", "V2")]
+
+
+def test_a_run_renders_and_evaluates_each_distinct_statement_once(
+        monkeypatch):
+    # 100 steps alternate two put values and restate one check. The plan
+    # renders each distinct statement's params and evaluates its
+    # expressions once in the whole run, not at each appearance.
+    steps = "".join(f"""  <step n="{n}" dt="1">
+    <signal name="a">
+      <put_r r="{1 + n % 2}" />
+    </signal>
+    <signal name="b">
+      <get_u u_max="(1.1*ubatt)" />
+    </signal>
+  </step>
+""" for n in range(100))
+    script = load_script(TRAILING_ZEROS.split("  <step ")[0]
+                         .replace('r="(1*ubatt)"', 'r="0"') + steps
+                         + "</test>\n")
+    distinct = {id(st.invocation): st.invocation
+                for block in [script.init, *script.steps]
+                for st in block.statements}
+    rendered, evaluated = [], []
+
+    def render(value):
+        rendered.append(value)
+        return render_value(value)
+
+    def evaluate(node, env):
+        evaluated.append(node)
+        return eval_expr(node, env)
+
+    monkeypatch.setattr(runner_module, "render_value", render)
+    monkeypatch.setattr(runner_module, "eval_expr", evaluate)
+    report = execute(script, manifest_stand(script), ENV, RecordingDut())
+    assert not report.aborted and report.checks_total == 100
+    assert [s.stimuli[0].params["r"] for s in report.steps[:3]] == [
+        "1", "2", "1"]
+    assert len(distinct) == 4
+    assert len(rendered) <= sum(len(inv.params) for inv in distinct.values())
+    assert [render_expr(node) for node in evaluated] == ["(1.1*ubatt)"]
 
 
 def test_failing_expression_aborts_where_first_used():

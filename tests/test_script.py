@@ -162,8 +162,9 @@ def test_load_rejects_checks_in_init():
         "  </init>",
         '    <signal name="b">\n      <get_u u_max="1" />\n'
         "    </signal>\n  </init>")
-    with pytest.raises(ScriptError, match="not allowed in <init>"):
+    with pytest.raises(ScriptError, match="not allowed in <init>") as err:
         load_script(bad)
+    assert err.value.line == 12  # the <get_u> element's, not the <init>'s
 
 
 CHECK = '<get_u u_max="(1.1*ubatt)" u_min="(0.7*ubatt)" />'
