@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from decimal import Decimal
 from pathlib import Path
 
@@ -61,12 +62,12 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write an artifact to ``path`` (``-o``), or to stdout without one."""
+def _output(path: str | None):
+    """Where an artifact goes: the file at ``path`` (``-o``), opened for
+    writing, or stdout without one, left open."""
     if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        return open(path, "w", encoding="utf-8")
+    return nullcontext(sys.stdout)
 
 
 def _parse_env_file(text: str) -> dict[str, Decimal]:
@@ -134,7 +135,9 @@ def cmd_compile(args) -> int:
     except SheetError as exc:
         _err(str(exc))
         return 1
-    _write(args.out, emit_xml(script))
+    xml = emit_xml(script)  # before -o is opened: a refused value leaves no file
+    with _output(args.out) as out:
+        out.write(xml)
     return 0
 
 
@@ -146,8 +149,9 @@ def cmd_run(args) -> int:
     env = _parse_env_file(_read(args.env))
     dut = build_dut(args.dut, env)
     report = execute(script, stand, env, dut)
-    _write(args.out, report_to_json(report) if args.report == "json"
-           else report_to_text(report))
+    render = report_to_json if args.report == "json" else report_to_text
+    with _output(args.out) as out:
+        render(report, out)  # written as it is rendered
     if report.aborted:
         _err(f"run aborted [{report.abort_kind}]: {report.abort_message}")
         return 2

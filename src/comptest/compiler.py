@@ -136,7 +136,9 @@ def compile(signals: SignalTable, statuses: StatusTable, test: TestSequence,
     Init applies every input signal's initial status in signal-table row
     order with a single settling dwell. Steps stay as sparse as the test
     sheet: hold semantics are the interpreter's job, so re-stating unchanged
-    stimuli would add bytes but no information.
+    stimuli would add bytes but no information. Each status is lowered
+    once: the statements that apply it share one invocation, as the
+    loader gives equal method elements one.
     """
     violations = validate_sheets(signals, statuses, test)
     if violations:
@@ -146,17 +148,19 @@ def compile(signals: SignalTable, statuses: StatusTable, test: TestSequence,
     manifest = [ScriptSignal(s.name.lower(), s.direction,
                              tuple(p.lower() for p in s.pins))
                 for s in signals]
-    init = Block(-1, settle, [
-        Statement(s.name.lower(), lower_status(statuses[s.initial_status]))
-        for s in signals.inputs()
-    ])
-    steps = []
-    for step in test.steps:
-        statements = []
-        for sig_name, status_name in step.assignments.items():
-            statements.append(Statement(sig_name.lower(),
-                                        lower_status(statuses[status_name])))
-        steps.append(Block(step.index, step.dt, statements))
+    lowered: dict[str, MethodInvocation] = {}  # by status name
+
+    def statement(signal: str, status: str) -> Statement:
+        inv = lowered.get(status)
+        if inv is None:
+            inv = lowered[status] = lower_status(statuses[status])
+        return Statement(signal.lower(), inv)
+
+    init = Block(-1, settle, [statement(s.name, s.initial_status)
+                              for s in signals.inputs()])
+    steps = [Block(step.index, step.dt,
+                   [statement(*pair) for pair in step.assignments.items()])
+             for step in test.steps]
     return TestScript(test.name, dut, manifest, init, steps)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal, Overflow
 from json.encoder import encode_basestring_ascii as _str
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .compiler import MethodInvocation, TestScript, render_value
 from .dut import DutModel, dut_fault
@@ -362,7 +362,10 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
 # The JSON layout is a contract: what ``json.dumps(doc, indent=2)`` writes,
 # with ASCII-escaped strings and a trailing newline. It is written straight
 # from the records, one template per record; ``pad`` is the newline and
-# indent of the line on which a value starts.
+# indent of the line on which a value starts. Both formats are rendered as
+# a sequence of chunks, one per step between a head and a tail, which the
+# report functions join or write to their ``out`` one by one, so a report
+# written to a stream never exists whole in memory.
 
 def _null_or_str(value) -> str:
     return "null" if value is None else _str(str(value))
@@ -416,20 +419,10 @@ def _step_json(s: StepRecord, pad: str,
             dict(zip(map(id, s.stimuli), fragments)))
 
 
-def _steps_json(steps: list[StepRecord], pad: str) -> str:
-    """The steps as a JSON array; each step sees the fragments of the one
-    before it only."""
-    texts, last = [], {}
-    for s in steps:
-        text, last = _step_json(s, pad + "  ", last)
-        texts.append(text)
-    del last  # free the last step's fragments before the join, the peak
-    return _array(texts, pad)
-
-
-def report_to_json(report: RunReport) -> str:
-    """The report as JSON; numeric values are decimal strings so that it
-    round-trips exactly."""
+def _json_chunks(report: RunReport) -> Iterator[str]:
+    """The JSON report: its head up to ``"steps": ``, one chunk per step
+    (each sees the fragments of the one before it only), then the
+    totals."""
     q, item = "\n  ", "\n    "
     abort = "null"
     if report.aborted:
@@ -439,26 +432,31 @@ def report_to_json(report: RunReport) -> str:
                  f'{item}"message": {_null_or_str(report.abort_message)}{q}}}')
     init = ("null" if report.settle is None
             else _step_json(report.settle, q, {})[0])
-    steps = _steps_json(report.steps, q)
-    return (f'{{{q}"test": {_str(report.name)},{q}"dut": {_str(report.dut)},'
-            f'{q}"overall": {_str("pass" if report.overall else "fail")},'
-            f'{q}"aborted": {"true" if report.aborted else "false"},'
-            f'{q}"abort": {abort},{q}"init": {init},{q}"steps": {steps},'
-            f'{q}"totals": {{'
-            f'{item}"steps_total": {report.steps_total},'
-            f'{item}"steps_run": {len(report.steps)},'
-            f'{item}"steps_passed": {report.steps_passed},'
-            f'{item}"checks_total": {report.checks_total},'
-            f'{item}"checks_failed": {report.checks_failed},'
-            f'{item}"step_time": {_str(str(report.step_time))},'
-            f'{item}"total_time": {_str(str(report.total_time))}{q}}}\n}}\n')
+    yield (f'{{{q}"test": {_str(report.name)},{q}"dut": {_str(report.dut)},'
+           f'{q}"overall": {_str("pass" if report.overall else "fail")},'
+           f'{q}"aborted": {"true" if report.aborted else "false"},'
+           f'{q}"abort": {abort},{q}"init": {init},{q}"steps": ')
+    opening, last = "[", {}
+    for s in report.steps:
+        text, last = _step_json(s, item, last)
+        yield opening + item + text
+        opening = ","
+    yield (f'{q + "]" if report.steps else "[]"},{q}"totals": {{'
+           f'{item}"steps_total": {report.steps_total},'
+           f'{item}"steps_run": {len(report.steps)},'
+           f'{item}"steps_passed": {report.steps_passed},'
+           f'{item}"checks_total": {report.checks_total},'
+           f'{item}"checks_failed": {report.checks_failed},'
+           f'{item}"step_time": {_str(str(report.step_time))},'
+           f'{item}"total_time": {_str(str(report.total_time))}{q}}}\n}}\n')
 
 
-def report_to_text(report: RunReport) -> str:
-    lines = [f"test '{report.name}' on dut '{report.dut}'"]
+def _text_chunks(report: RunReport) -> Iterator[str]:
+    """The text report, one line per chunk."""
+    yield f"test '{report.name}' on dut '{report.dut}'\n"
     if report.settle:
-        lines.append(f"init: dwell {report.settle.dt} s, "
-                     f"{len(report.settle.stimuli)} stimuli")
+        yield (f"init: dwell {report.settle.dt} s, "
+               f"{len(report.settle.stimuli)} stimuli\n")
     for s in report.steps:
         bits = []
         for c in s.checks:
@@ -469,15 +467,36 @@ def report_to_text(report: RunReport) -> str:
                         f"{verdict}")
         detail = "; ".join(bits) if bits else "no checks"
         mark = "pass" if s.passed else "FAIL"
-        lines.append(f"step {s.index}: dt={s.dt} t_end={s.t_end} {mark} "
-                     f"({detail})")
+        yield (f"step {s.index}: dt={s.dt} t_end={s.t_end} {mark} "
+               f"({detail})\n")
     if report.aborted:
         where = "init" if report.abort_step is None else f"step {report.abort_step}"
-        lines.append(f"aborted at {where} [{report.abort_kind}]: "
-                     f"{report.abort_message}")
+        yield (f"aborted at {where} [{report.abort_kind}]: "
+               f"{report.abort_message}\n")
     verdict = "PASS" if report.overall else "FAIL"
-    lines.append(f"RESULT: {verdict} (steps {report.steps_passed}/"
-                 f"{report.steps_total}, checks "
-                 f"{report.checks_total - report.checks_failed}/"
-                 f"{report.checks_total}, virtual time {report.total_time} s)")
-    return "\n".join(lines) + "\n"
+    yield (f"RESULT: {verdict} (steps {report.steps_passed}/"
+           f"{report.steps_total}, checks "
+           f"{report.checks_total - report.checks_failed}/"
+           f"{report.checks_total}, virtual time {report.total_time} s)\n")
+
+
+def _written(chunks: Iterator[str], out: TextIO | None) -> str | None:
+    if out is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
+    return None
+
+
+def report_to_json(report: RunReport, out: TextIO | None = None) -> str | None:
+    """The report as JSON; numeric values are decimal strings so that it
+    round-trips exactly. With ``out`` (any object with a ``write`` method
+    taking text), each chunk is written to it as it is rendered and None
+    is returned; without, the report is returned as one string."""
+    return _written(_json_chunks(report), out)
+
+
+def report_to_text(report: RunReport, out: TextIO | None = None) -> str | None:
+    """The report as text, one line per block plus a result line; ``out``
+    works as for ``report_to_json``."""
+    return _written(_text_chunks(report), out)

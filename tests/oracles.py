@@ -455,3 +455,31 @@ def reference_report_json(report) -> str:
         },
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_report_text(report) -> str:
+    """The text run report, line by line: the layout
+    ``runner.report_to_text`` must reproduce byte for byte."""
+    lines = [f"test '{report.name}' on dut '{report.dut}'"]
+    if report.settle is not None:
+        lines.append(f"init: dwell {report.settle.dt} s, "
+                     f"{len(report.settle.stimuli)} stimuli")
+    for s in report.steps:
+        bits = [f"{c.signal}.{c.pin}={c.measured} in "
+                f"[{'-inf' if c.low is None else c.low}, "
+                f"{'+inf' if c.high is None else c.high}] "
+                f"{'ok' if c.passed else 'FAIL'}" for c in s.checks]
+        lines.append(f"step {s.index}: dt={s.dt} t_end={s.t_end} "
+                     f"{'pass' if s.passed else 'FAIL'} "
+                     f"({'; '.join(bits) or 'no checks'})")
+    if report.aborted:
+        where = ("init" if report.abort_step is None
+                 else f"step {report.abort_step}")
+        lines.append(f"aborted at {where} [{report.abort_kind}]: "
+                     f"{report.abort_message}")
+    lines.append(f"RESULT: {'PASS' if report.overall else 'FAIL'} (steps "
+                 f"{report.steps_passed}/{report.steps_total}, checks "
+                 f"{report.checks_total - report.checks_failed}/"
+                 f"{report.checks_total}, virtual time "
+                 f"{report.total_time} s)")
+    return "\n".join(lines) + "\n"

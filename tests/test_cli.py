@@ -601,18 +601,31 @@ def test_dut_factory_that_raises_exits_2(script_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["compile", "run"])
+@pytest.mark.parametrize("command", ["compile", "run", "run --report text"])
 def test_unwritable_out_exits_2(script_path, tmp_path, capsys, command):
+    command, *flags = command.split()
     args = SHEETS if command == "compile" else ["--script", str(script_path),
-                                                *STAND]
-    out = tmp_path / "missing" / "out"
-    code = main([command, *args, "-o", str(out)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("comptest: error: ")
-    assert captured.err.count("\n") == 1
-    assert str(out) in captured.err
-    assert captured.out == ""
+                                                *STAND, *flags]
+    # A file in a missing directory, and a path that is a directory.
+    for out in (tmp_path / "missing" / "out", tmp_path):
+        code = main([command, *args, "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("comptest: error: ")
+        assert captured.err.count("\n") == 1
+        assert str(out) in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("report", ["json", "text"])
+def test_run_writes_the_same_bytes_to_stdout_and_to_out(script_path, tmp_path,
+                                                        capsysbinary, report):
+    out = tmp_path / f"report.{report}"
+    args = ["run", "--script", str(script_path), *STAND, "--report", report]
+    assert main([*args, "-o", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(args) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_module_entry_point_smoke():

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from comptest import (INF, SheetError, SignalDef, SignalTable, StatusTable,
-                      TestSequence, TestStep, ValidationFailed, compile,
-                      emit_xml, load_script, lower_status)
+from comptest import (INF, InteriorLightConfig, InteriorLightDut, SheetError,
+                      SignalDef, SignalTable, StatusTable, TestSequence,
+                      TestStep, ValidationFailed, compile, emit_xml, execute,
+                      load_script, lower_status, report_to_json)
 from comptest.expr import BinOp, Num, Paren, Var
 from comptest.sheets import StatusDef
 
@@ -170,3 +171,23 @@ def test_negative_scaled_values_load_back():
     loaded = load_script(xml)
     assert loaded == script
     assert emit_xml(loaded) == xml
+
+
+def test_compile_gives_equal_statements_one_invocation(
+        demo_signals, demo_statuses, demo_test, demo_stand, demo_env):
+    script = compile(demo_signals, demo_statuses, demo_test,
+                     dut="interior_light_ecu")
+    statements = [st for block in (script.init, *script.steps)
+                  for st in block.statements]
+    # repr tells 0.5 from 0.50, as the emitted text does.
+    shared: dict[str, set[int]] = {}
+    for st in statements:
+        shared.setdefault(repr(st.invocation), set()).add(id(st.invocation))
+    assert len(statements) > len(shared) == 7  # one per status
+    assert all(len(ids) == 1 for ids in shared.values())
+    # Shared as the loader shares them: the run cannot tell the two apart.
+    reports = [report_to_json(execute(s, demo_stand, demo_env,
+                                      InteriorLightDut(InteriorLightConfig(
+                                          ubatt=Decimal("12.0")))))
+               for s in (script, load_script(emit_xml(script)))]
+    assert reports[0] == reports[1]

@@ -1,7 +1,9 @@
 import dataclasses
+import io
 import json
 import random
 import re
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -21,7 +23,8 @@ from comptest import stand as stand_module
 from comptest.stand import BUS_METHODS
 
 import strategies
-from oracles import random_run_case, reference_report_json, replay_run
+from oracles import (random_run_case, reference_report_json,
+                     reference_report_text, replay_run)
 
 
 def fresh_dut(timeout="300"):
@@ -205,7 +208,53 @@ TRICKY = 'q"b\\c\x00\x1f\x7f é \u2028 \U0001F600'
                             Decimal("-1E+3"), False)])],
     steps_total=3))
 def test_json_writer_matches_reference(report):
-    assert report_to_json(report) == reference_report_json(report)
+    # Both formats, returned or written to a stream chunk by chunk: the
+    # same text.
+    for render, reference in ((report_to_json, reference_report_json),
+                              (report_to_text, reference_report_text)):
+        expected = reference(report)
+        assert render(report) == expected
+        out = io.StringIO()
+        assert render(report, out) is None
+        assert out.getvalue() == expected
+
+
+class CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+
+
+def test_a_report_written_to_a_stream_is_never_whole_in_memory():
+    # 1 000 steps sharing 16 held stimulus records, as the plan shares
+    # them, and one check each.
+    held = [StimulusRecord(f"sig{i}", f"pin{i}", "put_r",
+                           {"r": "1000", "d1": "0.5"}, "resource", f"R{i}",
+                           f"R{i}:pin{i}", True, False) for i in range(16)]
+    steps = [StepRecord(n, Decimal("0.5"), Decimal(n + 1) / 2, held,
+                        [CheckRecord("lamp", "lamp_pin", "get_u",
+                                     Decimal("8.4"), Decimal("13.2"),
+                                     Decimal("12.0"), True)])
+             for n in range(1000)]
+    report = RunReport("endurance", "dut", overall=True, aborted=False,
+                       abort_step=None, abort_kind=None, abort_message=None,
+                       settle=StepRecord(-1, Decimal("0.1"), Decimal("0.1"),
+                                         held),
+                       steps=steps, steps_total=1000)
+    for render in (report_to_json, report_to_text):
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            render(report, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.length == len(render(report))
+        assert peak < sink.length / 10, (render.__name__, peak, sink.length)
 
 
 def test_text_report_mentions_failures(demo_loaded, demo_stand, demo_env):
