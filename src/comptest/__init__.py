@@ -20,7 +20,8 @@ from .ingest import (CsvDialect, parse_connection_sheet, parse_resource_sheet,
                      serialize_connection_sheet, serialize_resource_sheet,
                      serialize_signal_sheet, serialize_status_sheet,
                      serialize_test_sheet)
-from .runner import RunReport, execute, report_to_json, report_to_text
+from .runner import (Abort, RunReport, execute, report_to_json,
+                     report_to_text)
 from .script import load_script
 from .sheets import (INF, SignalDef, SignalTable, StatusDef, StatusTable,
                      TestSequence, TestStep, validate_sheets)
@@ -44,7 +45,7 @@ __all__ = [
     "allocate",
     "DutModel", "InteriorLightConfig", "InteriorLightDut",
     "build_dut", "DUT_REGISTRY",
-    "RunReport", "execute", "report_to_json", "report_to_text",
+    "Abort", "RunReport", "execute", "report_to_json", "report_to_text",
     "ComptestError", "SheetError", "ValidationFailed", "ExprError",
     "EvalError", "ScriptError", "AllocationError", "DutError",
 ]

@@ -147,13 +147,15 @@ def cmd_run(args) -> int:
     stand = StandModel(parse_resource_sheet(_read(args.resources), dialect),
                        parse_connection_sheet(_read(args.connections), dialect))
     env = _parse_env_file(_read(args.env))
+    if args.out:  # fail before the DUT is built; "a" truncates nothing
+        open(args.out, "a", encoding="utf-8").close()
     dut = build_dut(args.dut, env)
     report = execute(script, stand, env, dut)
     render = report_to_json if args.report == "json" else report_to_text
     with _output(args.out) as out:
         render(report, out)  # written as it is rendered
-    if report.aborted:
-        _err(f"run aborted [{report.abort_kind}]: {report.abort_message}")
+    if report.abort is not None:
+        _err(f"run aborted [{report.abort.kind}]: {report.abort.message}")
         return 2
     if not report.overall:
         _err(f"{report.checks_failed} check(s) failed")

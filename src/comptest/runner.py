@@ -73,18 +73,28 @@ class StepRecord:
         return all(c.passed for c in self.checks)
 
 
+class Abort(NamedTuple):
+    """The first block that cannot be planned, or driven."""
+
+    step: int  # the block's index: -1 is the init block
+    kind: str  # "allocation" | "environment"
+    message: str
+
+
 @dataclass
 class RunReport:
+    """A run's blocks as driven, and the ``Abort`` that ended it early."""
+
     name: str
     dut: str
-    overall: bool
-    aborted: bool
-    abort_step: int | None
-    abort_kind: str | None  # "allocation" | "environment"
-    abort_message: str | None
+    abort: Abort | None
     settle: StepRecord | None
     steps: list[StepRecord]
     steps_total: int
+
+    @property
+    def overall(self) -> bool:
+        return self.abort is None and all(s.passed for s in self.steps)
 
     @property
     def steps_passed(self) -> int:
@@ -166,14 +176,6 @@ class Planned(NamedTuple):
     record: StepRecord
     applies: list[Requirement]
     checks: list[_Check]
-
-
-class Abort(NamedTuple):
-    """The first block that cannot be planned, or driven."""
-
-    step: int | None  # None is the init block
-    kind: str  # "allocation" | "environment"
-    message: str
 
 
 def plan(script: TestScript, stand: StandModel,
@@ -277,9 +279,8 @@ def plan(script: TestScript, stand: StandModel,
             if isinstance(exc, Overflow):
                 message = (f"clock overflow: dwell sum {clock} + {block.dt} "
                            f"s is out of range")
-            yield Abort(None if block.index < 0 else block.index,
-                        "allocation" if isinstance(exc, AllocationError)
-                        else "environment", message)
+            yield Abort(block.index, "allocation" if isinstance(
+                exc, AllocationError) else "environment", message)
             return
         clock = t_end
 
@@ -335,18 +336,12 @@ def drive(script: TestScript, blocks: Iterable[Planned | Abort],
                         req.signal, req.pin, req.invocation.method, low, high,
                         measured, ok))
         except Exception as exc:  # a faulty DUT plugin, see dut_fault
-            abort = Abort(None if record.index < 0 else record.index,
-                          "environment", dut_fault(exc))
+            abort = Abort(record.index, "environment", dut_fault(exc))
             break
         records.append(record)
-    steps = records[1:]
-    step, kind, message = abort or (None, None, None)
-    return RunReport(script.name, script.dut,
-                     overall=kind is None and all(s.passed for s in steps),
-                     aborted=kind is not None, abort_step=step,
-                     abort_kind=kind, abort_message=message,
-                     settle=records[0] if records else None,
-                     steps=steps, steps_total=len(script.steps))
+    return RunReport(script.name, script.dut, abort,
+                     records[0] if records else None, records[1:],
+                     len(script.steps))
 
 
 def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
@@ -364,8 +359,8 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
 # from the records, one template per record; ``pad`` is the newline and
 # indent of the line on which a value starts. Both formats are rendered as
 # a sequence of chunks, one per step between a head and a tail, which the
-# report functions join or write to their ``out`` one by one, so a report
-# written to a stream never exists whole in memory.
+# report functions write to their ``out`` one by one, so that a report never
+# exists whole in memory.
 
 def _null_or_str(value) -> str:
     return "null" if value is None else _str(str(value))
@@ -425,16 +420,16 @@ def _json_chunks(report: RunReport) -> Iterator[str]:
     totals."""
     q, item = "\n  ", "\n    "
     abort = "null"
-    if report.aborted:
-        step = "null" if report.abort_step is None else report.abort_step
-        abort = (f'{{{item}"step": {step},'
-                 f'{item}"kind": {_null_or_str(report.abort_kind)},'
-                 f'{item}"message": {_null_or_str(report.abort_message)}{q}}}')
+    if report.abort is not None:
+        step, kind, message = report.abort
+        abort = (f'{{{item}"step": {"null" if step < 0 else step},'
+                 f'{item}"kind": {_str(kind)},{item}"message": {_str(message)}'
+                 f'{q}}}')
     init = ("null" if report.settle is None
             else _step_json(report.settle, q, {})[0])
     yield (f'{{{q}"test": {_str(report.name)},{q}"dut": {_str(report.dut)},'
            f'{q}"overall": {_str("pass" if report.overall else "fail")},'
-           f'{q}"aborted": {"true" if report.aborted else "false"},'
+           f'{q}"aborted": {"false" if report.abort is None else "true"},'
            f'{q}"abort": {abort},{q}"init": {init},{q}"steps": ')
     opening, last = "[", {}
     for s in report.steps:
@@ -469,10 +464,10 @@ def _text_chunks(report: RunReport) -> Iterator[str]:
         mark = "pass" if s.passed else "FAIL"
         yield (f"step {s.index}: dt={s.dt} t_end={s.t_end} {mark} "
                f"({detail})\n")
-    if report.aborted:
-        where = "init" if report.abort_step is None else f"step {report.abort_step}"
-        yield (f"aborted at {where} [{report.abort_kind}]: "
-               f"{report.abort_message}\n")
+    if report.abort is not None:
+        step, kind, message = report.abort
+        where = "init" if step < 0 else f"step {step}"
+        yield f"aborted at {where} [{kind}]: {message}\n"
     verdict = "PASS" if report.overall else "FAIL"
     yield (f"RESULT: {verdict} (steps {report.steps_passed}/"
            f"{report.steps_total}, checks "
@@ -480,23 +475,16 @@ def _text_chunks(report: RunReport) -> Iterator[str]:
            f"{report.checks_total}, virtual time {report.total_time} s)\n")
 
 
-def _written(chunks: Iterator[str], out: TextIO | None) -> str | None:
-    if out is None:
-        return "".join(chunks)
-    for chunk in chunks:
+def report_to_json(report: RunReport, out: TextIO) -> None:
+    """Write the report as JSON to ``out`` (any object with a ``write``
+    method taking text), each chunk as it is rendered; numeric values are
+    decimal strings so that it round-trips exactly."""
+    for chunk in _json_chunks(report):
         out.write(chunk)
-    return None
 
 
-def report_to_json(report: RunReport, out: TextIO | None = None) -> str | None:
-    """The report as JSON; numeric values are decimal strings so that it
-    round-trips exactly. With ``out`` (any object with a ``write`` method
-    taking text), each chunk is written to it as it is rendered and None
-    is returned; without, the report is returned as one string."""
-    return _written(_json_chunks(report), out)
-
-
-def report_to_text(report: RunReport, out: TextIO | None = None) -> str | None:
-    """The report as text, one line per block plus a result line; ``out``
-    works as for ``report_to_json``."""
-    return _written(_text_chunks(report), out)
+def report_to_text(report: RunReport, out: TextIO) -> None:
+    """Write the report as text to ``out``, as ``report_to_json`` does: one
+    line per block plus a result line."""
+    for chunk in _text_chunks(report):
+        out.write(chunk)

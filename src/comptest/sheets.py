@@ -18,37 +18,30 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import DefaultContext, Decimal, InvalidOperation
+from enum import Enum
 from itertools import chain
 from typing import Iterable, Union
 
 from .errors import SheetError
 
 
-class _OpenCircuit:
-    """Singleton marker for the open-circuit value spelled ``INF`` in sheets.
+class _OpenCircuit(Enum):
+    """The open-circuit value spelled ``INF`` in sheets, one object however
+    it is copied or pickled.
 
     Deliberately not a float infinity: it takes part in no arithmetic and
     round-trips through CSV and XML bit-exactly.
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    INF = "INF"
 
     def __repr__(self):
         return "INF"
 
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
+    __str__ = __repr__
 
 
-INF = _OpenCircuit()
+INF = _OpenCircuit.INF
 
 #: A sheet cell value: a number, a bit literal kept as text, or the INF marker.
 Scalar = Union[Decimal, str, _OpenCircuit]

@@ -69,7 +69,8 @@ def parse_connector(text: str) -> Connector:
 
 @dataclass
 class ResourceDef:
-    """One resource: the method it supports and the valid parameter range.
+    """One resource: the method it supports and the valid range of its
+    ``attribut`` parameter (see ``_range_offence``).
 
     ``method`` and ``attribut`` must obey the name rule (``sheets.is_name``)
     and ``min`` must not exceed ``max``; construction raises SheetError (a
@@ -172,8 +173,14 @@ class Allocation:
 
 
 def _range_offence(res: ResourceDef, inv: MethodInvocation) -> tuple[str, Decimal] | None:
+    """The first parameter outside the resource's range that the range
+    limits: its ``attribut``, or a check's ``<attribut>_min`` and
+    ``<attribut>_max`` bounds. Any other parameter, such as a put's d1..d3
+    pass-through values, is not range-checked."""
+    attr = res.attribut
     for name, value in inv.params.items():
-        if isinstance(value, Decimal) and not (res.min <= value <= res.max):
+        if (isinstance(value, Decimal) and not (res.min <= value <= res.max)
+                and name in (attr, f"{attr}_min", f"{attr}_max")):
             return name, value
     return None
 

@@ -40,16 +40,22 @@ def _expects_resource(req: Requirement) -> bool:
     return first is not INF
 
 
+def _in_range(res: ResourceDef, req: Requirement) -> bool:
+    # The range limits the resource's attribute and a check's bounds on it
+    # (<attr>_min, <attr>_max); pass-through values such as d1..d3 are free.
+    limited = {res.attribut, res.attribut + "_min", res.attribut + "_max"}
+    return all(res.min <= value <= res.max
+               for name, value in req.invocation.params.items()
+               if name in limited and isinstance(value, Decimal))
+
+
 def _resource_ok(res: ResourceDef, req: Requirement,
                  stand: StandModel) -> bool:
     if res.method != req.invocation.method:
         return False
     if stand.matrix.connector_for(res.id, req.pin) is None:
         return False
-    for value in req.invocation.params.values():
-        if isinstance(value, Decimal) and not (res.min <= value <= res.max):
-            return False
-    return True
+    return _in_range(res, req)
 
 
 def _combination_ok(reqs, choice, stand, held) -> bool:
@@ -141,9 +147,7 @@ def assert_allocation_sound(requirements, stand: StandModel,
         assert res.method == req.invocation.method, "method support"
         conn = stand.matrix.connector_for(res.id, req.pin)
         assert conn is not None and conn == binding.connector, "connection"
-        for value in req.invocation.params.values():
-            if isinstance(value, Decimal):
-                assert res.min <= value <= res.max, "range containment"
+        assert _in_range(res, req), "range containment"
         prev = held.get(req.pin)
         if prev is not None and prev.requirement is req:
             assert binding.resource_id == prev.resource_id, "pinned hold moved"
@@ -436,12 +440,12 @@ def reference_report_json(report) -> str:
         "test": report.name,
         "dut": report.dut,
         "overall": "pass" if report.overall else "fail",
-        "aborted": report.aborted,
-        "abort": (None if not report.aborted else {
-            "step": report.abort_step,
-            "kind": report.abort_kind,
-            "message": report.abort_message,
-        }),
+        "aborted": report.abort is not None,
+        "abort": None if report.abort is None else {
+            "step": None if report.abort.step == -1 else report.abort.step,
+            "kind": report.abort.kind,
+            "message": report.abort.message,
+        },
         "init": _step_dict(report.settle) if report.settle else None,
         "steps": [_step_dict(s) for s in report.steps],
         "totals": {
@@ -472,11 +476,10 @@ def reference_report_text(report) -> str:
         lines.append(f"step {s.index}: dt={s.dt} t_end={s.t_end} "
                      f"{'pass' if s.passed else 'FAIL'} "
                      f"({'; '.join(bits) or 'no checks'})")
-    if report.aborted:
-        where = ("init" if report.abort_step is None
-                 else f"step {report.abort_step}")
-        lines.append(f"aborted at {where} [{report.abort_kind}]: "
-                     f"{report.abort_message}")
+    if report.abort is not None:
+        step, kind, message = report.abort
+        where = "init" if step == -1 else f"step {step}"
+        lines.append(f"aborted at {where} [{kind}]: {message}")
     lines.append(f"RESULT: {'PASS' if report.overall else 'FAIL'} (steps "
                  f"{report.steps_passed}/{report.steps_total}, checks "
                  f"{report.checks_total - report.checks_failed}/"

@@ -12,7 +12,8 @@ from comptest import (ConnectionMatrix, Connector, MethodInvocation,
                       StatusDef, StatusTable, TestSequence, TestStep, INF)
 from comptest.compiler import Block, ScriptSignal, Statement, TestScript
 from comptest.expr import BinOp, Num, Paren, Var
-from comptest.runner import CheckRecord, RunReport, StepRecord, StimulusRecord
+from comptest.runner import (Abort, CheckRecord, RunReport, StepRecord,
+                             StimulusRecord)
 
 idents = st.text(alphabet=string.ascii_letters + string.digits + "_",
                  min_size=1, max_size=8).filter(lambda s: s.strip() == s)
@@ -264,12 +265,12 @@ def step_records(draw) -> StepRecord:
 
 @st.composite
 def run_reports(draw) -> RunReport:
-    aborted = draw(st.booleans())
+    """A report as a run ends: completed, or aborted at the init block
+    (-1) or a step, with a kind and a message."""
     return RunReport(
-        draw(report_texts), draw(report_texts), overall=draw(st.booleans()),
-        aborted=aborted,
-        abort_step=draw(st.none() | st.integers(-1, 10 ** 6)),
-        abort_kind=draw(optional_texts), abort_message=draw(optional_texts),
+        draw(report_texts), draw(report_texts),
+        draw(st.none() | st.builds(Abort, st.integers(-1, 10 ** 6),
+                                   report_texts, report_texts)),
         settle=draw(st.none() | step_records()),
         steps=draw(st.lists(step_records(), max_size=2)),
         steps_total=draw(st.integers(0, 10 ** 6)))

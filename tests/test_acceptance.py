@@ -58,7 +58,7 @@ def test_c2_end_to_end_example(demo_loaded, demo_stand, demo_env):
     report = execute(demo_loaded, demo_stand, demo_env, dut)
     elapsed = time.perf_counter() - start
     through_step8 = sum((s.dt for s in report.steps[:9]), Decimal("0"))
-    ok = (report.overall and not report.aborted
+    ok = (report.overall and report.abort is None
           and report.steps_passed == 10 and report.steps_total == 10
           and through_step8 == Decimal("308.5")      # 0.5*7 + 280 + 25
           and report.step_time == Decimal("309.0")   # all ten dwells

@@ -439,6 +439,28 @@ def test_run_reproduces_golden_report(tmp_path, capsys):
     assert out.read_bytes() == (DATA / "expected_report.json").read_bytes()
 
 
+def test_a_resource_range_limits_its_attribute(tmp_path, capsys):
+    # The door decades limited to [0, 1.5] still serve the shipped script:
+    # their range limits r (0 or INF there), and the pass-through values
+    # d1..d3 (up to 5000) are not range-checked. Raising min above r=0
+    # refuses them again.
+    resources = tmp_path / "resources.csv"
+    run = ["run", "--script", str(DATA / "expected_script.xml"),
+           "--resources", str(resources),
+           "--connections", str(DATA / "connections.csv"),
+           "--env", str(DATA / "stand.env"), "--report", "json"]
+    golden = (DATA / "resources.csv").read_text(encoding="utf-8")
+    narrowed = golden.replace("1,00E+06", "1,5").replace("2,00E+05", "1,5")
+    resources.write_text(narrowed, encoding="utf-8")
+    assert main([*run, "-o", str(tmp_path / "report.json")]) == 0
+    assert (tmp_path / "report.json").read_bytes() == \
+        (DATA / "expected_report.json").read_bytes()
+    resources.write_text(narrowed.replace("r;0;1,5", "r;1;1,5"),
+                         encoding="utf-8")
+    assert main(run) == 2
+    assert "Ress2: range: r=0 outside [1, 1.5]" in capsys.readouterr().err
+
+
 def test_run_json_report_validates(script_path, capsys):
     code = main(["run", "--script", str(script_path), *STAND,
                  "--report", "json"])
@@ -601,11 +623,16 @@ def test_dut_factory_that_raises_exits_2(script_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["compile", "run", "run --report text"])
-def test_unwritable_out_exits_2(script_path, tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["compile", "run --report json",
+                                     "run --report text"])
+def test_unwritable_out_exits_2(script_path, tmp_path, capsys, monkeypatch,
+                                command):
     command, *flags = command.split()
-    args = SHEETS if command == "compile" else ["--script", str(script_path),
-                                                *STAND, *flags]
+    built = []  # a run fails before its DUT is built, let alone driven
+    monkeypatch.setitem(DUT_REGISTRY, "recording",
+                        lambda env: built.append(env) or PermissiveDut())
+    args = SHEETS if command == "compile" else [
+        "--script", str(script_path), *STAND, "--dut", "recording", *flags]
     # A file in a missing directory, and a path that is a directory.
     for out in (tmp_path / "missing" / "out", tmp_path):
         code = main([command, *args, "-o", str(out)])
@@ -615,6 +642,7 @@ def test_unwritable_out_exits_2(script_path, tmp_path, capsys, command):
         assert captured.err.count("\n") == 1
         assert str(out) in captured.err
         assert captured.out == ""
+    assert built == []
 
 
 @pytest.mark.parametrize("report", ["json", "text"])

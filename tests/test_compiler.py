@@ -1,3 +1,4 @@
+import io
 import textwrap
 from decimal import Decimal
 from pathlib import Path
@@ -186,8 +187,8 @@ def test_compile_gives_equal_statements_one_invocation(
     assert len(statements) > len(shared) == 7  # one per status
     assert all(len(ids) == 1 for ids in shared.values())
     # Shared as the loader shares them: the run cannot tell the two apart.
-    reports = [report_to_json(execute(s, demo_stand, demo_env,
-                                      InteriorLightDut(InteriorLightConfig(
-                                          ubatt=Decimal("12.0")))))
-               for s in (script, load_script(emit_xml(script)))]
-    assert reports[0] == reports[1]
+    reports = [io.StringIO(), io.StringIO()]
+    for s, out in zip((script, load_script(emit_xml(script))), reports):
+        report_to_json(execute(s, demo_stand, demo_env, InteriorLightDut(
+            InteriorLightConfig(ubatt=Decimal("12.0")))), out)
+    assert reports[0].getvalue() == reports[1].getvalue()

@@ -17,7 +17,8 @@ from comptest import (ConnectionMatrix, Connector, DutError, EvalError,
 from comptest.compiler import render_value
 from comptest.sheets import method_class
 from comptest.expr import BinOp, Num, Paren, Var
-from comptest.runner import CheckRecord, RunReport, StepRecord, StimulusRecord
+from comptest.runner import (Abort, CheckRecord, RunReport, StepRecord,
+                             StimulusRecord)
 from comptest import runner as runner_module
 from comptest import stand as stand_module
 from comptest.stand import BUS_METHODS
@@ -32,9 +33,16 @@ def fresh_dut(timeout="300"):
                                              timeout_s=Decimal(timeout)))
 
 
+def rendered(report, render=report_to_json) -> str:
+    """What ``render`` writes for ``report``."""
+    out = io.StringIO()
+    render(report, out)
+    return out.getvalue()
+
+
 def test_end_to_end_demo_passes(demo_loaded, demo_stand, demo_env):
     report = execute(demo_loaded, demo_stand, demo_env, fresh_dut())
-    assert report.overall and not report.aborted
+    assert report.overall and report.abort is None
     assert report.steps_passed == 10
     assert report.checks_failed == 0
     t_ends = [s.t_end for s in report.steps]
@@ -55,13 +63,13 @@ def test_clock_accumulates_exactly(demo_loaded, demo_stand, demo_env):
 
 def test_short_timeout_fails_exactly_step7(demo_loaded, demo_stand, demo_env):
     report = execute(demo_loaded, demo_stand, demo_env, fresh_dut("250"))
-    assert not report.overall and not report.aborted
+    assert not report.overall and report.abort is None
     assert [s.index for s in report.steps if not s.passed] == [7]
 
 
 def test_long_timeout_fails_exactly_step8(demo_loaded, demo_stand, demo_env):
     report = execute(demo_loaded, demo_stand, demo_env, fresh_dut("310"))
-    assert not report.overall and not report.aborted
+    assert not report.overall and report.abort is None
     assert [s.index for s in report.steps if not s.passed] == [8]
 
 
@@ -73,9 +81,8 @@ def test_execution_continues_after_check_failures(demo_loaded, demo_stand,
 
 def test_unbound_variable_aborts(demo_loaded, demo_stand):
     report = execute(demo_loaded, demo_stand, {}, fresh_dut())
-    assert report.aborted
-    assert report.abort_kind == "environment"
-    assert "unbound variable ubatt" in report.abort_message
+    assert report.abort.kind == "environment"
+    assert "unbound variable ubatt" in report.abort.message
 
 
 def test_unbound_variable_names_the_variable(demo_script, demo_stand):
@@ -84,8 +91,7 @@ def test_unbound_variable_names_the_variable(demo_script, demo_stand):
     loaded = load_script(xml)
     report = execute(loaded, demo_stand, {"ubatt": Decimal("12.0")},
                      fresh_dut())
-    assert report.aborted
-    assert "unbound variable vref" in report.abort_message
+    assert "unbound variable vref" in report.abort.message
 
 
 def test_allocation_error_aborts(demo_loaded, demo_stand, demo_env):
@@ -97,14 +103,12 @@ def test_allocation_error_aborts(demo_loaded, demo_stand, demo_env):
                          {k: v for k, v in demo_stand.matrix.cells.items()
                           if k[0] != "Ress1"}))
     report = execute(demo_loaded, reduced, demo_env, fresh_dut())
-    assert report.aborted
-    assert report.abort_kind == "allocation"
-    assert report.abort_step == 0
-    assert "get_u" in report.abort_message
+    assert report.abort[:2] == (0, "allocation")
+    assert "get_u" in report.abort.message
     assert not report.overall
 
 
-@pytest.mark.parametrize("failing_call,abort_step", [(1, None), (3, 1)])
+@pytest.mark.parametrize("failing_call,abort_step", [(1, -1), (3, 1)])
 def test_dut_error_in_advance_aborts(demo_loaded, demo_stand, demo_env,
                                      failing_call, abort_step):
     class StallingDut(InteriorLightDut):
@@ -118,15 +122,13 @@ def test_dut_error_in_advance_aborts(demo_loaded, demo_stand, demo_env,
 
     dut = StallingDut(InteriorLightConfig(ubatt=Decimal("12.0")))
     report = execute(demo_loaded, demo_stand, demo_env, dut)
-    assert report.aborted and not report.overall
-    assert report.abort_kind == "environment"
-    assert report.abort_step == abort_step
-    assert report.abort_message == "clock stalled"
-    assert len(report.steps) == (abort_step or 0)
+    assert not report.overall
+    assert report.abort == (abort_step, "environment", "clock stalled")
+    assert len(report.steps) == max(abort_step, 0)
 
 
 @pytest.mark.parametrize("method,abort_step", [
-    ("set_input", None), ("advance", None), ("read_pin", 0)])
+    ("set_input", -1), ("advance", -1), ("read_pin", 0)])
 def test_any_dut_exception_aborts_as_environment(demo_loaded, demo_stand,
                                                  demo_env, method, abort_step):
     def crash(self, *args):
@@ -135,10 +137,9 @@ def test_any_dut_exception_aborts_as_environment(demo_loaded, demo_stand,
     CrashingDut = type("CrashingDut", (InteriorLightDut,), {method: crash})
     dut = CrashingDut(InteriorLightConfig(ubatt=Decimal("12.0")))
     report = execute(demo_loaded, demo_stand, demo_env, dut)
-    assert report.aborted and not report.overall
-    assert report.abort_kind == "environment"
-    assert report.abort_step == abort_step
-    assert report.abort_message == "dut model raised KeyError: 'int_ill_f'"
+    assert not report.overall
+    assert report.abort == (abort_step, "environment",
+                            "dut model raised KeyError: 'int_ill_f'")
     assert len(report.steps) == 0
 
 
@@ -173,17 +174,15 @@ def test_checks_cover_every_pin(demo_loaded, demo_stand, demo_env):
 
 
 def test_reports_are_byte_identical(demo_loaded, demo_stand, demo_env):
-    a = report_to_json(execute(demo_loaded, demo_stand, demo_env, fresh_dut()))
-    b = report_to_json(execute(demo_loaded, demo_stand, demo_env, fresh_dut()))
-    assert a == b
-    ta = report_to_text(execute(demo_loaded, demo_stand, demo_env, fresh_dut()))
-    tb = report_to_text(execute(demo_loaded, demo_stand, demo_env, fresh_dut()))
-    assert ta == tb
+    for render in (report_to_json, report_to_text):
+        a, b = (rendered(execute(demo_loaded, demo_stand, demo_env,
+                                 fresh_dut()), render) for _ in range(2))
+        assert a == b
 
 
 def test_json_report_shape(demo_loaded, demo_stand, demo_env):
-    doc = json.loads(report_to_json(execute(demo_loaded, demo_stand, demo_env,
-                                            fresh_dut())))
+    doc = json.loads(rendered(execute(demo_loaded, demo_stand, demo_env,
+                                      fresh_dut())))
     assert doc["overall"] == "pass"
     assert doc["totals"]["steps_total"] == 10
     assert doc["totals"]["step_time"] == "309.0"
@@ -199,8 +198,7 @@ TRICKY = 'q"b\\c\x00\x1f\x7f é \u2028 \U0001F600'
 @settings(max_examples=100)
 @given(report=strategies.run_reports())
 @example(report=RunReport(
-    TRICKY, TRICKY, overall=False, aborted=True, abort_step=None,
-    abort_kind="environment", abort_message=TRICKY, settle=None,
+    TRICKY, TRICKY, Abort(-1, "environment", TRICKY), settle=None,
     steps=[StepRecord(0, Decimal("1"), Decimal("1")),
            StepRecord(1, Decimal("0.5"), Decimal("1.5"), [StimulusRecord(
                TRICKY, "p", "m", {}, "bus", None, None, False, True)],
@@ -208,15 +206,11 @@ TRICKY = 'q"b\\c\x00\x1f\x7f é \u2028 \U0001F600'
                             Decimal("-1E+3"), False)])],
     steps_total=3))
 def test_json_writer_matches_reference(report):
-    # Both formats, returned or written to a stream chunk by chunk: the
-    # same text.
+    # Both formats, written to a stream chunk by chunk: the reference's
+    # text.
     for render, reference in ((report_to_json, reference_report_json),
                               (report_to_text, reference_report_text)):
-        expected = reference(report)
-        assert render(report) == expected
-        out = io.StringIO()
-        assert render(report, out) is None
-        assert out.getvalue() == expected
+        assert rendered(report, render) == reference(report)
 
 
 class CountingSink:
@@ -240,8 +234,7 @@ def test_a_report_written_to_a_stream_is_never_whole_in_memory():
                                      Decimal("8.4"), Decimal("13.2"),
                                      Decimal("12.0"), True)])
              for n in range(1000)]
-    report = RunReport("endurance", "dut", overall=True, aborted=False,
-                       abort_step=None, abort_kind=None, abort_message=None,
+    report = RunReport("endurance", "dut", None,
                        settle=StepRecord(-1, Decimal("0.1"), Decimal("0.1"),
                                          held),
                        steps=steps, steps_total=1000)
@@ -253,13 +246,13 @@ def test_a_report_written_to_a_stream_is_never_whole_in_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sink.length == len(render(report))
+        assert sink.length == len(rendered(report, render))
         assert peak < sink.length / 10, (render.__name__, peak, sink.length)
 
 
 def test_text_report_mentions_failures(demo_loaded, demo_stand, demo_env):
-    text = report_to_text(execute(demo_loaded, demo_stand, demo_env,
-                                  fresh_dut("250")))
+    text = rendered(execute(demo_loaded, demo_stand, demo_env,
+                            fresh_dut("250")), report_to_text)
     assert "RESULT: FAIL" in text
     assert "step 7" in text and "FAIL" in text
 
@@ -298,12 +291,10 @@ def test_dwell_sum_overflow_aborts_as_environment(demo_xml, demo_stand,
                           f'<step n="{n}" dt="9e999999">')
     dut = make_dut()
     report = execute(load_script(xml), demo_stand, demo_env, dut)
-    assert report.aborted and not report.overall
-    assert report.abort_kind == "environment"
-    assert report.abort_step == 1
-    assert report.abort_message == ("clock overflow: dwell sum "
-                                    f"{report.steps[0].t_end} + 9E+999999 s "
-                                    "is out of range")
+    assert not report.overall
+    assert report.abort == (1, "environment", "clock overflow: dwell sum "
+                            f"{report.steps[0].t_end} + 9E+999999 s "
+                            "is out of range")
     assert len(report.steps) == 1
     if isinstance(dut, RecordingDut):  # the block was never driven
         assert [c for c in dut.log if c[0] == "advance"] == [
@@ -362,8 +353,7 @@ def assert_blocks_hold(report, dut, blocks, pins, env):
             puts = {sig: _evaluated(inv, env) for sig, inv in puts.items()}
             checks = [(sig, _evaluated(inv, env)) for sig, inv in checks]
         except EvalError:
-            assert report.aborted and report.abort_kind == "environment"
-            assert report.abort_step == (None if k == 0 else k - 1)
+            assert report.abort[:2] == (k - 1, "environment")
             break
         changed = [sig for sig, inv in puts.items()
                    if in_force.get(sig) != inv]
@@ -390,7 +380,7 @@ def assert_blocks_hold(report, dut, blocks, pins, env):
         log.append(("advance", dt))
         log += [("read", pin) for sig, _ in checks for pin in pins[sig]]
     else:
-        assert not report.aborted
+        assert report.abort is None
     assert dut.log == log
 
 
@@ -455,7 +445,7 @@ def test_report_matches_bruteforce_generated(script):
     loaded = load_script(emit_xml(script))
     dut = RecordingDut()
     report = execute(loaded, manifest_stand(script), ENV, dut)
-    assert report.abort_kind != "allocation"
+    assert report.abort is None or report.abort.kind != "allocation"
     assert_blocks_hold(report, dut, script_blocks(script),
                        {s.name: s.pins for s in script.signals}, ENV)
 
@@ -546,7 +536,7 @@ def test_unknown_methods_are_one_shots_in_every_block(text, step0, last):
     script = load_script(text)
     dut = RecordingDut()
     report = execute(script, manifest_stand(script), {}, dut)
-    assert not report.aborted
+    assert report.abort is None
 
     def stimuli(record):
         return [(r.signal, r.method, r.changed, r.held)
@@ -607,9 +597,9 @@ def test_one_shot_leaves_a_held_stimulus_pinned():
             ("F", "pa"): Connector("switch", 4, 1)}))
     dut = RecordingDut()
     report = execute(load_script(ONE_SHOT_THEN_PUT), stand, {}, dut)
-    assert (report.abort_step, report.abort_kind) == (1, "allocation")
+    assert report.abort[:2] == (1, "allocation")
     assert ("R1: conflict: resource holds a stimulus for pin pa"
-            in report.abort_message)
+            in report.abort.message)
     assert [r.resource for r in report.steps[0].stimuli] == ["R1", "F"]
     assert all(call[1] != "pb" for call in dut.log if call[0] == "set")
 
@@ -664,10 +654,10 @@ def test_held_stimuli_share_their_records():
     script = load_script(HOLD_CHANGE_HOLD_OPEN)
     dut = RecordingDut()
     report = execute(script, manifest_stand(script), ENV, dut)
-    assert not report.aborted
+    assert report.abort is None
     assert_blocks_hold(report, dut, script_blocks(script),
                        {s.name: s.pins for s in script.signals}, ENV)
-    assert report_to_json(report) == reference_report_json(report)
+    assert rendered(report) == reference_report_json(report)
 
     blocks = [report.settle] + report.steps
     a = [block.stimuli[0] for block in blocks]
@@ -736,7 +726,7 @@ def test_equal_expressions_keep_their_own_digits():
         ("12.0", True, False), ("12.00", False, True),
         ("12.00", False, True)]
     assert [str(s.checks[0].high) for s in report.steps] == ["12.0", "12.00"]
-    assert report_to_json(report) == reference_report_json(report)
+    assert rendered(report) == reference_report_json(report)
 
 
 def test_a_run_filters_each_distinct_check_once(monkeypatch):
@@ -775,7 +765,7 @@ def test_a_run_filters_each_distinct_check_once(monkeypatch):
 
     monkeypatch.setattr(stand_module, "_static_reject", counting)
     report = execute(script, stand, ENV, RecordingDut())
-    assert not report.aborted and report.checks_total == 100
+    assert report.abort is None and report.checks_total == 100
     assert len({id(req) for req, _ in filtered}) == 2
     assert sorted((str(req.invocation.params["u_max"]), rid)
                   for req, rid in filtered) == [
@@ -815,7 +805,7 @@ def test_a_run_renders_and_evaluates_each_distinct_statement_once(
     monkeypatch.setattr(runner_module, "render_value", render)
     monkeypatch.setattr(runner_module, "eval_expr", evaluate)
     report = execute(script, manifest_stand(script), ENV, RecordingDut())
-    assert not report.aborted and report.checks_total == 100
+    assert report.abort is None and report.checks_total == 100
     assert [s.stimuli[0].params["r"] for s in report.steps[:3]] == [
         "1", "2", "1"]
     assert len(distinct) == 4
@@ -838,8 +828,7 @@ def test_failing_expression_aborts_where_first_used():
     script = load_script(xml)
     dut = RecordingDut()
     report = execute(script, manifest_stand(script), ENV, dut)
-    assert (report.abort_step, report.abort_kind) == (1, "environment")
-    assert report.abort_message == "unbound variable vx"
+    assert report.abort == (1, "environment", "unbound variable vx")
     assert len(report.steps) == 1
     assert dut.log[-2:] == [("advance", Decimal("1")), ("read", "b")]
     assert_blocks_hold(report, dut, script_blocks(script),
@@ -858,26 +847,25 @@ def test_runs_match_the_block_by_block_replay():
         blocks = replay_run(script, stand)
         report = execute(script, stand, {}, RecordingDut())
         again = execute(script, stand, {}, RecordingDut())
-        assert report_to_json(report) == report_to_json(again)
+        assert rendered(report) == rendered(again)
         # Records the plan shares between steps are rendered once.
-        assert report_to_json(report) == reference_report_json(report)
+        assert rendered(report) == reference_report_json(report)
         ran = [report.settle, *report.steps] if report.settle else []
         assert [[r.resource for r in s.stimuli] for s in ran] == blocks
         every = [script.init, *script.steps]
         if len(blocks) == len(every):
-            assert not report.aborted
+            assert report.abort is None
             completed += 1
         else:
             index = every[len(blocks)].index
-            assert report.abort_kind == "allocation"
-            assert report.abort_step == (None if index < 0 else index)
+            assert report.abort[:2] == (index, "allocation")
             late += index >= 0
         groups = [c.group_key for c in stand.matrix.cells.values()]
         shared += len(set(groups)) < len(groups)
         held += any(r.held for s in ran for r in s.stimuli)
         # a one-shot bound in a block that another block was planned after
         shots += any(r.resource and method_class(r.method) is None
-                     for s in (ran if report.aborted else ran[:-1])
+                     for s in (ran if report.abort else ran[:-1])
                      for r in s.stimuli)
     assert completed > 60 and late > 60 and shared > 80 and held > 60
     assert shots > 20
@@ -929,7 +917,7 @@ def _reversed(stand):
 def _without_stand(report):
     """A completed run's JSON report without the fields that name the
     stand's choices."""
-    doc = json.loads(report_to_json(report))
+    doc = json.loads(rendered(report))
     for block in [doc["init"], *doc["steps"]]:
         for stimulus in block["stimuli"]:
             stimulus["resource"] = stimulus["connector"] = None
@@ -953,36 +941,35 @@ def test_the_same_script_on_other_stands():
         stand, script = random_run_case(rng)
         dut = RecordingDut()
         report = execute(script, stand, {}, dut)
-        text = report_to_json(report)
+        text = rendered(report)
 
         renamed, back = _renamed(stand, names)
         renamed_dut = RecordingDut()
         renamed_report = execute(script, renamed, {}, renamed_dut)
-        assert back(report_to_json(renamed_report)) == text
+        assert back(rendered(renamed_report)) == text
 
         unwired = StandModel(
             ResourceTable([*stand.resources, ResourceDef(
                 "Q9", "put_r", "r", Decimal(0), Decimal(10))]),
             stand.matrix)
         extra = execute(script, unwired, {}, RecordingDut())
-        if report.aborted:
-            assert extra.abort_message.startswith(
-                report.abort_message + "; Q9: ")
-            extra = dataclasses.replace(extra,
-                                        abort_message=report.abort_message)
+        if report.abort:
+            assert extra.abort.message.startswith(
+                report.abort.message + "; Q9: ")
+            extra = dataclasses.replace(extra, abort=report.abort)
             aborted += 1
         else:
             completed += 1
-        assert report_to_json(extra) == text
+        assert rendered(extra) == text
 
         reversed_dut = RecordingDut()
         reversed_report = execute(script, _reversed(stand), {}, reversed_dut)
         seen = [(d.log, _without_stand(r))
                 for d, r in ((dut, report), (renamed_dut, renamed_report),
                              (reversed_dut, reversed_report))
-                if not r.aborted]
+                if r.abort is None]
         assert all(view == seen[0] for view in seen)
-        if not report.aborted and not reversed_report.aborted:
+        if report.abort is None and reversed_report.abort is None:
             both += 1
-            moved += report_to_json(reversed_report) != text
+            moved += rendered(reversed_report) != text
     assert completed > 60 and aborted > 200 and both > 60 and moved > 30

@@ -1,8 +1,10 @@
+import copy
+import pickle
 from decimal import Decimal
 
 import pytest
 
-from comptest import (ScriptError, SheetError, SignalDef, SignalTable,
+from comptest import (INF, ScriptError, SheetError, SignalDef, SignalTable,
                       StatusDef, StatusTable, TestSequence, TestStep,
                       load_script, validate_sheets)
 from comptest.sheets import method_class, parse_number
@@ -10,6 +12,15 @@ from comptest.sheets import method_class, parse_number
 
 def make_test(steps):
     return TestSequence("t", steps)
+
+
+def test_inf_is_one_object():
+    # Scripts, sheets and the allocator test for the open circuit by
+    # identity, so no copy may make a second one.
+    assert copy.copy(INF) is INF
+    assert copy.deepcopy({"r": [INF]})["r"][0] is INF
+    assert pickle.loads(pickle.dumps(INF)) is INF
+    assert repr(INF) == str(INF) == "INF"
 
 
 def test_demo_sheets_validate_clean(demo_signals, demo_statuses, demo_test):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import io
 import random
 import sys
 import time
@@ -659,14 +660,14 @@ def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand,
         assert gc.collect() == 0
         report = execute(load_script(demo_xml), demo_stand, demo_env,
                          build_dut("interior_illumination", demo_env))
-        report_to_json(report)
+        report_to_json(report, io.StringIO())
         del report
         assert gc.collect() == 0
         # A plan driven to an abort of each kind, and one left half walked
         # when its DUT fails.
         script = load_script(demo_xml)
         kinds = [drive(script, plan(script, stand, env),
-                       StallingDut()).abort_kind
+                       StallingDut()).abort.kind
                  for stand, env in ((demo_stand, {}), (reduced, demo_env),
                                     (demo_stand, demo_env))]
         assert kinds == ["environment", "allocation", "environment"]
