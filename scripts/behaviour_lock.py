@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The behaviour lock: seeded corpora whose outputs must stay byte-identical.
 
-Three corpora are rebuilt from fixed seeds, and every chunk of cases is
+Five corpora are rebuilt from fixed seeds, and every chunk of cases is
 hashed into one SHA-256 digest:
 
 - ``runs``: ``oracles.random_run_case`` runs on a recording DUT: the JSON
@@ -9,10 +9,19 @@ hashed into one SHA-256 digest:
 - ``allocate``: ``oracles.random_stand_case`` cases, each through three
   ``allocate`` calls on one ``Holds``: the bindings with their held flags,
   or the error text, and the holds after every call;
+- ``blocks``: ``oracles.random_block_sequence`` cases, each block
+  allocated in turn through one ``Holds``: the bindings with their held
+  flags, or the error text, and the holds after every block;
 - ``mutations``: seeded mutations of the shipped script
   (``data/interior_light/expected_script.xml``): the XML that ``emit_xml``
   writes for each load, or its ``ScriptError`` text (any other exception
-  escapes, and the lock fails).
+  escapes, and the lock fails);
+- ``exit_codes``: seeded byte mutations of one shipped file each (a sheet,
+  a stand file, the env file or the script) through in-process
+  ``cli.main``: ``check`` and ``compile`` for a sheet, ``run`` for the
+  others. Each command must exit 0, 1 or 2 without an escaping exception
+  or a traceback on stderr, and give the same bytes when called again;
+  its exit code and first stderr line are digested.
 
 Without arguments it compares the digests with those committed in
 ``tests/behaviour_lock.json``, names every chunk that differs and exits 1
@@ -25,12 +34,14 @@ runs the same comparison in the test suite.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
 import random
 import re
 import sys
+import tempfile
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterator
@@ -41,11 +52,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from comptest import (AllocationError, Requirement, ScriptError,  # noqa: E402
                       allocate, emit_xml, execute, load_script,
                       report_to_json, report_to_text)
+from comptest.cli import main as cli_main  # noqa: E402
 from comptest.stand import Holds  # noqa: E402
-from oracles import random_run_case, random_stand_case  # noqa: E402
+from oracles import (random_block_sequence, random_run_case,  # noqa: E402
+                     random_stand_case)
 
 DIGESTS = ROOT / "tests" / "behaviour_lock.json"
-SCRIPT = ROOT / "data" / "interior_light" / "expected_script.xml"
+EXAMPLE = ROOT / "data" / "interior_light"
+SCRIPT = EXAMPLE / "expected_script.xml"
 
 
 class _RecordingDut:
@@ -85,6 +99,19 @@ def _holds(holds: Holds) -> str:
                  sorted(holds.res.items()), sorted(holds.grp.items())))
 
 
+def _bindings(stand, reqs: list[Requirement], holds: Holds) -> list[str]:
+    """One ``allocate`` call: a line per binding, or the error text; then
+    the holds."""
+    try:
+        bindings = allocate(reqs, stand, holds).bindings
+    except AllocationError as exc:
+        lines = [f"error: {exc}"]
+    else:
+        lines = [f"{b.requirement.pin} {b.delivery} {b.resource_id} "
+                 f"{b.connector} {b.held}" for b in bindings]
+    return lines + [_holds(holds)]
+
+
 def allocate_cases(rng: random.Random) -> Iterator[str]:
     while True:
         stand, reqs = random_stand_case(rng)
@@ -105,15 +132,16 @@ def allocate_cases(rng: random.Random) -> Iterator[str]:
                                                  req.signal))
                 rng.shuffle(again)
                 reqs = again
-            try:
-                bindings = allocate(reqs, stand, holds).bindings
-            except AllocationError as exc:
-                lines.append(f"error: {exc}")
-            else:
-                lines += [f"{b.requirement.pin} {b.delivery} {b.resource_id} "
-                          f"{b.connector} {b.held}" for b in bindings]
-            lines.append(_holds(holds))
+            lines += _bindings(stand, reqs, holds)
         yield "\n".join(lines)
+
+
+def block_cases(rng: random.Random) -> Iterator[str]:
+    while True:
+        stand, blocks = random_block_sequence(rng)
+        holds = Holds()
+        yield "\n".join(line for reqs in blocks
+                        for line in _bindings(stand, reqs, holds))
 
 
 _CHARS = '<>"=/ \n\t&;#x09.-+*()eE_aZé'
@@ -170,12 +198,90 @@ def mutation_cases(rng: random.Random) -> Iterator[str]:
             yield f"ScriptError: {exc}"
 
 
+#: The shipped files an ``exit_codes`` case mutates, by the option that
+#: names each; the first three are the sheets.
+_FILES = {"--signals": "signals.csv", "--statuses": "statuses.csv",
+          "--test": "test_interior_light.csv",
+          "--script": "expected_script.xml", "--resources": "resources.csv",
+          "--connections": "connections.csv", "--env": "stand.env"}
+#: What an ``exit_codes`` mutation inserts: separators, number and markup
+#: characters, and bytes that are not UTF-8 or that XML cannot hold. No
+#: NUL: Python 3.10's csv module refuses a line that holds one, where 3.11
+#: and later read it, so a sheet with a NUL fails differently by version.
+_BYTES = (b";", b",", b".", b"|", b'"', b"\n", b"\r", b" ", b"\t", b"=",
+          b"<", b">", b"/", b"&", b"#", b"-", b"+", b"e", b"E", b"0", b"9",
+          b"B", b"x", b"_", "é".encode(), "Δ".encode(), b"\x01", b"\xff",
+          b"\xc3", b"INF", b"1e999999")
+
+
+def _mutate_bytes(data: bytes, rng: random.Random) -> bytes:
+    kind = rng.randrange(4)
+    if kind < 3:  # bytes deleted, a token inserted, or bytes replaced
+        at = rng.randrange(len(data))
+        cut = 0 if kind == 1 else rng.randint(1, 3)
+        new = b"" if kind == 0 else rng.choice(_BYTES)
+        return data[:at] + new + data[at + cut:]
+    lines = data.split(b"\n")  # a line duplicated
+    at = rng.randrange(len(lines))
+    lines[at:at + 1] = [lines[at]] * 2
+    return b"\n".join(lines)
+
+
+def _invoke(argv: list[str], where: str) -> tuple[int, str, str]:
+    """``cli.main(argv)`` in-process: its exit code, stdout and stderr,
+    with the case directory ``where`` spelled ``<dir>``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return (code, out.getvalue().replace(where, "<dir>"),
+            err.getvalue().replace(where, "<dir>"))
+
+
+def exit_code_cases(rng: random.Random) -> Iterator[str]:
+    originals = {opt: (EXAMPLE / name).read_bytes()
+                 for opt, name in _FILES.items()}
+    sheets = list(_FILES)[:3]
+    with tempfile.TemporaryDirectory() as where:
+        paths = {opt: str(Path(where, name)) for opt, name in _FILES.items()}
+        for opt, data in originals.items():
+            Path(paths[opt]).write_bytes(data)
+        commands = {
+            "check": ["check", *(a for opt in sheets
+                                 for a in (opt, paths[opt]))],
+            "run": ["run", *(a for opt in list(_FILES)[3:]
+                             for a in (opt, paths[opt])), "--report", "json"],
+        }
+        commands["compile"] = ["compile", *commands["check"][1:]]
+        while True:
+            target = rng.choice(list(_FILES))
+            data = originals[target]
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                data = _mutate_bytes(data, rng)
+            Path(paths[target]).write_bytes(data)
+            lines = [f"{target} {hashlib.sha256(data).hexdigest()[:16]}"]
+            for name in (("check", "compile") if target in sheets
+                         else ("run",)):
+                first = _invoke(commands[name], where)
+                code, _, err = first
+                case = f"{name} on a mutated {_FILES[target]}: {data!r}"
+                if code not in (0, 1, 2) or "Traceback" in err:
+                    raise AssertionError(f"{case}: exit {code}, stderr "
+                                         f"{err!r}")
+                if _invoke(commands[name], where) != first:
+                    raise AssertionError(f"{case}: a second call differs")
+                lines.append(f"{name} {code} {err.partition(chr(10))[0]}")
+            Path(paths[target]).write_bytes(originals[target])
+            yield "\n".join(lines)
+
+
 #: name -> (cases, seed, number of cases, cases per digest)
 CORPORA: dict[str, tuple[Callable[[random.Random], Iterator[str]],
                          int, int, int]] = {
     "runs": (run_cases, 20261019, 3000, 300),
     "allocate": (allocate_cases, 20261020, 3000, 300),
     "mutations": (mutation_cases, 20261021, 3000, 300),
+    "blocks": (block_cases, 20261022, 3000, 300),
+    "exit_codes": (exit_code_cases, 20261023, 500, 100),
 }
 
 

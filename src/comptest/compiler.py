@@ -9,15 +9,14 @@ in), and byte-deterministic so golden-file comparisons are exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ValidationFailed
 from .expr import BinOp, Expr, Num, Paren, Var, render_expr
 from .sheets import (INF, NOT_XML, SignalTable, StatusDef, StatusTable,
-                     TestSequence, _OpenCircuit, check_dwell, method_class,
-                     validate_sheets)
+                     TestSequence, _Fields, _OpenCircuit, check_dwell,
+                     method_class, validate_sheets)
 
 #: A method parameter: a number, a text literal (bit pattern), a symbolic
 #: expression, or the open-circuit marker.
@@ -26,8 +25,7 @@ ParamValue = Union[Decimal, str, Expr, _OpenCircuit]
 FORMAT_VERSION = "1"
 
 
-@dataclass
-class MethodInvocation:
+class MethodInvocation(NamedTuple):
     """A method statement: name plus ordered parameters.
 
     Parameter order is meaningful only for emission (attribute order in the
@@ -60,14 +58,18 @@ class MethodInvocation:
         return low, high
 
 
-@dataclass
-class Statement:
-    signal: str
-    invocation: MethodInvocation
+class Statement(_Fields):
+    """A signal and the method applied to it. A class with slots, not a
+    tuple: compile and load build one per statement, and a tuple type is
+    slower to build."""
+
+    __slots__ = _compared = ("signal", "invocation")
+
+    def __init__(self, signal: str, invocation: MethodInvocation):
+        self.signal, self.invocation = signal, invocation
 
 
-@dataclass
-class ScriptSignal:
+class ScriptSignal(NamedTuple):
     """Signal manifest entry; names and pins are lowercase in scripts."""
 
     name: str
@@ -75,8 +77,7 @@ class ScriptSignal:
     pins: tuple[str, ...]
 
 
-@dataclass
-class Block:
+class Block(NamedTuple):
     """``<init>`` (index -1, its dwell the settle) or one ``<step>``."""
 
     index: int
@@ -84,8 +85,7 @@ class Block:
     statements: list[Statement]
 
 
-@dataclass
-class TestScript:
+class TestScript(NamedTuple):
     """A test script. Its two producers guarantee the script rules before
     they build one: ``load_script`` with line numbers, ``compile`` through
     the validated sheets."""

@@ -8,9 +8,8 @@ deterministic: the same input sequence always reads back the same values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping, NamedTuple, Protocol
 
 from .errors import DutError
 from .sheets import INF
@@ -32,8 +31,7 @@ def _bit_value(value) -> bool:
     raise DutError(f"expected a bit payload, got {value!r}")
 
 
-@dataclass
-class InteriorLightConfig:
+class InteriorLightConfig(NamedTuple):
     """Tuning knobs of the reference interior-illumination controller."""
 
     ubatt: Decimal

@@ -18,9 +18,8 @@ render/parse a lossless round trip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal, DivisionByZero, InvalidOperation
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import EvalError, ExprError
 from .sheets import NUMBER_TOKEN, parse_number
@@ -29,26 +28,22 @@ __all__ = ["Num", "Var", "BinOp", "Paren", "Expr",
            "parse_expr", "eval_expr", "render_expr"]
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: Decimal
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+    left: Expr
+    right: Expr
 
 
-@dataclass(frozen=True)
-class Paren:
-    inner: "Expr"
+class Paren(NamedTuple):
+    inner: Expr
 
 
 Expr = Union[Num, Var, BinOp, Paren]

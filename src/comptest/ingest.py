@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterator
 
 from .errors import SheetError
 from .sheets import (INF, Scalar, SignalDef, SignalTable, StatusDef,
-                     StatusTable, TestSequence, TestStep, check_ident,
-                     check_unique, parse_number, parse_scalar,
+                     StatusTable, TestSequence, TestStep, _Frozen,
+                     check_ident, check_unique, parse_number, parse_scalar,
                      parse_step_index)
 from .stand import (ConnectionMatrix, Connector, ResourceDef, ResourceTable,
                     parse_connector)
@@ -29,16 +28,17 @@ from .stand import (ConnectionMatrix, Connector, ResourceDef, ResourceTable,
 PIN_SEPARATOR = "|"
 
 
-@dataclass(frozen=True)
-class CsvDialect:
-    field_separator: str = ";"
-    decimal_separator: str = ","
+class CsvDialect(_Frozen):
+    __slots__ = _compared = ("field_separator", "decimal_separator")
 
-    def __post_init__(self):
-        if len(self.field_separator) != 1 or len(self.decimal_separator) != 1:
+    def __init__(self, field_separator: str = ";",
+                 decimal_separator: str = ","):
+        if len(field_separator) != 1 or len(decimal_separator) != 1:
             raise ValueError("separators must be single characters")
-        if self.field_separator == self.decimal_separator:
+        if field_separator == decimal_separator:
             raise ValueError("field and decimal separators must differ")
+        object.__setattr__(self, "field_separator", field_separator)
+        object.__setattr__(self, "decimal_separator", decimal_separator)
 
 
 DEFAULT_DIALECT = CsvDialect()

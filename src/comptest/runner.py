@@ -18,7 +18,6 @@ in milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal, Overflow
 from json.encoder import encode_basestring_ascii as _str
 from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
@@ -27,13 +26,12 @@ from .compiler import MethodInvocation, TestScript, render_value
 from .dut import DutModel, dut_fault
 from .errors import AllocationError, EvalError
 from .expr import Num, Var, BinOp, Paren, eval_expr
-from .sheets import method_class
+from .sheets import _Fields, method_class
 from .stand import (BUS_METHODS, Binding, Holds, Requirement, StandModel,
                     allocate)
 
 
-@dataclass(frozen=True)
-class StimulusRecord:
+class StimulusRecord(NamedTuple):
     """One stimulus of one block, as reported. Records are read-only: a
     stimulus in force shares its records from its second unchanged block
     on."""
@@ -49,8 +47,7 @@ class StimulusRecord:
     changed: bool
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     signal: str
     pin: str
     method: str
@@ -60,13 +57,18 @@ class CheckRecord:
     passed: bool
 
 
-@dataclass
-class StepRecord:
-    index: int  # -1 is the init/settle block
-    dt: Decimal
-    t_end: Decimal
-    stimuli: list[StimulusRecord] = field(default_factory=list)
-    checks: list[CheckRecord] = field(default_factory=list)
+class StepRecord(_Fields):
+    """One block as driven: ``drive`` appends its check records."""
+
+    __slots__ = _compared = ("index", "dt", "t_end", "stimuli", "checks")
+
+    def __init__(self, index: int, dt: Decimal, t_end: Decimal,
+                 stimuli: list[StimulusRecord] | None = None,
+                 checks: list[CheckRecord] | None = None):
+        self.index = index  # -1 is the init/settle block
+        self.dt, self.t_end = dt, t_end
+        self.stimuli = [] if stimuli is None else stimuli
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -81,8 +83,7 @@ class Abort(NamedTuple):
     message: str
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """A run's blocks as driven, and the ``Abort`` that ended it early."""
 
     name: str
@@ -140,14 +141,11 @@ def _record(b: Binding, params: dict[str, str],
             changed: bool) -> StimulusRecord:
     req = b.requirement
     connector = str(b.connector) if b.connector else None
-    # Positional: a frozen dataclass sets each field by a call, and
-    # keywords make that slower still.
     return StimulusRecord(req.signal, req.pin, req.invocation.method, params,
                           b.delivery, b.resource_id, connector, b.held,
                           changed)
 
 
-@dataclass
 class _InForce:
     """A stimulus in force, built when its put appears: the invocation as
     applied, its rendered params and its requirements (one per target),
@@ -156,10 +154,13 @@ class _InForce:
     later one: ``allocate`` keeps a binding handed its own requirement back
     or aborts, and no other delivery changes while the stimulus does not."""
 
-    invocation: MethodInvocation
-    params: dict[str, str]
-    requirements: list[Requirement]
-    records: list[StimulusRecord] | None = None
+    __slots__ = ("invocation", "params", "requirements", "records")
+
+    def __init__(self, invocation: MethodInvocation, params: dict[str, str],
+                 requirements: list[Requirement]):
+        self.invocation, self.params = invocation, params
+        self.requirements = requirements
+        self.records: list[StimulusRecord] | None = None
 
 
 #: A check statement as planned: its requirements (one per pin) and its

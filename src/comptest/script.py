@@ -11,7 +11,6 @@ the stand environment is known.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
 from xml.parsers import expat
 
 from .compiler import (FORMAT_VERSION, Block, MethodInvocation, ParamValue,
@@ -24,12 +23,12 @@ from .sheets import (check_direction, check_has_steps, check_ident,
                      parse_step_index)
 
 
-@dataclass
 class _Node:
-    tag: str
-    attrs: dict[str, str]
-    line: int
-    children: list["_Node"] = field(default_factory=list)
+    __slots__ = ("tag", "attrs", "line", "children")
+
+    def __init__(self, tag: str, attrs: dict[str, str], line: int):
+        self.tag, self.attrs, self.line = tag, attrs, line
+        self.children: list[_Node] = []
 
 
 def _parse_tree(text: str) -> _Node:

@@ -16,7 +16,6 @@ turns cells into values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from decimal import DefaultContext, Decimal, InvalidOperation
 from enum import Enum
 from itertools import chain
@@ -235,12 +234,54 @@ def fits_direction(cls: str, direction: str) -> bool:
     return _DIRECTION_OF[cls] == direction
 
 
-class _Keyed:
+class _Fields:
+    """Equality by value for comptest's classes with slots (built without
+    generated code, so that importing comptest stays cheap): two are equal
+    when they are of one class and equal in each field ``_compared``
+    names. What a type derives, and a row number, take no part. Mutable,
+    so not hashable."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Fields):
+    """A read-only ``_Fields`` type, hashed by its compared fields. Its
+    ``__init__`` sets each field with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class _Keyed(_Fields):
     """The lookup of a keyed table: its rows in order, and each by key.
     A table sets ``_by_key`` once its rows have passed the uniqueness
     rule."""
 
-    _by_key: dict
+    __slots__ = ("_by_key",)
 
     def __iter__(self):
         return iter(self._by_key.values())
@@ -255,46 +296,47 @@ class _Keyed:
         return self._by_key[key]
 
 
-@dataclass
-class SignalDef:
+class SignalDef(_Fields):
     """One row of the signal table: a logical DUT signal and its pins."""
 
-    name: str
-    direction: str  # "input" | "output"
-    pins: tuple[str, ...]
-    initial_status: str
-    row: int | None = field(default=None, compare=False)
+    _compared = ("name", "direction", "pins", "initial_status")
+    __slots__ = (*_compared, "row")
 
-    def __post_init__(self):
-        check_direction(self.direction, f"signal {self.name}", SheetError,
-                        sheet="signals", row=self.row, column="direction")
-        if not self.pins:
-            raise SheetError(f"signal {self.name}: at least one pin required",
-                             sheet="signals", row=self.row, column="pins")
+    def __init__(self, name: str, direction: str, pins: tuple[str, ...],
+                 initial_status: str, row: int | None = None):
+        self.name = name
+        self.direction = direction  # "input" | "output"
+        self.pins = pins
+        self.initial_status = initial_status
+        self.row = row
+        check_direction(direction, f"signal {name}", SheetError,
+                        sheet="signals", row=row, column="direction")
+        if not pins:
+            raise SheetError(f"signal {name}: at least one pin required",
+                             sheet="signals", row=row, column="pins")
 
 
-@dataclass
 class SignalTable(_Keyed):
     """Signal names and pins are unique ignoring case: the compiled script
     spells both in lowercase."""
 
-    signals: list[SignalDef]
+    __slots__ = _compared = ("signals",)
 
-    def __post_init__(self):
-        check_unique(((sig.name, {"row": sig.row}) for sig in self.signals),
+    def __init__(self, signals: list[SignalDef]):
+        self.signals = signals
+        check_unique(((sig.name, {"row": sig.row}) for sig in signals),
                      "signal name", SheetError, fold=True, sheet="signals",
                      column="name")
-        check_unique(((pin, {"row": sig.row}) for sig in self.signals
+        check_unique(((pin, {"row": sig.row}) for sig in signals
                       for pin in sig.pins), "pin", SheetError, fold=True,
                      sheet="signals", column="pins")
-        self._by_key = {sig.name: sig for sig in self.signals}
+        self._by_key = {sig.name: sig for sig in signals}
 
     def inputs(self) -> list[SignalDef]:
         return [s for s in self.signals if s.direction == "input"]
 
 
-@dataclass
-class StatusDef:
+class StatusDef(_Fields):
     """One row of the status table: a named, parameterized method template.
 
     ``nom`` holds the value a put-class method applies (a number, a bit
@@ -310,33 +352,31 @@ class StatusDef:
     SheetError (a ValueError) otherwise.
     """
 
-    status: str
-    method: str
-    attribut: str
-    var_x: str | None = None
-    nom: Scalar | None = None
-    min: Decimal | None = None
-    max: Decimal | None = None
-    d1: Scalar | None = None
-    d2: Scalar | None = None
-    d3: Scalar | None = None
-    unit: str | None = None
-    row: int | None = field(default=None, compare=False)
+    _compared = ("status", "method", "attribut", "var_x", "nom", "min",
+                 "max", "d1", "d2", "d3", "unit")
+    __slots__ = (*_compared, "row")
 
-    def __post_init__(self):
-        check_names(f"status {self.status}", "statuses", self.row,
-                    method=self.method, attribut=self.attribut,
-                    var_x=self.var_x)
-        cls = method_class(self.method)
-        if cls == "get" and self.min is None and self.max is None:
+    def __init__(self, status: str, method: str, attribut: str,
+                 var_x: str | None = None, nom: Scalar | None = None,
+                 min: Decimal | None = None, max: Decimal | None = None,
+                 d1: Scalar | None = None, d2: Scalar | None = None,
+                 d3: Scalar | None = None, unit: str | None = None,
+                 row: int | None = None):
+        self.status, self.method, self.attribut = status, method, attribut
+        self.var_x, self.nom, self.min, self.max = var_x, nom, min, max
+        self.d1, self.d2, self.d3 = d1, d2, d3
+        self.unit, self.row = unit, row
+        check_names(f"status {status}", "statuses", row, method=method,
+                    attribut=attribut, var_x=var_x)
+        cls = method_class(method)
+        if cls == "get" and min is None and max is None:
             self._refuse("get-class status defines neither min nor max", "min")
         if cls == "put":
-            if (self.nom is None and self.d1 is None and self.d2 is None
-                    and self.d3 is None):
+            if nom is None and d1 is None and d2 is None and d3 is None:
                 self._refuse("put-class status defines no value "
                              "(nom or d1..d3 required)", "nom")
-            if (self.var_x is not None and self.nom is not None
-                    and not isinstance(self.nom, Decimal)):
+            if (var_x is not None and nom is not None
+                    and not isinstance(nom, Decimal)):
                 self._refuse("var (x) scaling requires a numeric nom", "nom")
 
     def _refuse(self, message: str, column: str):
@@ -344,19 +384,18 @@ class StatusDef:
                          row=self.row, column=column)
 
 
-@dataclass
 class StatusTable(_Keyed):
-    statuses: list[StatusDef]
+    __slots__ = _compared = ("statuses",)
 
-    def __post_init__(self):
-        check_unique(((st.status, {"row": st.row}) for st in self.statuses),
+    def __init__(self, statuses: list[StatusDef]):
+        self.statuses = statuses
+        check_unique(((st.status, {"row": st.row}) for st in statuses),
                      "status name", SheetError, sheet="statuses",
                      column="status")
-        self._by_key = {st.status: st for st in self.statuses}
+        self._by_key = {st.status: st for st in statuses}
 
 
-@dataclass
-class TestStep:
+class TestStep(_Fields):
     """One row of the test table.
 
     ``assignments`` maps signal name to status name and preserves sheet
@@ -364,25 +403,23 @@ class TestStep:
     (inputs) or is simply not checked this step (outputs).
     """
 
-    index: int
-    dt: Decimal
-    assignments: dict[str, str]
-    remark: str | None = None
-    row: int | None = field(default=None, compare=False)
+    _compared = ("index", "dt", "assignments", "remark")
+    __slots__ = (*_compared, "row")
 
-    def __post_init__(self):
-        check_dwell(self.dt, SheetError, sheet="test", row=self.row,
-                    column="Δt")
+    def __init__(self, index: int, dt: Decimal, assignments: dict[str, str],
+                 remark: str | None = None, row: int | None = None):
+        self.index, self.dt, self.assignments = index, dt, assignments
+        self.remark, self.row = remark, row
+        check_dwell(dt, SheetError, sheet="test", row=row, column="Δt")
 
 
-@dataclass
-class TestSequence:
-    name: str
-    steps: list[TestStep]
+class TestSequence(_Fields):
+    __slots__ = _compared = ("name", "steps")
 
-    def __post_init__(self):
-        check_has_steps(self.steps, SheetError, sheet="test")
-        for expected, step in enumerate(self.steps):
+    def __init__(self, name: str, steps: list[TestStep]):
+        self.name, self.steps = name, steps
+        check_has_steps(steps, SheetError, sheet="test")
+        for expected, step in enumerate(steps):
             check_step_order(step.index, expected, SheetError, sheet="test",
                              row=step.row, column="test step")
 

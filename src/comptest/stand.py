@@ -27,13 +27,13 @@ electrical path through the matrix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .compiler import MethodInvocation
 from .errors import AllocationError, SheetError
-from .sheets import _Keyed, check_names, check_unique, method_class
+from .sheets import (_Fields, _Frozen, _Keyed, check_names, check_unique,
+                     method_class)
 
 #: Methods delivered over a bus instead of an electrical pin path.
 BUS_METHODS = frozenset({"put_can"})
@@ -43,17 +43,21 @@ _KIND = {"Sw": "switch", "Mx": "mux"}
 _PREFIX = {"switch": "Sw", "mux": "Mx"}
 
 
-@dataclass(frozen=True)
-class Connector:
-    kind: str  # "switch" | "mux"
-    group: int
-    position: int
-    #: (kind, group): the switch or multiplexer, engaged at one position at
-    #: a time. Stored, as the search reads it for every candidate it checks.
-    group_key: tuple[str, int] = field(init=False, repr=False, compare=False)
+class Connector(_Frozen):
+    """Where a resource meets a pin: a switch or multiplexer group, engaged
+    at one position at a time."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "group_key", (self.kind, self.group))
+    _compared = ("kind", "group", "position")
+    #: ``group_key`` is (kind, group). Stored, as the search reads it for
+    #: every candidate it checks.
+    __slots__ = (*_compared, "group_key")
+
+    def __init__(self, kind: str, group: int, position: int):
+        init = object.__setattr__
+        init(self, "kind", kind)  # "switch" | "mux"
+        init(self, "group", group)
+        init(self, "position", position)
+        init(self, "group_key", (kind, group))
 
     def __str__(self):
         return f"{_PREFIX[self.kind]}{self.group}.{self.position}"
@@ -67,8 +71,7 @@ def parse_connector(text: str) -> Connector:
     return Connector(_KIND[m.group(1)], int(m.group(2)), int(m.group(3)))
 
 
-@dataclass
-class ResourceDef:
+class ResourceDef(_Fields):
     """One resource: the method it supports and the valid range of its
     ``attribut`` parameter (see ``_range_offence``).
 
@@ -77,98 +80,110 @@ class ResourceDef:
     ValueError) otherwise.
     """
 
-    id: str
-    method: str
-    attribut: str
-    min: Decimal
-    max: Decimal
-    unit: str = ""
-    row: int | None = field(default=None, compare=False)
+    _compared = ("id", "method", "attribut", "min", "max", "unit")
+    __slots__ = (*_compared, "row")
 
-    def __post_init__(self):
-        check_names(f"resource {self.id}", "resources", self.row,
-                    method=self.method, attribut=self.attribut)
-        if self.min > self.max:
-            raise SheetError(f"resource {self.id}: min {self.min} > max "
-                             f"{self.max}", sheet="resources", row=self.row,
-                             column="min")
+    def __init__(self, id: str, method: str, attribut: str, min: Decimal,
+                 max: Decimal, unit: str = "", row: int | None = None):
+        self.id, self.method, self.attribut = id, method, attribut
+        self.min, self.max, self.unit, self.row = min, max, unit, row
+        check_names(f"resource {id}", "resources", row, method=method,
+                    attribut=attribut)
+        if min > max:
+            raise SheetError(f"resource {id}: min {min} > max {max}",
+                             sheet="resources", row=row, column="min")
 
 
-@dataclass
 class ResourceTable(_Keyed):
-    resources: list[ResourceDef]
+    __slots__ = _compared = ("resources",)
 
-    def __post_init__(self):
-        check_unique(((res.id, {"row": res.row}) for res in self.resources),
+    def __init__(self, resources: list[ResourceDef]):
+        self.resources = resources
+        check_unique(((res.id, {"row": res.row}) for res in resources),
                      "resource id", SheetError, sheet="resources",
                      column="res")
-        self._by_key = {res.id: res for res in self.resources}
+        self._by_key = {res.id: res for res in resources}
 
 
-@dataclass
-class ConnectionMatrix:
+class ConnectionMatrix(_Fields):
     """Resource-to-pin wiring. Pins are normalized to lowercase. ``lines``
     gives each row's sheet line, for a matrix parsed from a sheet."""
 
-    pins: list[str]
-    rows: list[str]
-    cells: dict[tuple[str, str], Connector]
-    lines: dict[str, int] = field(default_factory=dict, compare=False)
+    _compared = ("pins", "rows", "cells")
+    __slots__ = (*_compared, "lines")
+
+    def __init__(self, pins: list[str], rows: list[str],
+                 cells: dict[tuple[str, str], Connector],
+                 lines: dict[str, int] | None = None):
+        self.pins, self.rows, self.cells = pins, rows, cells
+        self.lines = {} if lines is None else lines
 
     def connector_for(self, resource_id: str, pin: str) -> Connector | None:
         return self.cells.get((resource_id, pin))
 
 
-@dataclass
-class StandModel:
-    resources: ResourceTable
-    matrix: ConnectionMatrix
+class StandModel(_Fields):
+    """A stand: its resources and their wiring, which must name only
+    resources of the table. ``wired`` maps each pin to the resources wired
+    to it, with their connectors, in resource table row order (the
+    search's candidate order); ``grouped`` maps each connector group to
+    the (resource id, pin) cells wired through it."""
 
-    #: pin -> the resources wired to it, with their connectors, in
-    #: resource table row order (the search's candidate order).
-    wired: dict[str, list[tuple[ResourceDef, Connector]]] = field(
-        init=False, repr=False, compare=False)
-    #: connector group -> the (resource id, pin) cells wired through it.
-    grouped: dict[tuple[str, int], list[tuple[str, str]]] = field(
-        init=False, repr=False, compare=False)
+    _compared = ("resources", "matrix")
+    __slots__ = (*_compared, "wired", "grouped")
 
-    def __post_init__(self):
-        for rid in self.matrix.rows:
-            if rid not in self.resources:
+    def __init__(self, resources: ResourceTable, matrix: ConnectionMatrix):
+        self.resources, self.matrix = resources, matrix
+        for rid in matrix.rows:
+            if rid not in resources:
                 raise SheetError(f"resource '{rid}' is not in the resource "
                                  f"table", sheet="connections",
-                                 row=self.matrix.lines.get(rid), column="res")
+                                 row=matrix.lines.get(rid), column="res")
         by_resource: dict[str, list[tuple[str, Connector]]] = {}
-        self.grouped = {}
-        for (rid, pin), conn in self.matrix.cells.items():
+        self.grouped: dict[tuple[str, int], list[tuple[str, str]]] = {}
+        for (rid, pin), conn in matrix.cells.items():
             by_resource.setdefault(rid, []).append((pin, conn))
             self.grouped.setdefault(conn.group_key, []).append((rid, pin))
-        self.wired = {}
-        for res in self.resources:
+        self.wired: dict[str, list[tuple[ResourceDef, Connector]]] = {}
+        for res in resources:
             for pin, conn in by_resource.get(res.id, ()):
                 self.wired.setdefault(pin, []).append((res, conn))
 
 
-@dataclass(frozen=True)
-class Requirement:
-    """One thing a step needs: an invocation delivered to one pin."""
+class Requirement(_Frozen):
+    """One thing a step needs: an invocation delivered to one pin. A class
+    with slots, not a tuple: the search reads its fields for every
+    candidate, and a slot reads faster."""
 
-    pin: str
-    invocation: MethodInvocation
-    signal: str | None = None
+    __slots__ = _compared = ("pin", "invocation", "signal")
 
-
-@dataclass
-class Binding:
-    requirement: Requirement
-    delivery: str  # "resource" | "open_circuit" | "bus"
-    resource_id: str | None = None
-    connector: Connector | None = None
-    held: bool = False
+    def __init__(self, pin: str, invocation: MethodInvocation,
+                 signal: str | None = None):
+        init = object.__setattr__
+        init(self, "pin", pin)
+        init(self, "invocation", invocation)
+        init(self, "signal", signal)
 
 
-@dataclass
-class Allocation:
+class Binding(_Fields):
+    """How a requirement is delivered: through a resource and connector,
+    as an open circuit or over a bus. A class with slots, not a tuple:
+    ``allocate`` builds one per candidate it takes and per check it
+    places, and a tuple type is slower to build."""
+
+    __slots__ = _compared = ("requirement", "delivery", "resource_id",
+                             "connector", "held")
+
+    def __init__(self, requirement: Requirement, delivery: str,
+                 resource_id: str | None = None,
+                 connector: Connector | None = None, held: bool = False):
+        self.requirement = requirement
+        self.delivery = delivery  # "resource" | "open_circuit" | "bus"
+        self.resource_id, self.connector = resource_id, connector
+        self.held = held
+
+
+class Allocation(NamedTuple):
     bindings: list[Binding]
 
 

@@ -664,3 +664,15 @@ def test_module_entry_point_smoke():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "0 violations" in proc.stderr
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # Every command pays the import, so comptest builds its types without
+    # generated code: importing dataclasses alone would also load inspect,
+    # ast, dis and tokenize. -S keeps site-packages from loading them first.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import comptest, comptest.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

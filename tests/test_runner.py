@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import random
@@ -956,7 +955,8 @@ def test_the_same_script_on_other_stands():
         if report.abort:
             assert extra.abort.message.startswith(
                 report.abort.message + "; Q9: ")
-            extra = dataclasses.replace(extra, abort=report.abort)
+            extra = RunReport(extra.name, extra.dut, report.abort,
+                              extra.settle, extra.steps, extra.steps_total)
             aborted += 1
         else:
             completed += 1

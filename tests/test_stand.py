@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import io
 import random
@@ -65,7 +64,8 @@ def test_stand_rejects_unknown_matrix_rows():
                               "in the resource table")
     assert (err.value.sheet, err.value.column) == ("connections", "res")
     # Built from a sheet, the matrix knows the row.
-    matrix = dataclasses.replace(matrix, lines={"R9": 4})
+    matrix = ConnectionMatrix(matrix.pins, matrix.rows, matrix.cells,
+                              {"R9": 4})
     with pytest.raises(SheetError) as err:
         StandModel(resources, matrix)
     assert str(err.value) == ("connections, row 4, column res: resource 'R9' "
@@ -207,7 +207,7 @@ def test_requirements_are_read_only():
     # A held binding is handed back without a second look at its
     # requirement, so a requirement cannot change once made.
     req = Requirement("ds_fl", put_r(Decimal("0")))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         req.invocation = put_r(Decimal("7"))
 
 
