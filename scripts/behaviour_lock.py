@@ -205,13 +205,11 @@ _FILES = {"--signals": "signals.csv", "--statuses": "statuses.csv",
           "--script": "expected_script.xml", "--resources": "resources.csv",
           "--connections": "connections.csv", "--env": "stand.env"}
 #: What an ``exit_codes`` mutation inserts: separators, number and markup
-#: characters, and bytes that are not UTF-8 or that XML cannot hold. No
-#: NUL: Python 3.10's csv module refuses a line that holds one, where 3.11
-#: and later read it, so a sheet with a NUL fails differently by version.
+#: characters, and bytes that are not UTF-8 or that XML cannot hold.
 _BYTES = (b";", b",", b".", b"|", b'"', b"\n", b"\r", b" ", b"\t", b"=",
           b"<", b">", b"/", b"&", b"#", b"-", b"+", b"e", b"E", b"0", b"9",
           b"B", b"x", b"_", "é".encode(), "Δ".encode(), b"\x01", b"\xff",
-          b"\xc3", b"INF", b"1e999999")
+          b"\xc3", b"INF", b"1e999999", b"\x00")
 
 
 def _mutate_bytes(data: bytes, rng: random.Random) -> bytes:

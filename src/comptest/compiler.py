@@ -196,15 +196,6 @@ def _attr(value: str) -> str:
             .replace("\r", "&#13;"))
 
 
-def _statement_lines(st: Statement, pad: str) -> list[str]:
-    attrs = " ".join(f'{name}="{_attr(render_value(value))}"'
-                     for name, value in st.invocation.params.items())
-    body = f"<{st.invocation.method} {attrs} />" if attrs else f"<{st.invocation.method} />"
-    return [f'{pad}<signal name="{_attr(st.signal)}">',
-            f"{pad}  {body}",
-            f"{pad}</signal>"]
-
-
 def emit_xml(script: TestScript) -> str:
     """Serialize a script to its canonical XML form.
 
@@ -221,6 +212,7 @@ def emit_xml(script: TestScript) -> str:
         out.append(f'    <signal name="{_attr(sig.name)}" '
                    f'direction="{_attr(sig.direction)}" pins="{_attr(pins)}" />')
     out.append("  </signals>")
+    elements: dict[int, str] = {}  # one method element per invocation
     for block in (script.init, *script.steps):
         # The closing tags are constants, shared by every block's line.
         if block.index < 0:
@@ -231,7 +223,14 @@ def emit_xml(script: TestScript) -> str:
         if block.statements:
             out.append(head + ">")
             for st in block.statements:
-                out.extend(_statement_lines(st, "    "))
+                inv = st.invocation
+                element = elements.get(id(inv))
+                if element is None:
+                    attrs = "".join(f' {name}="{_attr(render_value(value))}"'
+                                    for name, value in inv.params.items())
+                    element = elements[id(inv)] = f"      <{inv.method}{attrs} />"
+                out += (f'    <signal name="{_attr(st.signal)}">', element,
+                        "    </signal>")
             out.append(end)
         else:
             out.append(head + " />")

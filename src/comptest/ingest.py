@@ -50,12 +50,18 @@ def _frame(text: str, dialect: CsvDialect, sheet: str
     blank with its 1-based row number (the header is row 1). A row the csv
     module refuses (a field over its size limit) is a SheetError, and so
     is a row with a cell that is not blank beyond the header's last column
-    (named by its 1-based position)."""
+    (named by its 1-based position). A row that holds a NUL is refused as
+    Python 3.10's csv module refuses it, where later versions read it."""
+    nul = "\x00" in text
+
     def numbered():
         line = 0
         try:
             for line, row in enumerate(csv.reader(
                     io.StringIO(text), delimiter=dialect.field_separator), 1):
+                if nul and any("\x00" in cell for cell in row):
+                    raise SheetError("line contains NUL", sheet=sheet,
+                                     row=line, column=None)
                 yield line, row
         except csv.Error as exc:
             raise SheetError(str(exc), sheet=sheet, row=line + 1,
@@ -226,14 +232,14 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
     last = len(header) - 1
     remark_col = (last if last >= 2 and _norm(header[last]) in _REMARK_HEADERS
                   else None)
-    signal_cols: list[tuple[int, str]] = []
+    signals: list[str] = []  # the signal columns, from column 2 on
     for col in range(2, remark_col if remark_col is not None else len(header)):
         label = header[col].strip()
         if _norm(label) in _REMARK_HEADERS and remark_col is None:
             raise SheetError("remarks must be the last column", sheet="test",
                              row=1, column=label)
-        signal_cols.append((col, _ident(label, "test", 1, str(col + 1))))
-    check_unique(((label, {"column": label}) for _, label in signal_cols),
+        signals.append(_ident(label, "test", 1, str(col + 1)))
+    check_unique(((label, {"column": label}) for label in signals),
                  "signal column", SheetError, sheet="test", row=1)
 
     steps: list[TestStep] = []
@@ -242,8 +248,8 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
                                  sheet="test", row=line, column="test step")
         dt = _parse_cell(_cell(row, 1), dialect, "test", line, dt_label)
         assignments: dict[str, str] = {}
-        for col, signal in signal_cols:
-            cell = _cell(row, col).strip()
+        for signal, cell in zip(signals, row[2:]):  # a short row ends in blanks
+            cell = cell.strip()
             if cell:
                 assignments[signal] = _ident(cell, "test", line, signal)
         remark = _cell(row, remark_col).strip() if remark_col is not None else ""

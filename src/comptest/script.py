@@ -11,6 +11,7 @@ the stand environment is known.
 from __future__ import annotations
 
 from contextlib import suppress
+from typing import Iterator
 from xml.parsers import expat
 
 from .compiler import (FORMAT_VERSION, Block, MethodInvocation, ParamValue,
@@ -23,31 +24,21 @@ from .sheets import (check_direction, check_has_steps, check_ident,
                      parse_step_index)
 
 
-class _Node:
-    __slots__ = ("tag", "attrs", "line", "children")
-
-    def __init__(self, tag: str, attrs: dict[str, str], line: int):
-        self.tag, self.attrs, self.line = tag, attrs, line
-        self.children: list[_Node] = []
-
-
-def _parse_tree(text: str) -> _Node:
+def _events(text: str) -> list[list | None]:
+    """The elements of ``text`` in document order: ``[tag, attrs, line]``
+    where one starts and ``None`` where one ends. Expat reads the whole
+    text first, so a fault of XML syntax or stray text comes before any
+    schema fault."""
     parser = expat.ParserCreate()
     parser.ordered_attributes = True
-    root: list[_Node] = []
-    stack: list[_Node] = []
+    events: list[list | None] = []
 
     def start(tag, attr_list):
-        attrs = dict(zip(attr_list[0::2], attr_list[1::2]))
-        node = _Node(tag, attrs, parser.CurrentLineNumber)
-        if stack:
-            stack[-1].children.append(node)
-        else:
-            root.append(node)
-        stack.append(node)
-
-    def end(tag):
-        stack.pop()
+        # A list, not a tuple: CPython keeps up to 2 000 freed 3-tuples for
+        # reuse and tracemalloc still counts them, so tuple events would
+        # raise the memory peak of the run that follows the load.
+        events.append([tag, dict(zip(attr_list[0::2], attr_list[1::2])),
+                       parser.CurrentLineNumber])
 
     def chars(data):
         if data.strip():
@@ -55,7 +46,7 @@ def _parse_tree(text: str) -> _Node:
                               line=parser.CurrentLineNumber)
 
     parser.StartElementHandler = start
-    parser.EndElementHandler = end
+    parser.EndElementHandler = lambda tag: events.append(None)
     parser.CharacterDataHandler = chars
     try:
         parser.Parse(text, True)
@@ -63,23 +54,38 @@ def _parse_tree(text: str) -> _Node:
         raise ScriptError(expat.errors.messages[exc.code],
                           line=exc.lineno) from None
     finally:
-        # The handlers close over the parser: break that cycle so that the
-        # tree is freed by reference counting, not by a later collection.
+        # Two handlers close over the parser: break that cycle so that it
+        # is freed by reference counting, not by a later collection.
         parser.StartElementHandler = None
-        parser.EndElementHandler = None
         parser.CharacterDataHandler = None
-    return root[0]
+    return events
 
 
-def _require_attrs(node: _Node, names: tuple[str, ...]):
+def _require_attrs(tag: str, attrs: dict[str, str], line: int,
+                   names: tuple[str, ...]):
     for name in names:
-        if name not in node.attrs:
-            raise ScriptError(f"<{node.tag}> is missing attribute '{name}'",
-                              line=node.line)
-    for name in node.attrs:
+        if name not in attrs:
+            raise ScriptError(f"<{tag}> is missing attribute '{name}'",
+                              line=line)
+    for name in attrs:
         if name not in names:
-            raise ScriptError(f"<{node.tag}> has unexpected attribute '{name}'",
-                              line=node.line)
+            raise ScriptError(f"<{tag}> has unexpected attribute '{name}'",
+                              line=line)
+
+
+def _children(events: Iterator[list | None], tag: str,
+              names: tuple[str, ...], where: str = ""
+              ) -> Iterator[tuple[dict[str, str], int]]:
+    """The children of the element whose start was read last, each held to
+    the child-element rule: a ``<tag>`` with exactly the attributes
+    ``names``. Yields each child's attributes and line; the caller reads
+    the child's own content from ``events`` before it takes the next."""
+    for child, attrs, line in iter(events.__next__, None):
+        if child != tag:
+            raise ScriptError(f"unexpected element <{child}>{where}",
+                              line=line)
+        _require_attrs(child, attrs, line, names)
+        yield attrs, line
 
 
 def classify_value(text: str, line: int | None = None) -> ParamValue:
@@ -106,18 +112,20 @@ def _name(name: str, what: str, line: int) -> str:
     return name
 
 
-def _invocation(node: _Node) -> MethodInvocation:
+def _invocation(tag: str, attrs: dict[str, str], line: int
+                ) -> MethodInvocation:
     """A method element as an invocation, under the name rule for its
     method and parameter names and with its attribute values classified."""
-    tag = check_name(node.tag, ScriptError, "method", line=node.line)
+    tag = check_name(tag, ScriptError, "method", line=line)
     return MethodInvocation(tag, {
-        check_name(key, ScriptError, f"<{tag}> parameter", line=node.line):
-            classify_value(text, node.line)
-        for key, text in node.attrs.items()})
+        check_name(key, ScriptError, f"<{tag}> parameter", line=line):
+            classify_value(text, line)
+        for key, text in attrs.items()})
 
 
-def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
-                      where: str, invocations: dict[tuple, MethodInvocation]
+def _parse_statements(events: Iterator[list | None],
+                      manifest: dict[str, ScriptSignal], where: str,
+                      invocations: dict[tuple, MethodInvocation]
                       ) -> list[Statement]:
     """The statements of ``<init>`` or of a step, under the direction and
     bound rules and the rule that ``<init>`` holds no check. ``invocations``
@@ -127,48 +135,44 @@ def _parse_statements(parent: _Node, manifest: dict[str, ScriptSignal],
     as it may sit on a signal of the other direction or in ``<init>``. What
     fails is not kept, so the error names the first line that uses it."""
     statements: list[Statement] = []
-    for node in parent.children:
-        if node.tag != "signal":
-            raise ScriptError(f"unexpected element <{node.tag}> in {where}",
-                              line=node.line)
-        _require_attrs(node, ("name",))
-        name = node.attrs["name"]
+    for attrs, line in _children(events, "signal", ("name",), f" in {where}"):
+        name = attrs["name"]
         if name not in manifest:  # each manifest name has passed _name
-            _name(name, "signal name", node.line)
+            _name(name, "signal name", line)
             raise ScriptError(f"signal '{name}' is not in the manifest",
-                              line=node.line)
-        if not node.children:
-            raise ScriptError(f"signal '{name}' has no method statement",
-                              line=node.line)
-        for method_node in node.children:
-            tag = method_node.tag
-            if method_node.children:
+                              line=line)
+        direction = manifest[name].direction
+        count = len(statements)
+        for tag, method_attrs, method_line in iter(events.__next__, None):
+            if next(events) is not None:
                 raise ScriptError(f"method <{tag}> must be empty",
-                                  line=method_node.line)
-            element = (tag, *method_node.attrs.items())
+                                  line=method_line)
+            element = (tag, *method_attrs.items())
             inv = invocations.get(element)
             fresh = inv is None
             if fresh:
-                inv = _invocation(method_node)
+                inv = _invocation(tag, method_attrs, method_line)
             cls = method_class(tag)
-            direction = manifest[name].direction
             # Unknown classes load as one-shots; the stand decides them.
             if cls is not None and not fits_direction(cls, direction):
                 raise ScriptError(f"{cls}-class method '{tag}' on "
                                   f"{direction} signal '{name}'",
-                                  line=method_node.line)
+                                  line=method_line)
             if fresh:
                 if cls == "get" and inv.bounds() == (None, None):
                     # The script form of the status rule: a check sets min
                     # or max.
                     raise ScriptError(f"check method '{tag}' has no bound "
                                       f"(a *_min or *_max number or "
-                                      f"expression)", line=method_node.line)
+                                      f"expression)", line=method_line)
                 invocations[element] = inv
             if cls == "get" and where == "<init>":
                 raise ScriptError(f"check method '{tag}' is not allowed in "
-                                  f"<init>", line=method_node.line)
+                                  f"<init>", line=method_line)
             statements.append(Statement(name, inv))
+        if len(statements) == count:
+            raise ScriptError(f"signal '{name}' has no method statement",
+                              line=line)
     return statements
 
 
@@ -176,66 +180,58 @@ def load_script(text: str) -> TestScript:
     """Parse and validate a test script; raises ScriptError with a line
     number on any schema violation. What the statements do at run time is
     the runner's business (``runner.execute``)."""
-    root = _parse_tree(text)
-    if root.tag != "test":
-        raise ScriptError(f"root element must be <test>, got <{root.tag}>",
-                          line=root.line)
-    _require_attrs(root, ("name", "dut", "format"))
-    if root.attrs["format"] != FORMAT_VERSION:
-        raise ScriptError(f"unsupported format '{root.attrs['format']}' "
+    events = iter(_events(text))
+    tag, test, line = next(events)
+    if tag != "test":
+        raise ScriptError(f"root element must be <test>, got <{tag}>",
+                          line=line)
+    _require_attrs(tag, test, line, ("name", "dut", "format"))
+    if test["format"] != FORMAT_VERSION:
+        raise ScriptError(f"unsupported format '{test['format']}' "
                           f"(this interpreter reads format {FORMAT_VERSION})",
-                          line=root.line)
+                          line=line)
 
-    children = list(root.children)
-    if not children or children[0].tag != "signals":
+    event = next(events)
+    if event is None or event[0] != "signals":
         raise ScriptError("first element must be the <signals> manifest",
-                          line=root.line)
-    signals_node = children[0]
-    _require_attrs(signals_node, ())
+                          line=line)
+    _require_attrs(*event, ())
     order: list[ScriptSignal] = []
-    for node in signals_node.children:
-        if node.tag != "signal":
-            raise ScriptError(f"unexpected element <{node.tag}> in manifest",
-                              line=node.line)
-        _require_attrs(node, ("name", "direction", "pins"))
-        if node.children:
+    lines: list[dict[str, int]] = []
+    for attrs, at in _children(events, "signal", ("name", "direction", "pins"),
+                               " in manifest"):
+        if next(events) is not None:
             raise ScriptError("manifest entries must be empty elements",
-                              line=node.line)
-        name = _name(node.attrs["name"], "signal name", node.line)
+                              line=at)
+        name = _name(attrs["name"], "signal name", at)
         order.append(ScriptSignal(
-            name, check_direction(node.attrs["direction"], f"signal {name}",
-                                  ScriptError, line=node.line),
-            tuple(_name(pin, "pin", node.line)
-                  for pin in node.attrs["pins"].split("|"))))
-    lines = [{"line": node.line} for node in signals_node.children]
+            name, check_direction(attrs["direction"], f"signal {name}",
+                                  ScriptError, line=at),
+            tuple(_name(pin, "pin", at) for pin in attrs["pins"].split("|"))))
+        lines.append({"line": at})
     check_unique(((sig.name, at) for sig, at in zip(order, lines)),
                  "manifest signal", ScriptError)
     check_unique(((pin, at) for sig, at in zip(order, lines)
                   for pin in sig.pins), "pin", ScriptError)
     manifest = {sig.name: sig for sig in order}
 
-    if len(children) < 2 or children[1].tag != "init":
-        raise ScriptError("expected <init> after the manifest", line=root.line)
-    init_node = children[1]
-    _require_attrs(init_node, ("dt",))
+    event = next(events)
+    if event is None or event[0] != "init":
+        raise ScriptError("expected <init> after the manifest", line=line)
+    _require_attrs(*event, ("dt",))
     invocations: dict[tuple, MethodInvocation] = {}  # see _parse_statements
-    init = Block(-1, parse_dwell(init_node.attrs["dt"], ScriptError,
-                                 line=init_node.line),
-                 _parse_statements(init_node, manifest, "<init>",
-                                   invocations))
+    init = Block(-1, parse_dwell(event[1]["dt"], ScriptError, line=event[2]),
+                 _parse_statements(events, manifest, "<init>", invocations))
 
     steps: list[Block] = []
-    for pos, node in enumerate(children[2:]):
-        if node.tag != "step":
-            raise ScriptError(f"unexpected element <{node.tag}>", line=node.line)
-        _require_attrs(node, ("n", "dt"))
+    for pos, (attrs, at) in enumerate(_children(events, "step", ("n", "dt"))):
         index = check_step_order(
-            parse_step_index(node.attrs["n"], ScriptError, line=node.line),
-            pos, ScriptError, line=node.line)
-        steps.append(Block(index, parse_dwell(node.attrs["dt"], ScriptError,
-                                              line=node.line),
-                           _parse_statements(node, manifest, f"step {index}",
+            parse_step_index(attrs["n"], ScriptError, line=at),
+            pos, ScriptError, line=at)
+        steps.append(Block(index, parse_dwell(attrs["dt"], ScriptError,
+                                              line=at),
+                           _parse_statements(events, manifest, f"step {index}",
                                              invocations)))
-    check_has_steps(steps, ScriptError, line=root.line)
+    check_has_steps(steps, ScriptError, line=line)
 
-    return TestScript(root.attrs["name"], root.attrs["dut"], order, init, steps)
+    return TestScript(test["name"], test["dut"], order, init, steps)

@@ -388,6 +388,18 @@ def test_sheet_frame(parse, sheet, header, good, bad):
     with pytest.raises(SheetError, match="field limit") as err:
         parse(f"{header}\n{good}\n{'x' * 140000}\n")
     assert (err.value.sheet, err.value.row) == (sheet, 3)
+    # A NUL is refused at the row that holds it, as Python 3.10's csv
+    # module refuses it, on every Python.
+    with pytest.raises(SheetError, match="line contains NUL$") as err:
+        parse(f"{header}\n{good}\n \x00\n")
+    assert (err.value.sheet, err.value.row) == (sheet, 3)
+
+
+def test_a_nul_in_the_header_is_refused_on_every_python():
+    with pytest.raises(SheetError) as err:
+        parse_resource_sheet("res;me\x00thod;attribut;min;max;unit\n"
+                             "R1;put_r;r;0;1;Ohm\n")
+    assert str(err.value) == "resources, row 1: line contains NUL"
 
 
 @pytest.mark.parametrize("rows,column", [

@@ -1,4 +1,5 @@
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,32 @@ def test_script_schema_errors_have_lines(old, new, line, message):
     with pytest.raises(ScriptError) as err:
         load_script(MINI.replace(old, new))
     assert str(err.value) == f"line {line}: {message}"
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "data" / "interior_light" \
+    / "expected_script.xml"
+FORMAT_2 = (2, 'format="1"', 'format="2"')
+
+
+# Expat reads the whole script before any schema rule, so a fault of XML
+# syntax or stray text wins over an unsupported format; inside an element
+# the loader keeps its check order.
+@pytest.mark.parametrize("edits,message", [
+    ([FORMAT_2, (113, "</test>", "</tset>")], "line 113: mismatched tag"),
+    ([FORMAT_2, (101, ">", ">stray")],
+     "line 101: unexpected text content 'stray'"),
+    ([(5, '<signal name="ds_fl" direction="input" pins="ds_fl" />',
+       '<signal name="DS_FL" direction="input" pins="ds_fl"><x/></signal>')],
+     "line 5: manifest entries must be empty elements"),
+], ids=["syntax-before-format", "text-before-format", "empty-before-name"])
+def test_load_fault_precedence(edits, message):
+    lines = SHIPPED.read_text(encoding="utf-8").splitlines(keepends=True)
+    for at, old, new in edits:
+        assert old in lines[at - 1]
+        lines[at - 1] = lines[at - 1].replace(old, new)
+    with pytest.raises(ScriptError) as err:
+        load_script("".join(lines))
+    assert str(err.value) == message
 
 
 def test_load_rejects_an_empty_document():
