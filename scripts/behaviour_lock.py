@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The behaviour lock: seeded corpora whose outputs must stay byte-identical.
 
-Five corpora are rebuilt from fixed seeds, and every chunk of cases is
+Six corpora are rebuilt from fixed seeds, and every chunk of cases is
 hashed into one SHA-256 digest:
 
 - ``runs``: ``oracles.random_run_case`` runs on a recording DUT: the JSON
@@ -16,6 +16,10 @@ hashed into one SHA-256 digest:
   (``data/interior_light/expected_script.xml``): the XML that ``emit_xml``
   writes for each load, or its ``ScriptError`` text (any other exception
   escapes, and the lock fails);
+- ``long_mutations``: the same on the shipped script with its steps
+  written 12 times (``oracles.repeated_steps``, about 29 KB), so that
+  faults fall in every chunk the loader reads, and a schema fault often
+  comes before a fault of XML syntax further on;
 - ``exit_codes``: seeded byte mutations of one shipped file each (a sheet,
   a stand file, the env file or the script) through in-process
   ``cli.main``: ``check`` and ``compile`` for a sheet, ``run`` for the
@@ -55,7 +59,7 @@ from comptest import (AllocationError, Requirement, ScriptError,  # noqa: E402
 from comptest.cli import main as cli_main  # noqa: E402
 from comptest.stand import Holds  # noqa: E402
 from oracles import (random_block_sequence, random_run_case,  # noqa: E402
-                     random_stand_case)
+                     random_stand_case, repeated_steps)
 
 DIGESTS = ROOT / "tests" / "behaviour_lock.json"
 EXAMPLE = ROOT / "data" / "interior_light"
@@ -186,8 +190,7 @@ def _mutate(text: str, rng: random.Random) -> str:
     return "\n".join(lines)
 
 
-def mutation_cases(rng: random.Random) -> Iterator[str]:
-    base = SCRIPT.read_text("utf-8")
+def _script_mutations(base: str, rng: random.Random) -> Iterator[str]:
     while True:
         text = base
         for _ in range(rng.choice((1, 1, 2, 3))):
@@ -196,6 +199,15 @@ def mutation_cases(rng: random.Random) -> Iterator[str]:
             yield emit_xml(load_script(text))
         except ScriptError as exc:
             yield f"ScriptError: {exc}"
+
+
+def mutation_cases(rng: random.Random) -> Iterator[str]:
+    return _script_mutations(SCRIPT.read_text("utf-8"), rng)
+
+
+def long_mutation_cases(rng: random.Random) -> Iterator[str]:
+    return _script_mutations(repeated_steps(SCRIPT.read_text("utf-8"), 12),
+                             rng)
 
 
 #: The shipped files an ``exit_codes`` case mutates, by the option that
@@ -280,6 +292,7 @@ CORPORA: dict[str, tuple[Callable[[random.Random], Iterator[str]],
     "mutations": (mutation_cases, 20261021, 3000, 300),
     "blocks": (block_cases, 20261022, 3000, 300),
     "exit_codes": (exit_code_cases, 20261023, 500, 100),
+    "long_mutations": (long_mutation_cases, 20261025, 1000, 100),
 }
 
 

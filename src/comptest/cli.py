@@ -70,6 +70,17 @@ def _output(path: str | None):
     return nullcontext(sys.stdout)
 
 
+def _try_out(path: str) -> bool:
+    """Fail on an unwritable ``-o`` path before the DUT is built, truncating
+    nothing. True if this created the file."""
+    try:
+        open(path, "x", encoding="utf-8").close()
+        return True
+    except FileExistsError:
+        open(path, "a", encoding="utf-8").close()
+        return False
+
+
 def _parse_env_file(text: str) -> dict[str, Decimal]:
     """Parse ``key=value`` lines into the stand environment.
 
@@ -147,10 +158,13 @@ def cmd_run(args) -> int:
     stand = StandModel(parse_resource_sheet(_read(args.resources), dialect),
                        parse_connection_sheet(_read(args.connections), dialect))
     env = _parse_env_file(_read(args.env))
-    if args.out:  # fail before the DUT is built; "a" truncates nothing
-        open(args.out, "a", encoding="utf-8").close()
-    dut = build_dut(args.dut, env)
-    report = execute(script, stand, env, dut)
+    created = bool(args.out) and _try_out(args.out)
+    try:
+        report = execute(script, stand, env, build_dut(args.dut, env))
+    except BaseException:  # no report: leave no empty file behind
+        if created:
+            Path(args.out).unlink(missing_ok=True)
+        raise
     render = report_to_json if args.report == "json" else report_to_text
     with _output(args.out) as out:
         render(report, out)  # written as it is rendered

@@ -24,11 +24,17 @@ from .sheets import (check_direction, check_has_steps, check_ident,
                      parse_step_index)
 
 
-def _events(text: str) -> list[list | None]:
+#: How much text expat reads at a time: the loader holds the elements of
+#: one chunk, not of the whole script.
+CHUNK = 8 * 1024
+
+
+def _events(text: str) -> Iterator[list | None]:
     """The elements of ``text`` in document order: ``[tag, attrs, line]``
-    where one starts and ``None`` where one ends. Expat reads the whole
-    text first, so a fault of XML syntax or stray text comes before any
-    schema fault."""
+    where one starts and ``None`` where one ends. Expat reads the text a
+    chunk at a time, and each chunk's elements are taken before the next
+    chunk is read. A fault of XML syntax or stray text is raised when its
+    chunk is read."""
     parser = expat.ParserCreate()
     parser.ordered_attributes = True
     events: list[list | None] = []
@@ -48,17 +54,33 @@ def _events(text: str) -> list[list | None]:
     parser.StartElementHandler = start
     parser.EndElementHandler = lambda tag: events.append(None)
     parser.CharacterDataHandler = chars
+    at = 0
     try:
-        parser.Parse(text, True)
-    except expat.ExpatError as exc:
-        raise ScriptError(expat.errors.messages[exc.code],
-                          line=exc.lineno) from None
+        while True:
+            # Each chunk ends just after a line end: expat splits text
+            # content where a chunk ends, which would change the text
+            # that a stray-text fault names.
+            end = text.find("\n", at + CHUNK) + 1 or len(text)
+            final = end == len(text)
+            try:
+                parser.Parse(text[at:end], final)
+            except expat.ExpatError as exc:
+                raise ScriptError(expat.errors.messages[exc.code],
+                                  line=exc.lineno) from None
+            if final:
+                break
+            yield from events
+            events.clear()
+            at = end
     finally:
         # Two handlers close over the parser: break that cycle so that it
         # is freed by reference counting, not by a later collection.
         parser.StartElementHandler = None
         parser.CharacterDataHandler = None
-    return events
+    # Expat's state (11-15 KiB) is freed before the last chunk is walked,
+    # so a script of one chunk costs what it did when expat read it whole.
+    del parser
+    yield from events
 
 
 def _require_attrs(tag: str, attrs: dict[str, str], line: int,
@@ -180,7 +202,20 @@ def load_script(text: str) -> TestScript:
     """Parse and validate a test script; raises ScriptError with a line
     number on any schema violation. What the statements do at run time is
     the runner's business (``runner.execute``)."""
-    events = iter(_events(text))
+    events = _events(text)
+    try:
+        return _walk(events)
+    finally:
+        # Expat reads the rest of the text after the walk, whether it ended
+        # at </test> or at a schema fault: a fault of XML syntax or stray
+        # text anywhere wins, as if the whole text were read first.
+        for _ in events:
+            pass
+
+
+def _walk(events: Iterator[list | None]) -> TestScript:
+    """The script whose elements ``events`` yields, read in one walk up to
+    the end of ``<test>``."""
     tag, test, line = next(events)
     if tag != "test":
         raise ScriptError(f"root element must be <test>, got <{tag}>",

@@ -9,8 +9,9 @@ builds small randomized stands for the equivalence test,
 ``random_block_sequence`` larger ones with a few blocks to allocate in
 turn, ``replay_run``
 replays a whole run block by block through ``first_feasible`` on the tiny
-runs of ``random_run_case``, and ``reference_report_json`` writes a run
-report through ``json.dumps``.
+runs of ``random_run_case``, ``reference_report_json`` writes a run
+report through ``json.dumps``, and ``repeated_steps`` lengthens a script
+text for the loader tests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -396,6 +398,18 @@ def random_run_case(rng: random.Random):
                     "pulse_r", {"r": Decimal(1)})))
         blocks.append(Block(index, Decimal(1), statements))
     return stand, TestScript("run", "dut", signals, blocks[0], blocks[1:])
+
+
+def repeated_steps(text: str, copies: int) -> str:
+    """The script ``text`` with all its steps written ``copies`` times and
+    numbered again from 0: a longer script under the same manifest and
+    ``<init>``, for the loader's reading of a long text."""
+    head, mark, rest = text.partition("  <step ")
+    steps, end, tail = (mark + rest).rpartition("</test>")
+    numbers = itertools.count()
+    return (head + re.sub(r'<step n="\d+"',
+                          lambda m: f'<step n="{next(numbers)}"',
+                          steps * copies) + end + tail)
 
 
 # --- the JSON run report -----------------------------------------------------

@@ -623,6 +623,25 @@ def test_dut_factory_that_raises_exits_2(script_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_a_run_that_stops_before_its_report_leaves_no_new_out(
+        script_path, tmp_path, capsys, monkeypatch):
+    def broken(env):
+        raise RuntimeError("no supply")
+
+    monkeypatch.setitem(DUT_REGISTRY, "broken", broken)
+    out = tmp_path / "new.json"
+    for existing in (None, "kept"):
+        if existing is not None:
+            out.write_text(existing, encoding="utf-8")
+        for dut in ("nosuch", "broken"):
+            assert main(["run", "--script", str(script_path), *STAND,
+                         "--dut", dut, "-o", str(out)]) == 2
+            assert capsys.readouterr().err.count("\n") == 1
+            # A file the run created is gone; one that was there stays.
+            assert (out.read_text(encoding="utf-8") if out.exists()
+                    else None) == existing
+
+
 @pytest.mark.parametrize("command", ["compile", "run --report json",
                                      "run --report text"])
 def test_unwritable_out_exits_2(script_path, tmp_path, capsys, monkeypatch,

@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from comptest import ScriptError, emit_xml, load_script
+from comptest.script import CHUNK
 
 import strategies
+from oracles import repeated_steps
 
 MINI = """<?xml version="1.0" encoding="UTF-8"?>
 <test name="t" dut="d" format="1">
@@ -277,6 +280,91 @@ def test_load_fault_precedence(edits, message):
     with pytest.raises(ScriptError) as err:
         load_script("".join(lines))
     assert str(err.value) == message
+
+
+# The shipped script with its steps written 12 times: 1 092 lines, 29 867
+# characters, so expat reads it in four chunks.
+LONG = repeated_steps(SHIPPED.read_text(encoding="utf-8"), 12)
+
+
+def _line_of(text, at):
+    return text.count("\n", 0, at) + 1
+
+
+def _insert(text, at, new):
+    return text[:at] + new + text[at:]
+
+
+def test_a_long_script_is_read_in_several_chunks():
+    assert len(LONG) > 3 * CHUNK
+    assert emit_xml(load_script(LONG)) == LONG
+
+
+# A fault of XML syntax or stray text in a later chunk still wins over a
+# schema fault that the walk meets in the first one.
+@pytest.mark.parametrize("old,new,message", [
+    ("</test>", "</tset>", "line 1092: mismatched tag"),
+    ('<step n="100" dt="0.5">', '<step n="100" dt="0.5">stray',
+     "line 914: unexpected text content 'stray'"),
+], ids=["syntax-after-format", "text-after-format"])
+def test_a_later_chunk_fault_wins_over_an_early_schema_fault(old, new,
+                                                             message):
+    bad = LONG.replace('format="1"', 'format="2"').replace(old, new)
+    with pytest.raises(ScriptError) as err:
+        load_script(bad)
+    assert str(err.value) == message
+
+
+def test_junk_after_the_document_is_refused_chunks_later():
+    # The walk ends at </test>; expat still reads what follows.
+    bad = LONG + "\n" * (2 * CHUNK) + "<junk/>\n"
+    with pytest.raises(ScriptError) as err:
+        load_script(bad)
+    assert str(err.value) == \
+        f"line {1093 + 2 * CHUNK}: junk after document element"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_stray_text_across_a_chunk_mark_is_named_whole(chunk):
+    # From the end of the last line that starts before the mark, on past
+    # the mark: expat splits text where a chunk ends, so chunks end at a
+    # line end.
+    at = LONG.rfind("\n", 0, chunk * CHUNK)
+    stray = "stray" * 60
+    with pytest.raises(ScriptError) as err:
+        load_script(_insert(LONG, at, stray))
+    assert str(err.value) == \
+        f"line {_line_of(LONG, at)}: unexpected text content '{stray}'"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_stray_text_on_the_first_line_of_a_chunk(chunk):
+    at = LONG.find("\n", chunk * CHUNK) + 1
+    with pytest.raises(ScriptError) as err:
+        load_script(_insert(LONG, at, "stray"))
+    assert str(err.value) == \
+        f"line {_line_of(LONG, at)}: unexpected text content 'stray'"
+
+
+def _load_overhead(text):
+    """What ``load_script(text)`` allocates beyond the script it returns,
+    at its peak."""
+    tracemalloc.start()
+    try:
+        script = load_script(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert script.steps
+    return peak - retained
+
+
+def test_loading_costs_memory_independent_of_the_script_length():
+    # 300 and 1 200 steps: expat reads one chunk of text at a time, and
+    # the walk takes each chunk's elements before the next is read.
+    text = SHIPPED.read_text(encoding="utf-8")
+    for copies in (30, 120):
+        assert _load_overhead(repeated_steps(text, copies)) < 160 * 1024
 
 
 def test_load_rejects_an_empty_document():
