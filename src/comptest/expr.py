@@ -51,53 +51,19 @@ Expr = Union[Num, Var, BinOp, Paren]
 _IDENT = re.compile(r"[a-z_][a-z0-9_]*")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek() in {"+", "-"}:
-            op = self.text[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek() in {"*", "/"}:
-            op = self.text[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        ch = self.peek()
-        if ch == "(":
-            start = self.pos
-            self.pos += 1
-            inner = self.expr()
-            if self.peek() != ")":
-                raise ExprError("unbalanced parenthesis (expected ')')", self.pos)
-            self.pos += 1
-            return Paren(inner)
-        m = NUMBER_TOKEN.match(self.text, self.pos)
-        if m:
-            try:
-                value = parse_number(m.group(0))
-            except ValueError as exc:
-                raise ExprError(str(exc), self.pos) from None
-            self.pos = m.end()
-            return Num(value)
-        m = _IDENT.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return Var(m.group(0))
-        raise ExprError("expected number, identifier or '('", self.pos)
+def _factor(text: str, pos: int) -> tuple[Expr, int]:
+    """The number or identifier at ``pos`` and the offset after it."""
+    m = NUMBER_TOKEN.match(text, pos)
+    if m:
+        try:
+            value = parse_number(m.group(0))
+        except ValueError as exc:
+            raise ExprError(str(exc), pos) from None
+        return Num(value), m.end()
+    m = _IDENT.match(text, pos)
+    if m:
+        return Var(m.group(0)), m.end()
+    raise ExprError("expected number, identifier or '('", pos)
 
 
 def parse_expr(text: str) -> Expr:
@@ -106,57 +72,115 @@ def parse_expr(text: str) -> Expr:
     Raises ExprError with the 0-based offset of the first offending
     character on empty input, trailing operators, unbalanced parentheses
     or anything outside the grammar.
+
+    A loop, so that nesting of any depth needs no deeper recursion: the
+    ``expr`` and ``term`` parsed so far, each with its pending operator,
+    are pushed on ``outer`` at each '(' and popped at its ')'.
     """
-    p = _Parser(text)
-    node = p.expr()
-    if p.pos != len(text):
-        raise ExprError(f"unexpected character {text[p.pos]!r}", p.pos)
-    return node
+    end, pos = len(text), 0
+    outer: list[tuple] = []
+    expr = expr_op = term = term_op = None
+    while True:
+        while pos < end and text[pos] == "(":  # factor := '(' expr ')'
+            outer.append((expr, expr_op, term, term_op))
+            expr = term = None
+            pos += 1
+        node, pos = _factor(text, pos)
+        while True:  # node is a factor: fold it into its term and expr
+            if term is not None:
+                node = BinOp(term_op, term, node)
+            ch = text[pos] if pos < end else ""
+            if ch == "*" or ch == "/":
+                term, term_op = node, ch
+                break
+            term = None
+            if expr is not None:
+                node = BinOp(expr_op, expr, node)
+            if ch == "+" or ch == "-":
+                expr, expr_op = node, ch
+                break
+            if not outer:
+                if pos != end:
+                    raise ExprError(f"unexpected character {ch!r}", pos)
+                return node
+            if ch != ")":
+                raise ExprError("unbalanced parenthesis (expected ')')", pos)
+            pos += 1
+            node = Paren(node)
+            expr, expr_op, term, term_op = outer.pop()
+        pos += 1
 
 
 def eval_expr(expr: Expr, env: Mapping[str, Decimal]) -> Decimal:
-    """Evaluate ``expr`` under ``env`` with exact decimal arithmetic."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        if expr.name not in env:
-            raise EvalError(f"unbound variable {expr.name}")
-        return Decimal(env[expr.name])
-    if isinstance(expr, Paren):
-        return eval_expr(expr.inner, env)
-    if isinstance(expr, BinOp):
-        left = eval_expr(expr.left, env)
-        right = eval_expr(expr.right, env)
-        try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if expr.op == "/":
-                return left / right
-        except (DivisionByZero, InvalidOperation):
-            raise EvalError("division by zero") from None
-        except ArithmeticError as exc:  # Overflow: exponent beyond Emax
-            raise EvalError(f"{type(exc).__name__.lower()} in "
-                            f"{render_expr(expr)}") from None
-        raise EvalError(f"unknown operator {expr.op!r}")
-    raise TypeError(f"not an expression node: {expr!r}")
+    """Evaluate ``expr`` under ``env`` with exact decimal arithmetic.
+
+    A loop over an explicit stack, so that a tree of any depth needs no
+    deeper recursion. Each operand is evaluated left before right, and an
+    error is the first one met in that order."""
+    todo: list = [expr]  # nodes to evaluate; a None applies the BinOp below
+    values: list[Decimal] = []
+    while todo:
+        node = todo.pop()
+        if node is None:
+            node = todo.pop()
+            right = values.pop()
+            values.append(_apply(node, values.pop(), right))
+        elif isinstance(node, Num):
+            values.append(node.value)
+        elif isinstance(node, Var):
+            if node.name not in env:
+                raise EvalError(f"unbound variable {node.name}")
+            values.append(Decimal(env[node.name]))
+        elif isinstance(node, Paren):
+            todo.append(node.inner)
+        elif isinstance(node, BinOp):
+            todo += (node, None, node.right, node.left)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return values[0]
+
+
+def _apply(node: BinOp, left: Decimal, right: Decimal) -> Decimal:
+    """``node``'s operator applied to its operands' values."""
+    try:
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            return left / right
+    except (DivisionByZero, InvalidOperation):
+        raise EvalError("division by zero") from None
+    except ArithmeticError as exc:  # Overflow: exponent beyond Emax
+        raise EvalError(f"{type(exc).__name__.lower()} in "
+                        f"{render_expr(node)}") from None
+    raise EvalError(f"unknown operator {node.op!r}")
 
 
 def render_expr(expr: Expr) -> str:
     """Render ``expr`` canonically: decimal points, no spaces, parens kept.
 
     ``parse_expr(render_expr(e))`` is structurally equal to ``e`` for every
-    tree this module produces.
+    tree this module produces. A loop over an explicit stack, so that a
+    tree of any depth needs no deeper recursion.
     """
-    if isinstance(expr, Num):
-        return str(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Paren):
-        return f"({render_expr(expr.inner)})"
-    if isinstance(expr, BinOp):
-        return f"{render_expr(expr.left)}{expr.op}{render_expr(expr.right)}"
-    raise TypeError(f"not an expression node: {expr!r}")
+    parts: list[str] = []
+    todo: list = [expr]  # nodes to render, and text to write as it is
+    while todo:
+        node = todo.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif isinstance(node, Num):
+            parts.append(str(node.value))
+        elif isinstance(node, Var):
+            parts.append(node.name)
+        elif isinstance(node, Paren):
+            parts.append("(")
+            todo += (")", node.inner)
+        elif isinstance(node, BinOp):
+            todo += (node.right, node.op, node.left)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return "".join(parts)

@@ -127,7 +127,7 @@ class StandModel(_Fields):
     resources of the table. ``wired`` maps each pin to the resources wired
     to it, with their connectors, in resource table row order (the
     search's candidate order); ``grouped`` maps each connector group to
-    the (resource id, pin) cells wired through it."""
+    the resources wired through it, each once."""
 
     _compared = ("resources", "matrix")
     __slots__ = (*_compared, "wired", "grouped")
@@ -140,10 +140,12 @@ class StandModel(_Fields):
                                  f"table", sheet="connections",
                                  row=matrix.lines.get(rid), column="res")
         by_resource: dict[str, list[tuple[str, Connector]]] = {}
-        self.grouped: dict[tuple[str, int], list[tuple[str, str]]] = {}
+        self.grouped: dict[tuple[str, int], list[str]] = {}
         for (rid, pin), conn in matrix.cells.items():
             by_resource.setdefault(rid, []).append((pin, conn))
-            self.grouped.setdefault(conn.group_key, []).append((rid, pin))
+            rids = self.grouped.setdefault(conn.group_key, [])
+            if rid not in rids:
+                rids.append(rid)
         self.wired: dict[str, list[tuple[ResourceDef, Connector]]] = {}
         for res in resources:
             for pin, conn in by_resource.get(res.id, ()):
@@ -238,6 +240,9 @@ class Holds:
                                      list[tuple[ResourceDef, Connector]]]] = {}
 
     def conflict(self, res_id: str, conn: Connector) -> str | None:
+        """Why the holds reject this candidate, or None. Only a failed
+        search's error asks: the search itself tests ``res`` and ``grp``
+        where it walks its candidates, and writes no reason."""
         if res_id in self.res:
             return f"conflict: resource holds a stimulus for pin {self.res[res_id]}"
         grp = conn.group_key
@@ -261,53 +266,42 @@ class Holds:
         return copy
 
 
-def _augment(j: int, edges: Mapping[int, list[str]], owner: dict[str, int],
-             seen: set[str]) -> bool:
+def _augment(j: int, usable: Mapping[int, list[tuple[ResourceDef,
+                                                   Connector]]],
+             holds: Holds, owner: dict, seen: set, groups: bool = False
+             ) -> bool:
     """Kuhn's augmenting path: give requirement ``j`` a resource from
-    ``edges[j]``, in that order, moving the owners of taken ones along if
-    that frees one. ``owner`` maps resource id -> requirement index. A loop,
-    so that a path may be as long as the block: ``path`` holds, per owner
-    still to move, the requirement that asks for its resource, that
-    resource and the requirement's edges not yet tried."""
-    path: list[tuple[int, str, Iterator[str]]] = []
-    todo = iter(edges[j])
+    ``usable[j]`` that ``holds`` allows, in that order, moving the owners of
+    taken ones along if that frees one. ``owner`` and ``seen`` are keyed by
+    resource id, or with ``groups`` by connector group key: ``owner`` maps
+    each taken one to its requirement index. A loop, so that a path may be
+    as long as the block: ``path`` holds, per owner still to move, the
+    requirement that asks for its key, that key and the requirement's
+    candidates not yet tried."""
+    held_res, held_grp = holds.res, holds.grp
+    path: list[tuple[int, object, Iterator]] = []
+    todo = iter(usable[j])
     while True:
-        for rid in todo:
-            if rid not in seen:
-                seen.add(rid)
-                if rid not in owner:
-                    owner[rid] = j
-                    while path:
-                        j, rid, _ = path.pop()
-                        owner[rid] = j
-                    return True
-                path.append((j, rid, todo))
-                j = owner[rid]
-                todo = iter(edges[j])
-                break
+        for res, conn in todo:
+            key = conn.group_key if groups else res.id
+            if (key in seen or res.id in held_res
+                    or conn.group_key in held_grp):
+                continue
+            seen.add(key)
+            if key not in owner:
+                owner[key] = j
+                while path:
+                    j, key, _ = path.pop()
+                    owner[key] = j
+                return True
+            path.append((j, key, todo))
+            j = owner[key]
+            todo = iter(usable[j])
+            break
         else:
             if not path:
                 return False
             j, _, todo = path.pop()
-
-
-class _Edges(dict):
-    """The edges of a matching, each requirement's built when first asked
-    for: the ids (with ``groups`` the connector group keys) of its usable
-    resources that ``holds`` allows, in order."""
-
-    def __init__(self, usable: Mapping[int, list[tuple[ResourceDef,
-                                                        Connector]]],
-                 holds: Holds, groups: bool = False):
-        super().__init__()
-        self.usable, self.holds, self.groups = usable, holds, groups
-
-    def __missing__(self, i: int) -> list:
-        conflict = self.holds.conflict
-        edges = self[i] = [conn.group_key if self.groups else res.id
-                           for res, conn in self.usable[i]
-                           if conflict(res.id, conn) is None]
-        return edges
 
 
 class _Matching(dict):
@@ -395,9 +389,10 @@ class _Search:
                 ) -> list[tuple[ResourceDef, Connector]]:
         """``static`` with the previous resource first."""
         prev = self._prev(req)
-        if prev is None:
-            return static
-        return sorted(static, key=lambda pair: pair[0].id != prev)
+        for n, pair in enumerate(static):
+            if pair[0].id == prev:
+                return [pair, *static[:n], *static[n + 1:]] if n else static
+        return static
 
     def _unmatched(self, k: int, holds: Holds, groups: bool = False
                    ) -> tuple[int | None, dict]:
@@ -405,10 +400,9 @@ class _Search:
         scratch under ``holds`` leaves without a resource, or with
         ``groups`` without a connector group (None if there is none), and
         the matching: resource id or group key -> requirement index."""
-        edges = _Edges(self.usable, holds, groups)
         owner: dict = {}
         for i in self.free[k:]:
-            if not _augment(i, edges, owner, set()):
+            if not _augment(i, self.usable, holds, owner, set(), groups):
                 return i, owner
         return None, owner
 
@@ -419,23 +413,23 @@ class _Search:
         its requirement leaves the matching, and so does each one matched
         to ``rid`` or through ``conn``'s group; those augment again. False
         if one cannot."""
-        reqs, i = self.reqs, self.free[k - 1]
+        reqs, i, get = self.reqs, self.free[k - 1], matching.get
         for res, _ in self.usable[i]:
-            if matching.get(res.id) == i:
+            if get(res.id) == i:
                 del matching[res.id]
                 break
-        again = []
-        for other, pin in self.stand.grouped[conn.group_key]:
-            j = matching.get(other)
-            if j is not None and reqs[j].pin == pin:
+        again, cells, grp = [], self.stand.matrix.cells, conn.group_key
+        for other in self.stand.grouped[grp]:
+            j = get(other)
+            if j is not None and cells[other, reqs[j].pin].group_key == grp:
                 del matching[other]
                 again.append(j)
-        j = matching.get(rid)
+        j = get(rid)
         if j is not None:
             del matching[rid]
             again.append(j)
-        edges = _Edges(self.usable, self.holds)
-        return all(_augment(j, edges, matching, set()) for j in again)
+        usable, holds = self.usable, self.holds
+        return all(_augment(j, usable, holds, matching, set()) for j in again)
 
     def _record(self, k: int, req: Requirement | None = None,
                 owner: dict[str, int] | None = None):
@@ -479,9 +473,10 @@ class _Search:
         """A leaf: each check takes its first usable resource that no
         exclusive binding holds; one without fails the leaf, at depth
         ``len(free)`` plus its place among the checks."""
+        held_res, held_grp = self.holds.res, self.holds.grp
         for p, i in enumerate(self.checks):
             for res, conn in self.usable[i]:
-                if self.holds.conflict(res.id, conn) is None:
+                if res.id not in held_res and conn.group_key not in held_grp:
                     self.out[i] = Binding(self.reqs[i], "resource", res.id, conn)
                     break
             else:
@@ -496,6 +491,7 @@ class _Search:
         resource id and connector of the candidate it has engaged and the
         length of the matching's log at its entry."""
         free, reqs, holds, out = self.free, self.reqs, self.holds, self.out
+        held_res, held_grp = holds.res, holds.grp
         for p, i in enumerate(self.checks):
             if not self.usable[i]:  # fails every leaf: no search
                 self._record(len(free) + p, reqs[i])
@@ -525,7 +521,7 @@ class _Search:
                     node[2] = None
                     matching.undo(node[4])
                 for res, conn in node[0]:
-                    if holds.conflict(res.id, conn) is not None:
+                    if res.id in held_res or conn.group_key in held_grp:
                         continue
                     node[1] += 1
                     if node[1] == 2 and self._unmatched(

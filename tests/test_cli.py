@@ -439,6 +439,30 @@ def test_run_reproduces_golden_report(tmp_path, capsys):
     assert out.read_bytes() == (DATA / "expected_report.json").read_bytes()
 
 
+def test_deeply_nested_bound_runs_like_the_golden_one(tmp_path):
+    # 400 parentheses around a check's bound nest deeper than the default
+    # recursion limit allows a recursive parser: the run must still give
+    # the golden report, in a fresh interpreter, with no traceback.
+    lines = (DATA / "expected_script.xml").read_text(
+        encoding="utf-8").split("\n")
+    bound = 'u_max="(0.3*ubatt)"'
+    assert bound in lines[37]
+    lines[37] = lines[37].replace(
+        bound, f'u_max="{"(" * 400}(0.3*ubatt){")" * 400}"')
+    script = tmp_path / "deep.xml"
+    script.write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "report.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "comptest", "run", "--script", str(script),
+         *STAND, "--report", "json", "-o", str(out)],
+        capture_output=True, text=True, env=env)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (DATA / "expected_report.json").read_bytes()
+
+
 def test_a_resource_range_limits_its_attribute(tmp_path, capsys):
     # The door decades limited to [0, 1.5] still serve the shipped script:
     # their range limits r (0 or INF there), and the pass-through values

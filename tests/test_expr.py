@@ -1,3 +1,4 @@
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -143,3 +144,56 @@ def test_division_matches_reference_on_exact_cases():
     for text, expected in [("9/3", 3), ("10/4", Decimal("2.5")),
                            ("100/8", Decimal("12.5"))]:
         assert eval_expr(parse_expr(text), {}) == expected
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("text,value", [
+    ("(" * 400 + "(0.3*ubatt)" + ")" * 400, Decimal("3.6")),
+    ("0.3*ubatt" + "+1" * 3000, Decimal("3003.6")),
+])
+def test_expression_depth_needs_no_recursion(text, value):
+    # Parsing, evaluating and rendering hold their paths in lists: 400
+    # nested parentheses and a chain of 3 001 terms go through within 50
+    # frames of the caller's stack. The texts are compared, not the trees,
+    # as == on a deep tree recurses.
+    env = {"ubatt": Decimal("12")}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        tree = parse_expr(text)
+        result = eval_expr(tree, env)
+        rendered = render_expr(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == value
+    assert rendered == text
+
+
+def test_deep_errors_keep_their_offsets_and_texts():
+    with pytest.raises(ExprError) as err:
+        parse_expr("(" * 500 + "1+" + ")" * 500)
+    assert err.value.offset == 502
+    assert str(err.value) == "offset 502: expected number, identifier or '('"
+    with pytest.raises(ExprError) as err:
+        parse_expr("(" * 500 + "1" + ")" * 499)
+    assert str(err.value) == \
+        "offset 1000: unbalanced parenthesis (expected ')')"
+    with pytest.raises(ExprError) as err:
+        parse_expr("1" + "+1" * 2000 + ")")
+    assert str(err.value) == "offset 4001: unexpected character ')'"
+    # An overflow names the operation that overflowed, rendered whole.
+    chain = "1e999999*ubatt" + "+0" * 2000
+    with pytest.raises(EvalError) as err:
+        eval_expr(parse_expr("9e999999*(" + chain + ")"),
+                  {"ubatt": Decimal("12")})
+    assert str(err.value) == "overflow in 1E+999999*ubatt"
+    with pytest.raises(EvalError) as err:
+        eval_expr(parse_expr("9e999999*(" + "2" + "+0" * 2000 + ")"), {})
+    assert str(err.value) == ("overflow in 9E+999999*(2" + "+0" * 2000
+                              + ")")

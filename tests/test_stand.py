@@ -677,6 +677,51 @@ def test_load_and_allocate_leave_no_reference_cycles(demo_xml, demo_stand,
         gc.enable()
 
 
+def test_the_search_writes_no_rejection_reason_on_success(monkeypatch):
+    # A small stand shaped like the pool_churn workload: two wide and two
+    # narrow put_r resources, each on a mux group of its own wired to
+    # every stimulus pin, and a voltmeter. Every stimulus changes in every
+    # block, so each block searches all four, with cuts and second
+    # candidates. The search filters candidates against the holds where it
+    # walks them: only a failed block asks ``Holds.conflict`` for a reason.
+    ids = ["W1", "W2", "N3", "N4"]
+    resources = ResourceTable(
+        [ResourceDef(rid, "put_r", "r", Decimal(0), Decimal(10 ** 6))
+         for rid in ids[:2]]
+        + [ResourceDef(rid, "put_r", "r", Decimal(0), Decimal(1000))
+           for rid in ids[2:]]
+        + [ResourceDef("U5", "get_u", "u", Decimal(-60), Decimal(60))])
+    pins = ["p0", "p1", "p2", "p3"]
+    cells = {(rid, pin): Connector("mux", g, j + 1)
+             for g, rid in enumerate(ids, start=1)
+             for j, pin in enumerate(pins)}
+    cells["U5", "o0"] = Connector("switch", 5, 1)
+    stand = StandModel(resources,
+                       ConnectionMatrix([*pins, "o0"], [*ids, "U5"], cells))
+
+    def unused(self, *args):
+        raise AssertionError("a rejection reason was written")
+
+    monkeypatch.setattr(Holds, "conflict", unused)
+    holds, seen = Holds(), []
+    for values in [(5000, 10, 20000, 30), (40, 50000, 60, 70000),
+                   (80000, 90, 100, 110000), (120, 130, 140, 150)]:
+        reqs = [Requirement(pin, put_r(Decimal(v)))
+                for pin, v in zip(pins, values)]
+        reqs.append(Requirement("o0", get_u()))
+        seen.append([(b.resource_id, str(b.connector))
+                     for b in allocate(reqs, stand, holds).bindings])
+    assert seen == [
+        [("W1", "Mx1.1"), ("N3", "Mx3.2"), ("W2", "Mx2.3"), ("N4", "Mx4.4"),
+         ("U5", "Sw5.1")],
+        [("N3", "Mx3.1"), ("W1", "Mx1.2"), ("N4", "Mx4.3"), ("W2", "Mx2.4"),
+         ("U5", "Sw5.1")],
+        [("W1", "Mx1.1"), ("N3", "Mx3.2"), ("N4", "Mx4.3"), ("W2", "Mx2.4"),
+         ("U5", "Sw5.1")],
+        [("W1", "Mx1.1"), ("N3", "Mx3.2"), ("N4", "Mx4.3"), ("W2", "Mx2.4"),
+         ("U5", "Sw5.1")]]
+
+
 def _allocate_in_turn(stand, blocks):
     """Every block allocated in turn with one ``Holds``, past a failed
     block too: per block its bindings or its error text, and the holds."""
