@@ -11,14 +11,15 @@ step record with the stimuli to apply and the checks to sample.
 the DUT by the dwell and samples every check pin at the end of it into the
 step record. Check failures are recorded and execution continues;
 allocation failures, unbound environment variables, a dwell sum beyond the
-decimal range and any exception raised by the DUT model abort the run. The
-clock is virtual and exact (decimal arithmetic), so a 300 s test finishes
-in milliseconds.
+decimal range or precision and any exception raised by the DUT model abort
+the run. The clock is virtual and exact (decimal arithmetic), so a 300 s
+test finishes in milliseconds.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, Overflow
+from decimal import (Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow)
 from json.encoder import encode_basestring_ascii as _str
 from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
@@ -167,6 +168,12 @@ class _InForce:
 #: evaluated bounds.
 _Check = tuple[list[Requirement], Decimal | None, Decimal | None]
 
+#: The run clock's arithmetic: the default precision and range, with a
+#: rounded sum trapped too, so every ``t_end`` is exact (and so are the
+#: report's step and total times, sums of the same positive dwells). The
+#: flags a sum sets here are never read.
+_CLOCK = Context(traps=[InvalidOperation, DivisionByZero, Overflow, Inexact])
+
 
 class Planned(NamedTuple):
     """One block as planned: its step record, with its stimulus records and
@@ -199,10 +206,11 @@ def plan(script: TestScript, stand: StandModel,
 
     Each block is evaluated, then allocated, then its clock is checked; the
     first that fails ends the plan with an ``Abort``: unbound environment
-    variables and a dwell sum beyond the decimal range are of kind
-    ``environment``, allocation errors of kind ``allocation``. A block is
-    planned only when the one before it has been taken, so a run driven
-    from the plan stops at whichever fault comes first.
+    variables and a dwell sum beyond the decimal range or precision
+    (``_CLOCK``) are of kind ``environment``, allocation errors of kind
+    ``allocation``. A block is planned only when the one before it has
+    been taken, so a run driven from the plan stops at whichever fault
+    comes first.
     """
     env = {k: Decimal(v) for k, v in env.items()}
     pins = {sig.name: sig.pins for sig in script.signals}
@@ -274,12 +282,15 @@ def plan(script: TestScript, stand: StandModel,
             for check_reqs, _, _ in checks:
                 reqs += check_reqs
             bindings = allocate(reqs, stand, holds).bindings
-            t_end = clock + block.dt
-        except (EvalError, AllocationError, Overflow) as exc:
+            t_end = _CLOCK.add(clock, block.dt)
+        except (EvalError, AllocationError, Inexact) as exc:  # Overflow too
             message = str(exc)
             if isinstance(exc, Overflow):
                 message = (f"clock overflow: dwell sum {clock} + {block.dt} "
                            f"s is out of range")
+            elif isinstance(exc, Inexact):
+                message = (f"clock precision: dwell sum {clock} + {block.dt} "
+                           f"s is not exact in {_CLOCK.prec} digits")
             yield Abort(block.index, "allocation" if isinstance(
                 exc, AllocationError) else "environment", message)
             return

@@ -36,15 +36,14 @@ def _events(text: str) -> Iterator[list | None]:
     chunk is read. A fault of XML syntax or stray text is raised when its
     chunk is read."""
     parser = expat.ParserCreate()
-    parser.ordered_attributes = True
     events: list[list | None] = []
 
-    def start(tag, attr_list):
-        # A list, not a tuple: CPython keeps up to 2 000 freed 3-tuples for
-        # reuse and tracemalloc still counts them, so tuple events would
-        # raise the memory peak of the run that follows the load.
-        events.append([tag, dict(zip(attr_list[0::2], attr_list[1::2])),
-                       parser.CurrentLineNumber])
+    def start(tag, attrs):
+        # Expat fills ``attrs`` in document order. A list, not a tuple:
+        # CPython keeps up to 2 000 freed 3-tuples for reuse and
+        # tracemalloc still counts them, so tuple events would raise the
+        # memory peak of the run that follows the load.
+        events.append([tag, attrs, parser.CurrentLineNumber])
 
     def chars(data):
         if data.strip():

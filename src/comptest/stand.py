@@ -202,21 +202,6 @@ def _range_offence(res: ResourceDef, inv: MethodInvocation) -> tuple[str, Decima
     return None
 
 
-def _static_reject(res: ResourceDef, req: Requirement,
-                   conn: Connector | None) -> str | None:
-    """Reason this resource, wired to the requirement's pin through ``conn``
-    (None if it is not), can never serve this requirement, else None."""
-    if res.method != req.invocation.method:
-        return f"no method (supports {res.method})"
-    if conn is None:
-        return "no connection"
-    offence = _range_offence(res, req.invocation)
-    if offence is not None:
-        name, value = offence
-        return f"range: {name}={value} outside [{res.min}, {res.max}]"
-    return None
-
-
 class Holds:
     """The exclusive bindings of one run on one stand: who holds each
     resource and connector group.
@@ -238,18 +223,6 @@ class Holds:
         self.grp: dict[tuple[str, int], str] = {}  # group -> pin
         self.usable: dict[int, tuple[Requirement,
                                      list[tuple[ResourceDef, Connector]]]] = {}
-
-    def conflict(self, res_id: str, conn: Connector) -> str | None:
-        """Why the holds reject this candidate, or None. Only a failed
-        search's error asks: the search itself tests ``res`` and ``grp``
-        where it walks its candidates, and writes no reason."""
-        if res_id in self.res:
-            return f"conflict: resource holds a stimulus for pin {self.res[res_id]}"
-        grp = conn.group_key
-        if grp in self.grp:
-            return (f"conflict: connector group {_PREFIX[conn.kind]}{conn.group} "
-                    f"is engaged for pin {self.grp[grp]}")
-        return None
 
     def engage(self, res_id: str, conn: Connector, pin: str):
         self.res[res_id] = pin
@@ -380,9 +353,12 @@ class _Search:
         return None if prev is None else prev.resource_id
 
     def _static(self, req: Requirement) -> list[tuple[ResourceDef, Connector]]:
-        """Statically usable resources, in row order."""
+        """Statically usable resources, in row order: those wired to the
+        pin that support the method and take its parameters in range."""
+        inv = req.invocation
         return [(res, conn) for res, conn in self.stand.wired.get(req.pin, ())
-                if _static_reject(res, req, conn) is None]
+                if res.method == inv.method
+                and _range_offence(res, inv) is None]
 
     def _usable(self, req: Requirement, static: list[tuple[ResourceDef,
                                                            Connector]]
@@ -445,28 +421,41 @@ class _Search:
         lead to a dead end or, when the matching cut the node, are needed
         for the pin a matching from scratch gave them. For a node the
         matching cut, the requirement is the first that matching leaves
-        without a resource."""
+        without a resource. The only code that words a rejection: the
+        search tests the same rules without text."""
         k, req, owner, holds = self.deepest
         if req is None:
             unmatched, owner = self._unmatched(k, holds)
             req = self.reqs[unmatched]
-        stand = self.stand
+        stand, inv = self.stand, req.invocation
         prev = self._prev(req)
         rejections: list[tuple[str, str]] = []
         parameter = None
         for res in sorted(stand.resources, key=lambda res: res.id != prev):
             conn = stand.matrix.connector_for(res.id, req.pin)
-            reason = _static_reject(res, req, conn)
-            if reason is None:
-                reason = holds.conflict(res.id, conn)
-            if reason is None:
-                reason = ("conflict: leads to a dead end" if owner is None
-                          else f"conflict: resource is needed for pin "
-                               f"{self.reqs[owner[res.id]].pin}")
-            elif parameter is None and reason.startswith("range:"):
-                parameter = _range_offence(res, req.invocation)[0]
+            if res.method != inv.method:
+                reason = f"no method (supports {res.method})"
+            elif conn is None:
+                reason = "no connection"
+            elif (offence := _range_offence(res, inv)) is not None:
+                name, value = offence
+                reason = (f"range: {name}={value} outside "
+                          f"[{res.min}, {res.max}]")
+                parameter = parameter or name
+            elif res.id in holds.res:
+                reason = ("conflict: resource holds a stimulus for pin "
+                          f"{holds.res[res.id]}")
+            elif conn.group_key in holds.grp:
+                reason = (f"conflict: connector group {_PREFIX[conn.kind]}"
+                          f"{conn.group} is engaged for pin "
+                          f"{holds.grp[conn.group_key]}")
+            elif owner is None:
+                reason = "conflict: leads to a dead end"
+            else:
+                reason = ("conflict: resource is needed for pin "
+                          f"{self.reqs[owner[res.id]].pin}")
             rejections.append((res.id, reason))
-        return AllocationError(pin=req.pin, method=req.invocation.method,
+        return AllocationError(pin=req.pin, method=inv.method,
                                parameter=parameter, candidates=rejections)
 
     def _checks(self) -> bool:

@@ -372,7 +372,9 @@ def test_run_refuses_numbers_out_of_range(tmp_path, capsys, old, new,
 def test_run_dwell_sum_overflow_exits_2(tmp_path, capsys):
     golden = (DATA / "expected_script.xml").read_text(encoding="utf-8")
     script = tmp_path / "script.xml"
-    script.write_text(golden.replace('dt="0.5"', 'dt="9e999999"'),
+    # Every sum before the last is exact: 1E+999998 + 9E+999999.
+    script.write_text(golden.replace('dt="0.5"', 'dt="9e999999"')
+                      .replace('<init dt="0.1">', '<init dt="1e999998">'),
                       encoding="utf-8")
     code = main(["run", "--script", str(script), *STAND])
     assert code == 2
@@ -507,7 +509,10 @@ def test_run_without_dvm_exits_2(script_path, tmp_path, capsys):
                  "--env", str(DATA / "stand.env")])
     captured = capsys.readouterr()
     assert code == 2
-    assert "get_u" in captured.err
+    assert captured.err == (
+        "comptest: error: run aborted [allocation]: no resource satisfies "
+        "(pin int_ill_f, method get_u); rejected candidates: Ress2: no method "
+        "(supports put_r); Ress3: no method (supports put_r)\n")
     assert "aborted" in captured.out  # the report itself is still an artifact
 
 

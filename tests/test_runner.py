@@ -283,8 +283,9 @@ class RecordingDut:
 @pytest.mark.parametrize("make_dut", [RecordingDut, fresh_dut])
 def test_dwell_sum_overflow_aborts_as_environment(demo_xml, demo_stand,
                                                   demo_env, make_dut):
-    # Each dwell is within the number rule; their sum is not.
-    xml = demo_xml
+    # Each dwell is within the number rule; their sum is not. Every sum
+    # before it is exact (9.1E+999999), so only the range is exceeded.
+    xml = demo_xml.replace('<init dt="0.1">', '<init dt="1e999998">')
     for n in (0, 1):
         xml = xml.replace(f'<step n="{n}" dt="0.5">',
                           f'<step n="{n}" dt="9e999999">')
@@ -297,7 +298,31 @@ def test_dwell_sum_overflow_aborts_as_environment(demo_xml, demo_stand,
     assert len(report.steps) == 1
     if isinstance(dut, RecordingDut):  # the block was never driven
         assert [c for c in dut.log if c[0] == "advance"] == [
-            ("advance", Decimal("0.1")), ("advance", Decimal("9E+999999"))]
+            ("advance", Decimal("1E+999998")),
+            ("advance", Decimal("9E+999999"))]
+
+
+@pytest.mark.parametrize("step,dt,message", [
+    (2, "0.0000000000000000000000000001",
+     "dwell sum 1.1 + 1E-28 s is not exact in 28 digits"),
+    (0, "9e999999", "dwell sum 0.1 + 9E+999999 s is not exact in 28 digits"),
+], ids=["tiny_dwell", "huge_dwell"])
+@pytest.mark.parametrize("make_dut", [RecordingDut, fresh_dut])
+def test_a_dwell_sum_that_would_round_aborts_as_environment(
+        demo_xml, demo_stand, demo_env, make_dut, step, dt, message):
+    # The clock is exact: a sum that needs more digits than the decimal
+    # precision aborts before its block is driven, instead of rounding the
+    # t_end of that block and of every block after it.
+    xml = demo_xml.replace(f'<step n="{step}" dt="0.5">',
+                           f'<step n="{step}" dt="{dt}">')
+    dut = make_dut()
+    report = execute(load_script(xml), demo_stand, demo_env, dut)
+    assert report.abort == (step, "environment", f"clock precision: {message}")
+    assert [str(s.t_end) for s in report.steps] == ["0.6", "1.1"][:step]
+    assert str(report.total_time) == ["0.1", "0.6", "1.1"][step]
+    if isinstance(dut, RecordingDut):  # the block was never driven
+        assert [c[1] for c in dut.log if c[0] == "advance"] == [
+            Decimal("0.1"), *[Decimal("0.5")] * step]
 
 
 # --- hold semantics, checked against a brute-force reading -----------------
@@ -755,14 +780,15 @@ def test_a_run_filters_each_distinct_check_once(monkeypatch):
          ("V1", "b"): Connector("switch", 1, 1),
          ("V2", "b"): Connector("switch", 2, 1)}))
     filtered = []
-    static_reject = stand_module._static_reject
+    static = stand_module._Search._static
 
-    def counting(res, req, conn):
+    def counting(self, req):
         if method_class(req.invocation.method) == "get":
-            filtered.append((req, res.id))
-        return static_reject(res, req, conn)
+            filtered.extend((req, res.id) for res, _
+                            in self.stand.wired.get(req.pin, ()))
+        return static(self, req)
 
-    monkeypatch.setattr(stand_module, "_static_reject", counting)
+    monkeypatch.setattr(stand_module._Search, "_static", counting)
     report = execute(script, stand, ENV, RecordingDut())
     assert report.abort is None and report.checks_total == 100
     assert len({id(req) for req, _ in filtered}) == 2

@@ -360,34 +360,44 @@ def test_checks_are_placed_after_the_stimuli(checks_first):
 
 
 def test_infeasible_check_after_many_fails_in_linear_time(monkeypatch):
-    # Each of the 12 checks could take either voltmeter; the last is out of
-    # range on both. Retrying the earlier checks' choices would take 2^12
-    # nodes, although checks constrain nothing but themselves.
+    # Each of the first 12 checks could take V1 or V2. The last is in range
+    # on V3 and V4, but at each leaf the two stimuli engage both of their
+    # mux groups. Retrying the earlier checks' choices would take 2^12
+    # nodes per leaf, although checks constrain nothing but themselves.
     resources = ResourceTable([
-        ResourceDef(f"V{r}", "get_u", "u", Decimal(-60), Decimal(60))
-        for r in (1, 2)])
+        *(ResourceDef(f"V{r}", "get_u", "u", Decimal(-60), Decimal(60))
+          for r in (1, 2, 3, 4)),
+        *(ResourceDef(f"S{r}", "put_r", "r", Decimal(0), Decimal(100))
+          for r in (1, 2, 3, 4))])
     pins = [f"p{j}" for j in range(13)]
-    matrix = ConnectionMatrix(
-        pins, ["V1", "V2"],
-        {(f"V{r}", pin): Connector("switch", r, j + 1)
-         for r in (1, 2) for j, pin in enumerate(pins)})
-    reqs = [Requirement(pin, get_u()) for pin in pins[:-1]]
-    reqs.append(Requirement(pins[-1], get_u(high="1000")))
+    cells = {(f"V{r}", pin): Connector("switch", r, j + 1)
+             for r in (1, 2) for j, pin in enumerate(pins[:-1])}
+    cells["V3", "p12"] = Connector("mux", 3, 1)
+    cells["V4", "p12"] = Connector("mux", 4, 1)
+    for n, (rid, pin) in enumerate([("S1", "s0"), ("S2", "s0"),
+                                    ("S3", "s1"), ("S4", "s1")]):
+        cells[rid, pin] = Connector("mux", 3 + n % 2, 2 + n // 2)
+    matrix = ConnectionMatrix([*pins, "s0", "s1"],
+                              [res.id for res in resources], cells)
+    reqs = [Requirement(pin, get_u()) for pin in pins]
+    reqs += [Requirement(pin, put_r(Decimal("5"))) for pin in ("s0", "s1")]
     calls = []
-    conflict = Holds.conflict
+    checks = _Search._checks
 
-    def counting(self, *args):
-        calls.append(args)
-        return conflict(self, *args)
+    def counting(self):
+        calls.append(self)
+        return checks(self)
 
-    monkeypatch.setattr(Holds, "conflict", counting)
+    monkeypatch.setattr(_Search, "_checks", counting)
     with pytest.raises(AllocationError) as err:
         allocate(reqs, StandModel(resources, matrix))
     assert str(err.value) == (
-        "no resource satisfies (pin p12, method get_u, parameter u_max); "
-        "rejected candidates: V1: range: u_max=1000 outside [-60, 60]; "
-        "V2: range: u_max=1000 outside [-60, 60]")
-    assert len(calls) <= 4 * len(reqs) * len(resources)
+        "no resource satisfies (pin p12, method get_u); rejected candidates: "
+        "V1: no connection; V2: no connection; "
+        "V3: conflict: connector group Mx3 is engaged for pin s1; "
+        "V4: conflict: connector group Mx4 is engaged for pin s0; "
+        + "; ".join(f"S{r}: no method (supports put_r)" for r in (1, 2, 3, 4)))
+    assert 0 < len(calls) <= 4 * len(reqs) * len(resources)
 
 
 def _two_each_and_an_unwired_check(n):
@@ -682,8 +692,8 @@ def test_the_search_writes_no_rejection_reason_on_success(monkeypatch):
     # narrow put_r resources, each on a mux group of its own wired to
     # every stimulus pin, and a voltmeter. Every stimulus changes in every
     # block, so each block searches all four, with cuts and second
-    # candidates. The search filters candidates against the holds where it
-    # walks them: only a failed block asks ``Holds.conflict`` for a reason.
+    # candidates. The search tests its candidates without text: only a
+    # failed block asks ``_Search.failure`` for the rejection reasons.
     ids = ["W1", "W2", "N3", "N4"]
     resources = ResourceTable(
         [ResourceDef(rid, "put_r", "r", Decimal(0), Decimal(10 ** 6))
@@ -702,7 +712,7 @@ def test_the_search_writes_no_rejection_reason_on_success(monkeypatch):
     def unused(self, *args):
         raise AssertionError("a rejection reason was written")
 
-    monkeypatch.setattr(Holds, "conflict", unused)
+    monkeypatch.setattr(_Search, "failure", unused)
     holds, seen = Holds(), []
     for values in [(5000, 10, 20000, 30), (40, 50000, 60, 70000),
                    (80000, 90, 100, 110000), (120, 130, 140, 150)]:
