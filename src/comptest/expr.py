@@ -18,7 +18,7 @@ render/parse a lossless round trip.
 from __future__ import annotations
 
 import re
-from decimal import Decimal, DivisionByZero, InvalidOperation
+from decimal import Context, Decimal, DivisionByZero, InvalidOperation
 from typing import Mapping, NamedTuple, Union
 
 from .errors import EvalError, ExprError
@@ -49,6 +49,13 @@ class Paren(NamedTuple):
 Expr = Union[Num, Var, BinOp, Paren]
 
 _IDENT = re.compile(r"[a-z_][a-z0-9_]*")
+
+#: The context of a run's arithmetic: the default precision, range and
+#: traps, whatever the thread's context, which a caller or a DUT plugin
+#: may change. The flags an operation sets here are never read.
+ARITHMETIC = Context()
+_OPS = {"+": ARITHMETIC.add, "-": ARITHMETIC.subtract,
+        "*": ARITHMETIC.multiply, "/": ARITHMETIC.divide}
 
 
 def _factor(text: str, pos: int) -> tuple[Expr, int]:
@@ -112,7 +119,8 @@ def parse_expr(text: str) -> Expr:
 
 
 def eval_expr(expr: Expr, env: Mapping[str, Decimal]) -> Decimal:
-    """Evaluate ``expr`` under ``env`` with exact decimal arithmetic.
+    """Evaluate ``expr`` under ``env`` with decimal arithmetic in
+    ``ARITHMETIC``.
 
     A loop over an explicit stack, so that a tree of any depth needs no
     deeper recursion. Each operand is evaluated left before right, and an
@@ -141,22 +149,18 @@ def eval_expr(expr: Expr, env: Mapping[str, Decimal]) -> Decimal:
 
 
 def _apply(node: BinOp, left: Decimal, right: Decimal) -> Decimal:
-    """``node``'s operator applied to its operands' values."""
+    """``node``'s operator applied to its operands' values, in
+    ``ARITHMETIC``."""
+    op = _OPS.get(node.op)
+    if op is None:
+        raise EvalError(f"unknown operator {node.op!r}")
     try:
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left / right
+        return op(left, right)
     except (DivisionByZero, InvalidOperation):
         raise EvalError("division by zero") from None
     except ArithmeticError as exc:  # Overflow: exponent beyond Emax
         raise EvalError(f"{type(exc).__name__.lower()} in "
                         f"{render_expr(node)}") from None
-    raise EvalError(f"unknown operator {node.op!r}")
 
 
 def render_expr(expr: Expr) -> str:

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from decimal import (Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow)
+from functools import reduce
 from json.encoder import encode_basestring_ascii as _str
 from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .compiler import MethodInvocation, TestScript, render_value
 from .dut import DutModel, dut_fault
 from .errors import AllocationError, EvalError
-from .expr import Num, Var, BinOp, Paren, eval_expr
+from .expr import ARITHMETIC, Num, Var, BinOp, Paren, eval_expr
 from .sheets import _Fields, method_class
 from .stand import (BUS_METHODS, Binding, Holds, Requirement, StandModel,
                     allocate)
@@ -112,12 +113,13 @@ class RunReport(NamedTuple):
 
     @property
     def step_time(self) -> Decimal:
-        return sum((s.dt for s in self.steps), Decimal("0"))
+        return reduce(ARITHMETIC.add, (s.dt for s in self.steps),
+                      Decimal("0"))
 
     @property
     def total_time(self) -> Decimal:
         settle = self.settle.dt if self.settle else Decimal("0")
-        return settle + self.step_time
+        return ARITHMETIC.add(settle, self.step_time)
 
 
 def _evaluate(inv: MethodInvocation,

@@ -281,8 +281,7 @@ class _Matching(dict):
     """A resource matching (resource id -> requirement index) that logs
     each change, so that a search node can take back those made below it."""
 
-    def __init__(self, pairs: dict[str, int]):
-        super().__init__(pairs)
+    def __init__(self):
         self.log: list[tuple[str, int | None]] = []
 
     def __setitem__(self, rid: str, j: int):
@@ -322,8 +321,9 @@ class _Search:
     the solution; a node whose groups are overcommitted still costs only
     the chain of first candidates below it.
 
-    The root matches from scratch; every other node repairs its parent's
-    resource matching (``_repair``), which the parent keeps for its next
+    ``_match`` extends a matching: from scratch at the root and in the
+    group check, and at every other node in a repair (``_repair``) of its
+    parent's resource matching, which the parent keeps for its next
     candidate. Whether every requirement can be matched does not depend on
     the matching a repair starts from, so the cuts are those of a matching
     from scratch. A failed node is recorded by its depth and a copy of the
@@ -343,10 +343,9 @@ class _Search:
             if kept is None:
                 kept = holds.usable[id(req)] = (req, self._static(req))
             self.usable[i] = self._usable(req, kept[1])
-        # depth, requirement (None for a node the resource matching cut),
-        # that matching if it is known, engagements of the deepest failed
-        # node
-        self.deepest: tuple = (-1, None, None, None)
+        # depth, requirement (None for a node the resource matching cut)
+        # and engagements of the deepest failed node
+        self.deepest: tuple = (-1, None, None)
 
     def _prev(self, req: Requirement) -> str | None:
         prev = self.holds.by_pin.get(req.pin)
@@ -370,17 +369,17 @@ class _Search:
                 return [pair, *static[:n], *static[n + 1:]] if n else static
         return static
 
-    def _unmatched(self, k: int, holds: Holds, groups: bool = False
-                   ) -> tuple[int | None, dict]:
-        """The first requirement from node ``k`` on that a matching from
-        scratch under ``holds`` leaves without a resource, or with
-        ``groups`` without a connector group (None if there is none), and
-        the matching: resource id or group key -> requirement index."""
-        owner: dict = {}
-        for i in self.free[k:]:
-            if not _augment(i, self.usable, holds, owner, set(), groups):
-                return i, owner
-        return None, owner
+    def _match(self, todo: Sequence[int], owner: dict, holds: Holds,
+               groups: bool = False) -> int | None:
+        """Extend the matching ``owner`` (resource id, or with ``groups``
+        connector group key -> requirement index) under ``holds`` by each
+        requirement of ``todo`` in turn: the first that gets no resource,
+        or no group, or None if every one gets one."""
+        usable = self.usable
+        for i in todo:
+            if not _augment(i, usable, holds, owner, set(), groups):
+                return i
+        return None
 
     def _repair(self, k: int, matching: _Matching, rid: str,
                 conn: Connector) -> bool:
@@ -404,16 +403,14 @@ class _Search:
         if j is not None:
             del matching[rid]
             again.append(j)
-        usable, holds = self.usable, self.holds
-        return all(_augment(j, usable, holds, matching, set()) for j in again)
+        return self._match(again, matching, self.holds) is None
 
-    def _record(self, k: int, req: Requirement | None = None,
-                owner: dict[str, int] | None = None):
+    def _record(self, k: int, req: Requirement | None = None):
         """Record node ``k`` as the failure unless a deeper one is: ``req``
-        (None when the resource matching cut the node), the matching from
-        scratch if it is at hand, and what the holds engage."""
+        (None when the resource matching cut the node) and what the holds
+        engage."""
         if k >= self.deepest[0]:
-            self.deepest = (k, req, owner, self.holds.engaged())
+            self.deepest = (k, req, self.holds.engaged())
 
     def failure(self) -> AllocationError:
         """The error of the deepest failed node: its requirement and every
@@ -423,10 +420,11 @@ class _Search:
         matching cut, the requirement is the first that matching leaves
         without a resource. The only code that words a rejection: the
         search tests the same rules without text."""
-        k, req, owner, holds = self.deepest
+        k, req, holds = self.deepest
+        owner = None
         if req is None:
-            unmatched, owner = self._unmatched(k, holds)
-            req = self.reqs[unmatched]
+            owner = {}
+            req = self.reqs[self._match(self.free[k:], owner, holds)]
         stand, inv = self.stand, req.invocation
         prev = self._prev(req)
         rejections: list[tuple[str, str]] = []
@@ -485,11 +483,10 @@ class _Search:
             if not self.usable[i]:  # fails every leaf: no search
                 self._record(len(free) + p, reqs[i])
                 return False
-        unmatched, owner = self._unmatched(0, holds)
-        if unmatched is not None:
-            self._record(0, reqs[unmatched], owner)
+        matching = _Matching()
+        if self._match(free, matching, holds) is not None:
+            self._record(0)
             return False
-        matching = _Matching(owner)
         path: list[list] = []
         while True:
             k = len(path)  # enter node k
@@ -513,8 +510,8 @@ class _Search:
                     if res.id in held_res or conn.group_key in held_grp:
                         continue
                     node[1] += 1
-                    if node[1] == 2 and self._unmatched(
-                            k, holds, groups=True)[0] is not None:
+                    if node[1] == 2 and self._match(
+                            free[k:], {}, holds, groups=True) is not None:
                         # Cut: the failed first candidate recorded a deeper
                         # node.
                         break
@@ -579,10 +576,10 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
             out[i] = prev
         elif req.invocation.method in BUS_METHODS:
             out[i] = Binding(req, "bus")
-        elif req.invocation.is_open_circuit():
-            out[i] = Binding(req, "open_circuit")
         elif (cls := method_class(req.invocation.method)) == "get":
             checks.append(i)
+        elif req.invocation.is_open_circuit():
+            out[i] = Binding(req, "open_circuit")
         else:
             free.append(i)
             (puts if cls == "put" else one_shots).append(i)

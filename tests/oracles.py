@@ -36,10 +36,12 @@ def _role(req: Requirement) -> str:
 
 
 def _expects_resource(req: Requirement) -> bool:
+    # Open circuit is a stimulus rule: a check is measured whatever its
+    # first parameter.
     if req.invocation.method in BUS_METHODS:
         return False
     first = next(iter(req.invocation.params.values()), None)
-    return first is not INF
+    return _role(req) == "get" or first is not INF
 
 
 def _in_range(res: ResourceDef, req: Requirement) -> bool:
@@ -140,7 +142,7 @@ def assert_allocation_sound(requirements, stand: StandModel,
             assert binding.resource_id is None and binding.connector is None
             continue
         first = next(iter(req.invocation.params.values()), None)
-        if first is INF:
+        if first is INF and _role(req) != "get":
             assert binding.delivery == "open_circuit"
             assert binding.resource_id is None and binding.connector is None
             continue

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, getcontext, localcontext
 from pathlib import Path
 
 import jsonschema
@@ -439,6 +439,40 @@ def test_run_reproduces_golden_report(tmp_path, capsys):
                  "--report", "json", "-o", str(out)])
     assert code == 0
     assert out.read_bytes() == (DATA / "expected_report.json").read_bytes()
+
+
+class _PrecisionDut(InteriorLightDut):
+    """Sets the thread's decimal precision before every dwell, as a DUT
+    plugin may."""
+
+    def __init__(self, config, prec):
+        super().__init__(config)
+        self.prec = prec
+
+    def advance(self, dt):
+        getcontext().prec = self.prec
+        super().advance(dt)
+
+
+def test_the_thread_decimal_context_leaves_the_golden_report(tmp_path,
+                                                             monkeypatch):
+    # A run evaluates its bounds and sums its times in a context of its
+    # own: neither the caller's precision nor a DUT that changes it while
+    # the run goes on alters a byte of the report.
+    run = ["run", "--script", str(DATA / "expected_script.xml"), *STAND,
+           "--report", "json", "-o"]
+    golden = (DATA / "expected_report.json").read_bytes()
+    for prec in (2, 3, 4, 6):
+        with localcontext() as ctx:
+            ctx.prec = prec
+            assert main([*run, str(tmp_path / "caller.json")]) == 0
+        assert (tmp_path / "caller.json").read_bytes() == golden, prec
+        monkeypatch.setitem(DUT_REGISTRY, "interior_illumination",
+                            lambda env: _PrecisionDut(InteriorLightConfig(
+                                ubatt=env["ubatt"]), prec))
+        with localcontext():  # the DUT's change ends with this block
+            assert main([*run, str(tmp_path / "dut.json")]) == 0
+        assert (tmp_path / "dut.json").read_bytes() == golden, prec
 
 
 def test_deeply_nested_bound_runs_like_the_golden_one(tmp_path):

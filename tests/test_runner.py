@@ -93,18 +93,38 @@ def test_unbound_variable_names_the_variable(demo_script, demo_stand):
     assert "unbound variable vref" in report.abort.message
 
 
+def _without_dvm(stand: StandModel) -> StandModel:
+    return StandModel(
+        ResourceTable([r for r in stand.resources if r.id != "Ress1"]),
+        ConnectionMatrix(stand.matrix.pins,
+                         [r for r in stand.matrix.rows if r != "Ress1"],
+                         {k: v for k, v in stand.matrix.cells.items()
+                          if k[0] != "Ress1"}))
+
+
 def test_allocation_error_aborts(demo_loaded, demo_stand, demo_env):
     # Without the DVM the first check cannot be allocated.
-    reduced = StandModel(
-        ResourceTable([r for r in demo_stand.resources if r.id != "Ress1"]),
-        ConnectionMatrix(demo_stand.matrix.pins,
-                         [r for r in demo_stand.matrix.rows if r != "Ress1"],
-                         {k: v for k, v in demo_stand.matrix.cells.items()
-                          if k[0] != "Ress1"}))
-    report = execute(demo_loaded, reduced, demo_env, fresh_dut())
+    report = execute(demo_loaded, _without_dvm(demo_stand), demo_env,
+                     fresh_dut())
     assert report.abort[:2] == (0, "allocation")
     assert "get_u" in report.abort.message
     assert not report.overall
+
+
+def test_a_check_with_an_inf_bound_still_needs_an_instrument(
+        demo_xml, demo_stand, demo_env):
+    # Open circuit is a stimulus rule: a check whose first parameter is INF
+    # is measured like any other, so without the DVM the first block that
+    # states one aborts, and on the full stand every check is sampled.
+    xml = demo_xml.replace('u_max="(0.3*ubatt)"', 'u_max="INF"')
+    assert xml != demo_xml
+    script = load_script(xml)
+    report = execute(script, _without_dvm(demo_stand), demo_env, fresh_dut())
+    assert report.abort[:2] == (0, "allocation")
+    assert "(pin int_ill_f, method get_u)" in report.abort.message
+    assert report.steps == []
+    report = execute(script, demo_stand, demo_env, fresh_dut())
+    assert report.abort is None and report.overall
 
 
 @pytest.mark.parametrize("failing_call,abort_step", [(1, -1), (3, 1)])

@@ -770,16 +770,17 @@ def test_repaired_matchings_and_lazy_failures_change_nothing(monkeypatch):
     failure = _Search.failure
 
     def from_scratch(self, k, matching, rid, conn):
-        unmatched, owner = self._unmatched(k, self.holds)
+        owner = {}
+        unmatched = self._match(self.free[k:], owner, self.holds)
         for other in list(matching):  # through the log, as a repair does
             del matching[other]
         for other, j in owner.items():
             matching[other] = j
         return unmatched is None
 
-    def eager(self, k, req=None, owner=None):
+    def eager(self, k, req=None):
         if k >= self.deepest[0]:
-            self.deepest = (k, req, owner, self.holds)
+            self.deepest = (k, req, self.holds)
             self.error = failure(self)
 
     monkeypatch.setattr(_Search, "_repair", from_scratch)
