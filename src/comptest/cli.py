@@ -59,7 +59,8 @@ def _parse_dialect(spec: str | None) -> CsvDialect:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """A UTF-8 input file's text, without a leading byte order mark."""
+    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
 
 
 def _output(path: str | None):

@@ -328,6 +328,9 @@ class _Search:
     the matching a repair starts from, so the cuts are those of a matching
     from scratch. A failed node is recorded by its depth and a copy of the
     engagements; only a search that fails builds the error (``failure``).
+    An entered node's matching gives its requirement a resource nothing
+    engages, and each candidate it engages records a deeper node: a node
+    that runs out of candidates is never the deepest, so is not recorded.
     """
 
     def __init__(self, reqs: list[Requirement], free: list[int],
@@ -337,15 +340,16 @@ class _Search:
         self.stand, self.holds, self.out = stand, holds, out
         self.usable = {i: self._usable(reqs[i], self._static(reqs[i]))
                        for i in free}
-        for i in checks:  # a check's static list is kept for the run
+        # A check's static list is kept for the run and never reordered:
+        # a previous resource (``by_pin``) is a put's, never get-class.
+        for i in checks:
             req = reqs[i]
             kept = holds.usable.get(id(req))
             if kept is None:
                 kept = holds.usable[id(req)] = (req, self._static(req))
-            self.usable[i] = self._usable(req, kept[1])
-        # depth, requirement (None for a node the resource matching cut)
-        # and engagements of the deepest failed node
-        self.deepest: tuple = (-1, None, None)
+            self.usable[i] = kept[1]
+        # depth and engagements of the deepest failed node
+        self.deepest: tuple[int, Holds | None] = (-1, None)
 
     def _prev(self, req: Requirement) -> str | None:
         prev = self.holds.by_pin.get(req.pin)
@@ -405,26 +409,23 @@ class _Search:
             again.append(j)
         return self._match(again, matching, self.holds) is None
 
-    def _record(self, k: int, req: Requirement | None = None):
-        """Record node ``k`` as the failure unless a deeper one is: ``req``
-        (None when the resource matching cut the node) and what the holds
-        engage."""
+    def _record(self, k: int):
+        """Record failed node ``k`` and what the holds engage there, unless
+        a deeper node failed."""
         if k >= self.deepest[0]:
-            self.deepest = (k, req, self.holds.engaged())
+            self.deepest = (k, self.holds.engaged())
 
     def failure(self) -> AllocationError:
-        """The error of the deepest failed node: its requirement and every
-        resource, with the reason it was rejected there; the tried ones
-        lead to a dead end or, when the matching cut the node, are needed
-        for the pin a matching from scratch gave them. For a node the
-        matching cut, the requirement is the first that matching leaves
-        without a resource. The only code that words a rejection: the
-        search tests the same rules without text."""
-        k, req, holds = self.deepest
-        owner = None
-        if req is None:
-            owner = {}
-            req = self.reqs[self._match(self.free[k:], owner, holds)]
+        """The error of the deepest failed node ``k``: the first requirement
+        from position ``k`` of the search's order (exclusive requirements,
+        then checks) that a matching from scratch under the node's
+        engagements cannot place, and every resource with the reason it was
+        rejected there. The only code that words a rejection: the search
+        tests the same rules without text."""
+        k, holds = self.deepest
+        owner: dict[str, int] = {}
+        req = self.reqs[self._match([*self.free, *self.checks][k:], owner,
+                                    holds)]
         stand, inv = self.stand, req.invocation
         prev = self._prev(req)
         rejections: list[tuple[str, str]] = []
@@ -447,8 +448,6 @@ class _Search:
                 reason = (f"conflict: connector group {_PREFIX[conn.kind]}"
                           f"{conn.group} is engaged for pin "
                           f"{holds.grp[conn.group_key]}")
-            elif owner is None:
-                reason = "conflict: leads to a dead end"
             else:
                 reason = ("conflict: resource is needed for pin "
                           f"{self.reqs[owner[res.id]].pin}")
@@ -467,7 +466,7 @@ class _Search:
                     self.out[i] = Binding(self.reqs[i], "resource", res.id, conn)
                     break
             else:
-                self._record(len(self.free) + p, self.reqs[i])
+                self._record(len(self.free) + p)
                 return False
         return True
 
@@ -481,7 +480,7 @@ class _Search:
         held_res, held_grp = holds.res, holds.grp
         for p, i in enumerate(self.checks):
             if not self.usable[i]:  # fails every leaf: no search
-                self._record(len(free) + p, reqs[i])
+                self._record(len(free) + p)
                 return False
         matching = _Matching()
         if self._match(free, matching, holds) is not None:
@@ -521,7 +520,6 @@ class _Search:
                     break
                 if node[2] is not None:  # engaged: enter node k + 1
                     break
-                self._record(k, reqs[i])
                 path.pop()
             else:
                 return False
@@ -555,11 +553,10 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     alone or the connector groups alone are overcommitted. The allocation
     holds one binding per requirement, in the given order.
 
-    Raises AllocationError naming the requirement at the deepest failed
-    search node (for a node the resource matching cut, the first
-    requirement a matching from scratch leaves without a resource) and
-    every candidate resource with its rejection reason; ``holds`` is then
-    left as it was.
+    Raises AllocationError naming the first requirement that a matching
+    from scratch cannot place from the deepest failed search node on, and
+    every resource with its rejection reason; ``holds`` is then left as it
+    was.
     """
     holds = Holds() if holds is None else holds
     by_pin = holds.by_pin

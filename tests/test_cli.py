@@ -441,6 +441,34 @@ def test_run_reproduces_golden_report(tmp_path, capsys):
     assert out.read_bytes() == (DATA / "expected_report.json").read_bytes()
 
 
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys):
+    # Spreadsheet "CSV UTF-8" exports and some editors start a file with a
+    # byte order mark: every input reads as it would without one.
+    bom = {}
+    for name in ["signals.csv", "statuses.csv", "test_interior_light.csv",
+                 "resources.csv", "connections.csv", "stand.env",
+                 "expected_script.xml"]:
+        bom[name] = str(tmp_path / name)
+        Path(bom[name]).write_bytes(b"\xef\xbb\xbf"
+                                    + (DATA / name).read_bytes())
+    sheets = ["--signals", bom["signals.csv"],
+              "--statuses", bom["statuses.csv"],
+              "--test", bom["test_interior_light.csv"]]
+    assert main(["check", *sheets]) == 0
+    assert capsys.readouterr().err == "0 violations\n"
+    script, report = tmp_path / "script.xml", tmp_path / "report.json"
+    assert main(["compile", *sheets, "--name", "interior_light",
+                 "--dut", "interior_light_ecu", "-o", str(script)]) == 0
+    assert script.read_bytes() == (DATA / "expected_script.xml").read_bytes()
+    assert main(["run", "--script", bom["expected_script.xml"],
+                 "--resources", bom["resources.csv"],
+                 "--connections", bom["connections.csv"],
+                 "--env", bom["stand.env"], "--report", "json",
+                 "-o", str(report)]) == 0
+    assert report.read_bytes() == (DATA / "expected_report.json").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 class _PrecisionDut(InteriorLightDut):
     """Sets the thread's decimal precision before every dwell, as a DUT
     plugin may."""

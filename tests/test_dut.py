@@ -27,6 +27,11 @@ def test_lamp_off_during_day():
     dut.set_input("ds_fl", Decimal("0"))
     dut.advance(Decimal("10"))
     assert dut.read_pin("int_ill_f") == Decimal("0")
+    # A number is a bit payload too: nonzero is night.
+    dut.set_input("night", Decimal("1"))
+    assert dut.read_pin("int_ill_f") == UB
+    dut.set_input("night", Decimal("0"))
+    assert dut.read_pin("int_ill_f") == Decimal("0")
 
 
 def test_lamp_times_out_after_300s():
@@ -98,6 +103,8 @@ def test_bad_inputs_raise():
         dut.set_input("warp_core", Decimal("1"))
     with pytest.raises(DutError, match="resistance"):
         dut.set_input("ds_fl", "0001B")
+    with pytest.raises(DutError, match="expected a bit payload"):
+        dut.set_input("night", INF)
     with pytest.raises(DutError, match="unknown output pin"):
         dut.read_pin("ds_fl")
     with pytest.raises(DutError, match="advances"):

@@ -87,6 +87,10 @@ def test_sheet_errors_are_value_errors_placed_at_the_row():
     assert isinstance(err.value, SheetError)
     assert (err.value.sheet, err.value.row, err.value.column) == \
         ("signals", 3, "name")
+    with pytest.raises(SheetError) as err:
+        SignalDef("A", "input", (), "x", row=4)
+    assert (err.value.sheet, err.value.row, err.value.column) == \
+        ("signals", 4, "pins")
 
 
 def test_status_table_rejects_duplicates():

@@ -778,9 +778,9 @@ def test_repaired_matchings_and_lazy_failures_change_nothing(monkeypatch):
             matching[other] = j
         return unmatched is None
 
-    def eager(self, k, req=None):
+    def eager(self, k):
         if k >= self.deepest[0]:
-            self.deepest = (k, req, self.holds)
+            self.deepest = (k, self.holds)
             self.error = failure(self)
 
     monkeypatch.setattr(_Search, "_repair", from_scratch)
@@ -793,3 +793,16 @@ def test_repaired_matchings_and_lazy_failures_change_nothing(monkeypatch):
     failed = sum(isinstance(entry, str) for entry in blocks)
     assert 0.2 * len(blocks) < failed < 0.8 * len(blocks)
     assert sum(cuts) > 200
+    # Every rejection is one of the six kinds a failed node can give, and
+    # both conflicts with the search's engagements and matching occur.
+    kinds = ("no method (supports ", "no connection", "range: ",
+             "conflict: resource holds a stimulus for pin ",
+             "conflict: connector group ",
+             "conflict: resource is needed for pin ")
+    reasons = [candidate.split(": ", 1)[1] for entry in blocks
+               if isinstance(entry, str)
+               for candidate in entry.split("; rejected candidates: ")[1]
+               .split("; ")]
+    assert all(reason.startswith(kinds) for reason in reasons)
+    assert any(reason.startswith(kinds[3]) for reason in reasons)
+    assert any(reason.startswith(kinds[5]) for reason in reasons)
