@@ -12,6 +12,7 @@ from decimal import Decimal
 from typing import Callable, Mapping, NamedTuple, Protocol
 
 from .errors import DutError
+from .expr import ARITHMETIC
 from .sheets import INF
 
 
@@ -88,14 +89,15 @@ class InteriorLightDut:
     def advance(self, dt: Decimal) -> None:
         if dt < 0:
             raise DutError("time only advances")
-        self.now += dt
+        self.now = ARITHMETIC.add(self.now, dt)
 
     @property
     def lamp_on(self) -> bool:
         return (self.night
                 and any(self.doors.values())
                 and self._open_since is not None
-                and self.now - self._open_since < self.config.timeout_s)
+                and ARITHMETIC.subtract(self.now, self._open_since)
+                < self.config.timeout_s)
 
     def read_pin(self, pin: str) -> Decimal:
         pin = pin.lower()

@@ -51,7 +51,9 @@ def _frame(text: str, dialect: CsvDialect, sheet: str
     module refuses (a field over its size limit) is a SheetError, and so
     is a row with a cell that is not blank beyond the header's last column
     (named by its 1-based position). A row that holds a NUL is refused as
-    Python 3.10's csv module refuses it, where later versions read it."""
+    Python 3.10's csv module refuses it, where later versions read it. A
+    leading byte order mark is not part of the header."""
+    text = text.removeprefix("\ufeff")
     nul = "\x00" in text
 
     def numbered():

@@ -21,6 +21,7 @@ from __future__ import annotations
 from decimal import (Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow)
 from functools import reduce
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
@@ -155,7 +156,8 @@ class _InForce:
     kept while it is unchanged, even when restated with other digits.
     ``records`` are those of its first unchanged block, shared by every
     later one: ``allocate`` keeps a binding handed its own requirement back
-    or aborts, and no other delivery changes while the stimulus does not."""
+    or aborts, and no other delivery changes while the stimulus does not.
+    A one-shot is recorded through an entry of its own block only."""
 
     __slots__ = ("invocation", "params", "requirements", "records")
 
@@ -274,13 +276,12 @@ def plan(script: TestScript, stand: StandModel,
                         inv, rendered, requirements(sig, inv))
                 elif entry.params != rendered:  # restated with other digits
                     entry.params, entry.records = rendered, None
+            shots = [(sig, _InForce(*evaluate(inv), requirements(sig, inv)))
+                     for sig, inv in one_shots]
 
-            reqs = [req for entry in in_force.values()
+            # The stimuli in force, then the one-shots; the checks follow.
+            reqs = [req for _, entry in chain(in_force.items(), shots)
                     for req in entry.requirements]
-            n_in_force = len(reqs)  # the one-shots' requirements follow
-            for sig, inv in one_shots:
-                reqs += requirements(sig, inv)
-            n_stimuli = len(reqs)  # the checks' requirements follow
             for check_reqs, _, _ in checks:
                 reqs += check_reqs
             bindings = allocate(reqs, stand, holds).bindings
@@ -300,19 +301,19 @@ def plan(script: TestScript, stand: StandModel,
 
         stimuli: list[StimulusRecord] = []
         at = 0  # bindings come in the order of reqs
-        for sig, entry in in_force.items():
+        for sig, entry in chain(in_force.items(), shots):
             n = len(entry.requirements)
             block_records = entry.records
             if block_records is None:
-                new = sig in changed
+                # By identity: a one-shot beside a changed put on its
+                # signal is not new.
+                new = changed.get(sig) is entry
                 block_records = [_record(b, entry.params, new)
                                  for b in bindings[at:at + n]]
                 if not new:
                     entry.records = block_records
             stimuli += block_records
             at += n
-        stimuli += [_record(b, evaluate(b.requirement.invocation)[1], False)
-                    for b in bindings[n_in_force:n_stimuli]]
         yield Planned(StepRecord(block.index, block.dt, t_end, stimuli),
                       [req for entry in changed.values()
                        for req in entry.requirements], checks)
@@ -371,10 +372,9 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
 # The JSON layout is a contract: what ``json.dumps(doc, indent=2)`` writes,
 # with ASCII-escaped strings and a trailing newline. It is written straight
 # from the records, one template per record; ``pad`` is the newline and
-# indent of the line on which a value starts. Both formats are rendered as
-# a sequence of chunks, one per step between a head and a tail, which the
-# report functions write to their ``out`` one by one, so that a report never
-# exists whole in memory.
+# indent of the line on which a value starts. Each report function writes
+# its head, one chunk per step and its tail to its ``out`` as it renders
+# them, so that a report never exists whole in memory.
 
 def _null_or_str(value) -> str:
     return "null" if value is None else _str(str(value))
@@ -428,10 +428,11 @@ def _step_json(s: StepRecord, pad: str,
             dict(zip(map(id, s.stimuli), fragments)))
 
 
-def _json_chunks(report: RunReport) -> Iterator[str]:
-    """The JSON report: its head up to ``"steps": ``, one chunk per step
-    (each sees the fragments of the one before it only), then the
-    totals."""
+def report_to_json(report: RunReport, out: TextIO) -> None:
+    """Write the report as JSON to ``out`` (any object with a ``write``
+    method taking text): its head up to ``"steps": ``, one chunk per step
+    (each sees the fragments of the one before it only), then the totals.
+    Numeric values are decimal strings so that it round-trips exactly."""
     q, item = "\n  ", "\n    "
     abort = "null"
     if report.abort is not None:
@@ -441,31 +442,32 @@ def _json_chunks(report: RunReport) -> Iterator[str]:
                  f'{q}}}')
     init = ("null" if report.settle is None
             else _step_json(report.settle, q, {})[0])
-    yield (f'{{{q}"test": {_str(report.name)},{q}"dut": {_str(report.dut)},'
-           f'{q}"overall": {_str("pass" if report.overall else "fail")},'
-           f'{q}"aborted": {"false" if report.abort is None else "true"},'
-           f'{q}"abort": {abort},{q}"init": {init},{q}"steps": ')
+    out.write(f'{{{q}"test": {_str(report.name)},{q}"dut": {_str(report.dut)},'
+              f'{q}"overall": {_str("pass" if report.overall else "fail")},'
+              f'{q}"aborted": {"false" if report.abort is None else "true"},'
+              f'{q}"abort": {abort},{q}"init": {init},{q}"steps": ')
     opening, last = "[", {}
     for s in report.steps:
         text, last = _step_json(s, item, last)
-        yield opening + item + text
+        out.write(opening + item + text)
         opening = ","
-    yield (f'{q + "]" if report.steps else "[]"},{q}"totals": {{'
-           f'{item}"steps_total": {report.steps_total},'
-           f'{item}"steps_run": {len(report.steps)},'
-           f'{item}"steps_passed": {report.steps_passed},'
-           f'{item}"checks_total": {report.checks_total},'
-           f'{item}"checks_failed": {report.checks_failed},'
-           f'{item}"step_time": {_str(str(report.step_time))},'
-           f'{item}"total_time": {_str(str(report.total_time))}{q}}}\n}}\n')
+    out.write(f'{q + "]" if report.steps else "[]"},{q}"totals": {{'
+              f'{item}"steps_total": {report.steps_total},'
+              f'{item}"steps_run": {len(report.steps)},'
+              f'{item}"steps_passed": {report.steps_passed},'
+              f'{item}"checks_total": {report.checks_total},'
+              f'{item}"checks_failed": {report.checks_failed},'
+              f'{item}"step_time": {_str(str(report.step_time))},'
+              f'{item}"total_time": {_str(str(report.total_time))}{q}}}\n}}\n')
 
 
-def _text_chunks(report: RunReport) -> Iterator[str]:
-    """The text report, one line per chunk."""
-    yield f"test '{report.name}' on dut '{report.dut}'\n"
+def report_to_text(report: RunReport, out: TextIO) -> None:
+    """Write the report as text to ``out``, as ``report_to_json`` does: one
+    line per block plus a result line, each as it is rendered."""
+    out.write(f"test '{report.name}' on dut '{report.dut}'\n")
     if report.settle:
-        yield (f"init: dwell {report.settle.dt} s, "
-               f"{len(report.settle.stimuli)} stimuli\n")
+        out.write(f"init: dwell {report.settle.dt} s, "
+                  f"{len(report.settle.stimuli)} stimuli\n")
     for s in report.steps:
         bits = []
         for c in s.checks:
@@ -476,29 +478,14 @@ def _text_chunks(report: RunReport) -> Iterator[str]:
                         f"{verdict}")
         detail = "; ".join(bits) if bits else "no checks"
         mark = "pass" if s.passed else "FAIL"
-        yield (f"step {s.index}: dt={s.dt} t_end={s.t_end} {mark} "
-               f"({detail})\n")
+        out.write(f"step {s.index}: dt={s.dt} t_end={s.t_end} {mark} "
+                  f"({detail})\n")
     if report.abort is not None:
         step, kind, message = report.abort
         where = "init" if step < 0 else f"step {step}"
-        yield f"aborted at {where} [{kind}]: {message}\n"
+        out.write(f"aborted at {where} [{kind}]: {message}\n")
     verdict = "PASS" if report.overall else "FAIL"
-    yield (f"RESULT: {verdict} (steps {report.steps_passed}/"
-           f"{report.steps_total}, checks "
-           f"{report.checks_total - report.checks_failed}/"
-           f"{report.checks_total}, virtual time {report.total_time} s)\n")
-
-
-def report_to_json(report: RunReport, out: TextIO) -> None:
-    """Write the report as JSON to ``out`` (any object with a ``write``
-    method taking text), each chunk as it is rendered; numeric values are
-    decimal strings so that it round-trips exactly."""
-    for chunk in _json_chunks(report):
-        out.write(chunk)
-
-
-def report_to_text(report: RunReport, out: TextIO) -> None:
-    """Write the report as text to ``out``, as ``report_to_json`` does: one
-    line per block plus a result line."""
-    for chunk in _text_chunks(report):
-        out.write(chunk)
+    out.write(f"RESULT: {verdict} (steps {report.steps_passed}/"
+              f"{report.steps_total}, checks "
+              f"{report.checks_total - report.checks_failed}/"
+              f"{report.checks_total}, virtual time {report.total_time} s)\n")

@@ -106,8 +106,9 @@ class ResourceTable(_Keyed):
 
 
 class ConnectionMatrix(_Fields):
-    """Resource-to-pin wiring. Pins are normalized to lowercase. ``lines``
-    gives each row's sheet line, for a matrix parsed from a sheet."""
+    """Resource-to-pin wiring, with pins as given: ``parse_connection_sheet``
+    lowercases a sheet's pins. ``lines`` gives each row's sheet line, for a
+    matrix parsed from a sheet."""
 
     _compared = ("pins", "rows", "cells")
     __slots__ = (*_compared, "lines")

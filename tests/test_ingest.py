@@ -1,4 +1,5 @@
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -241,9 +242,12 @@ def test_connection_sheet_bad_syntax():
      "last column"),
     (parse_test_sheet, "test step;Δt;A\n0;1;Lo;Hi\n",
      "test, row 2, column 4: cell 'Hi' is beyond the header's last column"),
+    # A leading byte order mark is not part of the first header cell.
+    (parse_resource_sheet, "\ufeffrez;method;attribut;min;max;unit\n",
+     "resources, row 1, column rez: unexpected column 'rez'"),
 ], ids=["resources-no-res-column", "resources-duplicate-column",
         "test-no-step-column", "signals-no-rows", "connections-extra-cell",
-        "test-extra-cell"])
+        "test-extra-cell", "resources-byte-order-mark"])
 def test_sheet_frame_faults(parse, text, message):
     with pytest.raises(SheetError) as err:
         parse(text)
@@ -400,6 +404,22 @@ def test_a_nul_in_the_header_is_refused_on_every_python():
         parse_resource_sheet("res;me\x00thod;attribut;min;max;unit\n"
                              "R1;put_r;r;0;1;Ohm\n")
     assert str(err.value) == "resources, row 1: line contains NUL"
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "data" / "interior_light"
+
+
+@pytest.mark.parametrize("parse,name", [
+    (parse_signal_sheet, "signals.csv"),
+    (parse_status_sheet, "statuses.csv"),
+    (parse_test_sheet, "test_interior_light.csv"),
+    (parse_resource_sheet, "resources.csv"),
+    (parse_connection_sheet, "connections.csv"),
+])
+def test_shipped_sheets_parse_alike_with_a_byte_order_mark(parse, name):
+    # As a "CSV UTF-8" export is read by Path.read_text(encoding="utf-8").
+    text = (SHIPPED / name).read_text(encoding="utf-8")
+    assert parse("\ufeff" + text) == parse(text)
 
 
 @pytest.mark.parametrize("rows,column", [

@@ -3,7 +3,8 @@ import json
 import random
 import re
 import tracemalloc
-from decimal import Decimal
+from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -70,6 +71,22 @@ def test_long_timeout_fails_exactly_step8(demo_loaded, demo_stand, demo_env):
     report = execute(demo_loaded, demo_stand, demo_env, fresh_dut("310"))
     assert not report.overall and report.abort is None
     assert [s.index for s in report.steps if not s.passed] == [8]
+
+
+@pytest.mark.parametrize("prec,rounding", [
+    (1, ROUND_HALF_EVEN), (1, ROUND_FLOOR), (2, ROUND_FLOOR)])
+def test_the_thread_decimal_context_leaves_the_dut_clock(demo_stand, demo_env,
+                                                         prec, rounding):
+    # The reference DUT keeps its clock, and measures its timeout, in the
+    # run's own context: at one digit 0.5 + 280 s would read 3E+2.
+    shipped = Path(__file__).resolve().parents[1] / "data" / "interior_light"
+    script = load_script(
+        (shipped / "expected_script.xml").read_text(encoding="utf-8"))
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = prec, rounding
+        report = execute(script, demo_stand, demo_env, fresh_dut())
+    assert rendered(report) == (shipped / "expected_report.json").read_text(
+        encoding="utf-8")
 
 
 def test_execution_continues_after_check_failures(demo_loaded, demo_stand,
@@ -598,6 +615,23 @@ def test_unknown_methods_are_one_shots_in_every_block(text, step0, last):
                        ("advance", Decimal("1")), ("read", "b")]
     assert [c.method for c in report.steps[1].checks] == ["get_u"]
     assert report.settle.checks == [] and report.steps[0].checks == []
+
+
+def test_a_one_shot_beside_a_changed_put_is_not_changed():
+    # "Changed" belongs to the put, not to its signal: in the block where
+    # a's put changes, a's one-shot is still neither changed nor held.
+    text = ONE_SHOTS.replace(STEP0_ONE_SHOT, """\
+    <signal name="a">
+      <put_r r="6" />
+      <frob_x v="2" />
+    </signal>
+""")
+    script = load_script(text)
+    report = execute(script, manifest_stand(script), {}, RecordingDut())
+    assert report.abort is None
+    assert [(r.signal, r.method, r.changed, r.held)
+            for r in report.steps[0].stimuli] == [
+        ("a", "put_r", True, False), ("a", "frob_x", False, False)]
 
 
 ONE_SHOT_THEN_PUT = """<?xml version="1.0" encoding="UTF-8"?>
