@@ -83,7 +83,8 @@ def _try_out(path: str) -> bool:
 
 
 def _parse_env_file(text: str) -> dict[str, Decimal]:
-    """Parse ``key=value`` lines into the stand environment.
+    """Parse ``key=value`` lines into the stand environment; whitespace
+    around ``=`` is allowed on either side.
 
     Keys obey the name rule and are folded to lowercase, as the compiler
     folds ``var (x)``; two keys that fold to one name are refused
@@ -95,7 +96,7 @@ def _parse_env_file(text: str) -> dict[str, Decimal]:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if not is_name(key) or not value:
             raise ValueError(f"env line {lineno}: expected key=value, "
                              f"got {line!r}")

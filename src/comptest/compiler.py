@@ -213,6 +213,7 @@ def emit_xml(script: TestScript) -> str:
                    f'direction="{_attr(sig.direction)}" pins="{_attr(pins)}" />')
     out.append("  </signals>")
     elements: dict[int, str] = {}  # one method element per invocation
+    openings: dict[str, str] = {}  # one opening line per signal
     for block in (script.init, *script.steps):
         # The closing tags are constants, shared by every block's line.
         if block.index < 0:
@@ -229,8 +230,11 @@ def emit_xml(script: TestScript) -> str:
                     attrs = "".join(f' {name}="{_attr(render_value(value))}"'
                                     for name, value in inv.params.items())
                     element = elements[id(inv)] = f"      <{inv.method}{attrs} />"
-                out += (f'    <signal name="{_attr(st.signal)}">', element,
-                        "    </signal>")
+                opening = openings.get(st.signal)
+                if opening is None:
+                    opening = openings[st.signal] = (
+                        f'    <signal name="{_attr(st.signal)}">')
+                out += (opening, element, "    </signal>")
             out.append(end)
         else:
             out.append(head + " />")

@@ -244,16 +244,28 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
     check_unique(((label, {"column": label}) for label in signals),
                  "signal column", SheetError, sheet="test", row=1)
 
+    # A sheet reuses few statuses and Δt texts: each is read once. Only a
+    # text that passed is remembered, so a fault is raised where it is met.
+    idents: set[str] = set()  # status texts that passed the identifier rule
+    dts: dict[str, Decimal] = {}  # Δt text -> its value
     steps: list[TestStep] = []
     for line, row in body:
         index = parse_step_index(_cell(row, 0).strip(), SheetError,
                                  sheet="test", row=line, column="test step")
-        dt = _parse_cell(_cell(row, 1), dialect, "test", line, dt_label)
+        dt_text = _cell(row, 1)
+        dt = dts.get(dt_text)
+        if dt is None:
+            dt = dts[dt_text] = _parse_cell(dt_text, dialect, "test", line,
+                                            dt_label)
         assignments: dict[str, str] = {}
         for signal, cell in zip(signals, row[2:]):  # a short row ends in blanks
+            if not cell:  # most cells of a sparse sheet
+                continue
             cell = cell.strip()
             if cell:
-                assignments[signal] = _ident(cell, "test", line, signal)
+                if cell not in idents:
+                    idents.add(_ident(cell, "test", line, signal))
+                assignments[signal] = cell
         remark = _cell(row, remark_col).strip() if remark_col is not None else ""
         steps.append(TestStep(index, dt, assignments, remark or None,
                               row=line))

@@ -444,7 +444,9 @@ def validate_sheets(signals: SignalTable, statuses: StatusTable,
     assigned signal exists, initial statuses resolve, and each status's
     method class matches the direction of the signal it is applied to.
     Violations are data: SheetErrors placed at their sheet, row and
-    column, returned in sheet order, not raised.
+    column, returned in sheet order, not raised. Each (status, direction)
+    pair is class-checked once; only a pair that passed is remembered, so
+    every fault is reported at each of its uses.
     """
     # (sheet, row, column, signal, status) per use, streamed, not listed
     uses = chain((("signals", sig.row, "initial_status", sig.name,
@@ -453,14 +455,20 @@ def validate_sheets(signals: SignalTable, statuses: StatusTable,
                   for step in test.steps
                   for sig_name, status_name in step.assignments.items()))
     out: list[SheetError] = []
+    fits: set[tuple[str, str]] = set()  # (status, direction) pairs that passed
     for sheet, row, column, sig_name, status_name in uses:
         if sig_name not in signals:
             message = f"unknown signal '{sig_name}'"
         elif status_name not in statuses:
             message = f"unknown status '{status_name}'"
         else:
-            message = _class_fault(statuses[status_name], signals[sig_name])
+            signal = signals[sig_name]
+            pair = (status_name, signal.direction)
+            if pair in fits:
+                continue
+            message = _class_fault(statuses[status_name], signal)
             if message is None:
+                fits.add(pair)
                 continue
         out.append(SheetError(message, sheet=sheet, row=row, column=column))
     return out

@@ -331,6 +331,17 @@ def test_run_env_keys_ignore_case(script_path, tmp_path, capsys):
     assert "RESULT: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("line", ["ubatt = 12.0", "ubatt =12.0"])
+def test_run_env_allows_whitespace_around_the_equals_sign(tmp_path, line):
+    env = tmp_path / "stand.env"
+    env.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", "--script", str(DATA / "expected_script.xml"),
+                 *STAND[:4], "--env", str(env), "--report", "json",
+                 "-o", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "expected_report.json").read_bytes()
+
+
 @pytest.mark.parametrize("env_text,message", [
     ("ubatt=12.0\nUBATT=13.0\n", "env line 2: duplicate key 'UBATT' (as "
                                   "'ubatt', ignoring case)"),
@@ -341,6 +352,7 @@ def test_run_env_keys_ignore_case(script_path, tmp_path, capsys):
     ("ubatt=1_2\n", "env line 1: malformed number '1_2'"),
     ("ubatt=1e9999999999999999999999\n", "env line 1: number '1e9999999999999999999999' is out of range"),
     ("u-batt=12.0\n", "env line 1: expected key=value"),
+    ("u batt=12.0\n", "env line 1: expected key=value, got 'u batt=12.0'"),
     ("ubatt=\n", "env line 1: expected key=value"),
 ])
 def test_run_refuses_bad_env_lines(script_path, tmp_path, capsys, env_text,

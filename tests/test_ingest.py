@@ -320,6 +320,9 @@ RESOURCE_ROW = "R1;get u;u;-60;60;V\n"
     (parse_test_sheet, TEST_HEADER + "²;1;;;;;;\n", ("test", 2, "test step")),
     (parse_test_sheet, TEST_HEADER + "٠;1;;;;;;\n", ("test", 2, "test step")),
     (parse_test_sheet, TEST_HEADER + "0;-1;;;;;;\n", ("test", 2, "Δt")),
+    # A text read once is still refused at the first row that holds it.
+    (parse_test_sheet, TEST_HEADER + "0;1;;;;;;\n1;0;;;;;;\n2;0;;;;;;\n",
+     ("test", 3, "Δt")),
     (parse_test_sheet, TEST_HEADER, ("test", None, None)),
     (parse_resource_sheet, RESOURCE_HEADER + RESOURCE_ROW + RESOURCE_ROW,
      ("resources", 3, "res")),
@@ -340,6 +343,8 @@ RESOURCE_ROW = "R1;get u;u;-60;60;V\n"
      ("statuses", 2, "status")),
     (parse_test_sheet, TEST_HEADER + "0;1;O\x01f;;;;;\n",
      ("test", 2, "IGN_ST")),
+    (parse_test_sheet, TEST_HEADER + "0;1;;;;;;\n1;1;;O\x01f;;;;\n"
+     "2;1;O\x01f;;;;;\n", ("test", 3, "DS_FL")),
     (parse_test_sheet, "test step;Δt;A\udfffB\n0;1;Lo\n",
      ("test", 1, "3")),
     (parse_resource_sheet, RESOURCE_HEADER + "R\x0e1;get u;u;-60;60;V\n",

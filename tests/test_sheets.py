@@ -1,13 +1,17 @@
 import copy
 import pickle
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from comptest import (INF, ScriptError, SheetError, SignalDef, SignalTable,
                       StatusDef, StatusTable, TestSequence, TestStep,
-                      load_script, validate_sheets)
+                      load_script, parse_test_sheet, validate_sheets)
+from comptest import ingest, sheets
 from comptest.sheets import method_class, parse_number
+
+DATA = Path(__file__).resolve().parent.parent / "data" / "interior_light"
 
 
 def make_test(steps):
@@ -45,6 +49,56 @@ def test_direction_method_mismatch(demo_signals, demo_statuses, demo_test):
     assert str(fault) == ("test, column DS_FL: direction/method mismatch: "
                           "get-class status 'Ho' (get_u) assigned to input "
                           "signal 'DS_FL'")
+
+
+def test_an_unknown_status_is_reported_at_each_use(demo_signals,
+                                                  demo_statuses, demo_test):
+    steps = [TestStep(s.index, s.dt, dict(s.assignments), s.remark, row=s.row)
+             for s in demo_test.steps]
+    steps[6].assignments["INT_ILL"] = "Hi"
+    steps[3].assignments["INT_ILL"] = "Hi"
+    faults = validate_sheets(demo_signals, demo_statuses, make_test(steps))
+    assert [str(fault) for fault in faults] == [
+        "test, row 5, column INT_ILL: unknown status 'Hi'",
+        "test, row 8, column INT_ILL: unknown status 'Hi'"]
+
+
+def test_a_status_that_fits_an_input_is_still_refused_on_an_output(
+        demo_signals, demo_statuses, demo_test):
+    # 'Closed' is DS_FL's initial status and fits it in rows 2 and 4 too;
+    # on the output INT_ILL it is a mismatch all the same.
+    steps = [TestStep(s.index, s.dt, dict(s.assignments), s.remark, row=s.row)
+             for s in demo_test.steps]
+    steps[5].assignments["INT_ILL"] = "Closed"
+    [fault] = validate_sheets(demo_signals, demo_statuses, make_test(steps))
+    assert str(fault) == ("test, row 7, column INT_ILL: direction/method "
+                          "mismatch: put-class status 'Closed' (put_r) "
+                          "assigned to output signal 'INT_ILL'")
+
+
+def test_check_reads_and_checks_each_distinct_value_once(
+        monkeypatch, demo_signals, demo_statuses):
+    # The shipped test sheet uses 7 statuses in 23 cells and 3 Δt texts in
+    # 10 rows; with the 5 initial statuses, 7 (status, direction) pairs in
+    # 28 uses. Each distinct text and pair is read and checked once.
+    calls = {"check_ident": 0, "_parse_cell": 0, "_class_fault": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    counted(ingest, "check_ident")
+    counted(ingest, "_parse_cell")
+    counted(sheets, "_class_fault")
+    test = parse_test_sheet(
+        (DATA / "test_interior_light.csv").read_text("utf-8"))
+    assert validate_sheets(demo_signals, demo_statuses, test) == []
+    assert calls == {"check_ident": 12,  # 5 header labels, 7 statuses
+                     "_parse_cell": 3, "_class_fault": 7}
 
 
 def test_unknown_signal_and_bad_initial_status(demo_statuses, demo_test):
