@@ -138,7 +138,9 @@ def compile(signals: SignalTable, statuses: StatusTable, test: TestSequence,
     sheet: hold semantics are the interpreter's job, so re-stating unchanged
     stimuli would add bytes but no information. Each status is lowered
     once: the statements that apply it share one invocation, as the
-    loader gives equal method elements one.
+    loader gives equal method elements one. Each signal name is lowercased
+    once, and the cells that apply one status to one signal share one
+    statement.
     """
     violations = validate_sheets(signals, statuses, test)
     if violations:
@@ -149,12 +151,20 @@ def compile(signals: SignalTable, statuses: StatusTable, test: TestSequence,
                              tuple(p.lower() for p in s.pins))
                 for s in signals]
     lowered: dict[str, MethodInvocation] = {}  # by status name
+    names = {s.name: sig.name for s, sig in zip(signals, manifest)}
+    # By sheet signal name, then status name. Nested dicts, not
+    # (signal, status) keys: no key tuple is left on a free list.
+    shared: dict[str, dict[str, Statement]] = {name: {} for name in names}
 
     def statement(signal: str, status: str) -> Statement:
-        inv = lowered.get(status)
-        if inv is None:
-            inv = lowered[status] = lower_status(statuses[status])
-        return Statement(signal.lower(), inv)
+        by_status = shared[signal]
+        st = by_status.get(status)
+        if st is None:
+            inv = lowered.get(status)
+            if inv is None:
+                inv = lowered[status] = lower_status(statuses[status])
+            st = by_status[status] = Statement(names[signal], inv)
+        return st
 
     init = Block(-1, settle, [statement(s.name, s.initial_status)
                               for s in signals.inputs()])
@@ -238,5 +248,5 @@ def emit_xml(script: TestScript) -> str:
             out.append(end)
         else:
             out.append(head + " />")
-    out.append("</test>")
-    return "\n".join(out) + "\n"
+    out += ("</test>", "")  # the empty line gives the final newline
+    return "\n".join(out)

@@ -223,7 +223,9 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
     if not header or _norm(header[0]) not in _STEP_HEADERS:
         raise SheetError("first column must be the test step index",
                          sheet="test", row=1, column=_column(header, 0))
-    if len(header) < 2 or _norm(header[1]) not in _DT_HEADERS:
+    # U+2206 INCREMENT (macOS Option-J) looks like Δ, but _norm drops it.
+    if len(header) < 2 or _norm(header[1].replace("\u2206", "Δ")) \
+            not in _DT_HEADERS:
         raise SheetError("second column must be the step duration Δt",
                          sheet="test", row=1, column=_column(header, 1))
     dt_label = header[1].strip()
@@ -244,9 +246,10 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
     check_unique(((label, {"column": label}) for label in signals),
                  "signal column", SheetError, sheet="test", row=1)
 
-    # A sheet reuses few statuses and Δt texts: each is read once. Only a
-    # text that passed is remembered, so a fault is raised where it is met.
-    idents: set[str] = set()  # status texts that passed the identifier rule
+    # A sheet reuses few statuses and Δt texts: each is read once, and its
+    # cells share one copy. Only a text that passed is remembered, so a
+    # fault is raised where it is met.
+    idents: dict[str, str] = {}  # status text that passed -> its one copy
     dts: dict[str, Decimal] = {}  # Δt text -> its value
     steps: list[TestStep] = []
     for line, row in body:
@@ -263,9 +266,10 @@ def parse_test_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT,
                 continue
             cell = cell.strip()
             if cell:
-                if cell not in idents:
-                    idents.add(_ident(cell, "test", line, signal))
-                assignments[signal] = cell
+                status = idents.get(cell)
+                if status is None:
+                    status = idents[cell] = _ident(cell, "test", line, signal)
+                assignments[signal] = status
         remark = _cell(row, remark_col).strip() if remark_col is not None else ""
         steps.append(TestStep(index, dt, assignments, remark or None,
                               row=line))
@@ -316,6 +320,8 @@ def parse_connection_sheet(text: str, dialect: CsvDialect = DEFAULT_DIALECT) -> 
         rid = _ident(_cell(row, 0), "connections", line, "res")
         matrix_rows.append((rid, line))
         for pin, cell in zip(pins, row[1:]):  # a short row ends in blanks
+            if not cell:  # most cells of a matrix
+                continue
             cell = cell.strip()
             if not cell:
                 continue

@@ -144,7 +144,7 @@ def _rendered(inv: MethodInvocation) -> dict[str, str]:
 def _record(b: Binding, params: dict[str, str],
             changed: bool) -> StimulusRecord:
     req = b.requirement
-    connector = str(b.connector) if b.connector else None
+    connector = b.connector.text if b.connector else None
     return StimulusRecord(req.signal, req.pin, req.invocation.method, params,
                           b.delivery, b.resource_id, connector, b.held,
                           changed)

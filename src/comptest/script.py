@@ -11,6 +11,7 @@ the stand environment is known.
 from __future__ import annotations
 
 from contextlib import suppress
+from decimal import Decimal
 from typing import Iterator
 from xml.parsers import expat
 
@@ -158,11 +159,13 @@ def _parse_statements(events: Iterator[list | None],
     statements: list[Statement] = []
     for attrs, line in _children(events, "signal", ("name",), f" in {where}"):
         name = attrs["name"]
-        if name not in manifest:  # each manifest name has passed _name
+        entry = manifest.get(name)
+        if entry is None:  # each manifest name has passed _name
             _name(name, "signal name", line)
             raise ScriptError(f"signal '{name}' is not in the manifest",
                               line=line)
-        direction = manifest[name].direction
+        # The manifest's string, not expat's fresh copy of it.
+        name, direction = entry.name, entry.direction
         count = len(statements)
         for tag, method_attrs, method_line in iter(events.__next__, None):
             if next(events) is not None:
@@ -257,13 +260,19 @@ def _walk(events: Iterator[list | None]) -> TestScript:
     init = Block(-1, parse_dwell(event[1]["dt"], ScriptError, line=event[2]),
                  _parse_statements(events, manifest, "<init>", invocations))
 
+    # A script reuses few dwell texts: each is read once, and its steps
+    # share one Decimal. A text that fails is not kept.
+    dts: dict[str, Decimal] = {}
     steps: list[Block] = []
     for pos, (attrs, at) in enumerate(_children(events, "step", ("n", "dt"))):
         index = check_step_order(
             parse_step_index(attrs["n"], ScriptError, line=at),
             pos, ScriptError, line=at)
-        steps.append(Block(index, parse_dwell(attrs["dt"], ScriptError,
-                                              line=at),
+        dt = dts.get(attrs["dt"])
+        if dt is None:
+            dt = dts[attrs["dt"]] = parse_dwell(attrs["dt"], ScriptError,
+                                                line=at)
+        steps.append(Block(index, dt,
                            _parse_statements(events, manifest, f"step {index}",
                                              invocations)))
     check_has_steps(steps, ScriptError, line=line)

@@ -49,8 +49,9 @@ class Connector(_Frozen):
 
     _compared = ("kind", "group", "position")
     #: ``group_key`` is (kind, group). Stored, as the search reads it for
-    #: every candidate it checks.
-    __slots__ = (*_compared, "group_key")
+    #: every candidate it checks. ``text`` is the sheet form (``Sw1.2``),
+    #: made once: every stimulus record of the connector shares it.
+    __slots__ = (*_compared, "group_key", "text")
 
     def __init__(self, kind: str, group: int, position: int):
         init = object.__setattr__
@@ -58,9 +59,10 @@ class Connector(_Frozen):
         init(self, "group", group)
         init(self, "position", position)
         init(self, "group_key", (kind, group))
+        init(self, "text", f"{_PREFIX[kind]}{group}.{position}")
 
     def __str__(self):
-        return f"{_PREFIX[self.kind]}{self.group}.{self.position}"
+        return self.text
 
 
 def parse_connector(text: str) -> Connector:

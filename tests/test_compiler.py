@@ -192,3 +192,19 @@ def test_compile_gives_equal_statements_one_invocation(
         report_to_json(execute(s, demo_stand, demo_env, InteriorLightDut(
             InteriorLightConfig(ubatt=Decimal("12.0")))), out)
     assert reports[0].getvalue() == reports[1].getvalue()
+
+
+def test_compile_gives_equal_cells_one_statement(demo_signals, demo_statuses,
+                                                 demo_test):
+    script = compile(demo_signals, demo_statuses, demo_test,
+                     dut="interior_light_ecu")
+    statements = [st for block in (script.init, *script.steps)
+                  for st in block.statements]
+    shared: dict[tuple[str, str], set[int]] = {}
+    for st in statements:
+        shared.setdefault((st.signal, repr(st.invocation)), set()).add(id(st))
+    assert len(statements) > len(shared)
+    assert all(len(ids) == 1 for ids in shared.values())
+    # Each statement names its signal with the manifest's own string.
+    names = {sig.name: sig.name for sig in script.signals}
+    assert all(st.signal is names[st.signal] for st in statements)

@@ -111,6 +111,17 @@ def test_test_sheet_full_row_preserves_column_order():
     assert step.remark == "day: no interior"
 
 
+def test_test_sheet_keeps_one_copy_of_each_status_text():
+    seq = parse_test_sheet(TEST_HEADER + "0;1;Off;Closed;Closed;;;\n"
+                           "1;1;On;;Closed;;;\n2;1;Off;Closed;;;;\n")
+    by_text: dict[str, set[int]] = {}
+    for step in seq.steps:
+        for status in step.assignments.values():
+            by_text.setdefault(status, set()).add(id(status))
+    assert set(by_text) == {"Off", "On", "Closed"}
+    assert all(len(ids) == 1 for ids in by_text.values())
+
+
 def test_test_sheet_nonconsecutive_index():
     text = TEST_HEADER + "0;1;;;;;;\n1;1;;;;;;\n3;1;;;;;;\n"
     with pytest.raises(SheetError, match="non-consecutive step index 3"):
@@ -141,6 +152,29 @@ def test_test_sheet_without_dt_column(text, column):
         parse_test_sheet(text)
     assert str(err.value) == (f"test, row 1, column {column}: second column "
                               f"must be the step duration Δt")
+
+
+@pytest.mark.parametrize("label", ["Δt", "∆t", "∆ T", "dt", "delta t"])
+def test_test_sheet_dt_header_spellings(label):
+    # "∆" is U+2206 INCREMENT, which macOS types for Option-J.
+    seq = parse_test_sheet(f"test step;{label};A\n0;0,5;Lo\n")
+    assert seq.steps[0].dt == Decimal("0.5")
+
+
+@pytest.mark.parametrize("text,column", [
+    ("∆t;Δt;A\n0;1;Lo\n", "∆t"),  # only the second header may read ∆t
+    ("test step;∆;A\n0;1;Lo\n", "∆"),
+    ("test step;∆x;A\n0;1;Lo\n", "∆x"),
+])
+def test_test_sheet_increment_sign_only_heads_the_dt_column(text, column):
+    with pytest.raises(SheetError) as err:
+        parse_test_sheet(text)
+    assert (err.value.row, err.value.column) == (1, column)
+
+
+def test_test_sheet_increment_sign_beyond_the_second_column_is_a_signal():
+    seq = parse_test_sheet("test step;Δt;∆t\n0;1;Lo\n")
+    assert seq.steps[0].assignments == {"∆t": "Lo"}
 
 
 def test_test_sheet_signal_named_remark():

@@ -228,6 +228,17 @@ def test_json_report_shape(demo_loaded, demo_stand, demo_env):
     assert doc["steps"][7]["checks"][0]["min"] == "8.40"
 
 
+def test_stimulus_records_share_their_connector_text(demo_loaded,
+                                                      demo_stand, demo_env):
+    report = execute(demo_loaded, demo_stand, demo_env, fresh_dut())
+    texts = {(rid, pin): conn.text
+             for (rid, pin), conn in demo_stand.matrix.cells.items()}
+    records = [r for s in (report.settle, *report.steps) for r in s.stimuli
+               if r.connector is not None]
+    assert records
+    assert all(r.connector is texts[r.resource, r.pin] for r in records)
+
+
 TRICKY = 'q"b\\c\x00\x1f\x7f é \u2028 \U0001F600'
 
 
