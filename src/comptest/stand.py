@@ -280,32 +280,6 @@ def _augment(j: int, usable: Mapping[int, list[tuple[ResourceDef,
             j, _, todo = path.pop()
 
 
-class _Matching(dict):
-    """A resource matching (resource id -> requirement index) that logs
-    each change, so that a search node can take back those made below it."""
-
-    def __init__(self):
-        self.log: list[tuple[str, int | None]] = []
-
-    def __setitem__(self, rid: str, j: int):
-        self.log.append((rid, self.get(rid)))
-        super().__setitem__(rid, j)
-
-    def __delitem__(self, rid: str):
-        self.log.append((rid, self[rid]))
-        super().__delitem__(rid)
-
-    def undo(self, mark: int):
-        """Take back every change after the first ``mark``."""
-        log = self.log
-        while len(log) > mark:
-            rid, j = log.pop()
-            if j is None:
-                dict.__delitem__(self, rid)
-            else:
-                dict.__setitem__(self, rid, j)
-
-
 class _Search:
     """Depth-first search over the free exclusive requirements, in the
     given order, that places the checks at each leaf (``_checks``). A check
@@ -325,12 +299,16 @@ class _Search:
     the chain of first candidates below it.
 
     ``_match`` extends a matching: from scratch at the root and in the
-    group check, and at every other node in a repair (``_repair``) of its
-    parent's resource matching, which the parent keeps for its next
-    candidate. Whether every requirement can be matched does not depend on
-    the matching a repair starts from, so the cuts are those of a matching
-    from scratch. A failed node is recorded by its depth and a copy of the
-    engagements; only a search that fails builds the error (``failure``).
+    group check, and at every other node in a repair (``_repair``) of the
+    one resource ``matching`` the search keeps and never takes back. An
+    entered node takes its own requirement out of it, and one that runs out
+    of candidates puts it on the ``pending`` list for the next repair.
+    Releasing an engagement only adds edges, so every pair stays valid on
+    the way back up. Whether every requirement can be matched does not
+    depend on the matching a repair starts from (Berge, 1957), so the cuts
+    are those of a matching from scratch. A failed node is recorded by its
+    depth and a copy of the engagements; only a search that fails builds
+    the error (``failure``).
     An entered node's matching gives its requirement a resource nothing
     engages, and each candidate it engages records a deeper node: a node
     that runs out of candidates is never the deepest, so is not recorded.
@@ -351,6 +329,10 @@ class _Search:
             if kept is None:
                 kept = holds.usable[id(req)] = (req, self._static(req))
             self.usable[i] = kept[1]
+        # resource id -> index of the requirement it is matched to, and the
+        # requirements the matching is still to place
+        self.matching: dict[str, int] = {}
+        self.pending: list[int] = []
         # depth and engagements of the deepest failed node
         self.deepest: tuple[int, Holds | None] = (-1, None)
 
@@ -388,29 +370,25 @@ class _Search:
                 return i
         return None
 
-    def _repair(self, k: int, matching: _Matching, rid: str,
-                conn: Connector) -> bool:
-        """Turn node ``k - 1``'s resource matching into node ``k``'s, now
-        that node ``k - 1`` has engaged resource ``rid`` through ``conn``:
-        its requirement leaves the matching, and so does each one matched
-        to ``rid`` or through ``conn``'s group; those augment again. False
-        if one cannot."""
-        reqs, i, get = self.reqs, self.free[k - 1], matching.get
-        for res, _ in self.usable[i]:
-            if get(res.id) == i:
-                del matching[res.id]
-                break
-        again, cells, grp = [], self.stand.matrix.cells, conn.group_key
+    def _repair(self, k: int, rid: str, conn: Connector) -> bool:
+        """Make the matching place every requirement of ``free[k:]`` again,
+        now that node ``k - 1`` has engaged resource ``rid`` through
+        ``conn``: each one matched to ``rid`` or through ``conn``'s group
+        leaves it and joins the pending ones, which augment in turn. False
+        if one cannot; it and those after it stay pending."""
+        matching, todo, reqs = self.matching, self.pending, self.reqs
+        get, cells, grp = matching.get, self.stand.matrix.cells, conn.group_key
         for other in self.stand.grouped[grp]:
             j = get(other)
             if j is not None and cells[other, reqs[j].pin].group_key == grp:
                 del matching[other]
-                again.append(j)
-        j = get(rid)
+                todo.append(j)
+        j = matching.pop(rid, None)
         if j is not None:
-            del matching[rid]
-            again.append(j)
-        return self._match(again, matching, self.holds) is None
+            todo.append(j)
+        unmatched = self._match(todo, matching, self.holds)
+        del todo[:len(todo) if unmatched is None else todo.index(unmatched)]
+        return unmatched is None
 
     def _record(self, k: int):
         """Record failed node ``k`` and what the holds engage there, unless
@@ -476,16 +454,18 @@ class _Search:
     def solve(self) -> bool:
         """The depth-first search as a loop, so that a block of any size
         needs no deeper recursion. ``path`` holds, per node entered and not
-        yet failed, its candidates not yet tried, its tries so far, the
-        resource id and connector of the candidate it has engaged and the
-        length of the matching's log at its entry."""
+        yet failed, its candidates not yet tried, its tries so far and the
+        resource id and connector of the candidate it has engaged. The
+        matching places the requirements of ``free[k:]`` after the repair
+        that enters node ``k``, those of ``free[k + 1:]`` once it has taken
+        its own out, and never one of ``pending``."""
         free, reqs, holds, out = self.free, self.reqs, self.holds, self.out
         held_res, held_grp = holds.res, holds.grp
+        matching, usable = self.matching, self.usable
         for p, i in enumerate(self.checks):
-            if not self.usable[i]:  # fails every leaf: no search
+            if not usable[i]:  # fails every leaf: no search
                 self._record(len(free) + p)
                 return False
-        matching = _Matching()
         if self._match(free, matching, holds) is not None:
             self._record(0)
             return False
@@ -495,9 +475,13 @@ class _Search:
             if k == len(free):
                 if self._checks():
                     return True
-            elif k == 0 or self._repair(k, matching, *path[-1][2:4]):
-                path.append([iter(self.usable[free[k]]), 0, None, None,
-                             len(matching.log)])
+            elif k == 0 or self._repair(k, *path[-1][2:]):
+                i = free[k]
+                for res, _ in usable[i]:
+                    if matching.get(res.id) == i:
+                        del matching[res.id]
+                        break
+                path.append([iter(usable[i]), 0, None, None])
             else:
                 self._record(k)
             while path:  # the deepest open node tries its next candidate
@@ -507,7 +491,6 @@ class _Search:
                 if node[2] is not None:
                     holds.release(node[2], node[3])
                     node[2] = None
-                    matching.undo(node[4])
                 for res, conn in node[0]:
                     if res.id in held_res or conn.group_key in held_grp:
                         continue
@@ -523,6 +506,7 @@ class _Search:
                     break
                 if node[2] is not None:  # engaged: enter node k + 1
                     break
+                self.pending.append(i)
                 path.pop()
             else:
                 return False

@@ -71,6 +71,13 @@ def test_eval_errors():
         eval_expr(parse_expr("ubatt/0"), {"ubatt": Decimal("1")})
     with pytest.raises(EvalError, match="unbound variable vref"):
         eval_expr(parse_expr("vref"), {"ubatt": Decimal("1")})
+    # The parser makes neither: a tree built in code.
+    with pytest.raises(EvalError, match="unknown operator '%'"):
+        eval_expr(BinOp("%", Num(Decimal(7)), Num(Decimal(2))), {})
+    for walk in (lambda tree: eval_expr(tree, {}), render_expr):
+        with pytest.raises(TypeError, match="not an expression node: "
+                                            r"Decimal\('1'\)"):
+            walk(BinOp("+", Num(Decimal(1)), Decimal(1)))
 
 
 def test_literal_out_of_range_carries_offset():

@@ -250,6 +250,9 @@ def test_connection_sheet_cells():
     assert matrix.pins == ["int_ill_f", "int_ill_r", "ds_fl"]
     assert matrix.cells[("Ress3", "ds_fl")] == Connector("mux", 1, 1)
     assert matrix.connector_for("Ress1", "ds_fl") is None
+    # A cell of spaces is as empty as an empty one: not wired.
+    matrix = parse_connection_sheet("res;A;B\nR1;   ;Mx1.1\n")
+    assert matrix.cells == {("R1", "b"): Connector("mux", 1, 1)}
 
 
 def test_connection_sheet_bad_syntax():

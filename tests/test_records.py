@@ -85,6 +85,9 @@ def test_row_takes_no_part_in_equality():
         SignalDef("a", "input", ("p", "q"), "s")
     assert TestStep(0, Decimal(1), {"a": "s"}, "x") != \
         TestStep(0, Decimal(1), {"a": "s"})
+    # A value of another class is unequal, and comparing raises nothing.
+    assert SignalDef("s", "input", ("p",), "s") != \
+        StatusDef("s", "put_r", "r", nom=Decimal(1))
 
 
 def test_lines_and_group_key_take_no_part_in_equality():

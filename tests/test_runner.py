@@ -18,7 +18,7 @@ from comptest.compiler import render_value
 from comptest.sheets import method_class
 from comptest.expr import BinOp, Num, Paren, Var
 from comptest.runner import (Abort, CheckRecord, RunReport, StepRecord,
-                             StimulusRecord)
+                             StimulusRecord, plan)
 from comptest import runner as runner_module
 from comptest import stand as stand_module
 from comptest.stand import BUS_METHODS
@@ -126,6 +126,27 @@ def test_allocation_error_aborts(demo_loaded, demo_stand, demo_env):
     assert report.abort[:2] == (0, "allocation")
     assert "get_u" in report.abort.message
     assert not report.overall
+
+
+@pytest.mark.parametrize("fault,kind", [
+    ("unbound", "environment"), ("allocation", "allocation"),
+    ("clock", "environment")])
+def test_a_plan_walked_to_its_end_ends_at_its_abort(
+        demo_xml, demo_stand, demo_env, fault, kind):
+    # A run stops at the Abort; a caller that walks the whole plan, as a
+    # listing of it would, gets nothing after it.
+    stand, env = demo_stand, demo_env
+    if fault == "unbound":
+        env = {}
+    elif fault == "allocation":
+        stand = _without_dvm(demo_stand)
+    else:
+        demo_xml = demo_xml.replace('<step n="1" dt="0.5">',
+                                    '<step n="1" dt="9e999999">')
+    *planned, abort = plan(load_script(demo_xml), stand, env)
+    assert type(abort) is Abort and abort.kind == kind
+    assert not any(type(block) is Abort for block in planned)
+    assert abort.step == len(planned) - 1  # the init block is -1
 
 
 def test_a_check_with_an_inf_bound_still_needs_an_instrument(

@@ -759,9 +759,21 @@ def test_repaired_matchings_and_lazy_failures_change_nothing(monkeypatch):
     cuts = []
     repair = _Search._repair
 
-    def counted(self, *args):
-        ok = repair(self, *args)
+    def counted(self, k, rid, conn):
+        ok = repair(self, k, rid, conn)
         cuts.append(not ok)
+        # No requirement owns two resources, and a repair that succeeds
+        # places each of free[k:] once, on a usable resource the live holds
+        # allow; a pair put back on a taken resource fails here.
+        owners = list(self.matching.values())
+        assert len(owners) == len(set(owners))
+        if ok:
+            assert sorted(owners) == sorted(self.free[k:])
+            assert not self.pending
+            for other, j in self.matching.items():
+                conns = [c for res, c in self.usable[j] if res.id == other]
+                assert conns and other not in self.holds.res
+                assert conns[0].group_key not in self.holds.grp
         return ok
 
     monkeypatch.setattr(_Search, "_repair", counted)
@@ -769,13 +781,12 @@ def test_repaired_matchings_and_lazy_failures_change_nothing(monkeypatch):
 
     failure = _Search.failure
 
-    def from_scratch(self, k, matching, rid, conn):
+    def from_scratch(self, k, rid, conn):
         owner = {}
         unmatched = self._match(self.free[k:], owner, self.holds)
-        for other in list(matching):  # through the log, as a repair does
-            del matching[other]
-        for other, j in owner.items():
-            matching[other] = j
+        self.matching.clear()
+        self.matching.update(owner)
+        self.pending.clear()
         return unmatched is None
 
     def eager(self, k):
