@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The behaviour lock: seeded corpora whose outputs must stay byte-identical.
 
-Six corpora are rebuilt from fixed seeds, and every chunk of cases is
+Seven corpora are rebuilt from fixed seeds, and every chunk of cases is
 hashed into one SHA-256 digest:
 
 - ``runs``: ``oracles.random_run_case`` runs on a recording DUT: the JSON
@@ -25,7 +25,12 @@ hashed into one SHA-256 digest:
   ``cli.main``: ``check`` and ``compile`` for a sheet, ``run`` for the
   others. Each command must exit 0, 1 or 2 without an escaping exception
   or a traceback on stderr, and give the same bytes when called again;
-  its exit code and first stderr line are digested.
+  its exit code and first stderr line are digested;
+- ``grammar``: the same through ``cli.main`` for inputs grown along the
+  grammar, which random bytes hardly build: deep parentheses and long
+  chains of each operator in a script bound, long method and parameter
+  names, long numbers in script attribute values, and long step indices
+  in the script and in the test sheet, each from one to 5 000 long.
 
 Without arguments it compares the digests with those committed in
 ``tests/behaviour_lock.json``, names every chunk that differs and exits 1
@@ -216,6 +221,7 @@ _FILES = {"--signals": "signals.csv", "--statuses": "statuses.csv",
           "--test": "test_interior_light.csv",
           "--script": "expected_script.xml", "--resources": "resources.csv",
           "--connections": "connections.csv", "--env": "stand.env"}
+_SHEETS = list(_FILES)[:3]
 #: What an ``exit_codes`` mutation inserts: separators, number and markup
 #: characters, and bytes that are not UTF-8 or that XML cannot hold.
 _BYTES = (b";", b",", b".", b"|", b'"', b"\n", b"\r", b" ", b"\t", b"=",
@@ -247,41 +253,134 @@ def _invoke(argv: list[str], where: str) -> tuple[int, str, str]:
             err.getvalue().replace(where, "<dir>"))
 
 
-def exit_code_cases(rng: random.Random) -> Iterator[str]:
-    originals = {opt: (EXAMPLE / name).read_bytes()
-                 for opt, name in _FILES.items()}
-    sheets = list(_FILES)[:3]
+@contextlib.contextmanager
+def _case_dir() -> Iterator[tuple[str, dict[str, str], dict[str, list[str]]]]:
+    """A directory holding a copy of each shipped file, the path of each
+    by its option, and the commands a case may run on them: ``check`` and
+    ``compile`` the sheets, ``run`` the script on the stand."""
     with tempfile.TemporaryDirectory() as where:
         paths = {opt: str(Path(where, name)) for opt, name in _FILES.items()}
-        for opt, data in originals.items():
-            Path(paths[opt]).write_bytes(data)
+        for opt, name in _FILES.items():
+            Path(paths[opt]).write_bytes((EXAMPLE / name).read_bytes())
         commands = {
-            "check": ["check", *(a for opt in sheets
+            "check": ["check", *(a for opt in _SHEETS
                                  for a in (opt, paths[opt]))],
             "run": ["run", *(a for opt in list(_FILES)[3:]
                              for a in (opt, paths[opt])), "--report", "json"],
         }
         commands["compile"] = ["compile", *commands["check"][1:]]
+        yield where, paths, commands
+
+
+def _exits(label: str, target: str, data: bytes, where: str,
+           paths: dict[str, str], commands: dict[str, list[str]]) -> str:
+    """``data`` written as the file of option ``target`` and run through
+    the commands that read it: ``check`` and ``compile`` for a sheet,
+    ``run`` for the others. Each must exit 0, 1 or 2 without an escaping
+    exception or a traceback on stderr, and give the same bytes when
+    called again. The case's text: ``label`` with a hash of ``data``, then
+    a line per command with its exit code and first stderr line. The
+    shipped file is put back after."""
+    Path(paths[target]).write_bytes(data)
+    lines = [f"{label} {hashlib.sha256(data).hexdigest()[:16]}"]
+    for name in ("check", "compile") if target in _SHEETS else ("run",):
+        first = _invoke(commands[name], where)
+        code, _, err = first
+        case = f"{name} on a mutated {_FILES[target]}: {data!r}"
+        if code not in (0, 1, 2) or "Traceback" in err:
+            raise AssertionError(f"{case}: exit {code}, stderr {err!r}")
+        if _invoke(commands[name], where) != first:
+            raise AssertionError(f"{case}: a second call differs")
+        lines.append(f"{name} {code} {err.partition(chr(10))[0]}")
+    Path(paths[target]).write_bytes((EXAMPLE / _FILES[target]).read_bytes())
+    return "\n".join(lines)
+
+
+def exit_code_cases(rng: random.Random) -> Iterator[str]:
+    originals = {opt: (EXAMPLE / name).read_bytes()
+                 for opt, name in _FILES.items()}
+    with _case_dir() as (where, paths, commands):
         while True:
             target = rng.choice(list(_FILES))
             data = originals[target]
             for _ in range(rng.choice((1, 1, 2, 3))):
                 data = _mutate_bytes(data, rng)
-            Path(paths[target]).write_bytes(data)
-            lines = [f"{target} {hashlib.sha256(data).hexdigest()[:16]}"]
-            for name in (("check", "compile") if target in sheets
-                         else ("run",)):
-                first = _invoke(commands[name], where)
-                code, _, err = first
-                case = f"{name} on a mutated {_FILES[target]}: {data!r}"
-                if code not in (0, 1, 2) or "Traceback" in err:
-                    raise AssertionError(f"{case}: exit {code}, stderr "
-                                         f"{err!r}")
-                if _invoke(commands[name], where) != first:
-                    raise AssertionError(f"{case}: a second call differs")
-                lines.append(f"{name} {code} {err.partition(chr(10))[0]}")
-            Path(paths[target]).write_bytes(originals[target])
-            yield "\n".join(lines)
+            yield _exits(target, target, data, where, paths, commands)
+
+
+#: How long a ``grammar`` case makes what it grows: from one up to past
+#: the digit bound of step indices and connectors (640) and CPython's
+#: limit on the digits of an int string (4 300).
+_SIZES = (1, 2, 10, 100, 640, 641, 4300, 4301, 5000)
+#: The operands of a long operator chain.
+_OPERANDS = ("ubatt", "1", "0", "2.5", "-1", "1e999999")
+#: The script attributes that hold a number.
+_NUMBER_ATTRS = ("r", "d2", "u_max", "u_min", "dt", "data")
+
+
+def _long_expression(rng: random.Random, size: int) -> str:
+    """``size`` parentheses around an operand, at times one ``)`` short,
+    or a chain of ``size`` operands joined by one operator."""
+    if rng.random() < 0.4:
+        return ("(" * size + rng.choice(("0.3*ubatt", "ubatt", "1"))
+                + ")" * (size - rng.choice((0, 0, 1))))
+    return rng.choice("+-*/").join(rng.choice(_OPERANDS)
+                                   for _ in range(size))
+
+
+def _long_number(rng: random.Random, size: int, attr: str) -> str:
+    """A number of ``size`` digits in one of several shapes; a bit literal
+    for ``data``."""
+    if attr == "data":
+        return rng.choice("01") * size + "B"
+    return rng.choice(("1" * size, "-" + "9" * size, "0" * size + "1",
+                       "0." + "0" * size + "1", "1e" + "1" * size,
+                       "1" * size + "e-" + "9" * min(size, 6)))
+
+
+def _replace(text: str, pattern: str, new: Callable[[re.Match], str],
+             rng: random.Random) -> str:
+    """``text`` with one match of ``pattern``, chosen by ``rng``, replaced
+    by ``new`` of it."""
+    m = rng.choice(list(re.finditer(pattern, text)))
+    return text[:m.start()] + new(m) + text[m.end():]
+
+
+def grammar_cases(rng: random.Random) -> Iterator[str]:
+    """Inputs grown along the grammar, which random bytes hardly build:
+    in the script, deep parentheses and long operator chains in a bound,
+    long method and parameter names, long numbers in attribute values and
+    long step indices; in the test sheet, long step indices."""
+    script = SCRIPT.read_text("utf-8")
+    sheet = (EXAMPLE / _FILES["--test"]).read_text("utf-8")
+    with _case_dir() as (where, paths, commands):
+        while True:
+            kind, size = rng.randrange(6), rng.choice(_SIZES)
+            target, text = "--script", script
+            if kind == 0:
+                text = _replace(text, r'(?<= u_m(?:ax|in)=")[^"]*', lambda m:
+                                _long_expression(rng, size), rng)
+            elif kind == 1:
+                text = _replace(text, r"(?<=<)(?:put|get)_\w+", lambda m:
+                                m.group() + rng.choice("ru_x") * size, rng)
+            elif kind == 2:
+                text = _replace(text, r"(?<= )(?:r|d[123]|u_m(?:ax|in)|data)"
+                                r'(?==")', lambda m:
+                                m.group() + rng.choice("_x9") * size, rng)
+            elif kind == 3:
+                attr = rng.choice(_NUMBER_ATTRS)
+                text = _replace(text, rf'(?<= {attr}=")[^"]*', lambda m:
+                                _long_number(rng, size, attr), rng)
+            elif kind == 4:
+                text = _replace(text, r'(?<=<step n=")[0-9]+', lambda m:
+                                rng.choice(("0" * size + m.group(),
+                                            "1" * size)), rng)
+            else:
+                target, text = "--test", _replace(
+                    sheet, r"(?m)^[0-9]+(?=;)", lambda m: rng.choice(
+                        ("0" * size + m.group(), "1" * size)), rng)
+            yield _exits(f"{target} {kind} {size}", target, text.encode(),
+                         where, paths, commands)
 
 
 #: name -> (cases, seed, number of cases, cases per digest)
@@ -293,6 +392,7 @@ CORPORA: dict[str, tuple[Callable[[random.Random], Iterator[str]],
     "blocks": (block_cases, 20261022, 3000, 300),
     "exit_codes": (exit_code_cases, 20261023, 500, 100),
     "long_mutations": (long_mutation_cases, 20261025, 1000, 100),
+    "grammar": (grammar_cases, 20261026, 300, 50),
 }
 
 

@@ -89,10 +89,18 @@ def parse_scalar(text: str) -> Scalar:
     return parse_number(text)
 
 
+#: The most digits of a step index or connector number: ``int`` converts
+#: that many under any limit an interpreter sets (CPython's least is 640).
+MAX_DIGITS = 640
+
+
 def parse_step_index(text: str, error: type[Exception], **where) -> int:
-    """The step-index rule: one or more ASCII digits."""
+    """The step-index rule: one to ``MAX_DIGITS`` ASCII digits."""
     if not (text.isascii() and text.isdigit()):
         raise error(f"malformed step index {text!r}", **where)
+    if len(text) > MAX_DIGITS:
+        raise error(f"step index of {len(text)} digits (at most "
+                    f"{MAX_DIGITS})", **where)
     return int(text)
 
 

@@ -32,13 +32,14 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .compiler import MethodInvocation
 from .errors import AllocationError, SheetError
-from .sheets import (_Fields, _Frozen, _Keyed, check_names, check_unique,
-                     method_class)
+from .sheets import (MAX_DIGITS, _Fields, _Frozen, _Keyed, check_names,
+                     check_unique, method_class)
 
 #: Methods delivered over a bus instead of an electrical pin path.
 BUS_METHODS = frozenset({"put_can"})
 
-_CONNECTOR = re.compile(r"(Sw|Mx)([0-9]+)\.([0-9]+)\Z")
+_NUMBER = f"([0-9]{{1,{MAX_DIGITS}}})"
+_CONNECTOR = re.compile(rf"(Sw|Mx){_NUMBER}\.{_NUMBER}\Z")
 _KIND = {"Sw": "switch", "Mx": "mux"}
 _PREFIX = {"switch": "Sw", "mux": "Mx"}
 
@@ -214,18 +215,13 @@ class Holds:
     ``allocate`` hands back while that stimulus is unchanged. ``res`` and
     ``grp`` map each engaged resource id and connector group to its pin:
     those of every binding in ``by_pin``, and during a search also those of
-    the candidates it has taken. ``usable`` keeps, by the identity of each
-    check requirement it has seen, that requirement and its statically
-    usable resources: a run passes a check the same requirement in every
-    block that states it. ``allocate`` alone updates a ``Holds``.
+    the candidates it has taken. ``allocate`` alone updates a ``Holds``.
     """
 
     def __init__(self):
         self.by_pin: dict[str, Binding] = {}
         self.res: dict[str, str] = {}              # resource id -> pin
         self.grp: dict[tuple[str, int], str] = {}  # group -> pin
-        self.usable: dict[int, tuple[Requirement,
-                                     list[tuple[ResourceDef, Connector]]]] = {}
 
     def engage(self, res_id: str, conn: Connector, pin: str):
         self.res[res_id] = pin
@@ -282,9 +278,11 @@ def _augment(j: int, usable: Mapping[int, list[tuple[ResourceDef,
 
 class _Search:
     """Depth-first search over the free exclusive requirements, in the
-    given order, that places the checks at each leaf (``_checks``). A check
-    with no usable resource would fail every leaf, so it fails the search
-    at entry, recorded as that leaf would record it.
+    given order, that places the checks at each leaf (``_checks``). Each
+    requirement's candidates (``usable``) are worked out per call, as the
+    search keeps nothing from call to call. A check with no usable resource
+    would fail every leaf, so it fails the search at entry, recorded as that
+    leaf would record it.
 
     Before a node expands, every remaining requirement
     must get a resource of its own in a maximum matching whose edges join
@@ -319,16 +317,7 @@ class _Search:
                  out: list[Binding | None]):
         self.reqs, self.free, self.checks = reqs, free, checks
         self.stand, self.holds, self.out = stand, holds, out
-        self.usable = {i: self._usable(reqs[i], self._static(reqs[i]))
-                       for i in free}
-        # A check's static list is kept for the run and never reordered:
-        # a previous resource (``by_pin``) is a put's, never get-class.
-        for i in checks:
-            req = reqs[i]
-            kept = holds.usable.get(id(req))
-            if kept is None:
-                kept = holds.usable[id(req)] = (req, self._static(req))
-            self.usable[i] = kept[1]
+        self.usable = {i: self._usable(reqs[i]) for i in (*free, *checks)}
         # resource id -> index of the requirement it is matched to, and the
         # requirements the matching is still to place
         self.matching: dict[str, int] = {}
@@ -340,22 +329,19 @@ class _Search:
         prev = self.holds.by_pin.get(req.pin)
         return None if prev is None else prev.resource_id
 
-    def _static(self, req: Requirement) -> list[tuple[ResourceDef, Connector]]:
+    def _usable(self, req: Requirement) -> list[tuple[ResourceDef, Connector]]:
         """Statically usable resources, in row order: those wired to the
-        pin that support the method and take its parameters in range."""
-        inv = req.invocation
-        return [(res, conn) for res, conn in self.stand.wired.get(req.pin, ())
-                if res.method == inv.method
-                and _range_offence(res, inv) is None]
-
-    def _usable(self, req: Requirement, static: list[tuple[ResourceDef,
-                                                           Connector]]
-                ) -> list[tuple[ResourceDef, Connector]]:
-        """``static`` with the previous resource first."""
-        prev = self._prev(req)
-        for n, pair in enumerate(static):
-            if pair[0].id == prev:
-                return [pair, *static[:n], *static[n + 1:]] if n else static
+        pin that support the method and take its parameters in range; the
+        previous resource first. A check's list keeps row order: a previous
+        resource (``by_pin``) is a put's, and supports no get method."""
+        inv, prev = req.invocation, self._prev(req)
+        static = [(res, conn) for res, conn in self.stand.wired.get(req.pin, ())
+                  if res.method == inv.method
+                  and _range_offence(res, inv) is None]
+        if prev is not None:
+            for n, pair in enumerate(static):
+                if pair[0].id == prev:
+                    return [pair, *static[:n], *static[n + 1:]] if n else static
         return static
 
     def _match(self, todo: Sequence[int], owner: dict, holds: Holds,
@@ -517,7 +503,8 @@ def allocate(requirements: Sequence[Requirement], stand: StandModel,
     """Find a conflict-free binding for every requirement.
 
     ``holds`` carries the stimulus bindings of the previous block (none if
-    not given) and is updated to this block's. The caller alone decides
+    not given) and what they engage, and is updated to this block's; it
+    keeps nothing else from call to call. The caller alone decides
     what is unchanged, by identity: a held binding passed its own
     ``Requirement`` again stays engaged (moving it would glitch a live
     signal) and comes back as is, without a second look at its invocation.

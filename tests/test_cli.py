@@ -428,6 +428,27 @@ def test_check_and_compile_refuse_a_bad_status_row(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["check", "compile"])
+def test_check_and_compile_refuse_a_step_index_too_long_to_convert(
+        tmp_path, capsys, command):
+    # 5 000 digits is past the interpreter's own limit for an int string:
+    # the step-index rule refuses them at the cell, and exits 1.
+    rows = (DATA / "test_interior_light.csv").read_text(
+        encoding="utf-8").split("\n")
+    rows[1] = "1" * 5000 + rows[1][rows[1].index(";"):]
+    bad = tmp_path / "test.csv"
+    bad.write_text("\n".join(rows), encoding="utf-8")
+    out = tmp_path / "script.xml"
+    code = main([command, *SHEETS[:4], "--test", str(bad),
+                 *(["-o", str(out)] if command == "compile" else [])])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("comptest: error: test, row 2, column test step: "
+                            "step index of 5000 digits (at most 640)\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "compile"])
 def test_check_and_compile_refuse_an_identifier_xml_cannot_hold(
         tmp_path, capsys, command):
     # Check passes only what compile can write.

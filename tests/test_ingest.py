@@ -264,6 +264,22 @@ def test_connection_sheet_bad_syntax():
         parse_connection_sheet(CONNECTION_HEADER + "Ress1;Sw١.١;;\n")
 
 
+def test_connection_sheet_bounds_connector_digits():
+    # A group or position of more than 640 digits breaks the connector
+    # rule, in its own words, before ``int`` could meet the interpreter's
+    # limit on long int strings.
+    long = "1" * 641
+    assert parse_connection_sheet(
+        "res;A\nR1;Mx" + long[1:] + "." + long[1:] + "\n").cells[
+            "R1", "a"].group == int(long[1:])
+    for cell in ("Mx" + long + ".1", "Sw1." + long, "Mx" + "1" * 5000 + ".1"):
+        with pytest.raises(SheetError) as err:
+            parse_connection_sheet(CONNECTION_HEADER + f"Ress1;;;{cell}\n")
+        assert str(err.value) == (f"connections, row 2, column ds_fl: unknown "
+                                  f"connector syntax {cell!r} (expected SwN.M "
+                                  f"or MxN.M)")
+
+
 @pytest.mark.parametrize("parse,text,message", [
     (parse_resource_sheet, "method;attribut;min;max;unit\nget u;u;0;1;V\n",
      "resources, row 1, column res: missing column 'res'"),

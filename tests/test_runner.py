@@ -20,7 +20,6 @@ from comptest.expr import BinOp, Num, Paren, Var
 from comptest.runner import (Abort, CheckRecord, RunReport, StepRecord,
                              StimulusRecord, plan)
 from comptest import runner as runner_module
-from comptest import stand as stand_module
 from comptest.stand import BUS_METHODS
 
 import strategies
@@ -839,12 +838,10 @@ def test_equal_expressions_keep_their_own_digits():
     assert rendered(report) == reference_report_json(report)
 
 
-def test_a_run_filters_each_distinct_check_once(monkeypatch):
+def test_a_run_passes_each_check_statement_one_requirement(monkeypatch):
     # 100 steps restate two check statements on one signal. The loader
-    # gives each statement one invocation, the plan passes it the same
-    # requirement in every block, and the holds keep that requirement's
-    # usable list: each check requirement is filtered against each
-    # resource wired to its pin once in the whole run.
+    # gives each statement one invocation, and the plan passes it the same
+    # requirement in every block of the whole run.
     steps = "".join(f"""  <step n="{n}" dt="1">
     <signal name="a">
       <put_r r="{n % 3}" />
@@ -865,22 +862,21 @@ def test_a_run_filters_each_distinct_check_once(monkeypatch):
         {("R", "a"): Connector("mux", 1, 1),
          ("V1", "b"): Connector("switch", 1, 1),
          ("V2", "b"): Connector("switch", 2, 1)}))
-    filtered = []
-    static = stand_module._Search._static
+    checks = []
+    allocate = runner_module.allocate
 
-    def counting(self, req):
-        if method_class(req.invocation.method) == "get":
-            filtered.extend((req, res.id) for res, _
-                            in self.stand.wired.get(req.pin, ()))
-        return static(self, req)
+    def recording(reqs, stand, holds=None):
+        checks.extend(req for req in reqs
+                      if method_class(req.invocation.method) == "get")
+        return allocate(reqs, stand, holds)
 
-    monkeypatch.setattr(stand_module._Search, "_static", counting)
+    monkeypatch.setattr(runner_module, "allocate", recording)
     report = execute(script, stand, ENV, RecordingDut())
     assert report.abort is None and report.checks_total == 100
-    assert len({id(req) for req, _ in filtered}) == 2
-    assert sorted((str(req.invocation.params["u_max"]), rid)
-                  for req, rid in filtered) == [
-        ("12.0", "V1"), ("12.0", "V2"), ("24.0", "V1"), ("24.0", "V2")]
+    assert len(checks) == 100
+    distinct = {id(req): req for req in checks}.values()
+    assert sorted(str(req.invocation.params["u_max"])
+                  for req in distinct) == ["12.0", "24.0"]
 
 
 def test_a_run_renders_and_evaluates_each_distinct_statement_once(

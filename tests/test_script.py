@@ -149,6 +149,15 @@ def test_load_rejects_non_dense_steps():
         load_script(bad)
 
 
+def test_load_names_the_line_of_a_step_index_too_long_to_convert():
+    bad = MINI.replace('<step n="0"', '<step n="' + "1" * 5000 + '"')
+    line = MINI[:MINI.index('<step n="0"')].count("\n") + 1
+    with pytest.raises(ScriptError) as err:
+        load_script(bad)
+    assert str(err.value) == (f"line {line}: step index of 5000 digits "
+                              f"(at most 640)")
+
+
 def test_load_rejects_missing_dt():
     bad = MINI.replace(' dt="1"', "")
     with pytest.raises(ScriptError, match="missing attribute 'dt'"):

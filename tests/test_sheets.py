@@ -9,7 +9,8 @@ from comptest import (INF, ScriptError, SheetError, SignalDef, SignalTable,
                       StatusDef, StatusTable, TestSequence, TestStep,
                       load_script, parse_test_sheet, validate_sheets)
 from comptest import ingest, sheets
-from comptest.sheets import method_class, parse_number
+from comptest.sheets import (MAX_DIGITS, method_class, parse_number,
+                             parse_step_index)
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "interior_light"
 
@@ -250,3 +251,21 @@ def test_number_rule_refuses(text, message):
     # Decimal() itself raises InvalidOperation on the first one.
     with pytest.raises(ValueError, match=message):
         parse_number(text)
+
+
+@pytest.mark.parametrize("error,where,prefix", [
+    (SheetError, {"sheet": "test", "row": 2, "column": "test step"},
+     "test, row 2, column test step: "),
+    (ScriptError, {"line": 24}, "line 24: ")])
+def test_step_index_rule_bounds_its_digits(error, where, prefix):
+    # Past the bound the rule raises its own error, not the interpreter's
+    # ValueError for a long int string (4 300 digits on CPython 3.10.7+),
+    # so its text is the same on every Python.
+    assert parse_step_index("0" * MAX_DIGITS, error, **where) == 0
+    assert parse_step_index("0" * (MAX_DIGITS - 1) + "7", error,
+                            **where) == 7
+    for digits in (MAX_DIGITS + 1, 5000):
+        with pytest.raises(error) as err:
+            parse_step_index("1" * digits, error, **where)
+        assert str(err.value) == (f"{prefix}step index of {digits} digits "
+                                  f"(at most 640)")

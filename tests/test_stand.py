@@ -252,6 +252,37 @@ def test_pinned_hold_can_block_allocation():
     assert holds.grp == {("mux", 1): "p1"}
 
 
+def test_a_check_blocked_by_a_held_group_names_that_hold():
+    # The put on p is held on R through Mx1.1; the check's one voltmeter V
+    # reaches q through Mx1.2. Held engagements are fixed for the block, so
+    # no choice of the changed stimuli on t0 and t1 frees the group; today
+    # the search still tries every combination of them before it fails.
+    resources = ResourceTable([
+        ResourceDef("R", "put_r", "r", Decimal(0), Decimal(10)),
+        ResourceDef("V", "get_u", "u", Decimal(-60), Decimal(60)),
+        *(ResourceDef(f"T{r}", "put_r", "r", Decimal(0), Decimal(10))
+          for r in range(4))])
+    cells = {("R", "p"): Connector("mux", 1, 1),
+             ("V", "q"): Connector("mux", 1, 2),
+             **{(f"T{r}", f"t{r // 2}"): Connector("mux", 2 + r, 1)
+                for r in range(4)}}
+    stand = StandModel(resources, ConnectionMatrix(
+        ["p", "q", "t0", "t1"], [res.id for res in resources], cells))
+    p = Requirement("p", put_r(Decimal("5")))
+    holds = Holds()
+    allocate([p], stand, holds)
+    reqs = [p, Requirement("t0", put_r(Decimal("5"))),
+            Requirement("t1", put_r(Decimal("5"))), Requirement("q", get_u())]
+    with pytest.raises(AllocationError) as err:
+        allocate(reqs, stand, holds)
+    assert str(err.value) == (
+        "no resource satisfies (pin q, method get_u); rejected candidates: "
+        "R: no method (supports put_r); "
+        "V: conflict: connector group Mx1 is engaged for pin p; "
+        + "; ".join(f"T{r}: no method (supports put_r)" for r in range(4)))
+    assert (holds.res, holds.grp) == ({"R": "p"}, {("mux", 1): "p"})
+
+
 def test_failed_block_leaves_the_holds_as_they_were():
     # The changed p1 stimulus is out of range: its old binding, released
     # for the search, is engaged again when the block fails.
