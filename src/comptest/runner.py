@@ -375,6 +375,15 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
 # indent of the line on which a value starts. Each report function writes
 # its head, one chunk per step and its tail to its ``out`` as it renders
 # them, so that a report never exists whole in memory.
+#
+# A step is rendered from the step before it, position by position
+# (``_texts``): a stimulus record that is the same object as the record at
+# its index there reuses that record's text. A check record whose bounds
+# are the same objects and whose names are equal reuses the head of its
+# text (up to "max"), and the whole text if its reading is the same object
+# too and its verdict equal. Bounds and readings are compared by identity
+# because equal decimals can print differently (1.0 and 1.00). Only the
+# step before is kept; the init block, at another indent, starts afresh.
 
 def _null_or_str(value) -> str:
     return "null" if value is None else _str(str(value))
@@ -384,7 +393,7 @@ def _array(items: list[str], pad: str, brackets: str = "[]") -> str:
     if not items:
         return brackets
     inner = pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+    return f'{brackets[0]}{inner}{("," + inner).join(items)}{pad}{brackets[1]}'
 
 
 def _stimulus_json(r: StimulusRecord, pad: str) -> str:
@@ -400,39 +409,93 @@ def _stimulus_json(r: StimulusRecord, pad: str) -> str:
             f'{q}"changed": {"true" if r.changed else "false"}{pad}}}')
 
 
-def _check_json(c: CheckRecord, pad: str) -> str:
+def _check_json(c: CheckRecord, pad: str) -> tuple[str, int]:
+    """The check's text, and the length of its head: the text up to
+    ``max``, which a check with the same names and bounds shares."""
     q = pad + "  "
-    return (f'{{{q}"signal": {_str(c.signal)},{q}"pin": {_str(c.pin)},'
+    head = (f'{{{q}"signal": {_str(c.signal)},{q}"pin": {_str(c.pin)},'
             f'{q}"method": {_str(c.method)},'
-            f'{q}"min": {_null_or_str(c.low)},{q}"max": {_null_or_str(c.high)},'
-            f'{q}"measured": {_str(str(c.measured))},'
+            f'{q}"min": {_null_or_str(c.low)},{q}"max": {_null_or_str(c.high)},')
+    return head + _check_tail(c, pad), len(head)
+
+
+def _check_tail(c: CheckRecord, pad: str) -> str:
+    q = pad + "  "
+    return (f'{q}"measured": {_str(str(c.measured))},'
             f'{q}"passed": {"true" if c.passed else "false"}{pad}}}')
 
 
-def _step_json(s: StepRecord, pad: str,
-               last: Mapping[int, str]) -> tuple[str, dict[int, str]]:
-    """The step's JSON, and the fragments of its stimuli by record
-    identity. ``last`` holds the previous step's: a record the plan shares
-    with that step is written once. The report keeps every record alive
-    while it is rendered, so no identity is reused."""
+class _Texts(NamedTuple):
+    """A step's records and their texts, and the length of each check
+    text's head (``_check_json``)."""
+
+    stimuli: list[StimulusRecord]
+    stimulus_texts: list[str]
+    checks: list[CheckRecord]
+    check_texts: list[str]
+    heads: list[int]
+
+
+_FRESH = _Texts([], [], [], [], [])  # no step before
+
+
+def _texts(s: StepRecord, pad: str, last: _Texts) -> _Texts:
+    """The texts of the records of the step at ``pad``, each rendered or
+    taken from ``last``, the step's before it at the same ``pad``. A
+    stimulus record that is the record at its index there is written as
+    that one was. So is a check record whose bounds and reading are the
+    objects there and whose names and verdict are equal; with another
+    reading or verdict it reuses that text's head. The report keeps every
+    record alive while it is rendered, so no identity is reused."""
+    pad += "    "
+    stimuli = [t if r is p else _stimulus_json(r, pad)
+               for r, p, t in zip(s.stimuli, last.stimuli,
+                                  last.stimulus_texts)]
+    stimuli += [_stimulus_json(r, pad) for r in s.stimuli[len(stimuli):]]
+    checks, heads = [], []
+    for c, p, text, n in zip(s.checks, last.checks, last.check_texts,
+                             last.heads):
+        if not (c.low is p.low and c.high is p.high and c.signal == p.signal
+                and c.pin == p.pin and c.method == p.method):
+            text, n = _check_json(c, pad)
+        elif c.measured is not p.measured or c.passed != p.passed:
+            text = text[:n] + _check_tail(c, pad)
+        checks.append(text)
+        heads.append(n)
+    for c in s.checks[len(checks):]:
+        text, n = _check_json(c, pad)
+        checks.append(text)
+        heads.append(n)
+    return _Texts(s.stimuli, stimuli, s.checks, checks, heads)
+
+
+def _step_json(s: StepRecord, pad: str, texts: _Texts) -> str:
+    """The step's JSON, with its records written as ``texts`` (its
+    ``_texts`` at the same ``pad``): a record's text is the one of the
+    step before only where the record is the same object as the record at
+    its index there, or is a check with the same bound and reading objects
+    and equal names and verdict."""
     q = pad + "  "
-    item = q + "  "
-    fragments = [last.get(id(r)) or _stimulus_json(r, item)
-                 for r in s.stimuli]
-    checks = _array([_check_json(c, item) for c in s.checks], q)
     return (f'{{{q}"n": {s.index},{q}"dt": {_str(str(s.dt))},'
             f'{q}"t_end": {_str(str(s.t_end))},'
             f'{q}"passed": {"true" if s.passed else "false"},'
-            f'{q}"stimuli": {_array(fragments, q)},'
-            f'{q}"checks": {checks}{pad}}}',
-            dict(zip(map(id, s.stimuli), fragments)))
+            f'{q}"stimuli": {_array(texts.stimulus_texts, q)},'
+            f'{q}"checks": {_array(texts.check_texts, q)}{pad}}}')
 
 
 def report_to_json(report: RunReport, out: TextIO) -> None:
     """Write the report as JSON to ``out`` (any object with a ``write``
-    method taking text): its head up to ``"steps": ``, one chunk per step
-    (each sees the fragments of the one before it only), then the totals.
-    Numeric values are decimal strings so that it round-trips exactly."""
+    method taking text): its head up to ``"steps": ``, one chunk per step,
+    then the totals. Numeric values are decimal strings so that it
+    round-trips exactly.
+
+    Each step is rendered from the one before it (``_texts``), and only
+    that step's records and texts are kept: a record reuses a text only
+    where it is the same object as the record at its index in that step,
+    or, for a check, has the same bound and reading objects and equal
+    names and verdict. Bounds and readings are compared by identity
+    because equal decimals can print differently (``1.0`` and ``1.00``).
+    The init block, at another indent, starts afresh."""
     q, item = "\n  ", "\n    "
     abort = "null"
     if report.abort is not None:
@@ -440,16 +503,17 @@ def report_to_json(report: RunReport, out: TextIO) -> None:
         abort = (f'{{{item}"step": {"null" if step < 0 else step},'
                  f'{item}"kind": {_str(kind)},{item}"message": {_str(message)}'
                  f'{q}}}')
-    init = ("null" if report.settle is None
-            else _step_json(report.settle, q, {})[0])
+    init = ("null" if report.settle is None else _step_json(
+        report.settle, q, _texts(report.settle, q, _FRESH)))
     out.write(f'{{{q}"test": {_str(report.name)},{q}"dut": {_str(report.dut)},'
               f'{q}"overall": {_str("pass" if report.overall else "fail")},'
               f'{q}"aborted": {"false" if report.abort is None else "true"},'
               f'{q}"abort": {abort},{q}"init": {init},{q}"steps": ')
-    opening, last = "[", {}
+    opening, last = "[", _FRESH
     for s in report.steps:
-        text, last = _step_json(s, item, last)
-        out.write(opening + item + text)
+        # The step before is let go before this step's text is joined.
+        last = _texts(s, item, last)
+        out.write(opening + item + _step_json(s, item, last))
         opening = ","
     out.write(f'{q + "]" if report.steps else "[]"},{q}"totals": {{'
               f'{item}"steps_total": {report.steps_total},'

@@ -248,29 +248,105 @@ report_decimals = st.decimals(allow_nan=False, allow_infinity=False,
 optional_decimals = st.none() | st.decimals()
 
 
+stimulus_records = st.builds(
+    StimulusRecord, report_texts, report_texts, report_texts,
+    st.dictionaries(report_texts, report_texts, max_size=3), report_texts,
+    optional_texts, optional_texts, st.booleans(), st.booleans())
+check_records = st.builds(
+    CheckRecord, report_texts, report_texts, report_texts,
+    optional_decimals, optional_decimals, st.decimals(), st.booleans())
+
+
+def _twins(value: Decimal | None):
+    """Another object equal to ``value``: printed the same, or, if it is
+    finite, with one more trailing zero (``1.0`` for ``1``, ``1.00`` for
+    ``1.0``). A text reused for an equal but distinct bound or reading
+    would show."""
+    if value is None:
+        return st.none()
+    same = st.builds(Decimal, st.just(str(value)))
+    if not value.is_finite():
+        return same
+    sign, digits, exponent = value.as_tuple()
+    return same | st.builds(Decimal, st.just((sign, digits + (0,),
+                                              exponent - 1)))
+
+
+def _stimulus_variant(r: StimulusRecord):
+    """A new record like ``r``: with the same fields, with params equal to
+    its own in a new dict (in its order, or reversed, which prints
+    otherwise), or with other fields new."""
+    return st.one_of(
+        st.builds(r._replace),
+        st.sampled_from((r.params, dict(reversed(r.params.items())))).map(
+            lambda params: r._replace(params=dict(params))),
+        st.fixed_dictionaries({}, optional={
+            "params": st.dictionaries(report_texts, report_texts,
+                                      max_size=3),
+            "resource": optional_texts, "held": st.booleans(),
+            "changed": st.booleans()}).map(lambda new: r._replace(**new)))
+
+
+def _check_variant(c: CheckRecord):
+    """A new record like ``c``, as a check restated on a held signal is:
+    with the same fields, the other verdict, a reading that is the same,
+    equal to its own (``_twins``) or new with any verdict, bounds equal to
+    its own, or one of its names new."""
+    return st.one_of(
+        st.builds(c._replace),
+        st.builds(c._replace, passed=st.just(not c.passed)),
+        st.builds(lambda measured, passed: c._replace(measured=measured,
+                                                      passed=passed),
+                  st.just(c.measured) | _twins(c.measured) | st.decimals(),
+                  st.booleans()),
+        st.builds(lambda low, high: c._replace(low=low, high=high),
+                  _twins(c.low), _twins(c.high)),
+        st.sampled_from(("signal", "pin", "method")).flatmap(
+            lambda name: report_texts.map(
+                lambda text: c._replace(**{name: text}))))
+
+
 @st.composite
-def step_records(draw) -> StepRecord:
-    stimuli = draw(st.lists(st.builds(
-        StimulusRecord, report_texts, report_texts, report_texts,
-        st.dictionaries(report_texts, report_texts, max_size=3),
-        report_texts, optional_texts, optional_texts, st.booleans(),
-        st.booleans()), max_size=2))
-    checks = draw(st.lists(st.builds(
-        CheckRecord, report_texts, report_texts, report_texts,
-        optional_decimals, optional_decimals, st.decimals(), st.booleans()),
-        max_size=2))
-    return StepRecord(draw(st.integers(-1, 10 ** 6)), draw(report_decimals),
-                      draw(report_decimals), stimuli, checks)
+def _records_after(draw, before: list, fresh, variant) -> list:
+    """The records of a block after one with ``before``, as a plan shares
+    them: up to two more or fewer, each the record at its index in
+    ``before``, another of them, a ``variant`` of the one at its index (or
+    of the last) or ``fresh``."""
+    records = []
+    for i in range(draw(st.integers(max(0, len(before) - 2),
+                                    len(before) + 2))):
+        how = draw(st.integers(0, 4)) if before else 4
+        if how == 0 and i < len(before):
+            records.append(before[i])
+        elif how < 2:
+            records.append(draw(st.sampled_from(before)))
+        elif how < 4:
+            records.append(draw(variant(before[min(i, len(before) - 1)])))
+        else:
+            records.append(draw(fresh))
+    return records
 
 
 @st.composite
 def run_reports(draw) -> RunReport:
     """A report as a run ends: completed, or aborted at the init block
-    (-1) or a step, with a kind and a message."""
+    (-1) or a step, with a kind and a message. Each block's records are
+    drawn after those of the block before it (``_records_after``), the
+    first step's after the init block's."""
+    blocks: list[StepRecord] = []
+    stimuli: list[StimulusRecord] = []
+    checks: list[CheckRecord] = []
+    for _ in range(draw(st.integers(0, 5))):
+        stimuli = draw(_records_after(stimuli, stimulus_records,
+                                      _stimulus_variant))
+        checks = draw(_records_after(checks, check_records, _check_variant))
+        blocks.append(StepRecord(
+            draw(st.integers(-1, 10 ** 6)), draw(report_decimals),
+            draw(report_decimals), stimuli, checks))
+    settle = blocks.pop(0) if blocks and draw(st.booleans()) else None
     return RunReport(
         draw(report_texts), draw(report_texts),
         draw(st.none() | st.builds(Abort, st.integers(-1, 10 ** 6),
                                    report_texts, report_texts)),
-        settle=draw(st.none() | step_records()),
-        steps=draw(st.lists(step_records(), max_size=2)),
+        settle=settle, steps=blocks,
         steps_total=draw(st.integers(0, 10 ** 6)))

@@ -24,7 +24,7 @@ from comptest.stand import BUS_METHODS
 
 import strategies
 from oracles import (random_run_case, reference_report_json,
-                     reference_report_text, replay_run)
+                     reference_report_text, repeated_steps, replay_run)
 
 
 def fresh_dut(timeout="300"):
@@ -261,6 +261,31 @@ def test_stimulus_records_share_their_connector_text(demo_loaded,
 
 TRICKY = 'q"b\\c\x00\x1f\x7f é \u2028 \U0001F600'
 
+# Records a step shares with the step before or changes by one field:
+# every way a text may be reused, and the equal values that print
+# otherwise (params in another order, 1.0 and 1.00), which may not be.
+_HELD = StimulusRecord("s", "p", "put_r", {"a": "1", "b": "2"}, "resource",
+                       "R1", "R1:p", True, False)
+_REORDERED = _HELD._replace(params={"b": "2", "a": "1"})
+_CHECK = CheckRecord("c", "q", "get_u", Decimal("1.0"), Decimal("2.0"),
+                     Decimal("1.0"), True)
+_TWIN_LOW = _CHECK._replace(low=Decimal("1.00"))
+_TWIN_HIGH = _CHECK._replace(high=Decimal("2.00"))
+_TWIN_READING = _TWIN_LOW._replace(measured=Decimal("1.00"))
+_VERDICT = _TWIN_HIGH._replace(passed=False)
+SHARING = RunReport(
+    "sharing", "dut", None,
+    settle=StepRecord(-1, Decimal("0.1"), Decimal("0.1"), [_HELD], [_CHECK]),
+    steps=[StepRecord(0, Decimal("1"), Decimal("1.1"), [_HELD],
+                      [_CHECK, _CHECK]),
+           StepRecord(1, Decimal("1"), Decimal("2.1"), [_REORDERED],
+                      [_TWIN_LOW, _TWIN_HIGH]),
+           StepRecord(2, Decimal("1"), Decimal("3.1"), [_REORDERED, _HELD],
+                      [_TWIN_READING, _VERDICT]),
+           StepRecord(3, Decimal("1"), Decimal("4.1"), [_HELD],
+                      [_TWIN_READING._replace(pin="r")])],
+    steps_total=4)
+
 
 @settings(max_examples=100)
 @given(report=strategies.run_reports())
@@ -272,12 +297,32 @@ TRICKY = 'q"b\\c\x00\x1f\x7f é \u2028 \U0001F600'
                [CheckRecord(TRICKY, "p", "get_u", None, Decimal("2"),
                             Decimal("-1E+3"), False)])],
     steps_total=3))
+@example(report=SHARING)
 def test_json_writer_matches_reference(report):
     # Both formats, written to a stream chunk by chunk: the reference's
     # text.
     for render, reference in ((report_to_json, reference_report_json),
                               (report_to_text, reference_report_text)):
         assert rendered(report, render) == reference(report)
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "data" / "interior_light" \
+    / "expected_script.xml"
+
+
+def test_a_long_held_run_writes_the_reference_json(demo_stand, demo_env):
+    # The shipped example with its steps written 40 times: most stimuli
+    # stay held and the same checks are restated with the same bounds, so
+    # most records are rendered from the step before.
+    script = load_script(repeated_steps(SHIPPED.read_text(encoding="utf-8"),
+                                        40))
+    report = execute(script, demo_stand, demo_env, fresh_dut())
+    assert len(report.steps) == len(script.steps) > 40
+    pairs = list(zip(report.steps, report.steps[1:]))
+    assert any(r is p for s, t in pairs for r, p in zip(t.stimuli, s.stimuli))
+    assert any(c.low is p.low and c.high is p.high and c is not p
+               for s, t in pairs for c, p in zip(t.checks, s.checks))
+    assert rendered(report) == reference_report_json(report)
 
 
 class CountingSink:
@@ -292,14 +337,18 @@ class CountingSink:
 
 def test_a_report_written_to_a_stream_is_never_whole_in_memory():
     # 1 000 steps sharing 16 held stimulus records, as the plan shares
-    # them, and one check each.
+    # them, and four checks each: new records whose names and bounds are
+    # the same objects at every step, as the plan restates a check, with
+    # a reading that is the same object or new.
     held = [StimulusRecord(f"sig{i}", f"pin{i}", "put_r",
                            {"r": "1000", "d1": "0.5"}, "resource", f"R{i}",
                            f"R{i}:pin{i}", True, False) for i in range(16)]
+    low, high, reading = Decimal("8.4"), Decimal("13.2"), Decimal("12.0")
+    names = [(f"lamp{i}", f"lamp_pin{i}", "get_u") for i in range(4)]
     steps = [StepRecord(n, Decimal("0.5"), Decimal(n + 1) / 2, held,
-                        [CheckRecord("lamp", "lamp_pin", "get_u",
-                                     Decimal("8.4"), Decimal("13.2"),
-                                     Decimal("12.0"), True)])
+                        [CheckRecord(*name, low, high,
+                                     reading if i % 2 else Decimal(n), True)
+                         for i, name in enumerate(names)])
              for n in range(1000)]
     report = RunReport("endurance", "dut", None,
                        settle=StepRecord(-1, Decimal("0.1"), Decimal("0.1"),
