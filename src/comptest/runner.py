@@ -378,10 +378,9 @@ def execute(script: TestScript, stand: StandModel, env: Mapping[str, Decimal],
 #
 # A step is rendered from the step before it, position by position
 # (``_texts``): a stimulus record that is the same object as the record at
-# its index there reuses that record's text. A check record whose bounds
-# are the same objects and whose names are equal reuses the head of its
-# text (up to "max"), and the whole text if its reading is the same object
-# too and its verdict equal. Bounds and readings are compared by identity
+# its index there reuses that record's text, and so does a check record
+# whose bounds and reading are the same objects as that record's and whose
+# names and verdict are equal. Bounds and readings are compared by identity
 # because equal decimals can print differently (1.0 and 1.00). Only the
 # step before is kept; the init block, at another indent, starts afresh.
 
@@ -409,72 +408,51 @@ def _stimulus_json(r: StimulusRecord, pad: str) -> str:
             f'{q}"changed": {"true" if r.changed else "false"}{pad}}}')
 
 
-def _check_json(c: CheckRecord, pad: str) -> tuple[str, int]:
-    """The check's text, and the length of its head: the text up to
-    ``max``, which a check with the same names and bounds shares."""
+def _check_json(c: CheckRecord, pad: str) -> str:
     q = pad + "  "
-    head = (f'{{{q}"signal": {_str(c.signal)},{q}"pin": {_str(c.pin)},'
+    return (f'{{{q}"signal": {_str(c.signal)},{q}"pin": {_str(c.pin)},'
             f'{q}"method": {_str(c.method)},'
-            f'{q}"min": {_null_or_str(c.low)},{q}"max": {_null_or_str(c.high)},')
-    return head + _check_tail(c, pad), len(head)
-
-
-def _check_tail(c: CheckRecord, pad: str) -> str:
-    q = pad + "  "
-    return (f'{q}"measured": {_str(str(c.measured))},'
+            f'{q}"min": {_null_or_str(c.low)},{q}"max": {_null_or_str(c.high)},'
+            f'{q}"measured": {_str(str(c.measured))},'
             f'{q}"passed": {"true" if c.passed else "false"}{pad}}}')
 
 
+def _restated(c: CheckRecord, p: CheckRecord) -> bool:
+    return (c.low is p.low and c.high is p.high and c.measured is p.measured
+            and c.passed == p.passed and c.signal == p.signal
+            and c.pin == p.pin and c.method == p.method)
+
+
 class _Texts(NamedTuple):
-    """A step's records and their texts, and the length of each check
-    text's head (``_check_json``)."""
+    """A step's records and their texts."""
 
     stimuli: list[StimulusRecord]
     stimulus_texts: list[str]
     checks: list[CheckRecord]
     check_texts: list[str]
-    heads: list[int]
 
 
-_FRESH = _Texts([], [], [], [], [])  # no step before
+_FRESH = _Texts([], [], [], [])  # no step before
 
 
 def _texts(s: StepRecord, pad: str, last: _Texts) -> _Texts:
     """The texts of the records of the step at ``pad``, each rendered or
-    taken from ``last``, the step's before it at the same ``pad``. A
-    stimulus record that is the record at its index there is written as
-    that one was. So is a check record whose bounds and reading are the
-    objects there and whose names and verdict are equal; with another
-    reading or verdict it reuses that text's head. The report keeps every
-    record alive while it is rendered, so no identity is reused."""
+    taken from ``last``, the step's before it at the same ``pad``. The
+    report keeps every record alive while it is rendered, so no identity
+    is reused."""
     pad += "    "
     stimuli = [t if r is p else _stimulus_json(r, pad)
                for r, p, t in zip(s.stimuli, last.stimuli,
                                   last.stimulus_texts)]
     stimuli += [_stimulus_json(r, pad) for r in s.stimuli[len(stimuli):]]
-    checks, heads = [], []
-    for c, p, text, n in zip(s.checks, last.checks, last.check_texts,
-                             last.heads):
-        if not (c.low is p.low and c.high is p.high and c.signal == p.signal
-                and c.pin == p.pin and c.method == p.method):
-            text, n = _check_json(c, pad)
-        elif c.measured is not p.measured or c.passed != p.passed:
-            text = text[:n] + _check_tail(c, pad)
-        checks.append(text)
-        heads.append(n)
-    for c in s.checks[len(checks):]:
-        text, n = _check_json(c, pad)
-        checks.append(text)
-        heads.append(n)
-    return _Texts(s.stimuli, stimuli, s.checks, checks, heads)
+    checks = [t if _restated(c, p) else _check_json(c, pad)
+              for c, p, t in zip(s.checks, last.checks, last.check_texts)]
+    checks += [_check_json(c, pad) for c in s.checks[len(checks):]]
+    return _Texts(s.stimuli, stimuli, s.checks, checks)
 
 
 def _step_json(s: StepRecord, pad: str, texts: _Texts) -> str:
-    """The step's JSON, with its records written as ``texts`` (its
-    ``_texts`` at the same ``pad``): a record's text is the one of the
-    step before only where the record is the same object as the record at
-    its index there, or is a check with the same bound and reading objects
-    and equal names and verdict."""
+    """The step's JSON, with its records written as ``texts``."""
     q = pad + "  "
     return (f'{{{q}"n": {s.index},{q}"dt": {_str(str(s.dt))},'
             f'{q}"t_end": {_str(str(s.t_end))},'
@@ -492,8 +470,8 @@ def report_to_json(report: RunReport, out: TextIO) -> None:
     Each step is rendered from the one before it (``_texts``), and only
     that step's records and texts are kept: a record reuses a text only
     where it is the same object as the record at its index in that step,
-    or, for a check, has the same bound and reading objects and equal
-    names and verdict. Bounds and readings are compared by identity
+    or, for a check, has the same bound and reading objects as that record
+    and equal names and verdict. Bounds and readings are compared by identity
     because equal decimals can print differently (``1.0`` and ``1.00``).
     The init block, at another indent, starts afresh."""
     q, item = "\n  ", "\n    "
